@@ -1,25 +1,20 @@
-//! Subdomain merge cost: coordinate-hash splicing vs arena-id splicing.
+//! Subdomain merge cost of arena-id splicing.
 //!
-//! The legacy [`MeshMerger::add_mesh`] hashes the canonical coordinate
-//! bits of *every* vertex it absorbs — O(total vertices) hash work per
-//! subdomain. The id-based [`MeshMerger::add_mesh_spliced`] resolves
-//! stamped vertices through a dense arena map and only touches the
-//! coordinate hash for the constrained interface frontier — so its hash
-//! work is O(interface), and the rest is a blind append.
+//! [`MeshMerger::add_mesh_spliced`] resolves stamped vertices through a
+//! dense arena map and only touches the coordinate hash for the
+//! constrained interface frontier — so its hash work is O(interface),
+//! and the rest is a blind append.
 //!
-//! Two sweeps demonstrate the scaling claim:
+//! Three sweeps demonstrate the scaling claim:
 //!
-//! * `merge/{legacy,spliced}/interior_*` — interior vertex count grows
-//!   at a fixed 64-segment interface: legacy grows with total size much
-//!   faster than spliced does.
+//! * `merge/spliced/interior_*` — interior vertex count grows at a fixed
+//!   64-segment interface: the cost is the append, not the hash.
 //! * `merge/spliced/interface_*` — interface size grows at a fixed
 //!   16k-vertex interior: the spliced hash work tracks this knob, which
 //!   is the one the decomposition actually bounds.
 //! * `merge/tree/threads_*` — the tree-parallel reduction over 8 stamped
 //!   tiles at pool widths 1/2/4/8: same bytes at every width, shrinking
 //!   wall clock.
-//!
-//! `bench_results/merge_baseline.json` records the medians.
 
 use adm_core::{merge_tree_spliced, MeshMerger};
 use adm_delaunay::mesh::Mesh;
@@ -66,13 +61,6 @@ fn bench_interior_sweep(c: &mut Criterion) {
         let (mesh, arena_len) = stamped_subdomain(interior, INTERFACE, 11);
         let verts = mesh.num_vertices();
         let tris = mesh.num_triangles();
-        c.bench_function(format!("merge/legacy/interior_{interior}").as_str(), |b| {
-            b.iter(|| {
-                let mut m = MeshMerger::with_capacity(arena_len, verts + 16, tris + 16);
-                m.add_mesh(&mesh);
-                std::hint::black_box(m)
-            })
-        });
         c.bench_function(format!("merge/spliced/interior_{interior}").as_str(), |b| {
             b.iter(|| {
                 let mut m = MeshMerger::with_capacity(arena_len, verts + 16, tris + 16);

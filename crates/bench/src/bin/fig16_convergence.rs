@@ -15,7 +15,7 @@
 
 use adm_bench::{maybe_write_trace, write_json};
 use adm_core::{generate, MeshConfig};
-use adm_decouple::{GradedSizing, SizingField};
+use adm_decouple::{GradedSizing, SizingFn};
 use adm_delaunay::mesh::Mesh;
 use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
 use adm_geom::point::Point2;

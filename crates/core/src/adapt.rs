@@ -1,7 +1,7 @@
 //! The anisotropic adaptation loop: solve → estimate → remesh.
 //!
 //! Reframes the one-shot pipeline as a re-entrant cycle driver. Each
-//! cycle re-runs the full decompose/mesh/merge stack ([`generate_staged`]
+//! cycle re-runs the full decompose/mesh/merge stack ([`generate_staged_with_pool`]
 //! or its parallel twin) against the cycle-invariant [`GeomPrelude`],
 //! solves potential flow on the merged mesh, recovers a Hessian-based
 //! metric from the stream function, and installs the gradation-limited
@@ -22,14 +22,14 @@ use crate::config::MeshConfig;
 use crate::hash::sha256_hex;
 use crate::inviscid::conforming_h0;
 use crate::pipeline::{
-    build_prelude, generate_parallel_staged, generate_staged, GeomPrelude, PipelineResult,
-    PipelineStats,
+    build_prelude, generate_parallel_staged, generate_staged_with_pool, GeomPrelude,
+    PipelineResult, PipelineStats,
 };
 use crate::sizing::{AnchorSet, GradationLimited, MetricSizing};
 use adm_delaunay::mesh::Mesh;
 use adm_geom::metric::MetricField;
 use adm_geom::point::Point2;
-use adm_mpirt::{BalancerConfig, ThreadedTransport};
+use adm_mpirt::{BalancerConfig, Pool, ThreadedTransport};
 use adm_solver::{solve_potential_flow, zz_error, FlowConditions, MetricParams};
 use adm_trace::{Tracer, Track};
 use std::sync::Arc;
@@ -140,9 +140,10 @@ pub fn metric_digest_hex(field: &MetricField) -> String {
 /// (sequential for `ranks <= 1`, threaded-transport parallel otherwise).
 pub fn adapt(config: &MeshConfig, opts: &AdaptOptions) -> AdaptResult {
     let ranks = opts.ranks;
+    let pool = Pool::new(config.merge_threads);
     adapt_with_runner(config, opts, &mut |cfg, pre| {
         if ranks <= 1 {
-            generate_staged(cfg, Some(pre))
+            generate_staged_with_pool(cfg, Some(pre), &pool)
         } else {
             generate_parallel_staged(
                 cfg,

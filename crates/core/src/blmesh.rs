@@ -1,168 +1,64 @@
-//! Boundary-layer meshing: parallel triangulation of the anisotropic
-//! point cloud (paper §II.C/§II.D).
+//! Boundary-layer mesh assembly (paper §II.C/§II.D, merge side).
 //!
 //! The combined point cloud of all elements' boundary layers is
-//! decomposed with the projection-based coarse partitioner, each leaf is
-//! triangulated independently (costs are measured per leaf for the
-//! scaling study), the exact global Delaunay triangulation is
-//! reassembled, and finally the surface and outer-border constraints are
-//! applied and the airfoil interiors / exterior carved away.
+//! decomposed with the projection-based coarse partitioner and each leaf
+//! is triangulated independently — those are tasks of the pipeline's
+//! task tree. This module is what happens to their output: the exact
+//! global Delaunay triangulation is reassembled from the per-leaf
+//! triangle lists, the surface and outer-border constraints are applied,
+//! and the airfoil interiors / exterior are carved away.
 
-use crate::tasklog::{TaskKind, TaskLog};
 use adm_blayer::BoundaryLayer;
-use adm_delaunay::cdt::{carve, insert_constraint, CdtError};
+use adm_delaunay::cdt::{carve, insert_constraint};
 use adm_delaunay::mesh::Mesh;
 use adm_geom::point::Point2;
 use adm_kernel::{GlobalVertexId, MeshArena};
-use adm_mpirt::Pool;
-use adm_partition::{decompose, triangulate_leaf_pooled, DecomposeParams, Subdomain};
-use std::sync::Arc;
 
-/// The meshed boundary layer.
-pub struct BlMesh {
-    /// Carved, constrained boundary-layer mesh, stamped with the arena
-    /// identities of its (entire) point cloud.
-    pub mesh: Mesh,
-    /// Outer border of each element's layer (inner boundary of the
-    /// inviscid region), in input order.
-    pub outer_borders: Vec<Vec<Point2>>,
-    /// The arena that minted the cloud's global vertex ids. Frozen:
-    /// downstream stages only read it (id lookups for stamping the
-    /// near-body mesh, splicing the merge).
-    pub arena: Arc<MeshArena>,
-    /// Size of the triangulated point cloud.
-    pub cloud_points: usize,
-    /// Number of coarse subdomains triangulated.
-    pub subdomains: usize,
-}
-
-/// Triangulates the boundary layers of all elements.
+/// Reassembles, constrains and carves the boundary-layer mesh from the
+/// leaves' triangle lists (arena-id triples, in task-tree order).
 ///
-/// `hole_seeds` are points strictly inside each element (airfoil
-/// interiors to carve). Per-leaf triangulation times are recorded in
-/// `log` as [`TaskKind::BlTriangulate`] tasks. Each leaf's
-/// divide-and-conquer triangulation forks its top splits onto `pool`
-/// (inline when the pool has no workers — same bytes either way).
-pub fn mesh_boundary_layer(
+/// The vertex array *is* `arena`'s canonical point list — triangle
+/// triples already index it, and every vertex is stamped with its arena
+/// id — so there is no coordinate-bit rebuild here: the border loops
+/// resolve to vertex ids through the arena. A triangle on a cut line is
+/// reported by both leaves that touch it; the first report wins.
+/// `hole_seeds` are points strictly inside each element.
+pub(crate) fn assemble_bl_mesh(
+    arena: &MeshArena,
     layers: &[BoundaryLayer],
     hole_seeds: &[Point2],
-    target_subdomains: usize,
-    pool: &Pool,
-    log: &mut TaskLog,
-) -> Result<BlMesh, CdtError> {
-    // Combined cloud (all elements), interned into the arena that mints
-    // every global vertex id the rest of the pipeline uses.
-    let (cloud, arena, ids) = log.measure(TaskKind::Serial, 0, || {
-        let mut c: Vec<Point2> = Vec::new();
-        for l in layers {
-            c.extend(l.all_points());
-        }
-        let mut arena = MeshArena::with_capacity(c.len());
-        let ids = arena.intern_all(&c);
-        ((c, arena, ids), 0)
-    });
-    mesh_boundary_layer_interned(
-        layers,
-        &cloud,
-        Arc::new(arena),
-        &ids,
-        hole_seeds,
-        target_subdomains,
-        pool,
-        log,
-    )
-}
-
-/// [`mesh_boundary_layer`] over a pre-interned cloud: the adaptation
-/// loop builds the cloud/arena once per run (`GeomPrelude`) and re-meshes
-/// every cycle against the same frozen ids. Byte-identical to the
-/// one-shot path — the cloud and intern order are the same, only the
-/// build is skipped.
-#[allow(clippy::too_many_arguments)]
-pub fn mesh_boundary_layer_interned(
-    layers: &[BoundaryLayer],
-    cloud: &[Point2],
-    arena: Arc<MeshArena>,
-    ids: &[GlobalVertexId],
-    hole_seeds: &[Point2],
-    target_subdomains: usize,
-    pool: &Pool,
-    log: &mut TaskLog,
-) -> Result<BlMesh, CdtError> {
-    // Coarse partitioning (Figure 8) — serial in this path; the parallel
-    // driver distributes it. Subdomain vertices carry their arena ids, so
-    // the triangles the leaves emit index the arena directly.
-    let leaves: Vec<Subdomain> = log.measure(TaskKind::Decompose, 0, || {
-        let d = decompose(
-            Subdomain::root_with_ids(cloud, ids),
-            &DecomposeParams::for_subdomain_count(target_subdomains),
-        );
-        (d.leaves, 0)
-    });
-    let n_leaves = leaves.len();
-
-    // Independent per-leaf triangulation, measured per leaf.
+    leaf_tris: impl IntoIterator<Item = Vec<[u32; 3]>>,
+) -> Mesh {
     let mut all_tris: Vec<[u32; 3]> = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    for leaf in &leaves {
-        let bytes = (leaf.len() * 16) as u64;
-        let tris = log.measure(TaskKind::BlTriangulate, bytes, || {
-            let t = triangulate_leaf_pooled(leaf, pool);
-            let n = t.len() as u64;
-            (t, n)
-        });
-        for t in tris {
-            let mut key = t;
-            key.sort_unstable();
-            if seen.insert(key) {
-                all_tris.push(t);
+    for t in leaf_tris.into_iter().flatten() {
+        let mut key = t;
+        key.sort_unstable();
+        if seen.insert(key) {
+            all_tris.push(t);
+        }
+    }
+    let mut mesh = Mesh::from_triangles(arena.points().to_vec(), all_tris);
+    let prefix: Vec<GlobalVertexId> = (0..arena.len() as u32).map(GlobalVertexId).collect();
+    mesh.stamp_prefix(&prefix);
+    let lookup = |p: Point2| -> u32 {
+        arena
+            .id_of(p)
+            .expect("border point missing from cloud")
+            .raw()
+    };
+    for l in layers {
+        for ring in [&l.surface[..], l.outer_border()] {
+            for i in 0..ring.len() {
+                let (a, b) = (lookup(ring[i]), lookup(ring[(i + 1) % ring.len()]));
+                if a != b {
+                    insert_constraint(&mut mesh, a, b).expect("boundary-layer constraint failed");
+                }
             }
         }
     }
-
-    // Reassemble, constrain, and carve (merge-side work). The vertex
-    // array *is* the arena's canonical point list — triangle triples
-    // already index it — so there is no coordinate-bit rebuild here: the
-    // border loops resolve to vertex ids through the arena.
-    let mesh = log.measure(TaskKind::Merge, 0, || {
-        let mut mesh = Mesh::from_triangles(arena.points().to_vec(), all_tris.clone());
-        let prefix: Vec<GlobalVertexId> = (0..arena.len() as u32).map(GlobalVertexId).collect();
-        mesh.stamp_prefix(&prefix);
-        let lookup = |p: Point2| -> u32 {
-            arena
-                .id_of(p)
-                .expect("border point missing from cloud")
-                .raw()
-        };
-        // Constrain surfaces and outer borders.
-        for l in layers {
-            let s = &l.surface;
-            for i in 0..s.len() {
-                let (a, b) = (lookup(s[i]), lookup(s[(i + 1) % s.len()]));
-                if a != b {
-                    insert_constraint(&mut mesh, a, b).expect("surface constraint failed");
-                }
-            }
-            let ob = l.outer_border();
-            for i in 0..ob.len() {
-                let (a, b) = (lookup(ob[i]), lookup(ob[(i + 1) % ob.len()]));
-                if a != b {
-                    insert_constraint(&mut mesh, a, b).expect("outer border constraint failed");
-                }
-            }
-        }
-        carve(&mut mesh, hole_seeds);
-        let n = mesh.num_triangles() as u64;
-        (mesh, n)
-    });
-
-    Ok(BlMesh {
-        mesh,
-        outer_borders: layers.iter().map(|l| l.outer_border().to_vec()).collect(),
-        arena,
-        cloud_points: cloud.len(),
-        subdomains: n_leaves,
-    })
+    carve(&mut mesh, hole_seeds);
+    mesh
 }
 
 #[cfg(test)]
@@ -171,6 +67,28 @@ mod tests {
     use adm_airfoil::naca0012_domain;
     use adm_blayer::{build_boundary_layer, BlParams, Geometric};
     use adm_geom::polygon::contains_point;
+    use adm_mpirt::Pool;
+    use adm_partition::{decompose, triangulate_leaf_pooled, DecomposeParams, Subdomain};
+
+    /// Decomposes one layer's cloud into `subdomains` leaves, triangulates
+    /// each on `pool` and assembles the result.
+    fn bl_mesh(layer: BoundaryLayer, seeds: &[Point2], subdomains: usize, pool: &Pool) -> Mesh {
+        let cloud = layer.all_points().to_vec();
+        let mut arena = MeshArena::with_capacity(cloud.len());
+        let ids = arena.intern_all(&cloud);
+        let leaves = decompose(
+            Subdomain::root_with_ids(&cloud, &ids),
+            &DecomposeParams::for_subdomain_count(subdomains),
+        )
+        .leaves;
+        assert!(
+            leaves.len() >= subdomains / 2,
+            "got {} leaves",
+            leaves.len()
+        );
+        let tris = leaves.iter().map(|l| triangulate_leaf_pooled(l, pool));
+        assemble_bl_mesh(&arena, &[layer], seeds, tris)
+    }
 
     #[test]
     fn naca0012_bl_mesh_is_carved_and_conforming() {
@@ -184,11 +102,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut log = TaskLog::default();
-        let seeds = domain.hole_seeds();
-        let pool = Pool::new(2);
-        let out = mesh_boundary_layer(&[bl], &seeds, 16, &pool, &mut log).unwrap();
-        let mesh = &out.mesh;
+        let outer_border = bl.outer_border().to_vec();
+        let mesh = &bl_mesh(bl, &domain.hole_seeds(), 16, &Pool::new(2));
         mesh.check_consistency();
         assert!(mesh.num_triangles() > 1000);
         // No triangle centroid inside the airfoil.
@@ -208,15 +123,10 @@ mod tests {
             assert!(!contains_point(surf, c), "triangle inside the airfoil");
             // And inside the outer border.
             assert!(
-                contains_point(&out.outer_borders[0], c),
+                contains_point(&outer_border, c),
                 "triangle outside the boundary layer"
             );
         }
-        // Task log captured the per-leaf costs.
-        let tasks = log.parallel_tasks();
-        assert!(tasks.len() >= 8, "got {} tasks", tasks.len());
-        assert!(tasks.iter().all(|t| t.kind == TaskKind::BlTriangulate));
-        assert!(tasks.iter().any(|t| t.cost_s > 0.0));
     }
 
     #[test]
@@ -233,11 +143,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut log = TaskLog::default();
-        let seeds = domain.hole_seeds();
-        let pool = Pool::new(0);
-        let out = mesh_boundary_layer(&[bl], &seeds, 8, &pool, &mut log).unwrap();
-        let mesh = &out.mesh;
+        let mesh = &bl_mesh(bl, &domain.hole_seeds(), 8, &Pool::new(0));
         let mut max_aspect = 0.0f64;
         for t in mesh.live_triangles() {
             let tri = mesh.tri(t as usize);

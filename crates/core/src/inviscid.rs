@@ -5,30 +5,15 @@
 //! outside and the boundary-layer outer borders inside (the airfoil plus
 //! its anisotropic layer is a hole). The rest of the domain out to the
 //! far field is decoupled into quadrant-descended subdomains that refine
-//! independently.
+//! independently. These are the per-task refinement kernels and the
+//! interface rules; the pipeline's task tree decides which runs where.
 
-use crate::tasklog::{TaskKind, TaskLog};
-use adm_decouple::{decouple_by_threshold, initial_quadrants, GradedSizing, Region, SizingField};
+use adm_decouple::{GradedSizing, Region, SizingFn};
 use adm_delaunay::mesh::Mesh;
 use adm_delaunay::refine::RefineStats;
 use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
-use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 use adm_kernel::GlobalVertexId;
-
-/// Result of the inviscid stage.
-pub struct InviscidMesh {
-    /// The near-body mesh (boundary-layer holes carved).
-    pub nearbody: Mesh,
-    /// One mesh per decoupled subdomain.
-    pub subdomain_meshes: Vec<Mesh>,
-    /// Shared-border segment splits during refinement (must be zero for a
-    /// conforming union — reported for diagnostics).
-    pub border_splits: usize,
-    /// Aggregated refinement statistics across the near-body and all
-    /// decoupled subdomain runs.
-    pub refine_stats: RefineStats,
-}
 
 /// Smallest body edge length for which no boundary-layer outer-border
 /// segment will be split by Ruppert refinement: every constrained segment
@@ -65,7 +50,7 @@ pub fn build_sizing(
 /// Refines one region (border polygon) against the sizing field.
 /// Returns the mesh and the refinement statistics (whose
 /// `segment_splits` counts border-segment splits).
-pub fn refine_region(region_border: &[Point2], sizing: &dyn SizingField) -> (Mesh, RefineStats) {
+pub fn refine_region(region_border: &[Point2], sizing: &dyn SizingFn) -> (Mesh, RefineStats) {
     let n = region_border.len() as u32;
     let segments: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     let sz = |p: Point2| sizing.target_area(p);
@@ -87,7 +72,7 @@ fn nearbody_triangulation(
     rect_border: &[Point2],
     holes: &[Vec<Point2>],
     hole_seeds: &[Point2],
-    sizing: &dyn SizingField,
+    sizing: &dyn SizingFn,
 ) -> adm_delaunay::triangulator::TriOutput {
     let mut points: Vec<Point2> = rect_border.to_vec();
     let mut segments: Vec<(u32, u32)> = {
@@ -119,7 +104,7 @@ pub fn refine_nearbody(
     rect_border: &[Point2],
     holes: &[Vec<Point2>],
     hole_seeds: &[Point2],
-    sizing: &dyn SizingField,
+    sizing: &dyn SizingFn,
 ) -> (Mesh, RefineStats) {
     let out = nearbody_triangulation(rect_border, holes, hole_seeds, sizing);
     (out.mesh, out.refine_stats.unwrap_or_default())
@@ -138,7 +123,7 @@ pub fn refine_nearbody_stamped(
     holes: &[Vec<Point2>],
     hole_ids: &[Vec<GlobalVertexId>],
     hole_seeds: &[Point2],
-    sizing: &dyn SizingField,
+    sizing: &dyn SizingFn,
 ) -> (Mesh, RefineStats) {
     assert_eq!(rect_border.len(), rect_ids.len());
     assert_eq!(holes.len(), hole_ids.len());
@@ -240,7 +225,7 @@ pub fn propagate_interface_splits(
 pub fn decouple_threshold(
     initial: &[Region],
     target_subdomains: usize,
-    sizing: &dyn SizingField,
+    sizing: &dyn SizingFn,
 ) -> f64 {
     let total: f64 = initial.iter().map(|r| r.estimated_triangles(sizing)).sum();
     // A '+' split quarters a region, so a threshold of exactly
@@ -248,73 +233,6 @@ pub fn decouple_threshold(
     // the decoupling-border triangle overhead); the factor 2 centers the
     // outcome on the target.
     2.0 * total / target_subdomains.max(1) as f64
-}
-
-/// Runs the whole inviscid stage sequentially, measuring per-subdomain
-/// refinement costs.
-#[allow(clippy::too_many_arguments)]
-pub fn mesh_inviscid(
-    outer_borders: &[Vec<Point2>],
-    hole_seeds: &[Point2],
-    farfield: &Aabb,
-    sizing: &dyn SizingField,
-    nearbody_margin_abs: f64,
-    target_subdomains: usize,
-    log: &mut TaskLog,
-) -> InviscidMesh {
-    // Near-body box around the boundary layers.
-    let mut bbox = Aabb::empty();
-    for b in outer_borders {
-        for &p in b {
-            bbox.expand(p);
-        }
-    }
-    let nearbody_box = bbox.inflated(nearbody_margin_abs);
-
-    // Initial quadrants + recursive decoupling. The threshold rule is
-    // per-region (execution-order independent) so the distributed driver
-    // produces the identical leaf set.
-    let (leaves, nearbody_border): (Vec<Region>, Vec<Point2>) =
-        log.measure(TaskKind::Decompose, 0, || {
-            let init = initial_quadrants(&nearbody_box, farfield, sizing);
-            let threshold = decouple_threshold(&init.quadrants, target_subdomains, sizing);
-            let leaves = decouple_by_threshold(init.quadrants.to_vec(), threshold, sizing);
-            ((leaves, init.nearbody_border), 0)
-        });
-
-    // Near-body subdomain.
-    let mut refine_stats = RefineStats::default();
-    let holes: Vec<Vec<Point2>> = outer_borders.to_vec();
-    let nearbody = log.measure(
-        TaskKind::NearBodyRefine,
-        (nearbody_border.len() * 16) as u64,
-        || {
-            let (mesh, stats) = refine_nearbody(&nearbody_border, &holes, hole_seeds, sizing);
-            refine_stats.absorb(&stats);
-            let n = mesh.num_triangles() as u64;
-            (mesh, n)
-        },
-    );
-
-    // Decoupled subdomains.
-    let mut subdomain_meshes = Vec::with_capacity(leaves.len());
-    for leaf in &leaves {
-        let bytes = (leaf.border.len() * 16) as u64;
-        let mesh = log.measure(TaskKind::InviscidRefine, bytes, || {
-            let (mesh, stats) = refine_region(&leaf.border, sizing);
-            refine_stats.absorb(&stats);
-            let n = mesh.num_triangles() as u64;
-            (mesh, n)
-        });
-        subdomain_meshes.push(mesh);
-    }
-    refine_stats.publish(log.tracer());
-    InviscidMesh {
-        nearbody,
-        subdomain_meshes,
-        border_splits: refine_stats.segment_splits,
-        refine_stats,
-    }
 }
 
 #[cfg(test)]

@@ -4,13 +4,13 @@
 //! layers (adm-blayer) → projection-based parallel triangulation
 //! (adm-partition) → graded Delaunay decoupling and independent Ruppert
 //! refinement of the inviscid region (adm-decouple + adm-delaunay) →
-//! merged, conforming global mesh. Per-subdomain costs are logged so the
-//! scaling study (adm-simnet) replays the real workload.
+//! merged, conforming global mesh. The subdomain work is one task tree
+//! ([`pipeline`]) run inline or on adm-mpirt ranks; per-task costs are
+//! traced so the scaling study (adm-simnet) replays the real workload.
 
 pub mod adapt;
-pub mod blmesh;
+mod blmesh;
 pub mod config;
-pub mod distio;
 pub mod hash;
 pub mod inviscid;
 pub mod merge;
@@ -24,16 +24,13 @@ pub use adapt::{
     adapt, adapt_with_runner, mesh_digest_hex, metric_digest_hex, AdaptOptions, AdaptResult,
     CycleReport,
 };
-pub use blmesh::{mesh_boundary_layer, mesh_boundary_layer_interned, BlMesh};
 pub use config::{default_merge_threads, MeshConfig};
-pub use distio::{read_distributed_merged, read_distributed_parts, write_distributed};
 pub use hash::{sha256_hex, Sha256};
-pub use inviscid::{build_sizing, mesh_inviscid, refine_nearbody, refine_region, InviscidMesh};
+pub use inviscid::{build_sizing, refine_nearbody, refine_region};
 pub use merge::{check_conformity, merge_tree_spliced, Conformity, MeshMerger};
 pub use pipeline::{
-    build_prelude, generate, generate_parallel, generate_parallel_staged, generate_parallel_with,
-    generate_staged, generate_staged_with_pool, generate_undecomposed, GeomPrelude, PipelineResult,
-    PipelineStats,
+    build_prelude, generate, generate_parallel, generate_parallel_staged,
+    generate_staged_with_pool, generate_undecomposed, GeomPrelude, PipelineResult, PipelineStats,
 };
 pub use pslg_pipeline::{
     mesh_pslg, mesh_pslg_parallel, mesh_pslg_sharded, PslgMeshError, PslgMeshResult,
@@ -43,7 +40,7 @@ pub use shard::{
     write_manifest, write_shard_set, ConsistencyReport, ShardManifest, ShardMeta, MANIFEST_NAME,
 };
 pub use sizing::{
-    AnchorSet, AsSizingField, ComposedSizing, FnSizing, GradationLimited, GradedSizing,
-    MetricSizing, SizingFn, UniformH,
+    AnchorSet, ComposedSizing, FnSizing, GradationLimited, GradedSizing, MetricSizing, SizingFn,
+    UniformH,
 };
 pub use tasklog::{TaskKind, TaskLog, TaskRecord};

@@ -2,18 +2,14 @@
 //!
 //! Subdomain meshes share bitwise-identical border points (the decoupling
 //! invariant), so merging is vertex deduplication plus triangle
-//! re-indexing, followed by a conformity check. Two deduplication paths
-//! exist:
-//!
-//! * [`MeshMerger::add_mesh`] — the legacy path: every vertex of every
-//!   mesh is keyed by its (negative-zero-normalized) coordinate bits.
-//!   O(total vertices) hashing, but works on completely anonymous meshes.
-//! * [`MeshMerger::add_mesh_spliced`] — the arena path: vertices stamped
-//!   with a [`GlobalVertexId`] resolve through a dense array; unstamped
-//!   vertices are coordinate-hashed only when they are constrained-edge
-//!   endpoints (the only vertices the decoupling invariant allows to be
-//!   shared), and everything else is appended blindly. Hashing drops to
-//!   O(interface) instead of O(total).
+//! re-indexing, followed by a conformity check.
+//! [`MeshMerger::add_mesh_spliced`] deduplicates through the arena:
+//! vertices stamped with a [`GlobalVertexId`] resolve through a dense
+//! array; unstamped vertices are hashed by their
+//! (negative-zero-normalized) coordinate bits only when they are
+//! constrained-edge endpoints (the only vertices the decoupling invariant
+//! allows to be shared), and everything else is appended blindly. Hashing
+//! is O(interface), not O(total).
 
 use adm_delaunay::mesh::Mesh;
 use adm_geom::point::Point2;
@@ -173,25 +169,6 @@ impl MeshMerger {
         }
     }
 
-    /// Adds all live triangles (and constrained edges) of `mesh`,
-    /// deduplicating every vertex by canonical coordinate bits.
-    pub fn add_mesh(&mut self, mesh: &Mesh) {
-        for t in mesh.live_triangles() {
-            let tri = mesh.tri(t as usize);
-            let g = [
-                self.vertex_id(mesh.vertex(tri[0] as usize)),
-                self.vertex_id(mesh.vertex(tri[1] as usize)),
-                self.vertex_id(mesh.vertex(tri[2] as usize)),
-            ];
-            self.triangles.push(g);
-        }
-        for (a, b) in mesh.constrained_edges() {
-            let ga = self.vertex_id(mesh.vertex(a as usize));
-            let gb = self.vertex_id(mesh.vertex(b as usize));
-            self.constrained.push((ga, gb));
-        }
-    }
-
     /// Adds `mesh` via the arena splicing path.
     ///
     /// Correctness rests on the global-id invariant's contrapositive: a
@@ -201,10 +178,7 @@ impl MeshMerger {
     /// segment splits inherit the constraint). So stamped vertices resolve
     /// through `global_map`, unstamped constrained endpoints through the
     /// coordinate index, and everything else is appended without any
-    /// lookup. Do not mix with [`MeshMerger::add_mesh`] *additions of the
-    /// same interface* unless those meshes satisfy the same property —
-    /// `add_mesh` registers every vertex in the coordinate index, which is
-    /// always safe, just slower.
+    /// lookup.
     pub fn add_mesh_spliced(&mut self, mesh: &Mesh) {
         let n = mesh.num_vertices();
         self.local_map.clear();
@@ -317,23 +291,6 @@ impl MeshMerger {
                 .into_iter()
                 .map(|(a, b)| (cmap[a as usize], cmap[b as usize])),
         );
-    }
-
-    /// Adds raw triangles over explicit points.
-    pub fn add_triangles(&mut self, points: &[Point2], tris: &[[u32; 3]]) {
-        for t in tris {
-            let g = [
-                self.vertex_id(points[t[0] as usize]),
-                self.vertex_id(points[t[1] as usize]),
-                self.vertex_id(points[t[2] as usize]),
-            ];
-            self.triangles.push(g);
-        }
-    }
-
-    /// Number of triangles so far.
-    pub fn triangle_count(&self) -> usize {
-        self.triangles.len()
     }
 
     /// Finalizes into a global [`Mesh`], rebuilding adjacency.
@@ -471,18 +428,21 @@ mod tests {
 
     #[test]
     fn merging_dedups_shared_border() {
-        // Two unit squares sharing an edge, each as its own mesh.
-        let left = Mesh::from_triangles(
+        // Two unit squares sharing a (constrained) edge, each as its own
+        // anonymous mesh.
+        let mut left = Mesh::from_triangles(
             vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)],
             vec![[0, 1, 2], [0, 2, 3]],
         );
-        let right = Mesh::from_triangles(
+        left.constrain_edge(1, 2);
+        let mut right = Mesh::from_triangles(
             vec![p(1.0, 0.0), p(2.0, 0.0), p(2.0, 1.0), p(1.0, 1.0)],
             vec![[0, 1, 2], [0, 2, 3]],
         );
+        right.constrain_edge(3, 0);
         let mut m = MeshMerger::new();
-        m.add_mesh(&left);
-        m.add_mesh(&right);
+        m.add_mesh_spliced(&left);
+        m.add_mesh_spliced(&right);
         let merged = m.finish();
         assert_eq!(merged.num_vertices(), 6); // 8 - 2 shared
         assert_eq!(merged.num_triangles(), 4);
@@ -500,7 +460,7 @@ mod tests {
         );
         left.constrain_edge(1, 2);
         let mut m = MeshMerger::new();
-        m.add_mesh(&left);
+        m.add_mesh_spliced(&left);
         let merged = m.finish();
         assert_eq!(merged.num_constrained(), 1);
     }
@@ -508,19 +468,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-manifold")]
     fn interface_mismatch_is_detected() {
-        // Two triangulations of the same square with different diagonals:
-        // overlapping triangles create a non-manifold union.
-        let a = Mesh::from_triangles(
-            vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)],
-            vec![[0, 1, 2], [0, 2, 3]],
-        );
-        let b = Mesh::from_triangles(
-            vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)],
-            vec![[0, 1, 3], [1, 2, 3]],
-        );
+        // Two triangulations of the same (border-constrained) square with
+        // different diagonals: overlapping triangles create a non-manifold
+        // union.
+        let square = |tris: Vec<[u32; 3]>| {
+            let mut m = Mesh::from_triangles(
+                vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)],
+                tris,
+            );
+            for k in 0..4 {
+                m.constrain_edge(k, (k + 1) % 4);
+            }
+            m
+        };
+        let a = square(vec![[0, 1, 2], [0, 2, 3]]);
+        let b = square(vec![[0, 1, 3], [1, 2, 3]]);
         let mut m = MeshMerger::new();
-        m.add_mesh(&a);
-        m.add_mesh(&b);
+        m.add_mesh_spliced(&a);
+        m.add_mesh_spliced(&b);
         let _ = m.finish();
     }
 
@@ -528,15 +493,21 @@ mod tests {
     fn shared_corner_across_three_subdomains_dedups_once() {
         // Three triangles from three "subdomains" all touching the origin:
         // the duplicated corner must collapse to a single global vertex.
-        let quadrant =
-            |a: Point2, b: Point2| Mesh::from_triangles(vec![p(0.0, 0.0), a, b], vec![[0, 1, 2]]);
-        let m1 = quadrant(p(1.0, 0.0), p(0.0, 1.0));
-        let m2 = quadrant(p(0.0, 1.0), p(-1.0, 0.0));
-        let m3 = quadrant(p(-1.0, 0.0), p(0.0, -1.0));
+        // Each triangle constrains the spokes it shares with a neighbour.
+        let quadrant = |a: Point2, b: Point2, spokes: &[u32]| {
+            let mut m = Mesh::from_triangles(vec![p(0.0, 0.0), a, b], vec![[0, 1, 2]]);
+            for &tip in spokes {
+                m.constrain_edge(0, tip);
+            }
+            m
+        };
+        let m1 = quadrant(p(1.0, 0.0), p(0.0, 1.0), &[2]);
+        let m2 = quadrant(p(0.0, 1.0), p(-1.0, 0.0), &[1, 2]);
+        let m3 = quadrant(p(-1.0, 0.0), p(0.0, -1.0), &[1]);
         let mut m = MeshMerger::new();
-        m.add_mesh(&m1);
-        m.add_mesh(&m2);
-        m.add_mesh(&m3);
+        m.add_mesh_spliced(&m1);
+        m.add_mesh_spliced(&m2);
+        m.add_mesh_spliced(&m3);
         let merged = m.finish();
         // 9 corner instances -> 5 distinct points (origin + 4 axis tips).
         assert_eq!(merged.num_vertices(), 5);
@@ -555,9 +526,8 @@ mod tests {
             Mesh::from_triangles(vec![p(0.0, 0.0), p(1.0, 0.0), p(0.5, 1.0)], vec![[0, 1, 2]]);
         let empty = Mesh::from_triangles(Vec::new(), Vec::new());
         let mut m = MeshMerger::new();
-        m.add_mesh(&tri);
-        m.add_mesh(&empty);
-        assert_eq!(m.triangle_count(), 1);
+        m.add_mesh_spliced(&tri);
+        m.add_mesh_spliced(&empty);
         let merged = m.finish();
         assert_eq!(merged.num_vertices(), 3);
         assert_eq!(merged.num_triangles(), 1);
@@ -572,7 +542,7 @@ mod tests {
         );
         mesh.constrain_edge(0, 1);
         let mut m = MeshMerger::new();
-        m.add_mesh(&mesh);
+        m.add_mesh_spliced(&mesh);
         let merged = m.finish();
         assert_eq!(merged.num_vertices(), mesh.num_vertices());
         assert_eq!(merged.num_triangles(), mesh.num_triangles());
@@ -590,15 +560,17 @@ mod tests {
         // -0.0 from one subdomain and +0.0 from the other (mirrored
         // marching). Keying the dedup table on raw `to_bits` split them
         // into two vertices and broke conformity.
-        let above =
+        let mut above =
             Mesh::from_triangles(vec![p(0.0, 0.0), p(1.0, 0.0), p(0.5, 1.0)], vec![[0, 1, 2]]);
-        let below = Mesh::from_triangles(
+        above.constrain_edge(0, 1);
+        let mut below = Mesh::from_triangles(
             vec![p(1.0, -0.0), p(-0.0, -0.0), p(0.5, -1.0)],
             vec![[0, 1, 2]],
         );
+        below.constrain_edge(0, 1);
         let mut m = MeshMerger::new();
-        m.add_mesh(&above);
-        m.add_mesh(&below);
+        m.add_mesh_spliced(&above);
+        m.add_mesh_spliced(&below);
         let merged = m.finish();
         assert_eq!(merged.num_vertices(), 4, "-0.0 twins must collapse");
         assert_eq!(merged.num_triangles(), 2);
@@ -778,15 +750,5 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn add_raw_triangles() {
-        let pts = vec![p(0.0, 0.0), p(1.0, 0.0), p(0.5, 1.0)];
-        let mut m = MeshMerger::new();
-        m.add_triangles(&pts, &[[0, 1, 2]]);
-        assert_eq!(m.triangle_count(), 1);
-        let mesh = m.finish();
-        assert_eq!(mesh.num_vertices(), 3);
     }
 }

@@ -1,27 +1,34 @@
 //! The push-button pipeline (paper §I): geometry in, mesh out.
 //!
-//! [`generate`] runs every stage sequentially while logging per-subdomain
-//! costs (the measurement side of the scaling study); [`generate_parallel`]
-//! executes the subdomain work on `adm-mpirt` ranks with the paper's
-//! dynamic load balancer, and must produce the same mesh.
+//! The pipeline is one task tree: a boundary-layer subdomain is split
+//! or triangulated, an inviscid region is decoupled or refined, the
+//! near-body subdomain is refined. Each task is defined once (`step`),
+//! seeded once (`setup`) and its outputs assembled once (`assemble`:
+//! boundary-layer constrain + carve, interface repair, shard set, merge).
+//! Two executors run the tree and differ only in scheduling:
+//! [`generate`] walks it depth-first on the calling thread;
+//! [`generate_parallel`] hands it to `adm-mpirt` ranks under the paper's
+//! dynamic load balancer. Outputs reach the assembly in task-path order
+//! either way, so both produce the same mesh and the same shard set.
 
-use crate::blmesh::{mesh_boundary_layer, mesh_boundary_layer_interned, BlMesh};
+use crate::blmesh::assemble_bl_mesh;
 use crate::config::MeshConfig;
 use crate::inviscid::{
-    build_sizing, mesh_inviscid, refine_nearbody, refine_nearbody_stamped, refine_region,
+    build_sizing, decouple_threshold, propagate_interface_splits, refine_nearbody,
+    refine_nearbody_stamped, refine_region,
 };
-use crate::merge::{check_conformity, merge_tree_spliced, MeshMerger};
+use crate::merge::{check_conformity, merge_tree_spliced};
 use crate::sizing::ComposedSizing;
 use crate::tasklog::{TaskKind, TaskLog};
 use adm_blayer::{build_multielement_layers, BoundaryLayer};
-use adm_decouple::{initial_quadrants, Region};
+use adm_decouple::{initial_quadrants, splittable, Region};
 use adm_delaunay::mesh::Mesh;
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 use adm_kernel::{GlobalVertexId, MeshArena};
 use adm_mpirt::{
-    run_rank_dynamic_traced, BalancerConfig, Comm, Pool, Src, ThreadedTransport, Transport,
-    TransportClock, WorkItem, WorkQueue,
+    run_inline, run_task_tree, BalancerConfig, Pool, Task, ThreadedTransport, Transport,
+    TransportClock, WorkItem,
 };
 use adm_partition::{reduction_plan, triangulate_leaf_pooled, DecomposeParams, Subdomain};
 use adm_trace::{Tracer, Track};
@@ -66,9 +73,10 @@ pub struct PipelineResult {
 /// upstream of the per-cycle decompose/mesh/merge stack that does *not*
 /// change between adaptation cycles.
 ///
-/// Built once by [`build_prelude`] and handed to [`generate_staged`] /
-/// [`generate_parallel_staged`] each cycle, so the anisotropic layer
-/// construction and cloud interning are paid once per adaptation run.
+/// Built once by [`build_prelude`] and handed to
+/// [`generate_staged_with_pool`] / [`generate_parallel_staged`] each
+/// cycle, so the anisotropic layer construction and cloud interning are
+/// paid once per adaptation run.
 /// The staged entry points produce byte-identical meshes whether the
 /// prelude is prebuilt or built inline — the cloud and intern order are
 /// the same either way.
@@ -79,9 +87,9 @@ pub struct GeomPrelude {
     pub cloud: Vec<Point2>,
     /// Arena ids of `cloud`, in cloud order.
     pub cloud_ids: Vec<GlobalVertexId>,
-    /// The frozen arena that minted `cloud_ids`. Parallel cycles clone
-    /// its *contents* (cheap relative to meshing) and intern the
-    /// near-body rectangle on top, reproducing the one-shot arena.
+    /// The frozen arena that minted `cloud_ids`. Cycles only read it: the
+    /// near-body rectangle gets the ids it would be interned under on top
+    /// of it, without touching it.
     pub arena: Arc<MeshArena>,
     /// Outer border loop of each element's layer.
     pub outer_borders: Vec<Vec<Point2>>,
@@ -113,30 +121,20 @@ pub fn build_prelude(config: &MeshConfig) -> GeomPrelude {
     }
 }
 
-/// Runs the full pipeline sequentially.
+/// Runs the full pipeline on the calling thread.
 pub fn generate(config: &MeshConfig) -> PipelineResult {
-    generate_staged(config, None)
-}
-
-/// [`generate`] with an optional prebuilt [`GeomPrelude`]. With `None`
-/// this *is* `generate`; with `Some`, the boundary-layer build and cloud
-/// interning are reused from the prelude (the adaptation loop's
-/// per-cycle entry point) and the output bytes are identical.
-pub fn generate_staged(config: &MeshConfig, prelude: Option<&GeomPrelude>) -> PipelineResult {
     // Shared-memory worker pool: forks the per-leaf divide-and-conquer
     // triangulations and the merge reduction tree. Output bytes are
     // pool-width-independent (0 workers = inline).
-    let pool = Pool::new(config.merge_threads);
-    generate_staged_with_pool(config, prelude, &pool)
+    generate_staged_with_pool(config, None, &Pool::new(config.merge_threads))
 }
 
-/// [`generate_staged`] over a caller-owned worker [`Pool`]. The mesh
-/// server batches every request through one pool sized to the machine
-/// instead of spinning threads up and down per job; output bytes are
-/// identical at any pool width, so sharing is invisible to consumers.
-/// The run's `merge.steals` counter is the *delta* of the pool's steal
-/// count over this job — a reused pool never bleeds one request's steal
-/// traffic into the next request's trace.
+/// [`generate`] over a caller-owned worker [`Pool`] and an optional
+/// prebuilt [`GeomPrelude`]. With a prelude, the boundary-layer build and
+/// cloud interning are reused (the adaptation loop's per-cycle entry
+/// point); the mesh server batches every request through one pool sized
+/// to the machine instead of spinning threads up and down per job. Output
+/// bytes are identical with or without a prelude and at any pool width.
 pub fn generate_staged_with_pool(
     config: &MeshConfig,
     prelude: Option<&GeomPrelude>,
@@ -144,207 +142,9 @@ pub fn generate_staged_with_pool(
 ) -> PipelineResult {
     let tracer = Tracer::wall();
     tracer.name_track(Track::ROOT, "pipeline (sequential)");
-    let t0 = tracer.now();
-    let root = tracer.span(Track::ROOT, "pipeline");
-    let mut log = TaskLog::with_tracer(tracer.clone(), Track::ROOT);
-    let steals_before = pool.steals();
-
-    // 1 + 2. Anisotropic boundary layers (§II.A-II.C) and their
-    // parallel-decomposed triangulation (§II.D) — stage 0 geometry comes
-    // from the prelude when one is supplied.
-    let hole_seeds = config.pslg.hole_seeds();
-    let bl: BlMesh = match prelude {
-        None => {
-            let surfaces: Vec<Vec<Point2>> =
-                config.pslg.loops.iter().map(|l| l.points.clone()).collect();
-            let layers = log.measure(TaskKind::BlBuild, 0, || {
-                (
-                    build_multielement_layers(&surfaces, &config.growth, &config.bl),
-                    0,
-                )
-            });
-            mesh_boundary_layer(&layers, &hole_seeds, config.bl_subdomains, pool, &mut log)
-                .expect("boundary-layer meshing failed")
-        }
-        Some(pre) => mesh_boundary_layer_interned(
-            &pre.layers,
-            &pre.cloud,
-            pre.arena.clone(),
-            &pre.cloud_ids,
-            &hole_seeds,
-            config.bl_subdomains,
-            pool,
-            &mut log,
-        )
-        .expect("boundary-layer meshing failed"),
-    };
-
-    // 3. Graded decoupled inviscid region (§II.E), optionally tightened
-    // by the adaptation loop's extra sizing channel (pointwise min; with
-    // no extra field the composition is the graded field, same bits).
-    let sizing = ComposedSizing::new(
-        build_sizing(
-            &bl.outer_borders,
-            config.effective_sizing_h0(),
-            config.sizing_rate,
-            config.sizing_max_area,
-        ),
-        config.extra_sizing.clone(),
-    );
-    let chord = config.pslg.reference_chord();
-    let inviscid = mesh_inviscid(
-        &bl.outer_borders,
-        &hole_seeds,
-        &config.pslg.farfield,
-        &sizing,
-        config.nearbody_margin * chord,
-        config.inviscid_subdomains,
-        &mut log,
-    );
-
-    // 3b. Interface repair: apply any near-body border splits to the
-    // boundary-layer side so the union stays conforming.
-    let mut bl = bl;
-    let propagated = log.measure(TaskKind::Merge, 0, || {
-        let n = crate::inviscid::propagate_interface_splits(
-            &mut bl.mesh,
-            &inviscid.nearbody,
-            &bl.outer_borders,
-        );
-        (n, 0)
-    });
-
-    // 4. Merge.
-    let bl_triangles = bl.mesh.num_triangles();
-    let inviscid_triangles = inviscid.nearbody.num_triangles()
-        + inviscid
-            .subdomain_meshes
-            .iter()
-            .map(|m| m.num_triangles())
-            .sum::<usize>();
-    // Merge inputs in canonical order. With `shard_out` set, these same
-    // meshes stream to per-subdomain shards first — the shard set *is*
-    // the merge's input decomposition, so `shard-cat` can replay the
-    // reduction offline.
-    let mut meshes: Vec<&Mesh> = Vec::with_capacity(2 + inviscid.subdomain_meshes.len());
-    meshes.push(&bl.mesh);
-    meshes.push(&inviscid.nearbody);
-    meshes.extend(inviscid.subdomain_meshes.iter());
-    let paths: Vec<[u8; 2]> = (0..meshes.len() as u16).map(|i| i.to_be_bytes()).collect();
-    let path_refs: Vec<&[u8]> = paths.iter().map(|p| p.as_slice()).collect();
-    if let Some(dir) = &config.shard_out {
-        let span = tracer.span(Track::ROOT, "phase.shard_write");
-        let inputs: Vec<(&[u8], &Mesh)> = path_refs
-            .iter()
-            .copied()
-            .zip(meshes.iter().copied())
-            .collect();
-        crate::shard::write_shard_set(dir, &inputs, Some(&tracer)).expect("sharded output failed");
-        span.close();
-    }
-    let mesh = log.measure(TaskKind::Merge, 0, || {
-        // Tree-parallel reduction in mesh-list order: a balanced in-order
-        // plan over an associative absorb is bitwise-identical to the old
-        // sequential left fold at any pool width.
-        let plan = reduction_plan(&path_refs);
-        let merger = merge_tree_spliced(&meshes, &plan, pool, Some(&tracer));
-        let mesh = merger.finish();
-        check_conformity(&mesh);
-        let n = mesh.num_triangles() as u64;
-        (mesh, n)
-    });
-    tracer.count("merge.steals", pool.steals() - steals_before);
-
-    root.close();
-    let stats = PipelineStats {
-        bl_points: bl.cloud_points,
-        bl_triangles,
-        inviscid_triangles,
-        total_triangles: mesh.num_triangles(),
-        total_vertices: mesh.num_vertices(),
-        border_splits: inviscid.border_splits - propagated.min(inviscid.border_splits),
-        total_s: (tracer.now() - t0).as_secs_f64(),
-    };
-    PipelineResult {
-        mesh,
-        log,
-        stats,
-        trace: tracer,
-    }
-}
-
-/// Read-only geometry shared by every rank and task: the arena that
-/// minted all global vertex ids, plus the id-annotated interface loops.
-/// Frozen behind one `Arc` at setup — tasks and workers borrow it instead
-/// of carrying cloned `Vec<Vec<Point2>>` copies of the borders, seeds,
-/// and near-body rectangle.
-struct SharedGeom {
-    /// Minted from the BL cloud then the near-body rectangle; frozen.
-    arena: MeshArena,
-    /// Near-body outer rectangle border.
-    rect: Vec<Point2>,
-    /// Arena ids of `rect`.
-    rect_ids: Vec<GlobalVertexId>,
-    /// Outer border loop of each element's boundary layer.
-    outer_borders: Vec<Vec<Point2>>,
-    /// Arena ids of each loop of `outer_borders`.
-    outer_border_ids: Vec<Vec<GlobalVertexId>>,
-    /// Hole seeds (one point strictly inside each element).
-    hole_seeds: Vec<Point2>,
-}
-
-/// A transferable meshing task for the parallel driver. Decomposition
-/// and decoupling are tasks themselves: a split pushes its children back
-/// into the queue, from where the balancer may ship them to other ranks —
-/// the paper's "repeatedly decoupled and sent to other processes until
-/// all processes have sufficient work".
-///
-/// Tasks are `Clone` because the hardened balancer retransmits unacked
-/// transfers; dedup on the receiver keeps processing exactly-once.
-#[derive(Clone)]
-enum TaskBody {
-    /// Decompose-or-triangulate one boundary-layer subdomain.
-    Bl(Box<Subdomain>),
-    /// Decouple-or-refine one inviscid region.
-    Region { region: Box<Region>, est: u64 },
-    /// Refine the near-body subdomain (geometry in [`SharedGeom`]).
-    NearBody { est: u64 },
-}
-
-/// A task plus its position in the task tree. `path` is the sequence of
-/// child indices from the seed task ([3] = fourth seed, [3, 1] = its
-/// second child, ...). Paths are schedule-independent — a task's children
-/// are determined by the task alone — so sorting results by path makes
-/// the merged mesh identical no matter which rank ran what, in which
-/// order, under which fault schedule.
-#[derive(Clone)]
-struct Task {
-    path: Vec<u8>,
-    body: TaskBody,
-}
-
-impl WorkItem for Task {
-    fn cost(&self) -> u64 {
-        match &self.body {
-            TaskBody::Bl(s) => s.cost(),
-            TaskBody::Region { est, .. } => *est,
-            TaskBody::NearBody { est, .. } => *est,
-        }
-    }
-}
-
-/// A task's result shipped back to the root, keyed by the task path so
-/// the root can restore a canonical order before merging.
-struct TaskOut {
-    path: Vec<u8>,
-    kind: TaskOutKind,
-}
-
-enum TaskOutKind {
-    BlTris(Vec<[u32; 3]>),
-    SubMesh(Box<Mesh>),
-    /// A split task produced only child tasks.
-    Nothing,
+    drive(config, prelude, pool, &tracer, |shared, seeds| {
+        run_inline(seeds, |body| step(body, shared, Track::ROOT))
+    })
 }
 
 /// Runs the pipeline with the subdomain work — including the recursive
@@ -354,119 +154,177 @@ enum TaskOutKind {
 /// independent of which rank executes it.
 pub fn generate_parallel(config: &MeshConfig, ranks: usize) -> PipelineResult {
     assert!(ranks >= 1);
-    generate_parallel_with(
+    generate_parallel_staged(
         config,
         Arc::new(ThreadedTransport::new(ranks)),
         BalancerConfig::default(),
+        None,
     )
 }
 
 /// [`generate_parallel`] over an explicit transport — the entry point for
-/// fault-injected chaos runs on [`adm_mpirt::SimTransport`]. The mesh is
-/// schedule-independent: results are reassembled in task-tree order, so
-/// any transport schedule (and any rank count) yields identical bytes.
-pub fn generate_parallel_with(
-    config: &MeshConfig,
-    transport: Arc<dyn Transport>,
-    balancer: BalancerConfig,
-) -> PipelineResult {
-    generate_parallel_staged(config, transport, balancer, None)
-}
-
-/// [`generate_parallel_with`] with an optional prebuilt [`GeomPrelude`].
-/// With `Some`, the boundary-layer build and cloud interning are reused
-/// (the prelude arena's contents are cloned and the near-body rectangle
-/// interned on top, reproducing the one-shot arena exactly); the output
-/// bytes are identical either way.
+/// fault-injected chaos runs on [`adm_mpirt::SimTransport`] — and an
+/// optional prebuilt [`GeomPrelude`]. The mesh is schedule-independent:
+/// results are reassembled in task-tree order, so any transport schedule
+/// (and any rank count) yields identical bytes.
 pub fn generate_parallel_staged(
     config: &MeshConfig,
     transport: Arc<dyn Transport>,
     balancer: BalancerConfig,
     prelude: Option<&GeomPrelude>,
 ) -> PipelineResult {
-    let ranks = transport.size();
     // The tracer runs on the transport's clock: wall time on the threaded
     // transport, virtual time on the simulator — which makes the whole
     // trace (and its fingerprint) replay-stable under a seeded schedule.
     let tracer = Tracer::new(Arc::new(TransportClock::new(transport.clone())));
     tracer.name_track(Track::ROOT, "driver");
-    let t0 = tracer.now();
-    let root = tracer.span(Track::ROOT, "pipeline");
-    let setup = tracer.span(Track::ROOT, "phase.setup");
+    // Virtual-time transports refuse worker threads (wall-clock workers
+    // would desynchronize the simulated clock), so the pool degrades to
+    // inline mode there — same bytes, replay-stable trace.
+    let pool = Pool::new(if transport.supports_worker_threads() {
+        config.merge_threads
+    } else {
+        0
+    });
+    drive(config, prelude, &pool, &tracer, |shared, seeds| {
+        run_task_tree(transport, balancer, seeds, Some(&tracer), |rank, body| {
+            step(body, shared, Track::rank(rank))
+        })
+    })
+}
 
-    // Root-side geometry setup (the boundary layer build is per-surface
-    // work the paper parallelizes by surface ownership; at our scales it
-    // is a negligible prefix). With a prelude, the stage-0 geometry —
-    // layers, cloud, and the id-minting arena — is reused; the fresh
-    // build produces the identical cloud and intern order, so the mesh
-    // bytes cannot depend on which branch ran.
-    let built: Option<GeomPrelude> = match prelude {
-        Some(_) => None,
-        None => {
-            let bl_span = tracer.span(Track::ROOT, "phase.bl_build");
-            let pre = build_prelude(config);
-            bl_span.close();
-            Some(pre)
+/// One node of the pipeline's task tree. Decomposition and decoupling
+/// are tasks themselves: a split returns its children, which the rank
+/// executor's balancer may ship to other ranks — the paper's "repeatedly
+/// decoupled and sent to other processes until all processes have
+/// sufficient work".
+///
+/// Bodies are `Clone` because the hardened balancer retransmits unacked
+/// transfers; dedup on the receiver keeps processing exactly-once.
+#[derive(Clone)]
+enum TaskBody {
+    /// Decompose-or-triangulate one boundary-layer subdomain.
+    Bl(Box<Subdomain>),
+    /// Decouple-or-refine one inviscid region; `est` is its estimated
+    /// triangle count under the run's sizing.
+    Region { region: Box<Region>, est: f64 },
+    /// Refine the near-body subdomain (geometry in [`Shared`]).
+    NearBody,
+}
+
+impl TaskBody {
+    fn region(region: Region, sizing: &ComposedSizing) -> Self {
+        TaskBody::Region {
+            est: region.estimated_triangles(sizing),
+            region: Box::new(region),
         }
-    };
-    let pre: &GeomPrelude = prelude.unwrap_or_else(|| built.as_ref().unwrap());
-    let layers = &pre.layers;
-    let hole_seeds = pre.hole_seeds.clone();
-    let cloud = &pre.cloud;
-    let cloud_ids = &pre.cloud_ids;
-    let outer_borders = pre.outer_borders.clone();
-    // Global vertex ids: the whole BL cloud was interned first (matching
-    // the arena the sequential path builds); the near-body rectangle is
-    // interned on top of a clone of that frozen arena below.
-    let mut arena = (*pre.arena).clone();
-    let sizing = ComposedSizing::new(
+    }
+}
+
+impl WorkItem for TaskBody {
+    fn cost(&self) -> u64 {
+        match self {
+            TaskBody::Bl(s) => s.cost(),
+            TaskBody::Region { est, .. } => *est as u64,
+            TaskBody::NearBody => 4096,
+        }
+    }
+}
+
+/// What one task hands to the assembly.
+enum TaskOut {
+    /// A boundary-layer leaf's triangles, as arena-id triples.
+    BlTris(Vec<[u32; 3]>),
+    /// A refined inviscid region and its border-segment split count.
+    Region(Box<Mesh>, usize),
+    /// The refined near-body subdomain and its border-segment split count.
+    NearBody(Box<Mesh>, usize),
+    /// The task split; its children carry the work on.
+    Split,
+}
+
+/// Everything tasks and the assembly read but never write, fixed by
+/// [`setup`] before the first task runs.
+struct Shared<'a> {
+    pre: &'a GeomPrelude,
+    /// Near-body outer rectangle border and its ids on top of `pre.arena`.
+    rect: Vec<Point2>,
+    rect_ids: Vec<GlobalVertexId>,
+    /// Arena ids of each loop of `pre.outer_borders`.
+    outer_border_ids: Vec<Vec<GlobalVertexId>>,
+    /// Graded decoupled-region sizing (§II.E), optionally tightened by the
+    /// adaptation loop's extra channel.
+    sizing: ComposedSizing,
+    /// A region whose estimate exceeds this decouples further.
+    threshold: f64,
+    bl_params: DecomposeParams,
+    /// Forks leaf triangulations and the merge reduction.
+    pool: &'a Pool,
+    tracer: &'a Tracer,
+}
+
+/// The pipeline's sizing field for `config` around `outer_borders`. With
+/// no extra field the composition is the graded field, same bits.
+fn composed_sizing(config: &MeshConfig, outer_borders: &[Vec<Point2>]) -> ComposedSizing {
+    ComposedSizing::new(
         build_sizing(
-            &outer_borders,
+            outer_borders,
             config.effective_sizing_h0(),
             config.sizing_rate,
             config.sizing_max_area,
         ),
         config.extra_sizing.clone(),
-    );
-    let chord = config.pslg.reference_chord();
-    let mut bbox = Aabb::empty();
-    for b in &outer_borders {
-        for &p in b {
-            bbox.expand(p);
-        }
-    }
-    let nearbody_box = bbox.inflated(config.nearbody_margin * chord);
-    let init = initial_quadrants(&nearbody_box, &config.pslg.farfield, &sizing);
-    let threshold =
-        crate::inviscid::decouple_threshold(&init.quadrants, config.inviscid_subdomains, &sizing);
-    let nearbody_border = init.nearbody_border.clone();
-    let rect_ids = arena.intern_all(&nearbody_border);
-    let outer_border_ids: Vec<Vec<GlobalVertexId>> =
-        outer_borders.iter().map(|b| arena.ids_of(b)).collect();
-    let shared = Arc::new(SharedGeom {
-        arena,
-        rect: nearbody_border,
-        rect_ids,
-        outer_borders,
-        outer_border_ids,
-        hole_seeds,
-    });
+    )
+}
 
-    // Seed tasks: the undecomposed BL root, the four quadrants, and the
-    // near-body region. Everything else is created dynamically.
-    let bl_params = DecomposeParams::for_subdomain_count(config.bl_subdomains);
-    let mut seed_bodies: Vec<TaskBody> = Vec::new();
-    seed_bodies.push(TaskBody::Bl(Box::new(Subdomain::root_with_ids(
-        cloud, cloud_ids,
-    ))));
-    for q in init.quadrants.iter() {
-        seed_bodies.push(TaskBody::Region {
-            est: q.estimated_triangles(&sizing) as u64,
-            region: Box::new(q.clone()),
-        });
+/// Fixes the shared geometry and the seed tasks: the undecomposed
+/// boundary-layer root, the four quadrants and the near-body region, at
+/// paths `[0]`..`[5]`. Everything else is created by [`step`].
+fn setup<'a>(
+    config: &MeshConfig,
+    pre: &'a GeomPrelude,
+    pool: &'a Pool,
+    tracer: &'a Tracer,
+) -> (Shared<'a>, Vec<Task<TaskBody>>) {
+    let sizing = composed_sizing(config, &pre.outer_borders);
+    let mut bbox = Aabb::empty();
+    for &p in pre.outer_borders.iter().flatten() {
+        bbox.expand(p);
     }
-    seed_bodies.push(TaskBody::NearBody { est: 4096 });
-    let seed_tasks: Vec<Task> = seed_bodies
+    let nearbody_box = bbox.inflated(config.nearbody_margin * config.pslg.reference_chord());
+    let init = initial_quadrants(&nearbody_box, &config.pslg.farfield, &sizing);
+    let threshold = decouple_threshold(&init.quadrants, config.inviscid_subdomains, &sizing);
+
+    // The rectangle's ids are the ones interning it on top of the frozen
+    // arena would mint — the arena's own where a point is already there,
+    // fresh ones past its end otherwise — without copying the arena.
+    let mut fresh = MeshArena::new();
+    let rect_ids = init
+        .nearbody_border
+        .iter()
+        .map(|&p| {
+            pre.arena
+                .id_of(p)
+                .unwrap_or_else(|| GlobalVertexId(pre.arena.len() as u32 + fresh.intern(p).raw()))
+        })
+        .collect();
+    let outer_border_ids = pre
+        .outer_borders
+        .iter()
+        .map(|b| pre.arena.ids_of(b))
+        .collect();
+
+    let mut bodies = vec![TaskBody::Bl(Box::new(Subdomain::root_with_ids(
+        &pre.cloud,
+        &pre.cloud_ids,
+    )))];
+    bodies.extend(
+        init.quadrants
+            .into_iter()
+            .map(|q| TaskBody::region(q, &sizing)),
+    );
+    bodies.push(TaskBody::NearBody);
+    let seeds = bodies
         .into_iter()
         .enumerate()
         .map(|(i, body)| Task {
@@ -475,268 +333,217 @@ pub fn generate_parallel_staged(
         })
         .collect();
 
-    let window = transport.window(ranks + 2);
-    let seed_tasks = std::sync::Mutex::new(Some(seed_tasks));
-    let sizing = Arc::new(sizing);
-    // Shared-memory worker pool for forked leaf triangulation and the
-    // root-side merge reduction. Virtual-time transports refuse worker
-    // threads (wall-clock workers would desynchronize the simulated
-    // clock), so the pool degrades to inline mode there — same bytes,
-    // replay-stable trace.
-    let pool = Arc::new(Pool::new(if transport.supports_worker_threads() {
-        config.merge_threads
-    } else {
-        0
-    }));
-    setup.close();
+    let shared = Shared {
+        pre,
+        rect: init.nearbody_border,
+        rect_ids,
+        outer_border_ids,
+        sizing,
+        threshold,
+        bl_params: DecomposeParams::for_subdomain_count(config.bl_subdomains),
+        pool,
+        tracer,
+    };
+    (shared, seeds)
+}
 
-    let par_span = tracer.span(Track::ROOT, "phase.parallel_mesh");
-    let tracer_ref = &tracer;
-    let mut rank_outputs = adm_mpirt::run_with(transport.clone(), |comm: Comm| {
-        let initial = if comm.rank() == 0 {
-            seed_tasks.lock().unwrap().take().unwrap()
-        } else {
-            Vec::new()
-        };
-        let queue = Arc::new(WorkQueue::with_counter(
-            initial,
-            window.clone(),
-            comm.size() + 1,
-        ));
-        let sizing = sizing.clone();
-        let shared = shared.clone();
-        let comm_ref = &comm;
-        let tr = tracer_ref.clone();
-        let pool = pool.clone();
-        let (outs, _stats) = run_rank_dynamic_traced(
-            &comm,
-            queue,
-            window.clone(),
-            balancer,
-            Some(tracer_ref.clone()),
-            move |task: Task, q| {
-                let rank_track = Track::rank(comm_ref.rank());
-                // Charge the task's cost estimate as virtual compute so
-                // simulated schedules exhibit realistic load imbalance
-                // (free in production — the refinement took real time).
-                comm_ref.advance(std::time::Duration::from_micros(
-                    10 + task.cost().min(50_000),
-                ));
-                let Task { path, body } = task;
-                let child = |k: usize, body: TaskBody| Task {
-                    path: {
-                        let mut p = path.clone();
-                        p.push(u8::try_from(k).expect("more than 255 children in one split"));
-                        p
-                    },
-                    body,
-                };
-                let kind = match body {
-                    TaskBody::Bl(mut leaf) => {
-                        let stop = leaf.level >= bl_params.max_level
-                            || leaf.len() < bl_params.min_vertices.max(4)
-                            || leaf.internal_count() == 0;
-                        if stop {
-                            let span = tr.span(rank_track, TaskKind::BlTriangulate.span_name());
-                            let tris = triangulate_leaf_pooled(&leaf, &pool);
-                            span.close_with(&[
-                                ("bytes", (leaf.len() * 16) as u64),
-                                ("triangles", tris.len() as u64),
-                            ]);
-                            TaskOutKind::BlTris(tris)
-                        } else {
-                            let span = tr.span(rank_track, TaskKind::Decompose.span_name());
-                            let axis = leaf.choose_cut_axis();
-                            let (lo, hi, _path) = leaf.split(axis);
-                            q.push(child(0, TaskBody::Bl(Box::new(lo))));
-                            q.push(child(1, TaskBody::Bl(Box::new(hi))));
-                            span.close();
-                            TaskOutKind::Nothing
-                        }
-                    }
-                    TaskBody::Region { region, .. } => {
-                        if region.estimated_triangles(sizing.as_ref()) > threshold
-                            && adm_decouple::splittable(&region)
-                        {
-                            let span = tr.span(rank_track, TaskKind::Decompose.span_name());
-                            for (k, c) in region.plus_split(sizing.as_ref()).into_iter().enumerate()
-                            {
-                                q.push(child(
-                                    k,
-                                    TaskBody::Region {
-                                        est: c.estimated_triangles(sizing.as_ref()) as u64,
-                                        region: Box::new(c),
-                                    },
-                                ));
-                            }
-                            span.close();
-                            TaskOutKind::Nothing
-                        } else {
-                            let span = tr.span(rank_track, TaskKind::InviscidRefine.span_name());
-                            let (mesh, rstats) = refine_region(&region.border, sizing.as_ref());
-                            rstats.publish(&tr);
-                            span.close_with(&[
-                                ("bytes", (region.border.len() * 16) as u64),
-                                ("triangles", mesh.num_triangles() as u64),
-                            ]);
-                            TaskOutKind::SubMesh(Box::new(mesh))
-                        }
-                    }
-                    TaskBody::NearBody { .. } => {
-                        let span = tr.span(rank_track, TaskKind::NearBodyRefine.span_name());
-                        let (mesh, rstats) = refine_nearbody_stamped(
-                            &shared.rect,
-                            &shared.rect_ids,
-                            &shared.outer_borders,
-                            &shared.outer_border_ids,
-                            &shared.hole_seeds,
-                            sizing.as_ref(),
-                        );
-                        rstats.publish(&tr);
-                        span.close_with(&[
-                            ("bytes", (shared.rect.len() * 16) as u64),
-                            ("triangles", mesh.num_triangles() as u64),
-                        ]);
-                        TaskOutKind::SubMesh(Box::new(mesh))
-                    }
-                };
-                TaskOut { path, kind }
-            },
-        );
-        // Ship results to the root.
-        if comm.rank() == 0 {
-            let mut all = outs;
-            for _ in 1..comm.size() {
-                let (_src, mut v) = comm.recv::<Vec<TaskOut>>(Src::Any, 0xFE);
-                all.append(&mut v);
-            }
-            Some(all)
-        } else {
-            comm.send(0, 0xFE, outs);
-            None
+/// Closes a leaf task's span with what a work transfer of it would move
+/// (16 bytes per input point) and what it produced; `TaskLog` reads both
+/// back.
+fn close_leaf(span: adm_trace::SpanGuard, points: usize, triangles: usize) {
+    span.close_with(&[
+        ("bytes", (points * 16) as u64),
+        ("triangles", triangles as u64),
+    ]);
+}
+
+/// Runs one task: returns its output and the children it split into.
+/// Every split/stop decision reads the task and [`Shared`] only, so the
+/// tree is the same under any executor; spans go to `track`.
+fn step(body: TaskBody, sh: &Shared, track: Track) -> (TaskOut, Vec<TaskBody>) {
+    let tr = sh.tracer;
+    match body {
+        TaskBody::Bl(leaf) if sh.bl_params.is_leaf(&leaf) => {
+            let span = tr.span(track, TaskKind::BlTriangulate.span_name());
+            let tris = triangulate_leaf_pooled(&leaf, sh.pool);
+            close_leaf(span, leaf.len(), tris.len());
+            (TaskOut::BlTris(tris), Vec::new())
         }
-    });
-    let mut all_outs = rank_outputs
-        .remove(0)
-        .expect("root rank produces the gathered output");
-    par_span.close();
-    let merge_span = tracer.span(Track::ROOT, TaskKind::Merge.span_name());
+        TaskBody::Bl(mut sub) => {
+            let span = tr.span(track, TaskKind::Decompose.span_name());
+            let axis = sub.choose_cut_axis();
+            let (lo, hi, _path) = sub.split(axis);
+            span.close();
+            let children = [lo, hi].map(|s| TaskBody::Bl(Box::new(s)));
+            (TaskOut::Split, children.into())
+        }
+        TaskBody::Region { region, est } if est > sh.threshold && splittable(&region) => {
+            let span = tr.span(track, TaskKind::Decompose.span_name());
+            let children = region
+                .plus_split(&sh.sizing)
+                .into_iter()
+                .map(|c| TaskBody::region(c, &sh.sizing))
+                .collect();
+            span.close();
+            (TaskOut::Split, children)
+        }
+        TaskBody::Region { region, .. } => {
+            let span = tr.span(track, TaskKind::InviscidRefine.span_name());
+            let (mesh, stats) = refine_region(&region.border, &sh.sizing);
+            stats.publish(tr);
+            close_leaf(span, region.border.len(), mesh.num_triangles());
+            let out = TaskOut::Region(Box::new(mesh), stats.segment_splits);
+            (out, Vec::new())
+        }
+        TaskBody::NearBody => {
+            let span = tr.span(track, TaskKind::NearBodyRefine.span_name());
+            let (mesh, stats) = refine_nearbody_stamped(
+                &sh.rect,
+                &sh.rect_ids,
+                &sh.pre.outer_borders,
+                &sh.outer_border_ids,
+                &sh.pre.hole_seeds,
+                &sh.sizing,
+            );
+            stats.publish(tr);
+            close_leaf(span, sh.rect.len(), mesh.num_triangles());
+            let out = TaskOut::NearBody(Box::new(mesh), stats.segment_splits);
+            (out, Vec::new())
+        }
+    }
+}
 
-    // Results arrive in whatever order ranks finished; restore task-tree
-    // order so the merge below — and therefore the output bytes — do not
-    // depend on the schedule.
-    all_outs.sort_by(|a, b| a.path.cmp(&b.path));
-
-    // Root-side merge: boundary-layer triangles first (constrain + carve),
-    // then the sub-meshes.
-    let mut all_tris: Vec<[u32; 3]> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+/// Turns the path-ordered task outputs into the global mesh: assemble
+/// the boundary-layer mesh from its leaves, repair its interface against
+/// the near-body mesh, stream the merge inputs to `shard_out` when set,
+/// and reduce them over the task tree. `total_s` is left for the caller.
+fn assemble(
+    pre: &GeomPrelude,
+    pool: &Pool,
+    tracer: &Tracer,
+    outs: Vec<(Vec<u8>, TaskOut)>,
+    shard_out: Option<&std::path::Path>,
+) -> (Mesh, PipelineStats) {
+    let mut leaf_tris: Vec<Vec<[u32; 3]>> = Vec::new();
     // Sub-meshes keep their task path: the merge below reduces them over
     // the task tree itself, so sibling subtrees can merge independently.
-    let mut sub_meshes: Vec<(Vec<u8>, Mesh)> = Vec::new();
-    for out in all_outs {
-        match out.kind {
-            TaskOutKind::BlTris(tris) => {
-                for t in tris {
-                    let mut key = t;
-                    key.sort_unstable();
-                    if seen.insert(key) {
-                        all_tris.push(t);
-                    }
-                }
+    let mut subs: Vec<(Vec<u8>, Box<Mesh>)> = Vec::new();
+    let mut nearbody = None;
+    let mut border_splits = 0;
+    for (path, out) in outs {
+        match out {
+            TaskOut::BlTris(tris) => leaf_tris.push(tris),
+            TaskOut::Region(mesh, splits) => {
+                border_splits += splits;
+                subs.push((path, mesh));
             }
-            TaskOutKind::SubMesh(m) => sub_meshes.push((out.path, *m)),
-            TaskOutKind::Nothing => {}
+            TaskOut::NearBody(mesh, splits) => {
+                border_splits += splits;
+                nearbody = Some(subs.len());
+                subs.push((path, mesh));
+            }
+            TaskOut::Split => {}
         }
     }
-    // The BL vertex array is the arena's canonical point list: leaf tasks
-    // emitted arena-id triples, so no coordinate-bit rebuild happens here.
-    let arena = &shared.arena;
-    let mut bl_mesh = Mesh::from_triangles(arena.points().to_vec(), all_tris);
-    let prefix: Vec<GlobalVertexId> = (0..arena.len() as u32).map(GlobalVertexId).collect();
-    bl_mesh.stamp_prefix(&prefix);
-    let lookup = |p: Point2| -> u32 {
-        arena
-            .id_of(p)
-            .expect("border point missing from cloud")
-            .raw()
-    };
-    for l in layers {
-        let s = &l.surface;
-        for i in 0..s.len() {
-            let (a, b) = (lookup(s[i]), lookup(s[(i + 1) % s.len()]));
-            if a != b {
-                adm_delaunay::cdt::insert_constraint(&mut bl_mesh, a, b)
-                    .expect("surface constraint failed");
-            }
-        }
-        let ob = l.outer_border();
-        for i in 0..ob.len() {
-            let (a, b) = (lookup(ob[i]), lookup(ob[(i + 1) % ob.len()]));
-            if a != b {
-                adm_delaunay::cdt::insert_constraint(&mut bl_mesh, a, b)
-                    .expect("border constraint failed");
-            }
-        }
-    }
-    adm_delaunay::cdt::carve(&mut bl_mesh, &shared.hole_seeds);
-    // Interface repair (same as the sequential path).
-    for (_, m) in &sub_meshes {
-        crate::inviscid::propagate_interface_splits(&mut bl_mesh, m, &shared.outer_borders);
-    }
+    let mut bl_mesh = assemble_bl_mesh(&pre.arena, &pre.layers, &pre.hole_seeds, leaf_tris);
 
-    let bl_triangles = bl_mesh.num_triangles();
-    let inviscid_triangles: usize = sub_meshes.iter().map(|(_, m)| m.num_triangles()).sum();
-    // Tree-parallel merge over the task tree. The BL mesh takes the
-    // conceptual path `[0]` (its seed task's slot, which only ever emits
-    // triangles, never a sub-mesh), so it sorts before every region and
-    // near-body result and the reduction's in-order fold equals the old
-    // sequential `add_mesh_spliced` sequence — bitwise.
+    // Interface repair: in narrow inter-element gaps the near-body
+    // refinement legitimately splits boundary-layer border segments; the
+    // same splits are applied to the boundary-layer side so the union
+    // stays conforming. Only the near-body mesh touches that border —
+    // the decoupled regions lie outside the near-body rectangle.
+    let nearbody = &subs[nearbody.expect("every run refines the near body")].1;
+    let propagated = propagate_interface_splits(&mut bl_mesh, nearbody, &pre.outer_borders);
+
+    // Merge inputs in task-path order. The boundary-layer mesh takes the
+    // path `[0]` (its seed task's slot, which only ever emits triangles,
+    // never a sub-mesh), so it sorts before every region and near-body
+    // result.
     const BL_PATH: &[u8] = &[0];
-    let mut meshes: Vec<&Mesh> = Vec::with_capacity(1 + sub_meshes.len());
-    let mut paths: Vec<&[u8]> = Vec::with_capacity(1 + sub_meshes.len());
-    meshes.push(&bl_mesh);
-    paths.push(BL_PATH);
-    for (p, m) in &sub_meshes {
-        meshes.push(m);
-        paths.push(p.as_slice());
-    }
-    // Distributed output: stream each merge input to its shard before
-    // the merge. Shards are keyed by task path, so the shard set (and
-    // the manifest bytes) are identical at every rank count and under
-    // every schedule — the same invariant the merge itself relies on.
-    if let Some(dir) = &config.shard_out {
+    let inputs: Vec<(&[u8], &Mesh)> = std::iter::once((BL_PATH, &bl_mesh))
+        .chain(subs.iter().map(|(p, m)| (p.as_slice(), &**m)))
+        .collect();
+    // Distributed output: the shard set *is* the merge's input
+    // decomposition, so `shard-cat` can replay the reduction offline.
+    // Shards are keyed by task path, so the set (and the manifest bytes)
+    // are identical under every executor, rank count and schedule.
+    if let Some(dir) = shard_out {
         let span = tracer.span(Track::ROOT, "phase.shard_write");
-        let inputs: Vec<(&[u8], &Mesh)> =
-            paths.iter().copied().zip(meshes.iter().copied()).collect();
-        crate::shard::write_shard_set(dir, &inputs, Some(&tracer)).expect("sharded output failed");
+        crate::shard::write_shard_set(dir, &inputs, Some(tracer)).expect("sharded output failed");
         span.close();
     }
-    let plan = reduction_plan(&paths);
-    let steals_before = pool.steals();
-    let merger = merge_tree_spliced(&meshes, &plan, &pool, Some(&tracer));
-    tracer.count("merge.steals", pool.steals() - steals_before);
+    let (paths, meshes): (Vec<&[u8]>, Vec<&Mesh>) = inputs.into_iter().unzip();
+    // A balanced in-order plan over an associative absorb: bitwise equal
+    // to the sequential left fold at any pool width.
+    let merger = merge_tree_spliced(&meshes, &reduction_plan(&paths), pool, Some(tracer));
     let mesh = merger.finish();
     check_conformity(&mesh);
-    merge_span.close_with(&[("triangles", mesh.num_triangles() as u64)]);
-    root.close();
 
     let stats = PipelineStats {
-        bl_points: cloud.len(),
-        bl_triangles,
-        inviscid_triangles,
+        bl_points: pre.cloud.len(),
+        bl_triangles: bl_mesh.num_triangles(),
+        inviscid_triangles: subs.iter().map(|(_, m)| m.num_triangles()).sum(),
         total_triangles: mesh.num_triangles(),
         total_vertices: mesh.num_vertices(),
-        border_splits: 0,
-        total_s: (tracer.now() - t0).as_secs_f64(),
+        border_splits: border_splits - propagated.min(border_splits),
+        total_s: 0.0,
     };
+    (mesh, stats)
+}
+
+/// The one driver behind every `generate*` entry point: setup, then
+/// `execute` runs the task tree and returns its outputs in path order,
+/// then assembly. The three phases are the depth-1 children of the root
+/// `pipeline` span on the driver lane.
+fn drive(
+    config: &MeshConfig,
+    prelude: Option<&GeomPrelude>,
+    pool: &Pool,
+    tracer: &Tracer,
+    execute: impl FnOnce(&Shared, Vec<Task<TaskBody>>) -> Vec<(Vec<u8>, TaskOut)>,
+) -> PipelineResult {
+    let t0 = tracer.now();
+    let root = tracer.span(Track::ROOT, "pipeline");
+    // The run's `merge.steals` counter is the *delta* of the pool's steal
+    // count over this job — a reused pool never bleeds one request's
+    // steal traffic into the next request's trace.
+    let steals_before = pool.steals();
+
+    let span = tracer.span(Track::ROOT, "phase.setup");
+    // Stage-0 geometry (§II.A–II.C) comes from the prelude when one is
+    // supplied; the fresh build produces the identical cloud and intern
+    // order, so the mesh bytes cannot depend on which branch ran.
+    let built;
+    let pre = match prelude {
+        Some(pre) => pre,
+        None => {
+            let span = tracer.span(Track::ROOT, TaskKind::BlBuild.span_name());
+            built = build_prelude(config);
+            span.close();
+            &built
+        }
+    };
+    let (shared, seeds) = setup(config, pre, pool, tracer);
+    span.close();
+
+    let span = tracer.span(Track::ROOT, "phase.parallel_mesh");
+    let outs = execute(&shared, seeds);
+    span.close();
+
+    let span = tracer.span(Track::ROOT, TaskKind::Merge.span_name());
+    let (mesh, mut stats) = assemble(pre, pool, tracer, outs, config.shard_out.as_deref());
+    span.close_with(&[("triangles", mesh.num_triangles() as u64)]);
+    tracer.count("merge.steals", pool.steals() - steals_before);
+    root.close();
+
+    stats.total_s = (tracer.now() - t0).as_secs_f64();
     PipelineResult {
         mesh,
-        // The parallel driver's task log is a view over the trace: every
-        // per-task span recorded on any rank becomes one record.
-        log: TaskLog::from_trace(&tracer),
+        // The task log is a view over the trace: every per-task span
+        // recorded on any lane becomes one record.
+        log: TaskLog::from_trace(tracer),
         stats,
-        trace: tracer,
+        trace: tracer.clone(),
     }
 }
 
@@ -750,67 +557,50 @@ pub fn generate_undecomposed(config: &MeshConfig) -> PipelineResult {
     tracer.name_track(Track::ROOT, "pipeline (undecomposed)");
     let t0 = tracer.now();
     let root = tracer.span(Track::ROOT, "pipeline");
-    let mut log = TaskLog::with_tracer(tracer.clone(), Track::ROOT);
-    let surfaces: Vec<Vec<Point2>> = config.pslg.loops.iter().map(|l| l.points.clone()).collect();
-    let layers = build_multielement_layers(&surfaces, &config.growth, &config.bl);
-    let hole_seeds = config.pslg.hole_seeds();
+    let span = tracer.span(Track::ROOT, TaskKind::BlBuild.span_name());
+    let pre = build_prelude(config);
+    span.close();
+
+    // The whole cloud as one leaf.
     let pool = Pool::new(config.merge_threads);
-    let bl =
-        mesh_boundary_layer(&layers, &hole_seeds, 1, &pool, &mut log).expect("bl meshing failed");
-    let sizing = ComposedSizing::new(
-        build_sizing(
-            &bl.outer_borders,
-            config.effective_sizing_h0(),
-            config.sizing_rate,
-            config.sizing_max_area,
-        ),
-        config.extra_sizing.clone(),
-    );
+    let span = tracer.span(Track::ROOT, TaskKind::BlTriangulate.span_name());
+    let tris =
+        triangulate_leaf_pooled(&Subdomain::root_with_ids(&pre.cloud, &pre.cloud_ids), &pool);
+    close_leaf(span, pre.cloud.len(), tris.len());
+
     // One big inviscid region: far-field rectangle with the BL outer
     // borders as holes — no quadrants, no decoupling.
+    let sizing = composed_sizing(config, &pre.outer_borders);
     let f = &config.pslg.farfield;
-    let rect = vec![
+    let rect = [
         f.min,
         Point2::new(f.max.x, f.min.y),
         f.max,
         Point2::new(f.min.x, f.max.y),
     ];
-    let inviscid = log.measure(TaskKind::InviscidRefine, 0, || {
-        let (mesh, rstats) = refine_nearbody(&rect, &bl.outer_borders, &hole_seeds, &sizing);
-        rstats.publish(&tracer);
-        let n = mesh.num_triangles() as u64;
-        (mesh, n)
-    });
-    let mut bl = bl;
-    // Measured under `phase.merge` (interface repair included, exactly as
-    // in [`generate`]) so the sequential-efficiency table can exclude
-    // merge symmetrically on both sides of its ratio.
-    let mesh = log.measure(TaskKind::Merge, 0, || {
-        crate::inviscid::propagate_interface_splits(&mut bl.mesh, &inviscid, &bl.outer_borders);
-        let mut merger = MeshMerger::with_capacity(
-            bl.arena.len(),
-            bl.mesh.num_vertices() + inviscid.num_vertices(),
-            bl.mesh.num_triangles() + inviscid.num_triangles(),
-        );
-        merger.add_mesh_spliced(&bl.mesh);
-        merger.add_mesh_spliced(&inviscid);
-        let mesh = merger.finish();
-        let n = mesh.num_triangles() as u64;
-        (mesh, n)
-    });
+    let span = tracer.span(Track::ROOT, TaskKind::InviscidRefine.span_name());
+    let (inviscid, rstats) = refine_nearbody(&rect, &pre.outer_borders, &pre.hole_seeds, &sizing);
+    rstats.publish(&tracer);
+    span.close_with(&[("triangles", inviscid.num_triangles() as u64)]);
+
+    // The same assembly as [`generate`], measured under `phase.merge`
+    // (interface repair included), so the sequential-efficiency table can
+    // exclude merge symmetrically on both sides of its ratio.
+    let span = tracer.span(Track::ROOT, TaskKind::Merge.span_name());
+    // No split count: the far-field rectangle's segments are this
+    // region's own to split, not a border shared with another subdomain.
+    let outs = vec![
+        (vec![0], TaskOut::BlTris(tris)),
+        (vec![1], TaskOut::NearBody(Box::new(inviscid), 0)),
+    ];
+    let (mesh, mut stats) = assemble(&pre, &pool, &tracer, outs, None);
+    span.close_with(&[("triangles", mesh.num_triangles() as u64)]);
     root.close();
-    let stats = PipelineStats {
-        bl_points: bl.cloud_points,
-        bl_triangles: bl.mesh.num_triangles(),
-        inviscid_triangles: inviscid.num_triangles(),
-        total_triangles: mesh.num_triangles(),
-        total_vertices: mesh.num_vertices(),
-        border_splits: 0,
-        total_s: (tracer.now() - t0).as_secs_f64(),
-    };
+
+    stats.total_s = (tracer.now() - t0).as_secs_f64();
     PipelineResult {
         mesh,
-        log,
+        log: TaskLog::from_trace(&tracer),
         stats,
         trace: tracer,
     }

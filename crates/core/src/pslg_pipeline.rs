@@ -27,10 +27,7 @@ use adm_delaunay::refine::{refine, RefineParams, RefineStats};
 use adm_geom::point::Point2;
 use adm_geom::pslg::{Pslg, PslgError, RepairReport};
 use adm_kernel::{GlobalVertexId, MeshArena};
-use adm_mpirt::{
-    run_rank_dynamic, BalancerConfig, Comm, Pool, Src, ThreadedTransport, Transport, WorkItem,
-    WorkQueue,
-};
+use adm_mpirt::{run_task_tree, BalancerConfig, Pool, Task, ThreadedTransport, WorkItem};
 use adm_partition::reduction_plan;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -249,15 +246,11 @@ pub fn mesh_pslg(
 
 /// One per-component refinement task for the dynamic load balancer.
 #[derive(Clone)]
-struct RefineTask {
-    /// Component index — the task path that restores canonical order.
-    index: u32,
-    mesh: Box<Mesh>,
-}
+struct RefineTask(Box<Mesh>);
 
 impl WorkItem for RefineTask {
     fn cost(&self) -> u64 {
-        self.mesh.num_triangles() as u64
+        self.0.num_triangles() as u64
     }
 }
 
@@ -319,70 +312,37 @@ fn refine_components_parallel(
 ) -> Result<(Vec<Mesh>, RefineStats, usize, RepairReport), PslgMeshError> {
     assert!(ranks >= 1);
     let work = prepare(pslg)?;
-    let report = work.report;
-    let seed_tasks: Vec<RefineTask> = work
+    // A flat task tree: one seed per component, keyed by component index
+    // (the order `merge_components` reduces over), no splits.
+    let seeds = work
         .components
         .into_iter()
         .enumerate()
-        .map(|(i, m)| RefineTask {
-            index: i as u32,
-            mesh: Box::new(m),
+        .map(|(i, m)| Task {
+            path: (i as u16).to_be_bytes().to_vec(),
+            body: RefineTask(Box::new(m)),
         })
         .collect();
-
-    let transport = Arc::new(ThreadedTransport::new(ranks));
-    let window = transport.window(ranks + 2);
-    let seed_tasks = std::sync::Mutex::new(Some(seed_tasks));
-    let mut rank_outputs = adm_mpirt::run_with(transport.clone(), |comm: Comm| {
-        let initial = if comm.rank() == 0 {
-            seed_tasks.lock().unwrap().take().unwrap()
-        } else {
-            Vec::new()
-        };
-        let queue = Arc::new(WorkQueue::with_counter(
-            initial,
-            window.clone(),
-            comm.size() + 1,
-        ));
-        let (outs, _stats) = run_rank_dynamic(
-            &comm,
-            queue,
-            window.clone(),
-            BalancerConfig::default(),
-            |task: RefineTask, _q| {
-                let RefineTask { index, mut mesh } = task;
-                let stats = refine_component(&mut mesh, sizing, params);
-                (index, mesh, stats)
-            },
-        );
-        if comm.rank() == 0 {
-            let mut all = outs;
-            for _ in 1..comm.size() {
-                let (_src, mut v) = comm.recv::<Vec<(u32, Box<Mesh>, RefineStats)>>(Src::Any, 0xF7);
-                all.append(&mut v);
-            }
-            Some(all)
-        } else {
-            comm.send(0, 0xF7, outs);
-            None
-        }
-    });
-    let mut all = rank_outputs
-        .remove(0)
-        .expect("root rank gathers the refined components");
-    // Results arrive in rank-completion order; restore component order so
-    // the merge matches the sequential path byte for byte.
-    all.sort_by_key(|(index, _, _)| *index);
+    let refined = run_task_tree(
+        Arc::new(ThreadedTransport::new(ranks)),
+        BalancerConfig::default(),
+        seeds,
+        None,
+        |_rank, RefineTask(mut mesh)| {
+            let stats = refine_component(&mut mesh, sizing, params);
+            ((mesh, stats), Vec::new())
+        },
+    );
 
     let mut stats = RefineStats::default();
     let mut capped = 0;
-    let mut components = Vec::with_capacity(all.len());
-    for (_, mesh, s) in all {
+    let mut components = Vec::with_capacity(refined.len());
+    for (_path, (mesh, s)) in refined {
         capped += usize::from(s.hit_cap);
         stats.absorb(&s);
         components.push(*mesh);
     }
-    Ok((components, stats, capped, report))
+    Ok((components, stats, capped, work.report))
 }
 
 #[cfg(test)]

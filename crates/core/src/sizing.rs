@@ -1,13 +1,14 @@
 //! Pluggable mesh-spacing functions (`hfun` style) with gradation control.
 //!
-//! The refinement stack consumes target *areas* (Triangle `-a` semantics,
-//! [`adm_decouple::SizingField`]), but users think in target *edge
-//! lengths* h(x, y). [`SizingFn`] is the user-facing contract: a callable
-//! edge-length field; the area view is derived (`A = sqrt(3)/4 · h²`,
-//! equilateral). The near-body graded spacing that drives the airfoil
-//! pipeline is re-expressed as one instance ([`GradedSizing`] implements
-//! the trait), so the general `.poly` front door and the airfoil path
-//! share one sizing vocabulary.
+//! The refinement stack consumes target *areas* (Triangle `-a`
+//! semantics), but users think in target *edge lengths* h(x, y).
+//! [`SizingFn`] (defined in `adm-decouple`, where the decoupling paths
+//! consume it) is the one contract for both: a callable edge-length
+//! field whose area view is derived (`A = sqrt(3)/4 · h²`, equilateral)
+//! unless the field is defined by area. The near-body graded spacing
+//! that drives the airfoil pipeline is one instance ([`GradedSizing`]),
+//! so the general `.poly` front door and the airfoil path share one
+//! sizing vocabulary.
 //!
 //! [`GradationLimited`] caps how fast any sizing function may vary:
 //! Lipschitz-limiting against a set of anchor points bounds the size
@@ -16,49 +17,11 @@
 //! fixed point — limiting an already-limited field changes nothing —
 //! which the gradation property test gates.
 
-use adm_decouple::{SizingField, EQUILATERAL};
 use adm_geom::metric::MetricField;
 use adm_geom::point::Point2;
 use std::sync::Arc;
 
-pub use adm_decouple::GradedSizing;
-
-/// A user mesh-spacing function: target edge length at a point.
-///
-/// Contract: `h(p)` must be finite and strictly positive for every query
-/// point inside the domain, and implementations must be `Sync` (queried
-/// concurrently from refinement workers).
-pub trait SizingFn: Sync {
-    /// Target edge length at `p`.
-    fn h(&self, p: Point2) -> f64;
-
-    /// Target triangle area at `p`: equilateral-triangle area for edge
-    /// length `h(p)`.
-    fn target_area(&self, p: Point2) -> f64 {
-        let h = self.h(p);
-        EQUILATERAL * h * h
-    }
-}
-
-impl<S: SizingFn + ?Sized> SizingFn for &S {
-    fn h(&self, p: Point2) -> f64 {
-        (**self).h(p)
-    }
-
-    fn target_area(&self, p: Point2) -> f64 {
-        (**self).target_area(p)
-    }
-}
-
-impl<S: SizingFn + ?Sized> SizingFn for Box<S> {
-    fn h(&self, p: Point2) -> f64 {
-        (**self).h(p)
-    }
-
-    fn target_area(&self, p: Point2) -> f64 {
-        (**self).target_area(p)
-    }
-}
+pub use adm_decouple::{GradedSizing, SizingFn};
 
 /// Uniform edge length everywhere.
 #[derive(Debug, Clone, Copy)]
@@ -70,36 +33,12 @@ impl SizingFn for UniformH {
     }
 }
 
-/// The near-body graded spacing as a [`SizingFn`]: `h` grows linearly
-/// with distance from the body samples and is capped where the area cap
-/// bites, exactly matching [`GradedSizing`]'s area field.
-impl SizingFn for GradedSizing {
-    fn h(&self, p: Point2) -> f64 {
-        let h = self.h0 + self.rate * self.distance(p);
-        h.min((self.max_area / EQUILATERAL).sqrt())
-    }
-
-    fn target_area(&self, p: Point2) -> f64 {
-        SizingField::target_area(self, p)
-    }
-}
-
 /// Adapts a plain closure `h(x, y)` into a [`SizingFn`].
 pub struct FnSizing<F: Fn(Point2) -> f64 + Sync>(pub F);
 
 impl<F: Fn(Point2) -> f64 + Sync> SizingFn for FnSizing<F> {
     fn h(&self, p: Point2) -> f64 {
         (self.0)(p)
-    }
-}
-
-/// Adapts any [`SizingFn`] into the refinement stack's
-/// [`adm_decouple::SizingField`] (target-area) view.
-pub struct AsSizingField<S: SizingFn>(pub S);
-
-impl<S: SizingFn> SizingField for AsSizingField<S> {
-    fn target_area(&self, p: Point2) -> f64 {
-        self.0.target_area(p)
     }
 }
 
@@ -325,31 +264,11 @@ impl ComposedSizing {
     pub fn new(graded: GradedSizing, extra: Option<Arc<dyn SizingFn + Send + Sync>>) -> Self {
         ComposedSizing { graded, extra }
     }
-
-    /// The graded base field.
-    pub fn graded(&self) -> &GradedSizing {
-        &self.graded
-    }
-
-    /// `true` when an extra constraint is installed.
-    pub fn has_extra(&self) -> bool {
-        self.extra.is_some()
-    }
-}
-
-impl SizingField for ComposedSizing {
-    fn target_area(&self, p: Point2) -> f64 {
-        let base = SizingField::target_area(&self.graded, p);
-        match &self.extra {
-            None => base,
-            Some(s) => base.min(s.target_area(p)),
-        }
-    }
 }
 
 impl SizingFn for ComposedSizing {
     fn h(&self, p: Point2) -> f64 {
-        let base = SizingFn::h(&self.graded, p);
+        let base = self.graded.h(p);
         match &self.extra {
             None => base,
             Some(s) => base.min(s.h(p)),
@@ -357,13 +276,18 @@ impl SizingFn for ComposedSizing {
     }
 
     fn target_area(&self, p: Point2) -> f64 {
-        SizingField::target_area(self, p)
+        let base = self.graded.target_area(p);
+        match &self.extra {
+            None => base,
+            Some(s) => base.min(s.target_area(p)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adm_decouple::EQUILATERAL;
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
@@ -380,15 +304,15 @@ mod tests {
     fn graded_sizing_h_matches_area_field() {
         let s = GradedSizing::new(&[p(0.0, 0.0)], 0.01, 0.1, 1e9, 10);
         let q = p(3.0, 4.0);
-        let h = SizingFn::h(&s, q);
+        let h = s.h(q);
         assert!((h - (0.01 + 0.1 * 5.0)).abs() < 1e-12);
-        assert!((SizingFn::target_area(&s, q) - EQUILATERAL * h * h).abs() < 1e-12);
+        assert!((s.target_area(q) - EQUILATERAL * h * h).abs() < 1e-12);
     }
 
     #[test]
     fn graded_sizing_h_respects_area_cap() {
         let s = GradedSizing::new(&[p(0.0, 0.0)], 0.01, 1.0, 2.0, 10);
-        let far = SizingFn::h(&s, p(1000.0, 0.0));
+        let far = s.h(p(1000.0, 0.0));
         assert!((EQUILATERAL * far * far - 2.0).abs() < 1e-12);
     }
 
@@ -396,12 +320,6 @@ mod tests {
     fn fn_sizing_wraps_closures() {
         let s = FnSizing(|q: Point2| 0.1 + 0.01 * q.x.abs());
         assert!((s.h(p(10.0, 0.0)) - 0.2).abs() < 1e-15);
-    }
-
-    #[test]
-    fn as_sizing_field_adapts() {
-        let f = AsSizingField(UniformH(1.0));
-        assert!((f.target_area(p(0.0, 0.0)) - EQUILATERAL).abs() < 1e-15);
     }
 
     #[test]

@@ -1,21 +1,15 @@
-//! Per-task cost records — a thin view over `adm-trace` spans.
+//! Per-task cost records — a view over `adm-trace` spans.
 //!
-//! Every subdomain meshing task logs its measured time and payload size.
-//! The scaling benches feed these records straight into `adm-simnet` to
-//! regenerate the paper's Figures 11/12 on hardware that cannot run 256
-//! ranks.
-//!
-//! Since the tracing layer landed, [`TaskLog::measure`] no longer stamps
-//! its own `Instant`s: it opens a span on the log's [`Tracer`] and derives
-//! `cost_s` from the span's interval. Under the threaded transport the
-//! tracer's clock is wall time, so nothing changes; under the simulated
-//! transport the clock is virtual time, which makes the records (and the
-//! whole trace) replay-stable. [`TaskLog::from_trace`] goes the other
-//! direction and rebuilds a record list from a finished trace — the
-//! parallel driver uses it so that the Fig 11/12 simulator replays
-//! exactly the tasks that were traced.
+//! Every subdomain meshing task runs inside a span named for its
+//! [`TaskKind`], carrying its payload size and triangle count as span
+//! args. [`TaskLog::from_trace`] rebuilds the record list from a finished
+//! trace, so the scaling benches feed `adm-simnet` exactly the tasks that
+//! were traced and regenerate the paper's Figures 11/12 on hardware that
+//! cannot run 256 ranks. Under the threaded transport the tracer's clock
+//! is wall time; under the simulated transport it is virtual time, which
+//! makes the records (and the whole trace) replay-stable.
 
-use adm_trace::{Tracer, Track};
+use adm_trace::Tracer;
 
 /// What kind of work a task was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,41 +79,19 @@ pub struct TaskRecord {
 }
 
 /// Collected task records for one pipeline run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskLog {
-    /// All records in completion order.
+    /// All records in span-open order.
     pub records: Vec<TaskRecord>,
-    tracer: Tracer,
-    track: Track,
-}
-
-impl Default for TaskLog {
-    fn default() -> Self {
-        TaskLog::with_tracer(Tracer::wall(), Track::ROOT)
-    }
 }
 
 impl TaskLog {
-    /// A log whose `measure` calls open spans on `tracer` under `track`.
-    pub fn with_tracer(tracer: Tracer, track: Track) -> Self {
-        TaskLog {
-            records: Vec::new(),
-            tracer,
-            track,
-        }
-    }
-
-    /// The tracer this log records spans into.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Rebuilds a record list from a finished trace: every closed span
     /// whose name maps to a [`TaskKind`] becomes one record, in span-open
     /// order, with `bytes`/`triangles` recovered from span args.
     pub fn from_trace(tracer: &Tracer) -> Self {
         let snap = tracer.snapshot();
-        let mut log = TaskLog::with_tracer(tracer.clone(), Track::ROOT);
+        let mut log = TaskLog::default();
         for span in snap.spans.iter().filter(|s| s.closed()) {
             if let Some(kind) = TaskKind::from_span_name(&span.name) {
                 let arg = |key: &str| {
@@ -137,21 +109,6 @@ impl TaskLog {
             }
         }
         log
-    }
-
-    /// Runs `f` inside a span named for `kind` and appends a record with
-    /// the span's measured interval.
-    pub fn measure<R>(&mut self, kind: TaskKind, bytes: u64, f: impl FnOnce() -> (R, u64)) -> R {
-        let span = self.tracer.span(self.track, kind.span_name());
-        let (out, triangles) = f();
-        let (start, end) = span.close_with(&[("bytes", bytes), ("triangles", triangles)]);
-        self.records.push(TaskRecord {
-            kind,
-            cost_s: (end - start).as_secs_f64(),
-            bytes,
-            triangles,
-        });
-        out
     }
 
     /// Total measured time of the given kind.
@@ -186,49 +143,29 @@ impl TaskLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adm_trace::check_well_formed;
+    use adm_trace::{check_well_formed, Track};
 
     #[test]
-    fn measure_records_cost_and_output() {
-        let mut log = TaskLog::default();
-        let out = log.measure(TaskKind::BlTriangulate, 128, || ("hello", 7));
-        assert_eq!(out, "hello");
-        assert_eq!(log.records.len(), 1);
-        let r = log.records[0];
-        assert_eq!(r.kind, TaskKind::BlTriangulate);
-        assert_eq!(r.bytes, 128);
-        assert_eq!(r.triangles, 7);
-        assert!(r.cost_s >= 0.0);
-    }
-
-    #[test]
-    fn measure_emits_matching_span() {
-        let mut log = TaskLog::default();
-        log.measure(TaskKind::InviscidRefine, 64, || ((), 13));
-        let snap = log.tracer().snapshot();
-        check_well_formed(&snap).unwrap();
-        assert_eq!(snap.spans.len(), 1);
-        let span = &snap.spans[0];
-        assert_eq!(span.name, TaskKind::InviscidRefine.span_name());
-        assert!(span.closed());
-        assert!(span.args.contains(&("bytes", 64)));
-        assert!(span.args.contains(&("triangles", 13)));
-    }
-
-    #[test]
-    fn from_trace_round_trips_records() {
-        let mut log = TaskLog::default();
-        log.measure(TaskKind::BlTriangulate, 16, || ((), 3));
-        log.measure(TaskKind::NearBodyRefine, 32, || ((), 5));
+    fn from_trace_rebuilds_records_from_task_spans() {
+        let tracer = Tracer::wall();
+        let span = |kind: TaskKind, bytes, triangles| {
+            tracer
+                .span(Track::ROOT, kind.span_name())
+                .close_with(&[("bytes", bytes), ("triangles", triangles)]);
+        };
+        span(TaskKind::BlTriangulate, 16, 3);
+        span(TaskKind::NearBodyRefine, 32, 5);
         // A span with a non-task name is ignored by the rebuild.
-        log.tracer().span(Track::ROOT, "other").close();
-        let rebuilt = TaskLog::from_trace(log.tracer());
-        assert_eq!(rebuilt.records.len(), 2);
-        assert_eq!(rebuilt.records[0].kind, TaskKind::BlTriangulate);
-        assert_eq!(rebuilt.records[0].bytes, 16);
-        assert_eq!(rebuilt.records[0].triangles, 3);
-        assert_eq!(rebuilt.records[1].kind, TaskKind::NearBodyRefine);
-        assert_eq!(rebuilt.records[1].triangles, 5);
+        tracer.span(Track::ROOT, "other").close();
+        check_well_formed(&tracer.snapshot()).unwrap();
+        let log = TaskLog::from_trace(&tracer);
+        assert_eq!(log.records.len(), 2);
+        assert_eq!(log.records[0].kind, TaskKind::BlTriangulate);
+        assert_eq!(log.records[0].bytes, 16);
+        assert_eq!(log.records[0].triangles, 3);
+        assert!(log.records[0].cost_s >= 0.0);
+        assert_eq!(log.records[1].kind, TaskKind::NearBodyRefine);
+        assert_eq!(log.records[1].triangles, 5);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 
 use adm_core::adapt::adapt_with_runner;
 use adm_core::{
-    adapt, generate_parallel_staged, generate_staged, AdaptOptions, AnchorSet, MeshConfig,
+    adapt, generate_parallel_staged, generate_staged_with_pool, AdaptOptions, AnchorSet, MeshConfig,
 };
 use adm_geom::point::Point2;
-use adm_mpirt::{BalancerConfig, FaultPlan, SimTransport, Transport};
+use adm_mpirt::{BalancerConfig, FaultPlan, Pool, SimTransport, Transport};
 use std::sync::Arc;
 
 fn coarse_config() -> MeshConfig {
@@ -84,12 +84,14 @@ fn adapt_is_schedule_independent_under_sim_transport() {
 
 #[test]
 fn staged_prelude_path_matches_plain_generate() {
-    // The refactor seam itself: generate_staged over a prebuilt prelude
-    // must be byte-identical to the one-shot pipeline.
+    // The refactor seam itself: the staged entry point over a prebuilt
+    // prelude must be byte-identical to the one-shot pipeline.
     let config = coarse_config();
     let plain = adm_core::adapt::mesh_digest_hex(&adm_core::generate(&config).mesh);
     let pre = adm_core::build_prelude(&config);
-    let staged = adm_core::adapt::mesh_digest_hex(&generate_staged(&config, Some(&pre)).mesh);
+    let pool = Pool::new(config.merge_threads);
+    let staged = generate_staged_with_pool(&config, Some(&pre), &pool);
+    let staged = adm_core::adapt::mesh_digest_hex(&staged.mesh);
     assert_eq!(plain, staged);
 }
 

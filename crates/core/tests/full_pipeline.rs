@@ -1,6 +1,8 @@
 //! End-to-end pipeline tests: the push-button promise.
 
-use adm_core::{generate, generate_parallel, MeshConfig};
+use adm_core::{
+    generate, generate_parallel, generate_undecomposed, FnSizing, MeshConfig, PipelineStats,
+};
 use adm_delaunay::quality::mesh_quality;
 
 fn small_naca_config() -> MeshConfig {
@@ -63,6 +65,54 @@ fn parallel_run_matches_sequential_mesh() {
         };
         assert_eq!(canon(&par.mesh), canon(&seq.mesh), "rank count {ranks}");
     }
+}
+
+/// The inline and the rank executor run the same task tree through the
+/// same assembly, so every aggregate agrees — not only the mesh. The
+/// extra sizing channel makes the near-body refinement split
+/// boundary-layer border segments, so the split count and its repair by
+/// interface propagation are exercised rather than trivially zero.
+#[test]
+fn sequential_and_one_rank_report_equal_stats() {
+    let mut config = small_naca_config();
+    config.extra_sizing = Some(std::sync::Arc::new(FnSizing(|p: adm_geom::Point2| {
+        let d = (p.x - p.x.clamp(0.0, 1.0)).hypot(p.y);
+        0.008 + 0.5 * (d - 0.08).max(0.0)
+    })));
+    let plain = generate(&small_naca_config()).stats;
+    let seq = generate(&config).stats;
+    assert!(
+        seq.bl_triangles > plain.bl_triangles,
+        "the extra channel must force propagated border splits"
+    );
+    let par = generate_parallel(&config, 1).stats;
+    assert_eq!(
+        PipelineStats {
+            total_s: 0.0,
+            ..seq
+        },
+        PipelineStats {
+            total_s: 0.0,
+            ..par
+        }
+    );
+}
+
+/// The "plain Triangle" baseline meshes the same domain through the
+/// same assembly: same boundary-layer mesh, same covered area, no
+/// decoupling borders inside the inviscid region.
+#[test]
+fn undecomposed_baseline_covers_the_same_domain() {
+    let config = small_naca_config();
+    let pipe = generate(&config);
+    let base = generate_undecomposed(&config);
+    base.mesh.check_consistency();
+    assert_eq!(base.stats.bl_points, pipe.stats.bl_points);
+    assert_eq!(base.stats.bl_triangles, pipe.stats.bl_triangles);
+    assert_eq!(base.stats.border_splits, 0);
+    let (a, b) = (mesh_quality(&base.mesh), mesh_quality(&pipe.mesh));
+    assert!((a.total_area - b.total_area).abs() < 1e-6 * b.total_area);
+    assert_eq!(base.log.parallel_tasks().len(), 2, "one leaf, one region");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! A failure prints the `(seed, ranks)` pair; replay it with
 //! `FaultPlan::chaos(seed)` and the same rank count.
 
-use adm_core::{generate, generate_parallel, generate_parallel_with, sha256_hex, MeshConfig};
+use adm_core::{generate, generate_parallel, generate_parallel_staged, sha256_hex, MeshConfig};
 use adm_delaunay::io::write_ascii_canonical;
 use adm_delaunay::mesh::Mesh;
 use adm_mpirt::{BalancerConfig, FaultPlan, SimTransport, Transport};
@@ -32,7 +32,7 @@ fn mesh_sha(mesh: &Mesh) -> String {
 fn chaos_run(config: &MeshConfig, seed: u64, ranks: usize) -> (String, (u64, u64)) {
     let sim = SimTransport::new(ranks, FaultPlan::chaos(seed));
     let transport: Arc<dyn Transport> = Arc::new(sim);
-    let out = generate_parallel_with(config, transport, BalancerConfig::default());
+    let out = generate_parallel_staged(config, transport, BalancerConfig::default(), None);
     adm_trace::check_well_formed(&out.trace.snapshot()).expect("malformed pipeline trace");
     (mesh_sha(&out.mesh), out.trace.fingerprint())
 }
@@ -105,7 +105,7 @@ fn chaos_schedules_produce_identical_shard_sets() {
         config.shard_out = Some(dir.clone());
         let sim = SimTransport::new(ranks, FaultPlan::chaos(seed));
         let transport: Arc<dyn Transport> = Arc::new(sim);
-        let _ = generate_parallel_with(&config, transport, BalancerConfig::default());
+        let _ = generate_parallel_staged(&config, transport, BalancerConfig::default(), None);
         let manifest_bytes =
             std::fs::read(dir.join(adm_core::MANIFEST_NAME)).expect("manifest written");
         let manifest = adm_core::read_manifest(&dir).expect("manifest parses");

@@ -8,7 +8,7 @@
 //! both sides — so the independent refinements never split a shared
 //! border segment.
 
-use crate::sizing::{k_value, SizingField};
+use crate::sizing::{k_value, SizingFn};
 use adm_geom::point::Point2;
 
 /// Marching step factor inside `[2/sqrt(3), 2)`; a mid-range value leaves
@@ -17,7 +17,7 @@ const STEP_FACTOR: f64 = 1.6;
 
 /// Discretizes the straight path from `a` to `b` with the graded marching
 /// rule. Returns the chain **including** both endpoints.
-pub fn march_path(a: Point2, b: Point2, sizing: &dyn SizingField) -> Vec<Point2> {
+pub fn march_path(a: Point2, b: Point2, sizing: &dyn SizingFn) -> Vec<Point2> {
     let mut out = vec![a];
     let total = a.distance(b);
     if total == 0.0 {
@@ -80,7 +80,7 @@ pub fn march_path(a: Point2, b: Point2, sizing: &dyn SizingField) -> Vec<Point2>
 
 /// Crude lower-bound probe of the sizing along the segment (for the
 /// termination guard only).
-fn min_area_probe(a: Point2, b: Point2, sizing: &dyn SizingField) -> f64 {
+fn min_area_probe(a: Point2, b: Point2, sizing: &dyn SizingFn) -> f64 {
     let mut m = f64::INFINITY;
     for k in 0..=8 {
         let p = a.lerp(b, k as f64 / 8.0);
@@ -94,7 +94,7 @@ fn min_area_probe(a: Point2, b: Point2, sizing: &dyn SizingField) -> f64 {
 /// refinement will split it), and should not be shorter than
 /// `2*k/sqrt(3)` at its looser end (no over-refinement), except for the
 /// final snap segment.
-pub fn chain_respects_bounds(chain: &[Point2], sizing: &dyn SizingField) -> bool {
+pub fn chain_respects_bounds(chain: &[Point2], sizing: &dyn SizingFn) -> bool {
     for w in chain.windows(2) {
         let d = w[0].distance(w[1]);
         let ku = k_value(sizing.target_area(w[0]));

@@ -11,7 +11,7 @@
 
 use crate::march::march_path;
 use crate::region::Region;
-use crate::sizing::SizingField;
+use crate::sizing::SizingFn;
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 
@@ -31,7 +31,7 @@ pub struct InitialDecoupling {
 pub fn initial_quadrants(
     nearbody: &Aabb,
     farfield: &Aabb,
-    sizing: &dyn SizingField,
+    sizing: &dyn SizingFn,
 ) -> InitialDecoupling {
     let (b, f) = (nearbody, farfield);
     assert!(

@@ -8,7 +8,7 @@
 //! inter-process communication is needed (§II.E).
 
 use crate::march::march_path;
-use crate::sizing::SizingField;
+use crate::sizing::SizingFn;
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 
@@ -63,7 +63,7 @@ impl Region {
     /// Estimated number of triangles a refinement to `sizing` will create
     /// (the subdomain cost used for decoupling decisions and load
     /// balancing).
-    pub fn estimated_triangles(&self, sizing: &dyn SizingField) -> f64 {
+    pub fn estimated_triangles(&self, sizing: &dyn SizingFn) -> f64 {
         let b = self.bbox();
         let n = 4;
         let mut est = 0.0;
@@ -87,7 +87,7 @@ impl Region {
     /// interior paths to the existing border points nearest each side's
     /// midpoint. Returns the four children (SW, SE, NE, NW order relative
     /// to the parent's corners).
-    pub fn plus_split(&self, sizing: &dyn SizingField) -> [Region; 4] {
+    pub fn plus_split(&self, sizing: &dyn SizingFn) -> [Region; 4] {
         let b = self.bbox();
         let center = b.center();
         // Connection point per side: existing border point closest to the
@@ -170,7 +170,7 @@ pub fn splittable(region: &Region) -> bool {
 pub fn decouple_by_threshold(
     initial: Vec<Region>,
     max_estimate: f64,
-    sizing: &dyn SizingField,
+    sizing: &dyn SizingFn,
 ) -> Vec<Region> {
     let mut leaves = Vec::new();
     let mut stack = initial;
@@ -191,7 +191,7 @@ pub fn decouple_by_threshold(
 pub fn decouple_to_count(
     initial: Vec<Region>,
     target: usize,
-    sizing: &dyn SizingField,
+    sizing: &dyn SizingFn,
 ) -> Vec<Region> {
     let mut leaves: Vec<(f64, Region)> = initial
         .into_iter()
@@ -235,7 +235,7 @@ mod tests {
     }
 
     /// A discretized rectangle region.
-    fn rect_region(min: Point2, max: Point2, sizing: &dyn SizingField) -> Region {
+    fn rect_region(min: Point2, max: Point2, sizing: &dyn SizingFn) -> Region {
         let (sw, se, ne, nw) = (min, p(max.x, min.y), max, p(min.x, max.y));
         let mut border = Vec::new();
         let mut corners = [0usize; 4];

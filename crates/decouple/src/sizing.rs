@@ -7,17 +7,54 @@
 
 use adm_geom::point::Point2;
 
-/// A spatial target-area field.
-pub trait SizingField: Sync {
-    /// Target triangle area at `p`.
-    fn target_area(&self, p: Point2) -> f64;
+/// A mesh-spacing function: target edge length at a point, with the
+/// target *area* view the refinement stack consumes derived from it.
+///
+/// Contract: `h(p)` must be finite and strictly positive for every query
+/// point inside the domain, and implementations must be `Sync` (queried
+/// concurrently from refinement workers).
+pub trait SizingFn: Sync {
+    /// Target edge length at `p`.
+    fn h(&self, p: Point2) -> f64;
+
+    /// Target triangle area at `p`: equilateral-triangle area for edge
+    /// length `h(p)`. Fields defined by area override this so the area is
+    /// exact rather than round-tripped through `h`.
+    fn target_area(&self, p: Point2) -> f64 {
+        let h = self.h(p);
+        EQUILATERAL * h * h
+    }
+}
+
+impl<S: SizingFn + ?Sized> SizingFn for &S {
+    fn h(&self, p: Point2) -> f64 {
+        (**self).h(p)
+    }
+
+    fn target_area(&self, p: Point2) -> f64 {
+        (**self).target_area(p)
+    }
+}
+
+impl<S: SizingFn + ?Sized> SizingFn for Box<S> {
+    fn h(&self, p: Point2) -> f64 {
+        (**self).h(p)
+    }
+
+    fn target_area(&self, p: Point2) -> f64 {
+        (**self).target_area(p)
+    }
 }
 
 /// Uniform target area everywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformSizing(pub f64);
 
-impl SizingField for UniformSizing {
+impl SizingFn for UniformSizing {
+    fn h(&self, _p: Point2) -> f64 {
+        (self.0 / EQUILATERAL).sqrt()
+    }
+
     fn target_area(&self, _p: Point2) -> f64 {
         self.0
     }
@@ -71,7 +108,14 @@ impl GradedSizing {
 /// Equilateral area factor.
 pub const EQUILATERAL: f64 = 0.433_012_701_892_219_3; // sqrt(3)/4
 
-impl SizingField for GradedSizing {
+impl SizingFn for GradedSizing {
+    /// Grows linearly with distance from the body samples and is capped
+    /// where the area cap bites, matching the area field below.
+    fn h(&self, p: Point2) -> f64 {
+        let h = self.h0 + self.rate * self.distance(p);
+        h.min((self.max_area / EQUILATERAL).sqrt())
+    }
+
     fn target_area(&self, p: Point2) -> f64 {
         let h = self.h0 + self.rate * self.distance(p);
         (EQUILATERAL * h * h).min(self.max_area)

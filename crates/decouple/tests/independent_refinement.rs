@@ -4,7 +4,7 @@
 //! subdomains is conforming and constrained-Delaunay without any
 //! inter-process communication.
 
-use adm_decouple::{decouple_to_count, initial_quadrants, GradedSizing, Region, SizingField};
+use adm_decouple::{decouple_to_count, initial_quadrants, GradedSizing, Region, SizingFn};
 use adm_delaunay::quality::mesh_quality;
 use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
 use adm_geom::aabb::Aabb;
@@ -13,7 +13,7 @@ use adm_geom::polygon::signed_area;
 
 fn refine_region(
     region: &Region,
-    sizing: &dyn SizingField,
+    sizing: &dyn SizingFn,
 ) -> (adm_delaunay::Mesh, adm_delaunay::RefineStats) {
     let pts = region.border.clone();
     let n = pts.len() as u32;

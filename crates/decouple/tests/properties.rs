@@ -2,7 +2,7 @@
 
 use adm_decouple::{
     chain_respects_bounds, decouple_to_count, initial_quadrants, k_value, march_path, GradedSizing,
-    SizingField, UniformSizing,
+    SizingFn, UniformSizing,
 };
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;

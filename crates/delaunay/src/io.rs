@@ -198,11 +198,26 @@ pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Mesh> {
         m if m == BINARY_MAGIC_V3 => 3,
         _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic")),
     };
+    // The counts come straight from an untrusted header: vertex and
+    // triangle slots are `u32`-indexed, so anything larger is malformed,
+    // and the reservations below are capped so a lying header costs at
+    // most `MAX_PREALLOC` entries before `read_exact` hits end of file.
+    const MAX_PREALLOC: usize = 1 << 20;
+    let read_count = |r: &mut R, what: &str| -> io::Result<usize> {
+        let mut buf8 = [0u8; 8];
+        r.read_exact(&mut buf8)?;
+        u32::try_from(u64::from_le_bytes(buf8))
+            .map(|c| c as usize)
+            .map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{what} count exceeds the u32 index space"),
+                )
+            })
+    };
+    let n = read_count(r, "vertex")?;
+    let m = read_count(r, "triangle")?;
     let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
-    r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8) as usize;
     let mut num_constrained = 0usize;
     let mut stamped = version == 2;
     if version >= 3 {
@@ -212,7 +227,7 @@ pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Mesh> {
         r.read_exact(&mut flags)?;
         stamped = flags[0] & V3_FLAG_STAMPS != 0;
     }
-    let mut vertices = Vec::with_capacity(n);
+    let mut vertices = Vec::with_capacity(n.min(MAX_PREALLOC));
     for _ in 0..n {
         r.read_exact(&mut buf8)?;
         let x = f64::from_le_bytes(buf8);
@@ -223,18 +238,24 @@ pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Mesh> {
     let mut buf4 = [0u8; 4];
     let mut stamps = Vec::new();
     if stamped {
-        stamps.reserve(n);
+        stamps.reserve(n.min(MAX_PREALLOC));
         for _ in 0..n {
             r.read_exact(&mut buf4)?;
             stamps.push(u32::from_le_bytes(buf4));
         }
     }
-    let mut tris = Vec::with_capacity(m);
+    let mut tris = Vec::with_capacity(m.min(MAX_PREALLOC));
     for _ in 0..m {
         let mut t = [0u32; 3];
         for slot in &mut t {
             r.read_exact(&mut buf4)?;
             *slot = u32::from_le_bytes(buf4);
+            if *slot as usize >= n {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "triangle references missing vertex",
+                ));
+            }
         }
         tris.push(t);
     }
@@ -377,6 +398,34 @@ mod tests {
         assert!(mesh.num_constrained() > 0, "sample mesh is constrained");
         assert_eq!(edges(&back), edges(&mesh));
         back.check_consistency();
+    }
+
+    #[test]
+    fn binary_header_lying_about_its_size_is_an_error_not_an_abort() {
+        // 24 bytes: v3 magic + 2^60 vertices + 2^60 triangles. Reserving
+        // what the header declares would abort the process.
+        let mut header = BINARY_MAGIC_V3.to_vec();
+        header.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        header.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        let err = read_binary(&mut header.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A count that fits u32 but not the file ends in EOF, having
+        // reserved no more than the cap.
+        let mut header = BINARY_MAGIC_V1.to_vec();
+        header.extend_from_slice(&(u32::MAX as u64).to_le_bytes());
+        header.extend_from_slice(&(u32::MAX as u64).to_le_bytes());
+        let err = read_binary(&mut header.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn truncated_binary_is_an_error() {
+        let mut buf = Vec::new();
+        write_binary(&sample_mesh(), &mut buf).unwrap();
+        for cut in [buf.len() - 1, buf.len() / 2, 25, 8] {
+            let err = read_binary(&mut &buf[..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -19,15 +19,16 @@ pub mod comm;
 pub mod loadbalance;
 pub mod pool;
 pub mod simfault;
+pub mod tasktree;
 pub mod transport;
 pub mod window;
 
 pub use comm::{comms_for, fabric, run, run_with, Comm, Src};
 pub use loadbalance::{
-    run_rank, run_rank_dynamic, run_rank_dynamic_traced, BalancerConfig, Protocol, RankStats,
-    WorkItem, WorkQueue,
+    run_rank, run_rank_dynamic_traced, BalancerConfig, Protocol, RankStats, WorkItem, WorkQueue,
 };
 pub use pool::Pool;
 pub use simfault::{FaultPlan, SimTransport, StallPlan};
+pub use tasktree::{run_inline, run_task_tree, Task};
 pub use transport::{Lane, Payload, RawMsg, ThreadedTransport, Transport, TransportClock};
 pub use window::{Window, WindowHook};

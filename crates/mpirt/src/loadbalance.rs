@@ -99,7 +99,7 @@ impl<W: WorkItem> WorkQueue<W> {
 
     /// Creates a queue whose pushes (and these initial items) bump the
     /// created-items counter at `window[slot]` — required by
-    /// [`run_rank_dynamic`].
+    /// [`run_rank_dynamic_traced`].
     pub fn with_counter(items: Vec<W>, window: Window, slot: usize) -> Self {
         Self::build(items, Some((window, slot)))
     }
@@ -616,7 +616,7 @@ fn communicator_loop<W: WorkItem>(
     }
 }
 
-/// Shared two-thread skeleton of [`run_rank`] / [`run_rank_dynamic`].
+/// Shared two-thread skeleton of [`run_rank`] / [`run_rank_dynamic_traced`].
 fn run_rank_inner<W, F, R>(
     comm: &Comm,
     queue: Arc<WorkQueue<W>>,
@@ -758,27 +758,13 @@ where
 /// `size + 1`. The queue must be built with [`WorkQueue::with_counter`]
 /// pointing at `size + 1`. Termination: `completed == created`, checked
 /// only after the initial barrier so every rank's seed items are counted.
-pub fn run_rank_dynamic<W, F, R>(
-    comm: &Comm,
-    queue: Arc<WorkQueue<W>>,
-    window: Window,
-    cfg: BalancerConfig,
-    process: F,
-) -> (Vec<R>, RankStats)
-where
-    W: WorkItem,
-    F: FnMut(W, &WorkQueue<W>) -> R,
-    R: Send,
-{
-    run_rank_dynamic_traced(comm, queue, window, cfg, None, process)
-}
-
-/// [`run_rank_dynamic`] with a trace recorder: each processed item gets
-/// an `lb.task` span on the rank's mesher lane, and the communicator
-/// mirrors its protocol counters (requests, retries, resends, dedup)
-/// plus queue-depth and steal-round-trip histograms into the registry.
-/// All stamps come from the transport clock, so traces recorded under
-/// the simulated transport are replay-identical per seed.
+///
+/// With a trace recorder, each processed item gets an `lb.task` span on
+/// the rank's mesher lane, and the communicator mirrors its protocol
+/// counters (requests, retries, resends, dedup) plus queue-depth and
+/// steal-round-trip histograms into the registry. All stamps come from
+/// the transport clock, so traces recorded under the simulated transport
+/// are replay-identical per seed.
 pub fn run_rank_dynamic_traced<W, F, R>(
     comm: &Comm,
     queue: Arc<WorkQueue<W>>,

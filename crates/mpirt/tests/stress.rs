@@ -180,7 +180,7 @@ fn messages_interleave_with_balancing() {
 }
 
 mod dynamic_mode {
-    use adm_mpirt::{run, run_rank_dynamic, BalancerConfig, Window, WorkItem, WorkQueue};
+    use adm_mpirt::{run, run_rank_dynamic_traced, BalancerConfig, Window, WorkItem, WorkQueue};
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
@@ -210,7 +210,7 @@ mod dynamic_mode {
                 window.clone(),
                 comm.size() + 1,
             ));
-            let (leaves, stats) = run_rank_dynamic(
+            let (leaves, stats) = run_rank_dynamic_traced(
                 &comm,
                 queue,
                 window.clone(),
@@ -219,6 +219,7 @@ mod dynamic_mode {
                     poll: Duration::from_micros(100),
                     ..BalancerConfig::default()
                 },
+                None,
                 |task: Split, q| {
                     std::thread::sleep(Duration::from_micros(50));
                     if task.0 > 1 {
@@ -257,11 +258,12 @@ mod dynamic_mode {
                 window.clone(),
                 comm.size() + 1,
             ));
-            run_rank_dynamic(
+            run_rank_dynamic_traced(
                 &comm,
                 queue,
                 window.clone(),
                 BalancerConfig::default(),
+                None,
                 |t: Split, _| t.0,
             )
             .0

@@ -38,6 +38,14 @@ impl DecomposeParams {
             max_level: levels,
         }
     }
+
+    /// The coarse partitioner's stop rule: `s` is triangulated as it is,
+    /// not split further. Per-subdomain, so every driver that walks the
+    /// decomposition tree — in any order, on any rank — finds the same
+    /// leaves.
+    pub fn is_leaf(&self, s: &Subdomain) -> bool {
+        s.level >= self.max_level || s.len() < self.min_vertices.max(4) || s.internal_count() == 0
+    }
 }
 
 /// Result of decomposing a point set.
@@ -55,10 +63,7 @@ pub fn decompose(root: Subdomain, params: &DecomposeParams) -> Decomposition {
     let mut paths = Vec::new();
     let mut stack = vec![root];
     while let Some(mut s) = stack.pop() {
-        let stop = s.level >= params.max_level
-            || s.len() < params.min_vertices.max(4)
-            || s.internal_count() == 0;
-        if stop {
+        if params.is_leaf(&s) {
             leaves.push(s);
             continue;
         }

@@ -128,19 +128,24 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Tentpole oracle: the sharded output of the parallel NACA pipeline
-/// reconstructs to the exact in-process merged mesh at every rank
-/// count, and the shard set itself is byte-identical across rank
-/// schedules (shards are keyed by task path, not by rank).
+/// Tentpole oracle: the sharded output of the NACA pipeline
+/// reconstructs to the exact in-process merged mesh under the inline
+/// executor (`ranks` 0: sequential `generate`, the reference) and at
+/// every rank count, and the shard set itself is byte-identical across
+/// executors and rank schedules (shards are keyed by task path, not by
+/// list index or rank).
 #[test]
 fn sharded_output_reconstructs_merged_mesh_at_every_rank_count() {
     let root = scratch_dir("naca");
     let mut reference: Option<(String, DirFingerprint)> = None;
-    for ranks in [1usize, 2, 4, 8] {
+    for ranks in [0usize, 1, 2, 4, 8] {
         let dir = root.join(format!("r{ranks}"));
         let mut config = test_config();
         config.shard_out = Some(dir.clone());
-        let result = generate_parallel(&config, ranks);
+        let result = match ranks {
+            0 => generate(&config),
+            _ => generate_parallel(&config, ranks),
+        };
 
         let manifest = read_manifest(&dir).expect("manifest written");
         let report = verify_shards(&dir, &manifest).expect("shards readable");
