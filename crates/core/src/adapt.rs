@@ -1,13 +1,13 @@
 //! The anisotropic adaptation loop: solve → estimate → remesh.
 //!
 //! Reframes the one-shot pipeline as a re-entrant cycle driver. Each
-//! cycle re-runs the full decompose/mesh/merge stack ([`generate_staged_with_pool`]
-//! or its parallel twin) against the cycle-invariant [`GeomPrelude`],
-//! solves potential flow on the merged mesh, recovers a Hessian-based
-//! metric from the stream function, and installs the gradation-limited
-//! metric as the next cycle's extra sizing channel. The loop stops after
-//! `cycles` rounds or as soon as the estimated error drops under
-//! `target_error`.
+//! cycle re-runs the full decompose/mesh/merge stack (the airfoil plan of
+//! [`crate::pipeline`], on either executor) against the cycle-invariant
+//! [`GeomPrelude`], solves potential flow on the merged mesh, recovers a
+//! Hessian-based metric from the stream function, and installs the
+//! gradation-limited metric as the next cycle's extra sizing channel. The
+//! loop stops after `cycles` rounds or as soon as the estimated error
+//! drops under `target_error`.
 //!
 //! Every per-cycle invariant of the one-shot pipeline is preserved: the
 //! mesh of a cycle is byte-identical between the serial and the N-rank
@@ -21,15 +21,12 @@
 use crate::config::MeshConfig;
 use crate::hash::sha256_hex;
 use crate::inviscid::conforming_h0;
-use crate::pipeline::{
-    build_prelude, generate_parallel_staged, generate_staged_with_pool, GeomPrelude,
-    PipelineResult, PipelineStats,
-};
+use crate::pipeline::{build_prelude, generate_on, GeomPrelude, PipelineResult, PipelineStats};
 use crate::sizing::{AnchorSet, GradationLimited, MetricSizing};
 use adm_delaunay::mesh::Mesh;
 use adm_geom::metric::MetricField;
 use adm_geom::point::Point2;
-use adm_mpirt::{BalancerConfig, Pool, ThreadedTransport};
+use adm_mpirt::{Executor, Pool};
 use adm_solver::{solve_potential_flow, zz_error, FlowConditions, MetricParams};
 use adm_trace::{Tracer, Track};
 use std::sync::Arc;
@@ -142,16 +139,11 @@ pub fn adapt(config: &MeshConfig, opts: &AdaptOptions) -> AdaptResult {
     let ranks = opts.ranks;
     let pool = Pool::new(config.merge_threads);
     adapt_with_runner(config, opts, &mut |cfg, pre| {
-        if ranks <= 1 {
-            generate_staged_with_pool(cfg, Some(pre), &pool)
-        } else {
-            generate_parallel_staged(
-                cfg,
-                Arc::new(ThreadedTransport::new(ranks)),
-                BalancerConfig::default(),
-                Some(pre),
-            )
-        }
+        let executor = match ranks {
+            0 | 1 => Executor::Inline,
+            _ => Executor::ranks(ranks),
+        };
+        generate_on(cfg, Some(pre), executor, &pool)
     })
 }
 

@@ -24,17 +24,16 @@ pub use adapt::{
     adapt, adapt_with_runner, mesh_digest_hex, metric_digest_hex, AdaptOptions, AdaptResult,
     CycleReport,
 };
+pub use adm_mpirt::Executor;
 pub use config::{default_merge_threads, MeshConfig};
 pub use hash::{sha256_hex, Sha256};
 pub use inviscid::{build_sizing, refine_nearbody, refine_region};
 pub use merge::{check_conformity, merge_tree_spliced, Conformity, MeshMerger};
 pub use pipeline::{
-    build_prelude, generate, generate_parallel, generate_parallel_staged,
-    generate_staged_with_pool, generate_undecomposed, GeomPrelude, PipelineResult, PipelineStats,
+    build_prelude, generate, generate_on, generate_parallel, generate_staged_with_pool,
+    generate_undecomposed, GeomPrelude, PipelineResult, PipelineStats,
 };
-pub use pslg_pipeline::{
-    mesh_pslg, mesh_pslg_parallel, mesh_pslg_sharded, PslgMeshError, PslgMeshResult,
-};
+pub use pslg_pipeline::{mesh_pslg, mesh_pslg_on, PslgMeshError, PslgMeshResult};
 pub use shard::{
     atomic_write, pairwise_frontier_digest, read_manifest, reconstruct, verify_shards,
     write_manifest, write_shard_set, ConsistencyReport, ShardManifest, ShardMeta, MANIFEST_NAME,

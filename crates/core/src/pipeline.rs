@@ -1,15 +1,18 @@
 //! The push-button pipeline (paper §I): geometry in, mesh out.
 //!
-//! The pipeline is one task tree: a boundary-layer subdomain is split
-//! or triangulated, an inviscid region is decoupled or refined, the
-//! near-body subdomain is refined. Each task is defined once (`step`),
-//! seeded once (`setup`) and its outputs assembled once (`assemble`:
-//! boundary-layer constrain + carve, interface repair, shard set, merge).
-//! Two executors run the tree and differ only in scheduling:
-//! [`generate`] walks it depth-first on the calling thread;
-//! [`generate_parallel`] hands it to `adm-mpirt` ranks under the paper's
-//! dynamic load balancer. Outputs reach the assembly in task-path order
-//! either way, so both produce the same mesh and the same shard set.
+//! One driver, `drive`, runs every front door: set up, run a task tree
+//! on an [`Executor`], write the shard set if asked, reduce the sub-meshes
+//! over the task tree. What differs between front doors is the *plan*
+//! handed to it — a `setup` that fixes the shared state and the seed
+//! tasks, a `step` that runs one task, an `assemble` that turns the
+//! path-ordered task outputs into merge inputs. This module holds the
+//! airfoil plan (a boundary-layer subdomain is split or triangulated, an
+//! inviscid region is decoupled or refined, the near-body subdomain is
+//! refined; assembly constrains + carves the boundary-layer mesh and
+//! repairs its interface) and the undecomposed baseline plan;
+//! `pslg_pipeline` holds the general-PSLG plan. Outputs reach the assembly
+//! in task-path order under either executor, so a plan's mesh and shard
+//! set do not depend on which one ran it.
 
 use crate::blmesh::assemble_bl_mesh;
 use crate::config::MeshConfig;
@@ -18,6 +21,7 @@ use crate::inviscid::{
     refine_nearbody_stamped, refine_region,
 };
 use crate::merge::{check_conformity, merge_tree_spliced};
+use crate::shard::write_shard_set;
 use crate::sizing::ComposedSizing;
 use crate::tasklog::{TaskKind, TaskLog};
 use adm_blayer::{build_multielement_layers, BoundaryLayer};
@@ -26,12 +30,11 @@ use adm_delaunay::mesh::Mesh;
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 use adm_kernel::{GlobalVertexId, MeshArena};
-use adm_mpirt::{
-    run_inline, run_task_tree, BalancerConfig, Pool, Task, ThreadedTransport, Transport,
-    TransportClock, WorkItem,
-};
+use adm_mpirt::{Executor, Pool, Task, WorkItem};
 use adm_partition::{reduction_plan, triangulate_leaf_pooled, DecomposeParams, Subdomain};
 use adm_trace::{Tracer, Track};
+use std::borrow::Cow;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Aggregate numbers for one pipeline run.
@@ -74,12 +77,12 @@ pub struct PipelineResult {
 /// change between adaptation cycles.
 ///
 /// Built once by [`build_prelude`] and handed to
-/// [`generate_staged_with_pool`] / [`generate_parallel_staged`] each
-/// cycle, so the anisotropic layer construction and cloud interning are
+/// [`generate_staged_with_pool`] / [`generate_on`] each cycle, so the anisotropic layer construction and cloud interning are
 /// paid once per adaptation run.
 /// The staged entry points produce byte-identical meshes whether the
 /// prelude is prebuilt or built inline — the cloud and intern order are
 /// the same either way.
+#[derive(Clone)]
 pub struct GeomPrelude {
     /// Per-element anisotropic boundary layers (§II.A–II.C).
     pub layers: Vec<BoundaryLayer>,
@@ -140,11 +143,7 @@ pub fn generate_staged_with_pool(
     prelude: Option<&GeomPrelude>,
     pool: &Pool,
 ) -> PipelineResult {
-    let tracer = Tracer::wall();
-    tracer.name_track(Track::ROOT, "pipeline (sequential)");
-    drive(config, prelude, pool, &tracer, |shared, seeds| {
-        run_inline(seeds, |body| step(body, shared, Track::ROOT))
-    })
+    generate_on(config, prelude, Executor::Inline, pool)
 }
 
 /// Runs the pipeline with the subdomain work — including the recursive
@@ -153,44 +152,60 @@ pub fn generate_staged_with_pool(
 /// [`generate`]: every split/stop decision is per-subdomain and therefore
 /// independent of which rank executes it.
 pub fn generate_parallel(config: &MeshConfig, ranks: usize) -> PipelineResult {
-    assert!(ranks >= 1);
-    generate_parallel_staged(
-        config,
-        Arc::new(ThreadedTransport::new(ranks)),
-        BalancerConfig::default(),
-        None,
-    )
+    let pool = Pool::new(config.merge_threads);
+    generate_on(config, None, Executor::ranks(ranks), &pool)
 }
 
-/// [`generate_parallel`] over an explicit transport — the entry point for
-/// fault-injected chaos runs on [`adm_mpirt::SimTransport`] — and an
-/// optional prebuilt [`GeomPrelude`]. The mesh is schedule-independent:
-/// results are reassembled in task-tree order, so any transport schedule
-/// (and any rank count) yields identical bytes.
-pub fn generate_parallel_staged(
+/// The maximal form of the airfoil front door: the task tree runs on
+/// `executor` (inline, `ranks` threads, or a fault-injected
+/// [`adm_mpirt::SimTransport`] for chaos runs), leaf triangulations and
+/// the merge fork on the caller's `pool`, and a prebuilt [`GeomPrelude`]
+/// is reused when given. The mesh is schedule-independent: results are
+/// reassembled in task-tree order, so any executor, transport schedule and
+/// rank count yields identical bytes. On a virtual-time transport pass
+/// `Pool::new(0)`: wall-clock workers would desynchronize the simulated
+/// clock and with it the replay-stable trace (never the mesh).
+pub fn generate_on(
     config: &MeshConfig,
-    transport: Arc<dyn Transport>,
-    balancer: BalancerConfig,
     prelude: Option<&GeomPrelude>,
+    executor: Executor,
+    pool: &Pool,
 ) -> PipelineResult {
-    // The tracer runs on the transport's clock: wall time on the threaded
-    // transport, virtual time on the simulator — which makes the whole
-    // trace (and its fingerprint) replay-stable under a seeded schedule.
-    let tracer = Tracer::new(Arc::new(TransportClock::new(transport.clone())));
-    tracer.name_track(Track::ROOT, "driver");
-    // Virtual-time transports refuse worker threads (wall-clock workers
-    // would desynchronize the simulated clock), so the pool degrades to
-    // inline mode there — same bytes, replay-stable trace.
-    let pool = Pool::new(if transport.supports_worker_threads() {
-        config.merge_threads
-    } else {
-        0
-    });
-    drive(config, prelude, &pool, &tracer, |shared, seeds| {
-        run_task_tree(transport, balancer, seeds, Some(&tracer), |rank, body| {
-            step(body, shared, Track::rank(rank))
-        })
+    let setup = |tracer: &Tracer| Ok(setup(config, prelude_for(config, prelude, tracer), pool));
+    let assemble = |sh: &Shared, outs| Ok(assemble(&sh.pre, outs));
+    let shard_out = config.shard_out.as_deref();
+    pipeline_result(drive(executor, pool, shard_out, setup, step, assemble))
+}
+
+/// Stage-0 geometry (§II.A–II.C): the caller's prelude, or a fresh one
+/// built under its `phase.bl_build` span. Both have the identical cloud
+/// and intern order, so the mesh bytes cannot depend on which one ran.
+fn prelude_for<'a>(
+    config: &MeshConfig,
+    prelude: Option<&'a GeomPrelude>,
+    tracer: &Tracer,
+) -> Cow<'a, GeomPrelude> {
+    prelude.map(Cow::Borrowed).unwrap_or_else(|| {
+        let _span = tracer.span(Track::ROOT, TaskKind::BlBuild.span_name());
+        Cow::Owned(build_prelude(config))
     })
+}
+
+/// Completes the airfoil plans' stats with what only the driver knows.
+fn pipeline_result(driven: std::io::Result<Driven<PipelineStats>>) -> PipelineResult {
+    let d = driven.expect("sharded output failed");
+    let stats = PipelineStats {
+        total_triangles: d.mesh.num_triangles(),
+        total_vertices: d.mesh.num_vertices(),
+        total_s: d.total_s,
+        ..d.stats
+    };
+    PipelineResult {
+        mesh: d.mesh,
+        log: d.log,
+        stats,
+        trace: d.trace,
+    }
 }
 
 /// One node of the pipeline's task tree. Decomposition and decoupling
@@ -246,7 +261,7 @@ enum TaskOut {
 /// Everything tasks and the assembly read but never write, fixed by
 /// [`setup`] before the first task runs.
 struct Shared<'a> {
-    pre: &'a GeomPrelude,
+    pre: Cow<'a, GeomPrelude>,
     /// Near-body outer rectangle border and its ids on top of `pre.arena`.
     rect: Vec<Point2>,
     rect_ids: Vec<GlobalVertexId>,
@@ -260,7 +275,6 @@ struct Shared<'a> {
     bl_params: DecomposeParams,
     /// Forks leaf triangulations and the merge reduction.
     pool: &'a Pool,
-    tracer: &'a Tracer,
 }
 
 /// The pipeline's sizing field for `config` around `outer_borders`. With
@@ -277,14 +291,22 @@ fn composed_sizing(config: &MeshConfig, outer_borders: &[Vec<Point2>]) -> Compos
     )
 }
 
+/// Seeds at the one-byte paths `[0]`, `[1]`, ….
+fn seed_tasks(bodies: Vec<TaskBody>) -> Vec<Task<TaskBody>> {
+    let seed = |(i, body)| Task {
+        path: vec![i as u8],
+        body,
+    };
+    bodies.into_iter().enumerate().map(seed).collect()
+}
+
 /// Fixes the shared geometry and the seed tasks: the undecomposed
 /// boundary-layer root, the four quadrants and the near-body region, at
 /// paths `[0]`..`[5]`. Everything else is created by [`step`].
 fn setup<'a>(
     config: &MeshConfig,
-    pre: &'a GeomPrelude,
+    pre: Cow<'a, GeomPrelude>,
     pool: &'a Pool,
-    tracer: &'a Tracer,
 ) -> (Shared<'a>, Vec<Task<TaskBody>>) {
     let sizing = composed_sizing(config, &pre.outer_borders);
     let mut bbox = Aabb::empty();
@@ -324,14 +346,7 @@ fn setup<'a>(
             .map(|q| TaskBody::region(q, &sizing)),
     );
     bodies.push(TaskBody::NearBody);
-    let seeds = bodies
-        .into_iter()
-        .enumerate()
-        .map(|(i, body)| Task {
-            path: vec![i as u8],
-            body,
-        })
-        .collect();
+    let seeds = seed_tasks(bodies);
 
     let shared = Shared {
         pre,
@@ -342,7 +357,6 @@ fn setup<'a>(
         threshold,
         bl_params: DecomposeParams::for_subdomain_count(config.bl_subdomains),
         pool,
-        tracer,
     };
     (shared, seeds)
 }
@@ -350,24 +364,28 @@ fn setup<'a>(
 /// Closes a leaf task's span with what a work transfer of it would move
 /// (16 bytes per input point) and what it produced; `TaskLog` reads both
 /// back.
-fn close_leaf(span: adm_trace::SpanGuard, points: usize, triangles: usize) {
+pub(crate) fn close_leaf(span: adm_trace::SpanGuard, points: usize, triangles: usize) {
     span.close_with(&[
         ("bytes", (points * 16) as u64),
         ("triangles", triangles as u64),
     ]);
 }
 
+/// Triangulates one boundary-layer leaf under its task span.
+fn triangulate_bl_leaf(leaf: &Subdomain, pool: &Pool, tracer: &Tracer, track: Track) -> TaskOut {
+    let span = tracer.span(track, TaskKind::BlTriangulate.span_name());
+    let tris = triangulate_leaf_pooled(leaf, pool);
+    close_leaf(span, leaf.len(), tris.len());
+    TaskOut::BlTris(tris)
+}
+
 /// Runs one task: returns its output and the children it split into.
 /// Every split/stop decision reads the task and [`Shared`] only, so the
 /// tree is the same under any executor; spans go to `track`.
-fn step(body: TaskBody, sh: &Shared, track: Track) -> (TaskOut, Vec<TaskBody>) {
-    let tr = sh.tracer;
+fn step(sh: &Shared, body: TaskBody, tr: &Tracer, track: Track) -> (TaskOut, Vec<TaskBody>) {
     match body {
         TaskBody::Bl(leaf) if sh.bl_params.is_leaf(&leaf) => {
-            let span = tr.span(track, TaskKind::BlTriangulate.span_name());
-            let tris = triangulate_leaf_pooled(&leaf, sh.pool);
-            close_leaf(span, leaf.len(), tris.len());
-            (TaskOut::BlTris(tris), Vec::new())
+            (triangulate_bl_leaf(&leaf, sh.pool, tr, track), Vec::new())
         }
         TaskBody::Bl(mut sub) => {
             let span = tr.span(track, TaskKind::Decompose.span_name());
@@ -413,21 +431,16 @@ fn step(body: TaskBody, sh: &Shared, track: Track) -> (TaskOut, Vec<TaskBody>) {
     }
 }
 
-/// Turns the path-ordered task outputs into the global mesh: assemble
-/// the boundary-layer mesh from its leaves, repair its interface against
-/// the near-body mesh, stream the merge inputs to `shard_out` when set,
-/// and reduce them over the task tree. `total_s` is left for the caller.
+/// The airfoil plans' assembly: the boundary-layer mesh from its leaves,
+/// its interface repaired against the near-body mesh, then every sub-mesh
+/// in task-path order. The merged-mesh totals and `total_s` are left for
+/// [`pipeline_result`].
 fn assemble(
     pre: &GeomPrelude,
-    pool: &Pool,
-    tracer: &Tracer,
     outs: Vec<(Vec<u8>, TaskOut)>,
-    shard_out: Option<&std::path::Path>,
-) -> (Mesh, PipelineStats) {
+) -> (Vec<(Vec<u8>, Mesh)>, PipelineStats) {
     let mut leaf_tris: Vec<Vec<[u32; 3]>> = Vec::new();
-    // Sub-meshes keep their task path: the merge below reduces them over
-    // the task tree itself, so sibling subtrees can merge independently.
-    let mut subs: Vec<(Vec<u8>, Box<Mesh>)> = Vec::new();
+    let mut inputs = Vec::new();
     let mut nearbody = None;
     let mut border_splits = 0;
     for (path, out) in outs {
@@ -435,12 +448,12 @@ fn assemble(
             TaskOut::BlTris(tris) => leaf_tris.push(tris),
             TaskOut::Region(mesh, splits) => {
                 border_splits += splits;
-                subs.push((path, mesh));
+                inputs.push((path, *mesh));
             }
             TaskOut::NearBody(mesh, splits) => {
                 border_splits += splits;
-                nearbody = Some(subs.len());
-                subs.push((path, mesh));
+                nearbody = Some(inputs.len());
+                inputs.push((path, *mesh));
             }
             TaskOut::Split => {}
         }
@@ -452,56 +465,53 @@ fn assemble(
     // same splits are applied to the boundary-layer side so the union
     // stays conforming. Only the near-body mesh touches that border —
     // the decoupled regions lie outside the near-body rectangle.
-    let nearbody = &subs[nearbody.expect("every run refines the near body")].1;
+    let nearbody = &inputs[nearbody.expect("every run refines the near body")].1;
     let propagated = propagate_interface_splits(&mut bl_mesh, nearbody, &pre.outer_borders);
-
-    // Merge inputs in task-path order. The boundary-layer mesh takes the
-    // path `[0]` (its seed task's slot, which only ever emits triangles,
-    // never a sub-mesh), so it sorts before every region and near-body
-    // result.
-    const BL_PATH: &[u8] = &[0];
-    let inputs: Vec<(&[u8], &Mesh)> = std::iter::once((BL_PATH, &bl_mesh))
-        .chain(subs.iter().map(|(p, m)| (p.as_slice(), &**m)))
-        .collect();
-    // Distributed output: the shard set *is* the merge's input
-    // decomposition, so `shard-cat` can replay the reduction offline.
-    // Shards are keyed by task path, so the set (and the manifest bytes)
-    // are identical under every executor, rank count and schedule.
-    if let Some(dir) = shard_out {
-        let span = tracer.span(Track::ROOT, "phase.shard_write");
-        crate::shard::write_shard_set(dir, &inputs, Some(tracer)).expect("sharded output failed");
-        span.close();
-    }
-    let (paths, meshes): (Vec<&[u8]>, Vec<&Mesh>) = inputs.into_iter().unzip();
-    // A balanced in-order plan over an associative absorb: bitwise equal
-    // to the sequential left fold at any pool width.
-    let merger = merge_tree_spliced(&meshes, &reduction_plan(&paths), pool, Some(tracer));
-    let mesh = merger.finish();
-    check_conformity(&mesh);
 
     let stats = PipelineStats {
         bl_points: pre.cloud.len(),
         bl_triangles: bl_mesh.num_triangles(),
-        inviscid_triangles: subs.iter().map(|(_, m)| m.num_triangles()).sum(),
-        total_triangles: mesh.num_triangles(),
-        total_vertices: mesh.num_vertices(),
+        inviscid_triangles: inputs.iter().map(|(_, m)| m.num_triangles()).sum(),
         border_splits: border_splits - propagated.min(border_splits),
-        total_s: 0.0,
+        ..Default::default()
     };
-    (mesh, stats)
+    // The boundary-layer mesh takes the path `[0]` (its seed task's slot,
+    // which only ever emits triangles, never a sub-mesh), so it sorts
+    // before every region and near-body result.
+    inputs.insert(0, (vec![0], bl_mesh));
+    (inputs, stats)
 }
 
-/// The one driver behind every `generate*` entry point: setup, then
-/// `execute` runs the task tree and returns its outputs in path order,
-/// then assembly. The three phases are the depth-1 children of the root
-/// `pipeline` span on the driver lane.
-fn drive(
-    config: &MeshConfig,
-    prelude: Option<&GeomPrelude>,
+/// What [`drive`] hands back: the merged mesh, the plan's own stats, the
+/// task log, the run's trace and its wall (or virtual) seconds.
+pub(crate) struct Driven<T> {
+    pub mesh: Mesh,
+    pub stats: T,
+    pub log: TaskLog,
+    pub trace: Tracer,
+    pub total_s: f64,
+}
+
+/// The one driver behind every front door. `setup` fixes the plan's
+/// shared state and seed tasks; `executor` runs `step` over the tree and
+/// returns the outputs in path order; `assemble` turns them into the
+/// merge inputs (ascending task path) plus the plan's stats. The driver
+/// owns the rest: the tracer (on the executor's clock, handed to every
+/// plan function), the root `pipeline` span and its three phase children
+/// on the driver lane, the shard set, the reduction over the task tree on
+/// `pool`, the conformity check, the task log. A plan's error ends the
+/// run before anything is written.
+pub(crate) fn drive<S: Sync, B: WorkItem, O: Send + 'static, T, E: From<std::io::Error>>(
+    executor: Executor,
     pool: &Pool,
-    tracer: &Tracer,
-    execute: impl FnOnce(&Shared, Vec<Task<TaskBody>>) -> Vec<(Vec<u8>, TaskOut)>,
-) -> PipelineResult {
+    shard_out: Option<&Path>,
+    setup: impl FnOnce(&Tracer) -> Result<(S, Vec<Task<B>>), E>,
+    step: impl Fn(&S, B, &Tracer, Track) -> (O, Vec<B>) + Sync,
+    assemble: impl FnOnce(&S, Vec<(Vec<u8>, O)>) -> Result<(Vec<(Vec<u8>, Mesh)>, T), E>,
+) -> Result<Driven<T>, E> {
+    let trace = executor.tracer();
+    let tracer = &trace;
+    tracer.name_track(Track::ROOT, "driver");
     let t0 = tracer.now();
     let root = tracer.span(Track::ROOT, "pipeline");
     // The run's `merge.steals` counter is the *delta* of the pool's steal
@@ -510,98 +520,84 @@ fn drive(
     let steals_before = pool.steals();
 
     let span = tracer.span(Track::ROOT, "phase.setup");
-    // Stage-0 geometry (§II.A–II.C) comes from the prelude when one is
-    // supplied; the fresh build produces the identical cloud and intern
-    // order, so the mesh bytes cannot depend on which branch ran.
-    let built;
-    let pre = match prelude {
-        Some(pre) => pre,
-        None => {
-            let span = tracer.span(Track::ROOT, TaskKind::BlBuild.span_name());
-            built = build_prelude(config);
-            span.close();
-            &built
-        }
-    };
-    let (shared, seeds) = setup(config, pre, pool, tracer);
+    let (shared, seeds) = setup(tracer)?;
     span.close();
 
     let span = tracer.span(Track::ROOT, "phase.parallel_mesh");
-    let outs = execute(&shared, seeds);
+    let outs = executor.run(seeds, tracer, |body, track| {
+        step(&shared, body, tracer, track)
+    });
     span.close();
 
     let span = tracer.span(Track::ROOT, TaskKind::Merge.span_name());
-    let (mesh, mut stats) = assemble(pre, pool, tracer, outs, config.shard_out.as_deref());
+    let (inputs, stats) = assemble(&shared, outs)?;
+    let inputs: Vec<(&[u8], &Mesh)> = inputs.iter().map(|(p, m)| (p.as_slice(), m)).collect();
+    // Distributed output: the shard set *is* the merge's input
+    // decomposition, so `shard-cat` can replay the reduction offline.
+    // Shards are keyed by task path, so the set (and the manifest bytes)
+    // are identical under every executor, rank count and schedule.
+    if let Some(dir) = shard_out {
+        let span = tracer.span(Track::ROOT, "phase.shard_write");
+        write_shard_set(dir, &inputs, Some(tracer))?;
+        span.close();
+    }
+    let (paths, meshes): (Vec<&[u8]>, Vec<&Mesh>) = inputs.into_iter().unzip();
+    // The sub-meshes reduce over the task tree itself, so sibling subtrees
+    // merge independently: a balanced in-order plan over an associative
+    // absorb, bitwise equal to the sequential left fold at any pool width.
+    let mesh = merge_tree_spliced(&meshes, &reduction_plan(&paths), pool, Some(tracer)).finish();
+    check_conformity(&mesh);
     span.close_with(&[("triangles", mesh.num_triangles() as u64)]);
     tracer.count("merge.steals", pool.steals() - steals_before);
     root.close();
 
-    stats.total_s = (tracer.now() - t0).as_secs_f64();
-    PipelineResult {
+    Ok(Driven {
         mesh,
+        stats,
         // The task log is a view over the trace: every per-task span
         // recorded on any lane becomes one record.
         log: TaskLog::from_trace(tracer),
-        stats,
-        trace: tracer.clone(),
-    }
+        total_s: (tracer.now() - t0).as_secs_f64(),
+        trace,
+    })
 }
 
 /// Sequential single-triangulator baseline: meshes the *same* domain as
 /// one constrained refinement problem without any decomposition or
 /// decoupling, mimicking "plain Triangle" for the sequential-efficiency
-/// comparison (§IV: 196 s vs 192 s). Uses the identical boundary layer
-/// and sizing so the work is comparable.
+/// comparison (§IV: 196 s vs 192 s). Uses the identical boundary layer,
+/// sizing and assembly (interface repair included, under `phase.merge`),
+/// so the work is comparable and the sequential-efficiency table can
+/// exclude merge symmetrically on both sides of its ratio.
 pub fn generate_undecomposed(config: &MeshConfig) -> PipelineResult {
-    let tracer = Tracer::wall();
-    tracer.name_track(Track::ROOT, "pipeline (undecomposed)");
-    let t0 = tracer.now();
-    let root = tracer.span(Track::ROOT, "pipeline");
-    let span = tracer.span(Track::ROOT, TaskKind::BlBuild.span_name());
-    let pre = build_prelude(config);
-    span.close();
-
-    // The whole cloud as one leaf.
+    type Shared = (GeomPrelude, ComposedSizing);
     let pool = Pool::new(config.merge_threads);
-    let span = tracer.span(Track::ROOT, TaskKind::BlTriangulate.span_name());
-    let tris =
-        triangulate_leaf_pooled(&Subdomain::root_with_ids(&pre.cloud, &pre.cloud_ids), &pool);
-    close_leaf(span, pre.cloud.len(), tris.len());
-
-    // One big inviscid region: far-field rectangle with the BL outer
-    // borders as holes — no quadrants, no decoupling.
-    let sizing = composed_sizing(config, &pre.outer_borders);
-    let f = &config.pslg.farfield;
-    let rect = [
-        f.min,
-        Point2::new(f.max.x, f.min.y),
-        f.max,
-        Point2::new(f.min.x, f.max.y),
-    ];
-    let span = tracer.span(Track::ROOT, TaskKind::InviscidRefine.span_name());
-    let (inviscid, rstats) = refine_nearbody(&rect, &pre.outer_borders, &pre.hole_seeds, &sizing);
-    rstats.publish(&tracer);
-    span.close_with(&[("triangles", inviscid.num_triangles() as u64)]);
-
-    // The same assembly as [`generate`], measured under `phase.merge`
-    // (interface repair included), so the sequential-efficiency table can
-    // exclude merge symmetrically on both sides of its ratio.
-    let span = tracer.span(Track::ROOT, TaskKind::Merge.span_name());
-    // No split count: the far-field rectangle's segments are this
-    // region's own to split, not a border shared with another subdomain.
-    let outs = vec![
-        (vec![0], TaskOut::BlTris(tris)),
-        (vec![1], TaskOut::NearBody(Box::new(inviscid), 0)),
-    ];
-    let (mesh, mut stats) = assemble(&pre, &pool, &tracer, outs, None);
-    span.close_with(&[("triangles", mesh.num_triangles() as u64)]);
-    root.close();
-
-    stats.total_s = (tracer.now() - t0).as_secs_f64();
-    PipelineResult {
-        mesh,
-        log: TaskLog::from_trace(&tracer),
-        stats,
-        trace: tracer,
-    }
+    // Two seeds: the whole cloud as one leaf, and one big inviscid region —
+    // the far-field rectangle with the boundary-layer outer borders as
+    // holes; no quadrants, no decoupling.
+    let setup = |tracer: &Tracer| {
+        let pre = prelude_for(config, None, tracer).into_owned();
+        let root = Subdomain::root_with_ids(&pre.cloud, &pre.cloud_ids);
+        let seeds = seed_tasks(vec![TaskBody::Bl(Box::new(root)), TaskBody::NearBody]);
+        let sizing = composed_sizing(config, &pre.outer_borders);
+        Ok(((pre, sizing), seeds))
+    };
+    let step = |(pre, sizing): &Shared, body, tracer: &Tracer, track| match body {
+        TaskBody::Bl(leaf) => (triangulate_bl_leaf(&leaf, &pool, tracer, track), vec![]),
+        _ => {
+            let f = &config.pslg.farfield;
+            let (ll, ur) = (f.min, f.max);
+            let rect = [ll, Point2::new(ur.x, ll.y), ur, Point2::new(ll.x, ur.y)];
+            let span = tracer.span(track, TaskKind::InviscidRefine.span_name());
+            let (mesh, stats) = refine_nearbody(&rect, &pre.outer_borders, &pre.hole_seeds, sizing);
+            stats.publish(tracer);
+            span.close_with(&[("triangles", mesh.num_triangles() as u64)]);
+            // No split count: the far-field rectangle's segments are this
+            // region's own to split, not a border shared with another
+            // subdomain.
+            (TaskOut::NearBody(Box::new(mesh), 0), vec![])
+        }
+    };
+    let assemble = |(pre, _): &Shared, outs| Ok(assemble(pre, outs));
+    pipeline_result(drive(Executor::Inline, &pool, None, setup, step, assemble))
 }

@@ -1,5 +1,6 @@
 //! General PSLG front door: validate → CDT → carve → per-component
-//! refinement → spliced merge.
+//! refinement → spliced merge — the PSLG plan of [`crate::pipeline`]'s
+//! driver.
 //!
 //! Non-airfoil domains enter here: an arbitrary multi-part
 //! [`Pslg`] (closed loops, holes, open constraint chains) is admitted by
@@ -7,30 +8,33 @@
 //! semantics, split into connected components (one per part — that is
 //! the natural decomposition a multi-part domain already carries), each
 //! component Ruppert-refined against a pluggable [`SizingFn`], and the
-//! results spliced back through the same arena-identity merge machinery
-//! the airfoil pipeline uses. [`mesh_pslg_parallel`] distributes the
-//! per-component refinements over `adm-mpirt` ranks under the dynamic
-//! load balancer; results are reassembled in task-path order, so the
-//! serial and parallel paths produce bitwise-identical meshes — the
-//! fuzz harness and the system tests gate on that digest equality.
+//! results spliced back by the same driver, merge tail and shard writer
+//! the airfoil pipeline uses. The components are a flat task tree:
+//! [`mesh_pslg`] runs it inline, [`mesh_pslg_on`] on whatever
+//! [`Executor`] it is given (`adm-mpirt` ranks under the dynamic load
+//! balancer, or the fault-injecting simulator). Results are reassembled
+//! in task-path order, so every executor produces the bitwise-identical
+//! mesh — the fuzz harness and the system tests gate on that digest
+//! equality.
 //!
 //! Termination is a *contract*, not a hope: refinement runs under
 //! [`RefineParams::max_insertions`], and exhausting the budget surfaces
 //! as [`PslgMeshError::BudgetExhausted`] instead of a silently
 //! truncated mesh.
 
-use crate::merge::{check_conformity, merge_tree_spliced};
+use crate::pipeline::{close_leaf, drive};
 use crate::sizing::SizingFn;
+use crate::tasklog::{TaskKind, TaskLog};
 use adm_delaunay::cdt::{carve, constrained_delaunay, CdtError};
 use adm_delaunay::mesh::{Mesh, NIL};
 use adm_delaunay::refine::{refine, RefineParams, RefineStats};
 use adm_geom::point::Point2;
 use adm_geom::pslg::{Pslg, PslgError, RepairReport};
 use adm_kernel::{GlobalVertexId, MeshArena};
-use adm_mpirt::{run_task_tree, BalancerConfig, Pool, Task, ThreadedTransport, WorkItem};
-use adm_partition::reduction_plan;
+use adm_mpirt::{Executor, Pool, Task, WorkItem};
+use adm_trace::Tracer;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::path::Path;
 
 /// Why a PSLG meshing run produced no mesh.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +53,14 @@ pub enum PslgMeshError {
         /// Number of components whose refinement was cut short.
         components: usize,
     },
+    /// The carved domain has more connected components than two-byte
+    /// task paths (and therefore shard names) can tell apart.
+    TooManyComponents {
+        /// Components the domain split into.
+        count: usize,
+        /// The most the path format can key.
+        cap: usize,
+    },
     /// Sharded output failed to write (message of the underlying
     /// `std::io::Error`).
     Io(String),
@@ -66,6 +78,9 @@ impl std::fmt::Display for PslgMeshError {
                     "refinement budget exhausted in {components} component(s)"
                 )
             }
+            PslgMeshError::TooManyComponents { count, cap } => {
+                write!(f, "{count} components, at most {cap} supported")
+            }
             PslgMeshError::Io(msg) => write!(f, "sharded output failed: {msg}"),
         }
     }
@@ -79,6 +94,12 @@ impl From<PslgError> for PslgMeshError {
     }
 }
 
+impl From<std::io::Error> for PslgMeshError {
+    fn from(e: std::io::Error) -> Self {
+        PslgMeshError::Io(e.to_string())
+    }
+}
+
 /// Output of a PSLG meshing run.
 pub struct PslgMeshResult {
     /// The merged, conforming mesh.
@@ -89,21 +110,19 @@ pub struct PslgMeshResult {
     pub refine_stats: RefineStats,
     /// Connected components the carved domain split into.
     pub components: usize,
+    /// One record per refined component.
+    pub log: TaskLog,
+    /// The full trace of the run: phase/task spans plus the refinement
+    /// and merge counters. Export with `adm_trace::chrome`.
+    pub trace: Tracer,
 }
 
-/// The domain after admission, carving, and component splitting — the
-/// input both the serial and the parallel drivers refine and merge.
-struct PslgWork {
-    /// One boundary-constrained, arena-stamped mesh per component.
-    components: Vec<Mesh>,
-    report: RepairReport,
-}
-
-/// Validate → CDT → carve → split. Deterministic: the CDT is
-/// deterministic, component ids are assigned in live-slot order, and
-/// component-local vertex order is first-encounter over slot-sorted
-/// triangles.
-fn prepare(pslg: &Pslg) -> Result<PslgWork, PslgMeshError> {
+/// Validate → CDT → carve → split: one boundary-constrained,
+/// arena-stamped mesh per component, plus what validation repaired.
+/// Deterministic: the CDT is deterministic, component ids are assigned in
+/// live-slot order, and component-local vertex order is first-encounter
+/// over slot-sorted triangles.
+fn prepare(pslg: &Pslg) -> Result<(Vec<Mesh>, RepairReport), PslgMeshError> {
     let valid = pslg.validate()?;
     let (mut cdt, _map) = constrained_delaunay(&valid.pslg.points, &valid.pslg.segments, false)
         .map_err(PslgMeshError::Cdt)?;
@@ -116,11 +135,7 @@ fn prepare(pslg: &Pslg) -> Result<PslgWork, PslgMeshError> {
     let points = cdt.points();
     let mut arena = MeshArena::with_capacity(points.len());
     let ids = arena.intern_all(&points);
-    let components = split_components(&cdt, &ids);
-    Ok(PslgWork {
-        components,
-        report: valid.report,
-    })
+    Ok((split_components(&cdt, &ids), valid.report))
 }
 
 /// Splits the carved mesh into triangle-adjacency components, each
@@ -189,160 +204,108 @@ fn split_components(parent: &Mesh, ids: &[GlobalVertexId]) -> Vec<Mesh> {
         .collect()
 }
 
-/// Refines one component in place against the sizing function.
-fn refine_component(m: &mut Mesh, sizing: &dyn SizingFn, params: &RefineParams) -> RefineStats {
-    let area = |p: Point2| sizing.target_area(p);
-    refine(m, Some(&area), params)
-}
-
-/// Splices refined components back together in component order.
-fn merge_components(components: &[Mesh]) -> Mesh {
-    let refs: Vec<&Mesh> = components.iter().collect();
-    let paths: Vec<[u8; 2]> = (0..components.len() as u16)
-        .map(|i| i.to_be_bytes())
-        .collect();
-    let path_refs: Vec<&[u8]> = paths.iter().map(|p| p.as_slice()).collect();
-    let plan = reduction_plan(&path_refs);
-    let pool = Pool::new(0);
-    let mesh = merge_tree_spliced(&refs, &plan, &pool, None).finish();
-    check_conformity(&mesh);
-    mesh
-}
-
-fn collect(
-    components: Vec<Mesh>,
-    stats: RefineStats,
-    capped: usize,
-    report: RepairReport,
-) -> Result<PslgMeshResult, PslgMeshError> {
-    if capped > 0 {
-        return Err(PslgMeshError::BudgetExhausted { components: capped });
-    }
-    let n = components.len();
-    Ok(PslgMeshResult {
-        mesh: merge_components(&components),
-        report,
-        refine_stats: stats,
-        components: n,
-    })
-}
-
-/// Meshes a general PSLG sequentially.
-pub fn mesh_pslg(
-    pslg: &Pslg,
-    sizing: &dyn SizingFn,
-    params: &RefineParams,
-) -> Result<PslgMeshResult, PslgMeshError> {
-    let mut work = prepare(pslg)?;
-    let mut stats = RefineStats::default();
-    let mut capped = 0;
-    for m in &mut work.components {
-        let s = refine_component(m, sizing, params);
-        capped += usize::from(s.hit_cap);
-        stats.absorb(&s);
-    }
-    collect(work.components, stats, capped, work.report)
-}
-
-/// One per-component refinement task for the dynamic load balancer.
+/// One per-component refinement task.
 #[derive(Clone)]
-struct RefineTask(Box<Mesh>);
+struct Component(Box<Mesh>);
 
-impl WorkItem for RefineTask {
+impl WorkItem for Component {
     fn cost(&self) -> u64 {
         self.0.num_triangles() as u64
     }
 }
 
-/// Meshes a general PSLG with the per-component refinements executed on
-/// `ranks` mpirt ranks under the dynamic load balancer. Bitwise-identical
-/// to [`mesh_pslg`]: refinement is per-component deterministic and the
-/// merge reassembles results in component order regardless of which rank
-/// ran what.
-pub fn mesh_pslg_parallel(
-    pslg: &Pslg,
-    sizing: &dyn SizingFn,
-    params: &RefineParams,
-    ranks: usize,
-) -> Result<PslgMeshResult, PslgMeshError> {
-    let (components, stats, capped, report) =
-        refine_components_parallel(pslg, sizing, params, ranks)?;
-    collect(components, stats, capped, report)
-}
+/// The most components two path bytes can key.
+const MAX_COMPONENTS: usize = 1 << 16;
 
-/// [`mesh_pslg_parallel`] with distributed output: the refined
-/// components are streamed to per-component shards in `dir` (keyed by
-/// component index — the same path order `merge_components` reduces
-/// over) before the in-process merge, and the returned manifest names
-/// them. `shard-cat` reconstructs the identical mesh from `dir` alone.
-pub fn mesh_pslg_sharded(
-    pslg: &Pslg,
-    sizing: &dyn SizingFn,
-    params: &RefineParams,
-    ranks: usize,
-    dir: &std::path::Path,
-) -> Result<(PslgMeshResult, crate::shard::ShardManifest), PslgMeshError> {
-    let (components, stats, capped, report) =
-        refine_components_parallel(pslg, sizing, params, ranks)?;
-    if capped > 0 {
-        // Never publish shards of a truncated refinement.
-        return Err(PslgMeshError::BudgetExhausted { components: capped });
+/// The task path of each of `count` components: its index as two
+/// big-endian bytes, which is also what names its shard.
+fn component_paths(count: usize) -> Result<impl Iterator<Item = Vec<u8>>, PslgMeshError> {
+    if count > MAX_COMPONENTS {
+        return Err(PslgMeshError::TooManyComponents {
+            count,
+            cap: MAX_COMPONENTS,
+        });
     }
-    let paths: Vec<[u8; 2]> = (0..components.len() as u16)
-        .map(|i| i.to_be_bytes())
-        .collect();
-    let inputs: Vec<(&[u8], &Mesh)> = paths
-        .iter()
-        .map(|p| p.as_slice())
-        .zip(components.iter())
-        .collect();
-    let manifest = crate::shard::write_shard_set(dir, &inputs, None)
-        .map_err(|e| PslgMeshError::Io(e.to_string()))?;
-    let result = collect(components, stats, capped, report)?;
-    Ok((result, manifest))
+    Ok((0..=u16::MAX).take(count).map(|i| i.to_be_bytes().to_vec()))
 }
 
-/// The shared body of the parallel drivers: refine every component on
-/// `ranks` ranks and return them in canonical component order.
-fn refine_components_parallel(
+/// Meshes a general PSLG on the calling thread. The merge runs inline
+/// too: a domain has a handful of components, and pool workers measured
+/// 2 % more peak memory on the plate benchmark for no resolved time gain.
+pub fn mesh_pslg(
     pslg: &Pslg,
     sizing: &dyn SizingFn,
     params: &RefineParams,
-    ranks: usize,
-) -> Result<(Vec<Mesh>, RefineStats, usize, RepairReport), PslgMeshError> {
-    assert!(ranks >= 1);
-    let work = prepare(pslg)?;
-    // A flat task tree: one seed per component, keyed by component index
-    // (the order `merge_components` reduces over), no splits.
-    let seeds = work
-        .components
-        .into_iter()
-        .enumerate()
-        .map(|(i, m)| Task {
-            path: (i as u16).to_be_bytes().to_vec(),
-            body: RefineTask(Box::new(m)),
-        })
-        .collect();
-    let refined = run_task_tree(
-        Arc::new(ThreadedTransport::new(ranks)),
-        BalancerConfig::default(),
-        seeds,
-        None,
-        |_rank, RefineTask(mut mesh)| {
-            let stats = refine_component(&mut mesh, sizing, params);
+) -> Result<PslgMeshResult, PslgMeshError> {
+    let pool = Pool::new(0);
+    mesh_pslg_on(pslg, sizing, params, Executor::Inline, &pool, None)
+}
+
+/// [`mesh_pslg`] with the per-component refinements run by `executor`,
+/// the merge forked on the caller's `pool`, and — with `shard_out` — the
+/// refined components streamed to per-component shards (keyed by
+/// component index, the order the merge reduces over) before the
+/// in-process merge; `shard-cat` reconstructs the identical mesh from
+/// that directory alone. A refinement that exhausts its budget publishes
+/// nothing.
+pub fn mesh_pslg_on(
+    pslg: &Pslg,
+    sizing: &dyn SizingFn,
+    params: &RefineParams,
+    executor: Executor,
+    pool: &Pool,
+    shard_out: Option<&Path>,
+) -> Result<PslgMeshResult, PslgMeshError> {
+    let driven = drive(
+        executor,
+        pool,
+        shard_out,
+        |_| {
+            let (components, report) = prepare(pslg)?;
+            // A flat task tree: one seed per component, no splits.
+            let seeds = component_paths(components.len())?
+                .zip(components)
+                .map(|(path, m)| Task {
+                    path,
+                    body: Component(Box::new(m)),
+                })
+                .collect();
+            Ok((report, seeds))
+        },
+        |_, Component(mut mesh), tracer, track| {
+            let span = tracer.span(track, TaskKind::InviscidRefine.span_name());
+            let points = mesh.num_vertices();
+            let area = |p: Point2| sizing.target_area(p);
+            let stats = refine(&mut mesh, Some(&area), params);
+            stats.publish(tracer);
+            close_leaf(span, points, mesh.num_triangles());
             ((mesh, stats), Vec::new())
         },
-    );
-
-    let mut stats = RefineStats::default();
-    let mut capped = 0;
-    let mut components = Vec::with_capacity(refined.len());
-    for (_path, (mesh, s)) in refined {
-        capped += usize::from(s.hit_cap);
-        stats.absorb(&s);
-        components.push(*mesh);
-    }
-    Ok((components, stats, capped, work.report))
+        |&report, outs| {
+            let mut stats = RefineStats::default();
+            let mut capped = 0;
+            let mut components = Vec::with_capacity(outs.len());
+            for (path, (mesh, s)) in outs {
+                capped += usize::from(s.hit_cap);
+                stats.absorb(&s);
+                components.push((path, *mesh));
+            }
+            if capped > 0 {
+                return Err(PslgMeshError::BudgetExhausted { components: capped });
+            }
+            let count = components.len();
+            Ok((components, (report, stats, count)))
+        },
+    )?;
+    let (report, refine_stats, components) = driven.stats;
+    Ok(PslgMeshResult {
+        mesh: driven.mesh,
+        report,
+        refine_stats,
+        components,
+        log: driven.log,
+        trace: driven.trace,
+    })
 }
 
 #[cfg(test)]
@@ -395,8 +358,24 @@ mod tests {
         let serial = mesh_pslg(&pslg, &sizing, &params).unwrap();
         let d0 = digest(&serial.mesh);
         for ranks in [1, 2, 4] {
-            let par = mesh_pslg_parallel(&pslg, &sizing, &params, ranks).unwrap();
+            let exec = Executor::ranks(ranks);
+            let par = mesh_pslg_on(&pslg, &sizing, &params, exec, &Pool::new(0), None).unwrap();
             assert_eq!(digest(&par.mesh), d0, "ranks = {ranks}");
+        }
+    }
+
+    #[test]
+    fn component_count_past_two_path_bytes_is_typed_rejection() {
+        let paths: Vec<_> = component_paths(1 << 16).unwrap().collect();
+        assert_eq!(paths.len(), 1 << 16);
+        assert_eq!(paths[255..257], [vec![0, 255], vec![1, 0]]);
+        assert_eq!(paths.last().unwrap(), &[255, 255]);
+        assert!(paths.windows(2).all(|w| w[0] < w[1]), "paths collide");
+        match component_paths((1 << 16) + 1).map(|_| ()) {
+            Err(PslgMeshError::TooManyComponents { count, cap }) => {
+                assert_eq!((count, cap), (65_537, 65_536));
+            }
+            other => panic!("expected TooManyComponents, got {other:?}"),
         }
     }
 

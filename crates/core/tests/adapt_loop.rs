@@ -10,7 +10,7 @@
 
 use adm_core::adapt::adapt_with_runner;
 use adm_core::{
-    adapt, generate_parallel_staged, generate_staged_with_pool, AdaptOptions, AnchorSet, MeshConfig,
+    adapt, generate_on, generate_staged_with_pool, AdaptOptions, AnchorSet, Executor, MeshConfig,
 };
 use adm_geom::point::Point2;
 use adm_mpirt::{BalancerConfig, FaultPlan, Pool, SimTransport, Transport};
@@ -68,7 +68,8 @@ fn adapt_is_schedule_independent_under_sim_transport() {
         let out = adapt_with_runner(&config, &opts, &mut |cfg, pre| {
             let sim = SimTransport::new(ranks, FaultPlan::chaos(seed));
             let transport: Arc<dyn Transport> = Arc::new(sim);
-            generate_parallel_staged(cfg, transport, BalancerConfig::default(), Some(pre))
+            let executor = Executor::Ranks(transport, BalancerConfig::default());
+            generate_on(cfg, Some(pre), executor, &Pool::new(0))
         });
         let got: Vec<(String, String)> = out
             .cycles

@@ -11,12 +11,15 @@
 //! seeds are printed and dumped as `.poly` under
 //! `ADM_FUZZ_ARTIFACT_DIR`.
 
-use adm_core::{mesh_pslg, mesh_pslg_parallel, sha256_hex, PslgMeshError, UniformH};
+use adm_core::{
+    default_merge_threads, mesh_pslg, mesh_pslg_on, sha256_hex, Executor, PslgMeshError, UniformH,
+};
 use adm_delaunay::io::write_ascii_canonical;
 use adm_delaunay::poly::{write_poly, PolyFile};
 use adm_delaunay::refine::RefineParams;
 use adm_geom::pslg::{Pslg, PslgError};
 use adm_geom::pslg_gen::generate_pslg;
+use adm_mpirt::Pool;
 
 const SEED_BASE: u64 = 1 << 32;
 
@@ -55,6 +58,8 @@ fn fuzz_pipeline_serial_parallel_digests() {
         max_insertions: 200_000,
         ..Default::default()
     };
+    // The merge pool the CI matrix pins through `ADM_MERGE_THREADS`.
+    let pool = Pool::new(default_merge_threads());
     let mut meshed = 0u64;
     let mut rejected = 0u64;
     for seed in SEED_BASE..SEED_BASE + cases {
@@ -81,7 +86,8 @@ fn fuzz_pipeline_serial_parallel_digests() {
         }
         // Parallel equality at several rank counts.
         for ranks in [2, 4] {
-            match mesh_pslg_parallel(&g.pslg, &sizing, &params, ranks) {
+            let exec = Executor::ranks(ranks);
+            match mesh_pslg_on(&g.pslg, &sizing, &params, exec, &pool, None) {
                 Ok(r) if digest(&r.mesh) == d0 => {}
                 Ok(_) => fail(seed, &g.pslg, &format!("{ranks}-rank digest diverged")),
                 Err(e) => fail(seed, &g.pslg, &format!("{ranks}-rank run failed: {e}")),

@@ -5,10 +5,14 @@
 //! A failure prints the `(seed, ranks)` pair; replay it with
 //! `FaultPlan::chaos(seed)` and the same rank count.
 
-use adm_core::{generate, generate_parallel, generate_parallel_staged, sha256_hex, MeshConfig};
+use adm_core::{
+    generate, generate_on, generate_parallel, mesh_pslg, mesh_pslg_on, sha256_hex, Executor,
+    MeshConfig, UniformH,
+};
 use adm_delaunay::io::write_ascii_canonical;
 use adm_delaunay::mesh::Mesh;
-use adm_mpirt::{BalancerConfig, FaultPlan, SimTransport, Transport};
+use adm_delaunay::refine::RefineParams;
+use adm_mpirt::{BalancerConfig, FaultPlan, Pool, SimTransport, Transport};
 use std::sync::Arc;
 
 fn tiny_config() -> MeshConfig {
@@ -27,12 +31,17 @@ fn mesh_sha(mesh: &Mesh) -> String {
     sha256_hex(&buf)
 }
 
+/// `ranks` simulated ranks under the chaos fault schedule of `seed`. Runs
+/// on it take an inline pool: wall-clock workers would race virtual time.
+fn chaos_executor(seed: u64, ranks: usize) -> Executor {
+    let sim: Arc<dyn Transport> = Arc::new(SimTransport::new(ranks, FaultPlan::chaos(seed)));
+    Executor::Ranks(sim, BalancerConfig::default())
+}
+
 /// Runs one fault-injected pipeline and returns the mesh digest plus the
 /// trace fingerprint (spans + metrics recorded under virtual time).
 fn chaos_run(config: &MeshConfig, seed: u64, ranks: usize) -> (String, (u64, u64)) {
-    let sim = SimTransport::new(ranks, FaultPlan::chaos(seed));
-    let transport: Arc<dyn Transport> = Arc::new(sim);
-    let out = generate_parallel_staged(config, transport, BalancerConfig::default(), None);
+    let out = generate_on(config, None, chaos_executor(seed, ranks), &Pool::new(0));
     adm_trace::check_well_formed(&out.trace.snapshot()).expect("malformed pipeline trace");
     (mesh_sha(&out.mesh), out.trace.fingerprint())
 }
@@ -66,6 +75,34 @@ fn threaded_parallel_matches_sequential_sha() {
             "production transport diverged [ranks {ranks}]"
         );
     }
+}
+
+/// The general-PSLG front door runs on the same driver, so it takes the
+/// same fault schedules: multi-component fuzz domains on the simulator
+/// must reproduce the serial digest, with a well-formed trace.
+#[test]
+fn chaos_schedules_produce_bit_identical_pslg_mesh() {
+    let (sizing, params) = (UniformH(0.7), RefineParams::default());
+    let mut multi_component = 0;
+    for seed in 0..6u64 {
+        let pslg = adm_geom::pslg_gen::generate_pslg((1 << 32) + seed).pslg;
+        let Ok(serial) = mesh_pslg(&pslg, &sizing, &params) else {
+            continue; // a planted crossing: rejected before any executor runs
+        };
+        multi_component += usize::from(serial.components > 1);
+        for ranks in [2usize, 4] {
+            let exec = chaos_executor(seed, ranks);
+            let out = mesh_pslg_on(&pslg, &sizing, &params, exec, &Pool::new(0), None)
+                .expect("chaos run meshes what the serial run meshed");
+            adm_trace::check_well_formed(&out.trace.snapshot()).expect("malformed PSLG trace");
+            assert_eq!(
+                mesh_sha(&out.mesh),
+                mesh_sha(&serial.mesh),
+                "PSLG bytes diverged from serial [seed {seed}, ranks {ranks}]"
+            );
+        }
+    }
+    assert!(multi_component >= 2, "sweep balanced nothing");
 }
 
 /// Under the simulated transport the whole run — including every trace
@@ -103,9 +140,7 @@ fn chaos_schedules_produce_identical_shard_sets() {
         let dir = root.join(tag);
         let mut config = tiny_config();
         config.shard_out = Some(dir.clone());
-        let sim = SimTransport::new(ranks, FaultPlan::chaos(seed));
-        let transport: Arc<dyn Transport> = Arc::new(sim);
-        let _ = generate_parallel_staged(&config, transport, BalancerConfig::default(), None);
+        let _ = generate_on(&config, None, chaos_executor(seed, ranks), &Pool::new(0));
         let manifest_bytes =
             std::fs::read(dir.join(adm_core::MANIFEST_NAME)).expect("manifest written");
         let manifest = adm_core::read_manifest(&dir).expect("manifest parses");

@@ -24,11 +24,9 @@ pub mod transport;
 pub mod window;
 
 pub use comm::{comms_for, fabric, run, run_with, Comm, Src};
-pub use loadbalance::{
-    run_rank, run_rank_dynamic_traced, BalancerConfig, Protocol, RankStats, WorkItem, WorkQueue,
-};
+pub use loadbalance::{run_balanced, BalancerConfig, Protocol, RankStats, WorkItem, WorkQueue};
 pub use pool::Pool;
 pub use simfault::{FaultPlan, SimTransport, StallPlan};
-pub use tasktree::{run_inline, run_task_tree, Task};
+pub use tasktree::{Executor, Task};
 pub use transport::{Lane, Payload, RawMsg, ThreadedTransport, Transport, TransportClock};
 pub use window::{Window, WindowHook};

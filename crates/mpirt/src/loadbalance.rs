@@ -82,32 +82,20 @@ impl<W> Ord for QueueItem<W> {
     }
 }
 
-/// The shared work queue of one rank. In *dynamic* workloads the queue
-/// carries a created-items counter on the RMA window so distributed
-/// termination detection ("all created items completed") works while
-/// tasks spawn follow-up tasks on any rank.
+/// The shared work queue of one rank. It carries a created-items counter
+/// on the RMA window so distributed termination detection ("all created
+/// items completed") works while tasks spawn follow-up tasks on any rank.
 pub struct WorkQueue<W> {
     heap: Mutex<(BinaryHeap<QueueItem<W>>, u64)>,
-    counter: Option<(Window, usize)>,
+    counter: (Window, usize),
 }
 
 impl<W: WorkItem> WorkQueue<W> {
-    /// Creates a queue holding `items`.
-    pub fn new(items: Vec<W>) -> Self {
-        Self::build(items, None)
-    }
-
-    /// Creates a queue whose pushes (and these initial items) bump the
-    /// created-items counter at `window[slot]` — required by
-    /// [`run_rank_dynamic_traced`].
+    /// Creates a queue holding `items`, whose pushes (and these initial
+    /// items) bump the created-items counter at `window[slot]` that
+    /// [`run_balanced`] terminates on.
     pub fn with_counter(items: Vec<W>, window: Window, slot: usize) -> Self {
-        Self::build(items, Some((window, slot)))
-    }
-
-    fn build(items: Vec<W>, counter: Option<(Window, usize)>) -> Self {
-        if let Some((w, slot)) = &counter {
-            w.fetch_add(*slot, items.len() as u64);
-        }
+        window.fetch_add(slot, items.len() as u64);
         let mut heap = BinaryHeap::with_capacity(items.len());
         for (seq, item) in items.into_iter().enumerate() {
             heap.push(QueueItem {
@@ -118,23 +106,14 @@ impl<W: WorkItem> WorkQueue<W> {
         }
         WorkQueue {
             heap: Mutex::new((heap, 1 << 32)),
-            counter,
+            counter: (window, slot),
         }
     }
 
-    /// Pushes an item (bumping the created counter in dynamic mode).
+    /// Pushes an item, bumping the created counter.
     pub fn push(&self, item: W) {
-        if let Some((w, slot)) = &self.counter {
-            w.fetch_add(*slot, 1);
-        }
-        let mut g = self.heap.lock().unwrap();
-        let seq = g.1;
-        g.1 += 1;
-        g.0.push(QueueItem {
-            cost: item.cost(),
-            seq,
-            item,
-        });
+        self.counter.0.fetch_add(self.counter.1, 1);
+        self.push_transferred(item);
     }
 
     /// Pushes without counting: for items *transferred* between ranks
@@ -262,28 +241,18 @@ enum Msg<W> {
 
 const LB_TAG: u64 = 0x4C42; // "LB"
 
-/// How the communicators decide all work in the system is finished.
-enum Termination {
-    /// `done >= total` for a statically known item count.
-    Static { total: u64 },
-    /// `created > 0 && done >= created`, with the created-items counter at
-    /// `created_slot` (items may spawn more items on any rank).
-    Dynamic { created_slot: usize },
-}
-
-impl Termination {
-    fn reached(&self, window: &Window, done_slot: usize) -> bool {
-        match self {
-            Termination::Static { total } => window.get(done_slot) >= *total,
-            Termination::Dynamic { created_slot } => {
-                // Read `created` first: a stale-low `created` with a
-                // fresh-high `done` could otherwise fake completion.
-                let created = window.get(*created_slot);
-                let done = window.get(done_slot);
-                created > 0 && done >= created
-            }
-        }
-    }
+/// How the communicators decide all work in the system is finished:
+/// every created item is done, with the completed-items counter at slot
+/// `size` and the created-items counter at `size + 1` (items may spawn
+/// more items on any rank). Only read after [`run_balanced`]'s initial
+/// barrier, when every rank's seed items are counted — so a run with no
+/// items at all is done at once.
+fn all_work_done(window: &Window, size: usize) -> bool {
+    // Read `created` first: a stale-low `created` with a fresh-high `done`
+    // could otherwise fake completion.
+    let created = window.get(size + 1);
+    let done = window.get(size);
+    done >= created
 }
 
 /// An unanswered outbound work request.
@@ -322,7 +291,6 @@ fn communicator_loop<W: WorkItem>(
     comm: &Comm,
     queue: &WorkQueue<W>,
     window: &Window,
-    termination: &Termination,
     cfg: &BalancerConfig,
     busy: &AtomicBool,
     shutdown: &AtomicBool,
@@ -331,7 +299,6 @@ fn communicator_loop<W: WorkItem>(
 ) {
     let rank = comm.rank();
     let size = comm.size();
-    let done_slot = size;
     let hardened = cfg.protocol == Protocol::Hardened;
     // Registry mirror of the RankStats counters, plus the queue-depth and
     // steal-round-trip histograms. All timestamps come from the transport
@@ -534,7 +501,7 @@ fn communicator_loop<W: WorkItem>(
         }
 
         // Global termination check.
-        if termination.reached(window, done_slot) {
+        if all_work_done(window, size) {
             shutdown.store(true, Ordering::Release);
             comm.wake(); // unpark the mesher so it observes shutdown
             return;
@@ -616,12 +583,28 @@ fn communicator_loop<W: WorkItem>(
     }
 }
 
-/// Shared two-thread skeleton of [`run_rank`] / [`run_rank_dynamic_traced`].
-fn run_rank_inner<W, F, R>(
+/// Runs the two-thread balanced processing loop on one rank. `process` is
+/// the mesher body; it may push follow-up work into the queue it is given,
+/// so the total number of items is unknown upfront (the paper's recursive
+/// decomposition/decoupling, where "subdomains are repeatedly decoupled
+/// and sent to other processes").
+///
+/// `window` must have `size + 2` slots: per-rank load estimates, then the
+/// completed-items counter at `size`, then the created-items counter at
+/// `size + 1`, which is where the queue's [`WorkQueue::with_counter`] must
+/// point. Termination: `completed == created`, checked only after an
+/// initial barrier so every rank's seed items are counted.
+///
+/// With a trace recorder, each processed item gets an `lb.task` span on
+/// the rank's mesher lane, and the communicator mirrors its protocol
+/// counters (requests, retries, resends, dedup) plus queue-depth and
+/// steal-round-trip histograms into the registry. All stamps come from
+/// the transport clock, so traces recorded under the simulated transport
+/// are replay-identical per seed.
+pub fn run_balanced<W, F, R>(
     comm: &Comm,
     queue: Arc<WorkQueue<W>>,
     window: Window,
-    termination: Termination,
     cfg: BalancerConfig,
     trace: Option<Tracer>,
     mut process: F,
@@ -633,6 +616,10 @@ where
 {
     let rank = comm.rank();
     let size = comm.size();
+    assert!(window.len() >= size + 2, "the window needs size+2 slots");
+    // All seed items must be registered before anyone can observe
+    // completed == created.
+    comm.barrier();
     let done_slot = size;
     let shutdown = AtomicBool::new(false);
     let busy = AtomicBool::new(false);
@@ -649,8 +636,7 @@ where
         // deterministic; on panic the transport is poisoned so peers
         // unwind instead of hanging.
         let transport = comm.transport().clone();
-        let (comm_r, queue_r, window_r, term_r, cfg_r) =
-            (comm, &queue, &window, &termination, &cfg);
+        let (comm_r, queue_r, window_r, cfg_r) = (comm, &queue, &window, &cfg);
         let (busy_r, shutdown_r, stats_r, trace_r) = (&busy, &shutdown, &stats, &trace);
         let communicator = scope.spawn(move || {
             transport.thread_start(rank, Lane::Helper);
@@ -662,7 +648,6 @@ where
                     comm_r,
                     queue_r,
                     window_r,
-                    term_r,
                     cfg_r,
                     busy_r,
                     shutdown_r,
@@ -719,83 +704,6 @@ where
     (results, s)
 }
 
-/// Runs the two-thread balanced processing loop on one rank. `process` is
-/// the mesher body; it may push follow-up work into the queue it is given.
-/// `total_window` must have `size + 1` slots: one load estimate per rank
-/// plus the completed-items counter in the last slot. `total_items` is the
-/// global number of items that will ever exist.
-pub fn run_rank<W, F, R>(
-    comm: &Comm,
-    queue: Arc<WorkQueue<W>>,
-    window: Window,
-    total_items: u64,
-    cfg: BalancerConfig,
-    process: F,
-) -> (Vec<R>, RankStats)
-where
-    W: WorkItem,
-    F: FnMut(W, &WorkQueue<W>) -> R,
-    R: Send,
-{
-    run_rank_inner(
-        comm,
-        queue,
-        window,
-        Termination::Static { total: total_items },
-        cfg,
-        None,
-        process,
-    )
-}
-
-/// Dynamic-workload variant of [`run_rank`]: the total number of items is
-/// unknown upfront because processing an item may push follow-up items on
-/// any rank (the paper's recursive decomposition/decoupling, where
-/// "subdomains are repeatedly decoupled and sent to other processes").
-///
-/// `window` must have `size + 2` slots: per-rank load estimates, then the
-/// completed-items counter at `size`, then the created-items counter at
-/// `size + 1`. The queue must be built with [`WorkQueue::with_counter`]
-/// pointing at `size + 1`. Termination: `completed == created`, checked
-/// only after the initial barrier so every rank's seed items are counted.
-///
-/// With a trace recorder, each processed item gets an `lb.task` span on
-/// the rank's mesher lane, and the communicator mirrors its protocol
-/// counters (requests, retries, resends, dedup) plus queue-depth and
-/// steal-round-trip histograms into the registry. All stamps come from
-/// the transport clock, so traces recorded under the simulated transport
-/// are replay-identical per seed.
-pub fn run_rank_dynamic_traced<W, F, R>(
-    comm: &Comm,
-    queue: Arc<WorkQueue<W>>,
-    window: Window,
-    cfg: BalancerConfig,
-    trace: Option<Tracer>,
-    process: F,
-) -> (Vec<R>, RankStats)
-where
-    W: WorkItem,
-    F: FnMut(W, &WorkQueue<W>) -> R,
-    R: Send,
-{
-    let size = comm.size();
-    assert!(window.len() >= size + 2, "dynamic mode needs size+2 slots");
-    // All seed items must be registered before anyone can observe
-    // completed == created.
-    comm.barrier();
-    run_rank_inner(
-        comm,
-        queue,
-        window,
-        Termination::Dynamic {
-            created_slot: size + 1,
-        },
-        cfg,
-        trace,
-        process,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,11 +728,12 @@ mod tests {
 
     #[test]
     fn priority_queue_pops_largest_first() {
-        let q = WorkQueue::new(vec![
+        let jobs = vec![
             Job { id: 0, work: 5 },
             Job { id: 1, work: 50 },
             Job { id: 2, work: 20 },
-        ]);
+        ];
+        let q = WorkQueue::with_counter(jobs, Window::new(1), 0);
         assert_eq!(q.load(), 75);
         assert_eq!(q.pop().unwrap().id, 1);
         assert_eq!(q.pop().unwrap().id, 2);
@@ -834,11 +743,8 @@ mod tests {
 
     #[test]
     fn fifo_among_equal_costs() {
-        let q = WorkQueue::new(vec![
-            Job { id: 0, work: 10 },
-            Job { id: 1, work: 10 },
-            Job { id: 2, work: 10 },
-        ]);
+        let jobs = (0..3).map(|id| Job { id, work: 10 }).collect();
+        let q = WorkQueue::with_counter(jobs, Window::new(1), 0);
         assert_eq!(q.pop().unwrap().id, 0);
         assert_eq!(q.pop().unwrap().id, 1);
         assert_eq!(q.pop().unwrap().id, 2);
@@ -848,7 +754,7 @@ mod tests {
     fn skewed_work_is_balanced_across_ranks() {
         const RANKS: usize = 4;
         const ITEMS: usize = 40;
-        let window = Window::new(RANKS + 1);
+        let window = Window::new(RANKS + 2);
         let results = run(RANKS, |comm| {
             // All work starts on rank 0.
             let initial: Vec<Job> = if comm.rank() == 0 {
@@ -856,17 +762,17 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let queue = Arc::new(WorkQueue::new(initial));
-            let (processed, stats) = run_rank(
+            let queue = Arc::new(WorkQueue::with_counter(initial, window.clone(), RANKS + 1));
+            let (processed, stats) = run_balanced(
                 &comm,
                 queue,
                 window.clone(),
-                ITEMS as u64,
                 BalancerConfig {
                     threshold: 100,
                     poll: Duration::from_micros(100),
                     ..BalancerConfig::default()
                 },
+                None,
                 |job, _q| {
                     spin(job.work);
                     job.id
@@ -889,20 +795,20 @@ mod tests {
     fn dynamically_created_work_is_processed() {
         const RANKS: usize = 2;
         // 4 seed items, each spawning 3 children: 16 total.
-        let window = Window::new(RANKS + 1);
+        let window = Window::new(RANKS + 2);
         let results = run(RANKS, |comm| {
             let initial: Vec<Job> = if comm.rank() == 0 {
                 (0..4).map(|id| Job { id, work: 10 }).collect()
             } else {
                 Vec::new()
             };
-            let queue = Arc::new(WorkQueue::new(initial));
-            let (processed, _stats) = run_rank(
+            let queue = Arc::new(WorkQueue::with_counter(initial, window.clone(), RANKS + 1));
+            let (processed, _stats) = run_balanced(
                 &comm,
                 queue,
                 window.clone(),
-                16,
                 BalancerConfig::default(),
+                None,
                 |job, q| {
                     spin(job.work);
                     if job.id < 4 {
@@ -925,20 +831,12 @@ mod tests {
 
     #[test]
     fn single_rank_degenerates_to_sequential() {
-        let window = Window::new(2);
+        let window = Window::new(3);
         let results = run(1, |comm| {
-            let queue = Arc::new(WorkQueue::new(
-                (0..10).map(|id| Job { id, work: 1 }).collect(),
-            ));
-            run_rank(
-                &comm,
-                queue,
-                window.clone(),
-                10,
-                BalancerConfig::default(),
-                |job, _| job.id,
-            )
-            .0
+            let jobs = (0..10).map(|id| Job { id, work: 1 }).collect();
+            let queue = Arc::new(WorkQueue::with_counter(jobs, window.clone(), 2));
+            let cfg = BalancerConfig::default();
+            run_balanced(&comm, queue, window.clone(), cfg, None, |job, _| job.id).0
         });
         assert_eq!(results[0].len(), 10);
     }

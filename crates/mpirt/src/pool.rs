@@ -15,11 +15,10 @@
 //!
 //! `Pool::new(0)` builds an **inline** pool: `join(a, b)` degenerates
 //! to `(a(), b())` on the calling thread with no worker threads, no
-//! queues and no nondeterminism. The pipeline selects this mode when
-//! the transport does not support wall-clock worker threads (see
-//! [`crate::Transport::supports_worker_threads`]), which keeps
-//! virtual-time trace fingerprints replay-identical under
-//! `SimTransport`.
+//! queues and no nondeterminism. Runs on the virtual-time
+//! `SimTransport` pass this mode to the pipeline: wall-clock workers
+//! would race the simulated schedule, and only an inline pool keeps
+//! trace fingerprints replay-identical.
 //!
 //! Determinism contract: the *results* of a `join` tree are always
 //! deterministic (each forked closure writes a dedicated slot); only

@@ -481,12 +481,6 @@ impl Transport for SimTransport {
         Duration::from_nanos(self.core.lock().now)
     }
 
-    /// Virtual time: wall-clock pool workers would race the simulated
-    /// schedule and break replay determinism, so pools must run inline.
-    fn supports_worker_threads(&self) -> bool {
-        false
-    }
-
     fn send(&self, src: usize, dest: usize, tag: u64, payload: Payload) {
         let core = &self.core;
         let me = core.ident();

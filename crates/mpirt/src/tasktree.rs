@@ -5,12 +5,12 @@
 //! paper's "repeatedly decoupled and sent to other processes until all
 //! processes have sufficient work". A task's children are determined by
 //! the task alone, so its *path* (the seed's path followed by the child
-//! index taken at every split) is schedule-independent. Both executors
-//! return outputs keyed and ordered by path; they differ only in who
-//! runs which task when:
+//! index taken at every split) is schedule-independent. Both
+//! [`Executor`]s return outputs keyed and ordered by path; they differ
+//! only in who runs which task when:
 //!
-//! * [`run_inline`] — one thread, depth-first in path order;
-//! * [`run_task_tree`] — one rank per transport endpoint under the
+//! * [`Executor::Inline`] — one thread, depth-first in path order;
+//! * [`Executor::Ranks`] — one rank per transport endpoint under the
 //!   dynamic load balancer, results gathered to rank 0 and path-sorted.
 //!
 //! Anything assembled from the returned list is therefore identical no
@@ -18,9 +18,9 @@
 //! schedule.
 
 use crate::comm::{run_with, Comm, Src};
-use crate::loadbalance::{run_rank_dynamic_traced, BalancerConfig, WorkItem, WorkQueue};
-use crate::transport::Transport;
-use adm_trace::Tracer;
+use crate::loadbalance::{run_balanced, BalancerConfig, WorkItem, WorkQueue};
+use crate::transport::{ThreadedTransport, Transport, TransportClock};
+use adm_trace::{Tracer, Track};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -53,18 +53,66 @@ impl<B: WorkItem> WorkItem for Task<B> {
     }
 }
 
+/// Who runs a task tree. Outputs come back in task-path order from both,
+/// so the choice never shows in anything assembled from them.
+pub enum Executor {
+    /// The calling thread, depth-first.
+    Inline,
+    /// One rank per endpoint of the transport (threads in production,
+    /// [`crate::SimTransport`] under fault injection), under the paper's
+    /// dynamic load balancer.
+    Ranks(Arc<dyn Transport>, BalancerConfig),
+}
+
+impl Executor {
+    /// `ranks` threads on the production transport, default balancer.
+    pub fn ranks(ranks: usize) -> Self {
+        let transport = Arc::new(ThreadedTransport::new(ranks));
+        Executor::Ranks(transport, BalancerConfig::default())
+    }
+
+    /// A tracer on the executor's clock: wall time inline and on threads,
+    /// virtual time on the simulator — which makes the whole trace (and
+    /// its fingerprint) replay-stable under a seeded schedule.
+    pub fn tracer(&self) -> Tracer {
+        match self {
+            Executor::Inline => Tracer::wall(),
+            Executor::Ranks(transport, _) => {
+                Tracer::new(Arc::new(TransportClock::new(transport.clone())))
+            }
+        }
+    }
+
+    /// Runs the tree. `step` is told which lane its spans go to — the
+    /// caller's, or the executing rank's mesher lane; its result must not
+    /// depend on it.
+    pub fn run<B: WorkItem, R: Send + 'static>(
+        self,
+        seeds: Vec<Task<B>>,
+        tracer: &Tracer,
+        step: impl Fn(B, Track) -> (R, Vec<B>) + Sync,
+    ) -> Vec<(Vec<u8>, R)> {
+        match self {
+            Executor::Inline => run_inline(seeds, step),
+            Executor::Ranks(transport, balancer) => {
+                run_task_tree(transport, balancer, seeds, tracer, step)
+            }
+        }
+    }
+}
+
 /// Runs the tree on the calling thread, depth-first. Pre-order over
 /// in-order children *is* lexicographic path order, so the outputs come
 /// out already sorted — no transport, no balancer, no sort.
-pub fn run_inline<B, R>(
+fn run_inline<B, R>(
     seeds: Vec<Task<B>>,
-    mut step: impl FnMut(B) -> (R, Vec<B>),
+    step: impl Fn(B, Track) -> (R, Vec<B>),
 ) -> Vec<(Vec<u8>, R)> {
     let mut outs = Vec::new();
     let mut stack = seeds;
     stack.reverse();
     while let Some(Task { path, body }) = stack.pop() {
-        let (out, children) = step(body);
+        let (out, children) = step(body, Track::ROOT);
         stack.extend(
             children
                 .into_iter()
@@ -81,20 +129,14 @@ pub fn run_inline<B, R>(
 /// balancer: rank 0 starts with every seed, a split pushes its children
 /// back into the local queue (from where the balancer may ship them to
 /// other ranks), and every rank's outputs are gathered to rank 0 and
-/// sorted by path. `step` also receives the executing rank, for trace
-/// lanes only — its result must not depend on it.
-pub fn run_task_tree<B, R, F>(
+/// sorted by path.
+fn run_task_tree<B: WorkItem, R: Send + 'static>(
     transport: Arc<dyn Transport>,
     balancer: BalancerConfig,
     seeds: Vec<Task<B>>,
-    tracer: Option<&Tracer>,
-    step: F,
-) -> Vec<(Vec<u8>, R)>
-where
-    B: WorkItem,
-    R: Send + 'static,
-    F: Fn(usize, B) -> (R, Vec<B>) + Sync,
-{
+    tracer: &Tracer,
+    step: impl Fn(B, Track) -> (R, Vec<B>) + Sync,
+) -> Vec<(Vec<u8>, R)> {
     let window = transport.window(transport.size() + 2);
     let seeds = Mutex::new(Some(seeds));
     let mut gathered = run_with(transport, |comm: Comm| {
@@ -112,19 +154,19 @@ where
             window.clone(),
             comm.size() + 1,
         ));
-        let (outs, _stats) = run_rank_dynamic_traced(
+        let (outs, _stats) = run_balanced(
             &comm,
             queue,
             window.clone(),
             balancer,
-            tracer.cloned(),
+            Some(tracer.clone()),
             |task: Task<B>, q| {
                 // Charge the task's cost estimate as virtual compute so
                 // simulated schedules exhibit realistic load imbalance
                 // (free in production — the work took real time).
                 comm.advance(Duration::from_micros(10 + task.cost().min(50_000)));
                 let Task { path, body } = task;
-                let (out, children) = step(comm.rank(), body);
+                let (out, children) = step(body, Track::rank(comm.rank()));
                 for (k, body) in children.into_iter().enumerate() {
                     q.push(Task::child(&path, k, body));
                 }
@@ -154,7 +196,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ThreadedTransport;
 
     /// A synthetic body: splits into `fanout` children until `depth` runs
     /// out. The label records the route taken, independently of `path`.
@@ -170,7 +211,7 @@ mod tests {
         }
     }
 
-    fn split(n: Node) -> (String, Vec<Node>) {
+    fn split(n: Node, _lane: Track) -> (String, Vec<Node>) {
         let fanout = if n.depth == 0 { 0 } else { 2 + n.depth };
         let children = (0..fanout)
             .map(|k| Node {
@@ -195,7 +236,7 @@ mod tests {
 
     #[test]
     fn inline_executor_emits_outputs_in_path_order() {
-        let outs = run_inline(seeds(), split);
+        let outs = Executor::Inline.run(seeds(), &Tracer::wall(), split);
         // Three levels: 3 seeds, 4 children each, 3 grandchildren each.
         assert_eq!(outs.len(), 3 + 3 * 4 + 3 * 4 * 3);
         assert!(outs.windows(2).all(|w| w[0].0 < w[1].0), "not path-sorted");
@@ -207,16 +248,20 @@ mod tests {
 
     #[test]
     fn rank_executor_returns_the_inline_list_at_every_rank_count() {
-        let want = run_inline(seeds(), split);
+        let want = Executor::Inline.run(seeds(), &Tracer::wall(), split);
         for ranks in [1usize, 2, 4] {
-            let got = run_task_tree(
-                Arc::new(ThreadedTransport::new(ranks)),
-                BalancerConfig::default(),
-                seeds(),
-                None,
-                |_rank, n| split(n),
-            );
+            let got = Executor::ranks(ranks).run(seeds(), &Tracer::wall(), split);
             assert_eq!(got, want, "ranks = {ranks}");
+        }
+    }
+
+    #[test]
+    fn an_empty_tree_returns_at_once_under_both_executors() {
+        let sim = crate::SimTransport::new(4, crate::FaultPlan::chaos(7));
+        let sim = Executor::Ranks(Arc::new(sim), BalancerConfig::default());
+        for executor in [Executor::Inline, Executor::ranks(4), sim] {
+            let tracer = executor.tracer();
+            assert!(executor.run(vec![], &tracer, split).is_empty());
         }
     }
 }

@@ -100,15 +100,6 @@ pub trait Transport: Send + Sync {
     /// simulation. Protocol timeouts must be measured with this.
     fn now(&self) -> Duration;
 
-    /// Whether wall-clock worker threads (e.g. the tree-merge
-    /// [`crate::Pool`]) may run alongside this transport. Real
-    /// transports support them; virtual-time simulators return `false`
-    /// so that pools degrade to their inline deterministic mode and
-    /// trace fingerprints stay replay-identical.
-    fn supports_worker_threads(&self) -> bool {
-        true
-    }
-
     /// Queues `payload` from `src` to `dest` (non-blocking, buffered).
     fn send(&self, src: usize, dest: usize, tag: u64, payload: Payload);
 

@@ -8,8 +8,8 @@
 //! count.
 
 use adm_mpirt::{
-    run_rank_dynamic_traced, run_with, BalancerConfig, Comm, FaultPlan, Protocol, RankStats,
-    SimTransport, Src, Transport, TransportClock, WorkItem, WorkQueue,
+    run_balanced, run_with, BalancerConfig, Comm, FaultPlan, Protocol, RankStats, SimTransport,
+    Src, Transport, TransportClock, WorkItem, WorkQueue,
 };
 use adm_trace::Tracer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,7 +77,7 @@ fn run_case(
             window.clone(),
             comm.size() + 1,
         ));
-        run_rank_dynamic_traced(
+        run_balanced(
             &comm,
             queue,
             window.clone(),

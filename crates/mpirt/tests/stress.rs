@@ -1,7 +1,7 @@
 //! Stress tests for the runtime: randomized workloads, many ranks,
 //! dynamic work creation, exactly-once processing.
 
-use adm_mpirt::{run, run_rank, BalancerConfig, Src, Window, WorkItem, WorkQueue};
+use adm_mpirt::{run, run_balanced, BalancerConfig, Src, Window, WorkItem, WorkQueue};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -34,7 +34,7 @@ fn randomized_dynamic_workload_processes_exactly_once() {
     let total_children: usize = seeds.iter().map(|j| j.spawn).sum();
     let total = seeds.len() + total_children;
     let next_id = Arc::new(AtomicUsize::new(seeds.len()));
-    let window = Window::new(RANKS + 1);
+    let window = Window::new(RANKS + 2);
     let seeds = Mutex::new(Some(seeds));
 
     let results = run(RANKS, |comm| {
@@ -43,18 +43,18 @@ fn randomized_dynamic_workload_processes_exactly_once() {
         } else {
             Vec::new()
         };
-        let queue = Arc::new(WorkQueue::new(initial));
+        let queue = Arc::new(WorkQueue::with_counter(initial, window.clone(), RANKS + 1));
         let next_id = next_id.clone();
-        let (ids, stats) = run_rank(
+        let (ids, stats) = run_balanced(
             &comm,
             queue,
             window.clone(),
-            total as u64,
             BalancerConfig {
                 threshold: 30,
                 poll: Duration::from_micros(100),
                 ..BalancerConfig::default()
             },
+            None,
             move |job, q| {
                 std::thread::sleep(Duration::from_micros(20 * job.cost));
                 for _ in 0..job.spawn {
@@ -83,7 +83,7 @@ fn randomized_dynamic_workload_processes_exactly_once() {
 #[test]
 fn heavily_skewed_costs_still_terminate() {
     const RANKS: usize = 4;
-    let window = Window::new(RANKS + 1);
+    let window = Window::new(RANKS + 2);
     let jobs = Mutex::new(Some(
         (0..30)
             .map(|id| Job {
@@ -99,13 +99,13 @@ fn heavily_skewed_costs_still_terminate() {
         } else {
             Vec::new()
         };
-        let queue = Arc::new(WorkQueue::new(initial));
-        run_rank(
+        let queue = Arc::new(WorkQueue::with_counter(initial, window.clone(), RANKS + 1));
+        run_balanced(
             &comm,
             queue,
             window.clone(),
-            30,
             BalancerConfig::default(),
+            None,
             |job, _| {
                 // The huge job sleeps a bounded amount in tests.
                 std::thread::sleep(Duration::from_micros(job.cost.min(2000)));
@@ -121,16 +121,20 @@ fn heavily_skewed_costs_still_terminate() {
 #[test]
 fn many_ranks_with_no_work_terminate() {
     const RANKS: usize = 8;
-    let window = Window::new(RANKS + 1);
+    let window = Window::new(RANKS + 2);
     let results = run(RANKS, |comm| {
         // Zero total items: every rank must exit promptly.
-        let queue: Arc<WorkQueue<Job>> = Arc::new(WorkQueue::new(Vec::new()));
-        run_rank(
+        let queue: Arc<WorkQueue<Job>> = Arc::new(WorkQueue::with_counter(
+            Vec::new(),
+            window.clone(),
+            RANKS + 1,
+        ));
+        run_balanced(
             &comm,
             queue,
             window.clone(),
-            0,
             BalancerConfig::default(),
+            None,
             |job: Job, _| job.id,
         )
         .0
@@ -143,7 +147,7 @@ fn many_ranks_with_no_work_terminate() {
 fn messages_interleave_with_balancing() {
     // The LB tag must not interfere with user messages on other tags.
     const RANKS: usize = 3;
-    let window = Window::new(RANKS + 1);
+    let window = Window::new(RANKS + 2);
     let results = run(RANKS, |comm| {
         let initial: Vec<Job> = if comm.rank() == 0 {
             (0..12)
@@ -156,13 +160,13 @@ fn messages_interleave_with_balancing() {
         } else {
             Vec::new()
         };
-        let queue = Arc::new(WorkQueue::new(initial));
-        let (ids, _) = run_rank(
+        let queue = Arc::new(WorkQueue::with_counter(initial, window.clone(), RANKS + 1));
+        let (ids, _) = run_balanced(
             &comm,
             queue,
             window.clone(),
-            12,
             BalancerConfig::default(),
+            None,
             |job, _| {
                 std::thread::sleep(Duration::from_micros(100));
                 job.id
@@ -180,7 +184,7 @@ fn messages_interleave_with_balancing() {
 }
 
 mod dynamic_mode {
-    use adm_mpirt::{run, run_rank_dynamic_traced, BalancerConfig, Window, WorkItem, WorkQueue};
+    use adm_mpirt::{run, run_balanced, BalancerConfig, Window, WorkItem, WorkQueue};
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
@@ -210,7 +214,7 @@ mod dynamic_mode {
                 window.clone(),
                 comm.size() + 1,
             ));
-            let (leaves, stats) = run_rank_dynamic_traced(
+            let (leaves, stats) = run_balanced(
                 &comm,
                 queue,
                 window.clone(),
@@ -258,7 +262,7 @@ mod dynamic_mode {
                 window.clone(),
                 comm.size() + 1,
             ));
-            run_rank_dynamic_traced(
+            run_balanced(
                 &comm,
                 queue,
                 window.clone(),

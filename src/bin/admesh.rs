@@ -12,8 +12,8 @@
 
 use adm2d::blayer::{Geometric, GrowthSpec};
 use adm2d::core::{
-    adapt, generate, generate_parallel, mesh_pslg, mesh_pslg_parallel, mesh_pslg_sharded,
-    AdaptOptions, AdaptResult, GradationLimited, GradedSizing, MeshConfig, PipelineResult,
+    adapt, default_merge_threads, generate, generate_parallel, mesh_pslg_on, AdaptOptions,
+    AdaptResult, Executor, GradationLimited, GradedSizing, MeshConfig, PipelineResult,
     PslgMeshResult, SizingFn, UniformH,
 };
 use adm2d::delaunay::io::{write_ascii, write_binary, write_svg};
@@ -305,11 +305,12 @@ enum RunOutput {
 }
 
 impl RunOutput {
-    fn mesh(&self) -> &adm2d::delaunay::Mesh {
+    /// What every path produces: the mesh and the run's trace.
+    fn parts(&self) -> (&adm2d::delaunay::Mesh, &adm2d::trace::Tracer) {
         match self {
-            RunOutput::Pipeline(r) => &r.mesh,
-            RunOutput::Pslg(r) => &r.mesh,
-            RunOutput::Adapt(r) => &r.mesh,
+            RunOutput::Pipeline(r) => (&r.mesh, &r.trace),
+            RunOutput::Pslg(r) => (&r.mesh, &r.trace),
+            RunOutput::Adapt(r) => (&r.mesh, &r.trace),
         }
     }
 }
@@ -360,25 +361,19 @@ fn run_poly(args: &Args, path: &str) -> Result<PslgMeshResult, String> {
         }
         None => base,
     };
-    let params = RefineParams::default();
-    let out = match (&args.out_shards, args.ranks) {
-        (Some(dir), ranks) => mesh_pslg_sharded(
-            &pslg,
-            &sized,
-            &params,
-            ranks.unwrap_or(1).max(1),
-            std::path::Path::new(dir),
-        )
-        .map(|(result, manifest)| {
-            if !args.quiet {
-                eprintln!("wrote {} shard(s) to {dir}", manifest.shards.len());
-            }
-            result
-        }),
-        (None, Some(r)) if r > 1 => mesh_pslg_parallel(&pslg, &sized, &params, r),
-        (None, _) => mesh_pslg(&pslg, &sized, &params),
+    let executor = match args.ranks {
+        Some(r) if r > 1 => Executor::ranks(r),
+        _ => Executor::Inline,
     };
-    out.map_err(|e| format!("{path}: {e}"))
+    let pool = adm2d::mpirt::Pool::new(default_merge_threads());
+    let shard_out = args.out_shards.as_deref().map(std::path::Path::new);
+    let params = RefineParams::default();
+    let out = mesh_pslg_on(&pslg, &sized, &params, executor, &pool, shard_out)
+        .map_err(|e| format!("{path}: {e}"))?;
+    if let (Some(dir), false) = (&args.out_shards, args.quiet) {
+        eprintln!("wrote {} shard(s) to {dir}", out.components);
+    }
+    Ok(out)
 }
 
 fn run(args: &Args) -> Result<RunOutput, String> {
@@ -431,6 +426,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let started = std::time::Instant::now();
     let result = match run(&args) {
         Ok(r) => r,
         Err(msg) => {
@@ -438,33 +434,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let wall = started.elapsed();
+    let (mesh, trace) = result.parts();
     if !args.quiet {
-        let q = mesh_quality(result.mesh());
+        eprintln!("triangles        : {}", mesh.num_triangles());
+        eprintln!("vertices         : {}", mesh.num_vertices());
         match &result {
             RunOutput::Pipeline(r) => {
                 let s = &r.stats;
-                eprintln!("triangles        : {}", s.total_triangles);
-                eprintln!("vertices         : {}", s.total_vertices);
                 eprintln!(
                     "boundary layer   : {} points, {} triangles",
                     s.bl_points, s.bl_triangles
                 );
                 eprintln!("inviscid region  : {} triangles", s.inviscid_triangles);
                 eprintln!("border splits    : {}", s.border_splits);
-                eprintln!(
-                    "angles           : {:.1} .. {:.1} degrees",
-                    q.min_angle.to_degrees(),
-                    q.max_angle.to_degrees()
-                );
-                eprintln!("wall time        : {:.2}s", s.total_s);
             }
             RunOutput::Adapt(r) => {
-                eprintln!(
-                    "adaptation       : {} cycle(s), final {} triangles / {} vertices",
-                    r.cycles.len(),
-                    r.stats.total_triangles,
-                    r.stats.total_vertices
-                );
+                eprintln!("adaptation       : {} cycle(s)", r.cycles.len());
                 eprintln!(
                     "cycle  triangles      dofs    error-total  err*sqrt(dofs)  equidist  cg-iters"
                 );
@@ -480,15 +466,8 @@ fn main() -> ExitCode {
                         c.solve_iters
                     );
                 }
-                eprintln!(
-                    "angles           : {:.1} .. {:.1} degrees",
-                    q.min_angle.to_degrees(),
-                    q.max_angle.to_degrees()
-                );
             }
             RunOutput::Pslg(r) => {
-                eprintln!("triangles        : {}", r.mesh.num_triangles());
-                eprintln!("vertices         : {}", r.mesh.num_vertices());
                 eprintln!("components       : {}", r.components);
                 if !r.report.is_clean() {
                     eprintln!(
@@ -502,16 +481,18 @@ fn main() -> ExitCode {
                     "refinement       : {} segment splits, {} circumcenters",
                     r.refine_stats.segment_splits, r.refine_stats.circumcenters
                 );
-                eprintln!(
-                    "angles           : {:.1} .. {:.1} degrees",
-                    q.min_angle.to_degrees(),
-                    q.max_angle.to_degrees()
-                );
             }
         }
+        let q = mesh_quality(mesh);
+        eprintln!(
+            "angles           : {:.1} .. {:.1} degrees",
+            q.min_angle.to_degrees(),
+            q.max_angle.to_degrees()
+        );
+        eprintln!("wall time        : {:.2}s", wall.as_secs_f64());
     }
     if args.report {
-        let q = mesh_quality(result.mesh());
+        let q = mesh_quality(mesh);
         eprintln!("--- quality report ---");
         eprintln!("triangles        : {}", q.triangles);
         eprintln!("total area       : {:.4}", q.total_area);
@@ -539,7 +520,7 @@ fn main() -> ExitCode {
     };
     let mut status = ExitCode::SUCCESS;
     if let Some(p) = &args.out {
-        if let Err(e) = write(p, &|w| write_ascii(result.mesh(), w)) {
+        if let Err(e) = write(p, &|w| write_ascii(mesh, w)) {
             eprintln!("error: {e}");
             status = ExitCode::FAILURE;
         } else if !args.quiet {
@@ -547,7 +528,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(p) = &args.binary_out {
-        if let Err(e) = write(p, &|w| write_binary(result.mesh(), w)) {
+        if let Err(e) = write(p, &|w| write_binary(mesh, w)) {
             eprintln!("error: {e}");
             status = ExitCode::FAILURE;
         } else if !args.quiet {
@@ -555,7 +536,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(p) = &args.svg {
-        if let Err(e) = write(p, &|w| write_svg(result.mesh(), w, 1600.0)) {
+        if let Err(e) = write(p, &|w| write_svg(mesh, w, 1600.0)) {
             eprintln!("error: {e}");
             status = ExitCode::FAILURE;
         } else if !args.quiet {
@@ -563,24 +544,15 @@ fn main() -> ExitCode {
         }
     }
     if let Some(p) = &args.trace_out {
-        let trace = match &result {
-            RunOutput::Pipeline(r) => Some(&r.trace),
-            RunOutput::Adapt(r) => Some(&r.trace),
-            RunOutput::Pslg(_) => None,
-        };
-        if let Some(trace) = trace {
-            let snap = trace.snapshot();
-            if let Err(e) = write(p, &|w| adm2d::trace::chrome::write_chrome_trace(w, &snap)) {
-                eprintln!("error: {e}");
-                status = ExitCode::FAILURE;
-            } else if !args.quiet {
-                eprintln!("wrote {p}");
-                for row in trace.phase_totals() {
-                    eprintln!("  {:<24} x{:<5} {:>9.3}s", row.name, row.count, row.total_s);
-                }
+        let snap = trace.snapshot();
+        if let Err(e) = write(p, &|w| adm2d::trace::chrome::write_chrome_trace(w, &snap)) {
+            eprintln!("error: {e}");
+            status = ExitCode::FAILURE;
+        } else if !args.quiet {
+            eprintln!("wrote {p}");
+            for row in trace.phase_totals() {
+                eprintln!("  {:<24} x{:<5} {:>9.3}s", row.name, row.count, row.total_s);
             }
-        } else {
-            eprintln!("note: --trace-out applies to the pipeline paths only, skipping");
         }
     }
     status

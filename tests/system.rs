@@ -2,15 +2,16 @@
 //! mesh -> I/O roundtrip -> flow solve -> scaling simulation, end to end.
 
 use adm2d::core::{
-    generate, generate_parallel, mesh_pslg, mesh_pslg_parallel, mesh_pslg_sharded, read_manifest,
-    reconstruct, sha256_hex, verify_shards, GradationLimited, GradedSizing, MeshConfig, SizingFn,
-    UniformH, MANIFEST_NAME,
+    generate, generate_parallel, mesh_pslg, mesh_pslg_on, read_manifest, reconstruct, sha256_hex,
+    verify_shards, Executor, GradationLimited, GradedSizing, MeshConfig, SizingFn, UniformH,
+    MANIFEST_NAME,
 };
 use adm2d::delaunay::io::{
     read_ascii, read_binary, write_ascii, write_ascii_canonical, write_binary,
 };
 use adm2d::delaunay::poly::read_poly;
 use adm2d::delaunay::refine::RefineParams;
+use adm2d::mpirt::Pool;
 use adm2d::simnet::{simulate, InitialDist, SimConfig, Task};
 use adm2d::solver::{solve_potential_flow, FlowConditions};
 
@@ -264,8 +265,10 @@ fn poly_example_shards_reconstruct_identically() {
     let mut reference: Option<(String, DirFingerprint)> = None;
     for ranks in [1usize, 2, 4, 8] {
         let dir = root.join(format!("r{ranks}"));
-        let (result, manifest) =
-            mesh_pslg_sharded(&pslg, &sizing, &params, ranks, &dir).expect("sharded PSLG mesh");
+        let (exec, pool) = (Executor::ranks(ranks), Pool::new(0));
+        let result = mesh_pslg_on(&pslg, &sizing, &params, exec, &pool, Some(&dir))
+            .expect("sharded PSLG mesh");
+        let manifest = read_manifest(&dir).expect("manifest written");
         assert_eq!(manifest.shards.len(), result.components);
 
         let report = verify_shards(&dir, &manifest).expect("shards readable");
@@ -337,7 +340,8 @@ fn committed_poly_example_is_rank_invariant() {
     };
     let bytes = canon(&serial.mesh);
     for ranks in [2, 4] {
-        let par = mesh_pslg_parallel(&pslg, &sized, &params, ranks).expect("parallel mesh");
+        let (exec, pool) = (Executor::ranks(ranks), Pool::new(0));
+        let par = mesh_pslg_on(&pslg, &sized, &params, exec, &pool, None).expect("parallel mesh");
         assert_eq!(
             canon(&par.mesh),
             bytes,
