@@ -25,6 +25,7 @@ fn main() {
     config.sizing_max_area = 0.2;
     config.bl_subdomains = 64;
     config.inviscid_subdomains = 64;
+    config.merge_threads = 0; // task costs must be measured uncontended
     eprintln!("[weak] measuring the per-rank workload ...");
     let result = generate(&config);
     let base: Vec<Task> = result

@@ -35,6 +35,7 @@ fn main() {
     config.sizing_max_area = 0.05;
     config.bl_subdomains = 64;
     config.inviscid_subdomains = 64;
+    config.merge_threads = 0; // task costs must be measured uncontended
 
     // Best-of-3 timings: a single-core container is noisy.
     eprintln!("[table] undecomposed (plain-Triangle role) x3 ...");

@@ -9,6 +9,7 @@ pub fn standard_config() -> MeshConfig {
     c.sizing_max_area = 1.0;
     c.bl_subdomains = 64;
     c.inviscid_subdomains = 64;
+    c.merge_threads = 0; // task costs feed adm-simnet: measure them uncontended
     c
 }
 
@@ -23,5 +24,6 @@ pub fn scaling_config(points_per_side: usize, subdomains: usize) -> MeshConfig {
     c.nearbody_margin = 0.15;
     c.bl_subdomains = subdomains;
     c.inviscid_subdomains = subdomains;
+    c.merge_threads = 0; // task costs feed adm-simnet: measure them uncontended
     c
 }

@@ -41,8 +41,8 @@ pub struct AdaptOptions {
     /// Early exit: stop after any cycle whose total estimated error is
     /// at or below this value.
     pub target_error: Option<f64>,
-    /// Ranks for the per-cycle mesh stage: `<= 1` runs the sequential
-    /// pipeline, more runs the threaded parallel driver. The mesh bytes
+    /// Ranks for the per-cycle mesh stage: `<= 1` runs the task tree on
+    /// the in-process pool, more on that many threaded ranks. The mesh bytes
     /// are identical either way.
     pub ranks: usize,
     /// Free-stream conditions for the per-cycle potential-flow solve.
@@ -134,13 +134,13 @@ pub fn metric_digest_hex(field: &MetricField) -> String {
 }
 
 /// Runs the adaptation loop with the built-in per-cycle runners
-/// (sequential for `ranks <= 1`, threaded-transport parallel otherwise).
+/// (in-process on one pool for `ranks <= 1`, threaded-transport ranks otherwise).
 pub fn adapt(config: &MeshConfig, opts: &AdaptOptions) -> AdaptResult {
     let ranks = opts.ranks;
     let pool = Pool::new(config.merge_threads);
     adapt_with_runner(config, opts, &mut |cfg, pre| {
         let executor = match ranks {
-            0 | 1 => Executor::Inline,
+            0 | 1 => Executor::Pool,
             _ => Executor::ranks(ranks),
         };
         generate_on(cfg, Some(pre), executor, &pool)

@@ -30,9 +30,9 @@ pub struct MeshConfig {
     pub bl_subdomains: usize,
     /// Target number of decoupled inviscid subdomains.
     pub inviscid_subdomains: usize,
-    /// Worker threads for the shared-memory pool (tree-parallel merge
-    /// and forked divide-and-conquer triangulation). `0` runs the pool
-    /// inline — still bitwise-identical output, just sequential.
+    /// Worker threads for the shared-memory pool (concurrent subdomain
+    /// tasks, forked divide-and-conquer triangulation, tree-parallel
+    /// merge). `0` runs all on the calling thread — same output bits.
     pub merge_threads: usize,
     /// Distributed output: when set, every merge-input mesh is also
     /// streamed to a per-subdomain shard (plus frontier sidecar and
@@ -50,8 +50,8 @@ pub struct MeshConfig {
 
 /// Default pool width: the `ADM_MERGE_THREADS` environment variable if
 /// set (the CI matrix pins it), otherwise the machine's available
-/// parallelism capped at 8 — merge trees are shallow, so more workers
-/// only add steal traffic.
+/// parallelism capped at 8. The cap dates from when the pool ran only
+/// the shallow merge tree; it is unexamined for the task tree.
 pub fn default_merge_threads() -> usize {
     if let Ok(v) = std::env::var("ADM_MERGE_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {

@@ -319,7 +319,7 @@ impl MeshMerger {
 /// (meshes[n-1])` — at every thread count, including the inline pool.
 ///
 /// When `tracer` is given, every internal node emits a `merge.node`
-/// span on the [`Track::merge_worker`] lane of whichever pool worker
+/// span on the [`Track::pool_worker`] lane of whichever pool worker
 /// performed it, with `lo`/`hi` args naming the covered task range.
 pub fn merge_tree_spliced(
     meshes: &[&Mesh],
@@ -355,7 +355,7 @@ fn reduce(
                 || reduce(meshes, r, pool, tracer),
             );
             let span =
-                tracer.map(|t| t.span(Track::merge_worker(pool.current_lane()), "merge.node"));
+                tracer.map(|t| t.span(Track::pool_worker(pool.current_lane()), "merge.node"));
             a.absorb(b);
             if let Some(s) = span {
                 s.close_with(&[("lo", node.lo as u64), ("hi", node.hi as u64)]);

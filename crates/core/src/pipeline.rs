@@ -11,8 +11,8 @@
 //! refined; assembly constrains + carves the boundary-layer mesh and
 //! repairs its interface) and the undecomposed baseline plan;
 //! `pslg_pipeline` holds the general-PSLG plan. Outputs reach the assembly
-//! in task-path order under either executor, so a plan's mesh and shard
-//! set do not depend on which one ran it.
+//! in task-path order under either executor and at any pool width, so a
+//! plan's mesh and shard set do not depend on who ran it.
 
 use crate::blmesh::assemble_bl_mesh;
 use crate::config::MeshConfig;
@@ -124,11 +124,11 @@ pub fn build_prelude(config: &MeshConfig) -> GeomPrelude {
     }
 }
 
-/// Runs the full pipeline on the calling thread.
+/// Runs the full pipeline in this process: the task tree, the per-leaf
+/// divide-and-conquer triangulations and the merge reduction all fork on
+/// a pool of `config.merge_threads` workers. Output bytes are
+/// pool-width-independent (0 workers = everything on the calling thread).
 pub fn generate(config: &MeshConfig) -> PipelineResult {
-    // Shared-memory worker pool: forks the per-leaf divide-and-conquer
-    // triangulations and the merge reduction tree. Output bytes are
-    // pool-width-independent (0 workers = inline).
     generate_staged_with_pool(config, None, &Pool::new(config.merge_threads))
 }
 
@@ -136,14 +136,15 @@ pub fn generate(config: &MeshConfig) -> PipelineResult {
 /// prebuilt [`GeomPrelude`]. With a prelude, the boundary-layer build and
 /// cloud interning are reused (the adaptation loop's per-cycle entry
 /// point); the mesh server batches every request through one pool sized
-/// to the machine instead of spinning threads up and down per job. Output
-/// bytes are identical with or without a prelude and at any pool width.
+/// to the machine instead of spinning threads up and down per job. The
+/// task tree, the leaf triangulations and the merge all fork on `pool`;
+/// output bytes are identical with or without a prelude and at any width.
 pub fn generate_staged_with_pool(
     config: &MeshConfig,
     prelude: Option<&GeomPrelude>,
     pool: &Pool,
 ) -> PipelineResult {
-    generate_on(config, prelude, Executor::Inline, pool)
+    generate_on(config, prelude, Executor::Pool, pool)
 }
 
 /// Runs the pipeline with the subdomain work — including the recursive
@@ -157,7 +158,7 @@ pub fn generate_parallel(config: &MeshConfig, ranks: usize) -> PipelineResult {
 }
 
 /// The maximal form of the airfoil front door: the task tree runs on
-/// `executor` (inline, `ranks` threads, or a fault-injected
+/// `executor` (fork–join on `pool`, `ranks` threads, or a fault-injected
 /// [`adm_mpirt::SimTransport`] for chaos runs), leaf triangulations and
 /// the merge fork on the caller's `pool`, and a prebuilt [`GeomPrelude`]
 /// is reused when given. The mesh is schedule-independent: results are
@@ -273,7 +274,7 @@ struct Shared<'a> {
     /// A region whose estimate exceeds this decouples further.
     threshold: f64,
     bl_params: DecomposeParams,
-    /// Forks leaf triangulations and the merge reduction.
+    /// Forks leaf triangulations (and, in `drive`, the tree and the merge).
     pool: &'a Pool,
 }
 
@@ -524,7 +525,7 @@ pub(crate) fn drive<S: Sync, B: WorkItem, O: Send + 'static, T, E: From<std::io:
     span.close();
 
     let span = tracer.span(Track::ROOT, "phase.parallel_mesh");
-    let outs = executor.run(seeds, tracer, |body, track| {
+    let outs = executor.run(seeds, pool, tracer, |body, track| {
         step(&shared, body, tracer, track)
     });
     span.close();
@@ -599,5 +600,5 @@ pub fn generate_undecomposed(config: &MeshConfig) -> PipelineResult {
         }
     };
     let assemble = |(pre, _): &Shared, outs| Ok(assemble(pre, outs));
-    pipeline_result(drive(Executor::Inline, &pool, None, setup, step, assemble))
+    pipeline_result(drive(Executor::Pool, &pool, None, setup, step, assemble))
 }

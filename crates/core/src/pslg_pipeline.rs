@@ -10,9 +10,9 @@
 //! component Ruppert-refined against a pluggable [`SizingFn`], and the
 //! results spliced back by the same driver, merge tail and shard writer
 //! the airfoil pipeline uses. The components are a flat task tree:
-//! [`mesh_pslg`] runs it inline, [`mesh_pslg_on`] on whatever
-//! [`Executor`] it is given (`adm-mpirt` ranks under the dynamic load
-//! balancer, or the fault-injecting simulator). Results are reassembled
+//! [`mesh_pslg`] runs it on the calling thread, [`mesh_pslg_on`] on
+//! whatever [`Executor`] it is given (the caller's pool, `adm-mpirt` ranks
+//! under the balancer, the fault-injecting simulator). Results are reassembled
 //! in task-path order, so every executor produces the bitwise-identical
 //! mesh — the fuzz harness and the system tests gate on that digest
 //! equality.
@@ -229,8 +229,8 @@ fn component_paths(count: usize) -> Result<impl Iterator<Item = Vec<u8>>, PslgMe
     Ok((0..=u16::MAX).take(count).map(|i| i.to_be_bytes().to_vec()))
 }
 
-/// Meshes a general PSLG on the calling thread. The merge runs inline
-/// too: a domain has a handful of components, and pool workers measured
+/// Meshes a general PSLG on the calling thread (a width-0 pool), merge
+/// included: a domain has a handful of components, and pool workers measured
 /// 2 % more peak memory on the plate benchmark for no resolved time gain.
 pub fn mesh_pslg(
     pslg: &Pslg,
@@ -238,11 +238,12 @@ pub fn mesh_pslg(
     params: &RefineParams,
 ) -> Result<PslgMeshResult, PslgMeshError> {
     let pool = Pool::new(0);
-    mesh_pslg_on(pslg, sizing, params, Executor::Inline, &pool, None)
+    mesh_pslg_on(pslg, sizing, params, Executor::Pool, &pool, None)
 }
 
-/// [`mesh_pslg`] with the per-component refinements run by `executor`,
-/// the merge forked on the caller's `pool`, and — with `shard_out` — the
+/// [`mesh_pslg`] with the per-component refinements run by `executor`
+/// (concurrently, on a wide `pool` or on ranks), the merge forked on the
+/// caller's `pool`, and — with `shard_out` — the
 /// refined components streamed to per-component shards (keyed by
 /// component index, the order the merge reduces over) before the
 /// in-process merge; `shard-cat` reconstructs the identical mesh from

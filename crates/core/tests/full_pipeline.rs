@@ -1,9 +1,12 @@
 //! End-to-end pipeline tests: the push-button promise.
 
 use adm_core::{
-    generate, generate_parallel, generate_undecomposed, FnSizing, MeshConfig, PipelineStats,
+    generate, generate_on, generate_parallel, generate_undecomposed, mesh_digest_hex, Executor,
+    FnSizing, MeshConfig, PipelineStats,
 };
 use adm_delaunay::quality::mesh_quality;
+use adm_mpirt::Pool;
+use adm_trace::Track;
 
 fn small_naca_config() -> MeshConfig {
     let mut c = MeshConfig::naca0012(40);
@@ -67,7 +70,7 @@ fn parallel_run_matches_sequential_mesh() {
     }
 }
 
-/// The inline and the rank executor run the same task tree through the
+/// The pool and the rank executor run the same task tree through the
 /// same assembly, so every aggregate agrees — not only the mesh. The
 /// extra sizing channel makes the near-body refinement split
 /// boundary-layer border segments, so the split count and its repair by
@@ -96,6 +99,72 @@ fn sequential_and_one_rank_report_equal_stats() {
             ..par
         }
     );
+}
+
+/// The pool executor forks the task tree on the caller's pool: the width
+/// decides who runs a task, never what comes out — mesh, stats, task
+/// count and every byte of the shard set.
+#[test]
+fn pool_width_changes_no_output() {
+    let root = std::env::temp_dir().join(format!("adm-pool-widths-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let run = |width: usize| {
+        let dir = root.join(width.to_string());
+        let mut config = small_naca_config();
+        config.shard_out = Some(dir.clone());
+        let out = generate_on(&config, None, Executor::Pool, &Pool::new(width));
+        let mut files: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("shard directory written")
+            .map(|entry| entry.unwrap().path())
+            .map(|path| {
+                (
+                    path.file_name().unwrap().into(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        let stats = PipelineStats {
+            total_s: 0.0,
+            ..out.stats
+        };
+        let tasks = out.log.parallel_tasks().len();
+        ((mesh_digest_hex(&out.mesh), stats, tasks), files, out.trace)
+    };
+    let (want, want_files, _) = run(0);
+    assert!(want_files.len() > 3, "no shard set to compare");
+    for width in [1usize, 2, 8] {
+        let (got, files, trace) = run(width);
+        assert_eq!(got, want, "width {width}");
+        assert!(files == want_files, "shard set differs at width {width}");
+        if width != 2 {
+            continue;
+        }
+        // Lanes: tasks that ran on a worker recorded on that worker's
+        // lane, every span lies inside the span that was innermost on
+        // its lane when it opened, and the driver's phases still cover
+        // the root span.
+        let spans = trace.snapshot().spans;
+        let on_worker = |s: &adm_trace::Span| s.name.starts_with("task.") && s.track != Track::ROOT;
+        assert!(spans.iter().any(on_worker), "no task ran on a worker");
+        for s in &spans {
+            assert!(s.closed(), "{} left open", s.name);
+            if let Some(p) = s.parent.map(|p| &spans[p]) {
+                let inside = p.start_ns <= s.start_ns && s.end_ns <= p.end_ns;
+                assert!(
+                    p.track == s.track && inside,
+                    "{} escapes {}",
+                    s.name,
+                    p.name
+                );
+            }
+        }
+        let root = spans.iter().position(|s| s.name == "pipeline").unwrap();
+        let phases = spans.iter().filter(|s| s.parent == Some(root));
+        let covered: f64 = phases.map(|s| s.duration().as_secs_f64()).sum();
+        assert!(covered >= 0.95 * spans[root].duration().as_secs_f64());
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The "plain Triangle" baseline meshes the same domain through the

@@ -47,12 +47,12 @@ fn run(
 fn digest_is_pool_width_independent_and_the_pool_reaches_the_merge() {
     let (pslg, params) = (plate(), RefineParams::default());
     let reference = mesh_digest_hex(
-        &run(&pslg, 0.2, &params, Executor::Inline, 0, None)
+        &run(&pslg, 0.2, &params, Executor::Pool, 0, None)
             .unwrap()
             .mesh,
     );
     for width in [1usize, 2, 8] {
-        let out = run(&pslg, 0.2, &params, Executor::Inline, width, None).unwrap();
+        let out = run(&pslg, 0.2, &params, Executor::Pool, width, None).unwrap();
         assert_eq!(mesh_digest_hex(&out.mesh), reference, "pool width {width}");
         let snap = out.trace.snapshot();
         let merge = snap
@@ -81,7 +81,7 @@ fn exhausted_budget_with_shard_out_writes_nothing() {
         max_insertions: 2,
         ..Default::default()
     };
-    for executor in [Executor::Inline, Executor::ranks(2)] {
+    for executor in [Executor::Pool, Executor::ranks(2)] {
         match run(&plate(), 0.05, &params, executor, 0, Some(&dir)) {
             Err(PslgMeshError::BudgetExhausted { components }) => assert!(components >= 1),
             other => panic!("expected BudgetExhausted, got {:?}", other.map(|_| ())),
@@ -99,7 +99,7 @@ fn run_is_traced_like_the_airfoil_paths() {
         &plate(),
         0.05,
         &RefineParams::default(),
-        Executor::Inline,
+        Executor::Pool,
         0,
         None,
     )

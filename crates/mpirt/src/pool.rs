@@ -1,7 +1,8 @@
-//! Dependency-free work-stealing pool for tree-parallel reductions.
+//! Dependency-free work-stealing pool for fork/join trees.
 //!
-//! The merge phase and the forked divide-and-conquer triangulator both
-//! decompose into strictly nested fork/join pairs, so the only
+//! The task tree ([`crate::Executor::Pool`]), the forked
+//! divide-and-conquer triangulator and the merge phase all decompose
+//! into strictly nested fork/join pairs, so the only
 //! scheduling primitive this pool exposes is [`Pool::join`]: run two
 //! closures, potentially in parallel, and return both results. Jobs
 //! live on per-worker condvar-signalled deques (std threads only — no
@@ -11,7 +12,8 @@
 //! blocked in `join` *helps* — it first tries to reclaim the job it
 //! just forked, then steals unrelated work — so the pool never
 //! deadlocks on nested joins and the calling thread is never idle
-//! while work remains.
+//! while work remains. What it steals may be a whole subdomain task, run
+//! to completion inside the waiting join.
 //!
 //! `Pool::new(0)` builds an **inline** pool: `join(a, b)` degenerates
 //! to `(a(), b())` on the calling thread with no worker threads, no
@@ -65,10 +67,11 @@ struct Shared {
 }
 
 std::thread_local! {
-    /// Lane index of the current thread if it is a worker of some pool.
-    /// Only ever set by worker threads, which belong to exactly one
-    /// pool for their whole lifetime.
-    static CURRENT_LANE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    /// `(pool, lane)` of the current thread if it is a worker: its pool's
+    /// `Shared` (kept alive by the worker; compared, never dereferenced)
+    /// and its lane there. Only ever set by worker threads, which belong
+    /// to exactly one pool for their whole lifetime.
+    static CURRENT_LANE: std::cell::Cell<Option<(*const Shared, usize)>> = const { std::cell::Cell::new(None) };
 }
 
 /// Work-stealing fork/join pool. See the module docs for the
@@ -143,12 +146,14 @@ impl Pool {
     }
 
     /// Lane index of the current thread within this pool's lane space:
-    /// a worker's own lane, or the shared external lane. Useful for
-    /// labelling per-worker trace tracks.
+    /// a worker's own lane (`< threads()`), or the shared external lane
+    /// (`threads()`) for every other thread — workers of another pool
+    /// included. Useful for labelling per-worker trace tracks.
     pub fn current_lane(&self) -> usize {
-        CURRENT_LANE
-            .with(|c| c.get())
-            .unwrap_or(self.shared.lanes.len() - 1)
+        match CURRENT_LANE.get() {
+            Some((pool, lane)) if pool == Arc::as_ptr(&self.shared) => lane,
+            _ => self.shared.lanes.len() - 1,
+        }
     }
 
     /// Run `a` and `b`, potentially in parallel, and return both
@@ -311,7 +316,7 @@ fn run_claimed(shared: &Shared, job: &JobCore) {
 }
 
 fn worker_loop(shared: &Shared, me: usize) {
-    CURRENT_LANE.with(|c| c.set(Some(me)));
+    CURRENT_LANE.set(Some((shared, me)));
     loop {
         if let Some((job, src)) = claim_job(shared, me) {
             if src != me {
@@ -366,6 +371,21 @@ mod tests {
             assert_eq!(pool.threads(), threads);
             assert_eq!(tree_sum(&pool, 0, 10_000), 49_995_000);
         }
+    }
+
+    #[test]
+    fn a_worker_of_one_pool_joins_on_another_pool() {
+        // A worker's lane index means nothing to a pool it is not part of.
+        fn sum(outer: &Pool, inner: &Pool, lo: u64, hi: u64) -> u64 {
+            let mid = lo + (hi - lo) / 2;
+            let (l, r) = match hi - lo {
+                1 => inner.join(|| lo, || lo * lo),
+                _ => outer.join(|| sum(outer, inner, lo, mid), || sum(outer, inner, mid, hi)),
+            };
+            l + r
+        }
+        let want: u64 = (0..256).map(|i| i + i * i).sum();
+        assert_eq!(sum(&Pool::new(4), &Pool::new(1), 0, 256), want);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! [`Executor`]s return outputs keyed and ordered by path; they differ
 //! only in who runs which task when:
 //!
-//! * [`Executor::Inline`] — one thread, depth-first in path order;
+//! * [`Executor::Pool`] — fork–join on the caller's [`Pool`]: siblings run
+//!   concurrently; at width 0, one thread, depth-first in path order;
 //! * [`Executor::Ranks`] — one rank per transport endpoint under the
 //!   dynamic load balancer, results gathered to rank 0 and path-sorted.
 //!
@@ -19,9 +20,11 @@
 
 use crate::comm::{run_with, Comm, Src};
 use crate::loadbalance::{run_balanced, BalancerConfig, WorkItem, WorkQueue};
+use crate::pool::Pool;
 use crate::transport::{ThreadedTransport, Transport, TransportClock};
 use adm_trace::{Tracer, Track};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// Message tag of the gather that ships every rank's outputs to rank 0.
@@ -56,8 +59,8 @@ impl<B: WorkItem> WorkItem for Task<B> {
 /// Who runs a task tree. Outputs come back in task-path order from both,
 /// so the choice never shows in anything assembled from them.
 pub enum Executor {
-    /// The calling thread, depth-first.
-    Inline,
+    /// The calling thread plus the workers of `run`'s pool, fork–join.
+    Pool,
     /// One rank per endpoint of the transport (threads in production,
     /// [`crate::SimTransport`] under fault injection), under the paper's
     /// dynamic load balancer.
@@ -71,29 +74,35 @@ impl Executor {
         Executor::Ranks(transport, BalancerConfig::default())
     }
 
-    /// A tracer on the executor's clock: wall time inline and on threads,
+    /// A tracer on the executor's clock: wall time on a pool and on threads,
     /// virtual time on the simulator — which makes the whole trace (and
     /// its fingerprint) replay-stable under a seeded schedule.
     pub fn tracer(&self) -> Tracer {
         match self {
-            Executor::Inline => Tracer::wall(),
+            Executor::Pool => Tracer::wall(),
             Executor::Ranks(transport, _) => {
                 Tracer::new(Arc::new(TransportClock::new(transport.clone())))
             }
         }
     }
 
-    /// Runs the tree. `step` is told which lane its spans go to — the
-    /// caller's, or the executing rank's mesher lane; its result must not
-    /// depend on it.
+    /// Runs the tree; only [`Executor::Pool`] forks on `pool`. `step` is
+    /// told which lane its spans go to — the running thread's: the caller's,
+    /// a pool worker's, or the executing rank's mesher lane; its result must
+    /// not depend on it. A task's panic leaves `run` after its siblings end.
     pub fn run<B: WorkItem, R: Send + 'static>(
         self,
         seeds: Vec<Task<B>>,
+        pool: &Pool,
         tracer: &Tracer,
         step: impl Fn(B, Track) -> (R, Vec<B>) + Sync,
     ) -> Vec<(Vec<u8>, R)> {
         match self {
-            Executor::Inline => run_inline(seeds, step),
+            Executor::Pool => {
+                let mut outs = Vec::new();
+                run_on_pool(seeds, pool, std::thread::current().id(), &step, &mut outs);
+                outs
+            }
             Executor::Ranks(transport, balancer) => {
                 run_task_tree(transport, balancer, seeds, tracer, step)
             }
@@ -101,28 +110,40 @@ impl Executor {
     }
 }
 
-/// Runs the tree on the calling thread, depth-first. Pre-order over
-/// in-order children *is* lexicographic path order, so the outputs come
-/// out already sorted — no transport, no balancer, no sort.
-fn run_inline<B, R>(
-    seeds: Vec<Task<B>>,
-    step: impl Fn(B, Track) -> (R, Vec<B>),
-) -> Vec<(Vec<u8>, R)> {
-    let mut outs = Vec::new();
-    let mut stack = seeds;
-    stack.reverse();
-    while let Some(Task { path, body }) = stack.pop() {
-        let (out, children) = step(body, Track::ROOT);
-        stack.extend(
-            children
-                .into_iter()
-                .enumerate()
-                .rev()
-                .map(|(k, body)| Task::child(&path, k, body)),
+/// Runs the sibling list `tasks` and all below it, appending to `outs`:
+/// one task is stepped on the running thread and its children walked,
+/// several are halved and the halves `join`ed. Pre-order over in-order
+/// halves *is* lexicographic path order, so the outputs come out already
+/// sorted — no sort — and an inline pool walks depth-first on the caller.
+fn run_on_pool<B: Send, R: Send>(
+    mut tasks: Vec<Task<B>>,
+    pool: &Pool,
+    driver: ThreadId,
+    step: &(impl Fn(B, Track) -> (R, Vec<B>) + Sync),
+    outs: &mut Vec<(Vec<u8>, R)>,
+) {
+    if tasks.len() > 1 {
+        let right = tasks.split_off(tasks.len() / 2);
+        let mut right_outs = Vec::new();
+        pool.join(
+            || run_on_pool(tasks, pool, driver, step, outs),
+            || run_on_pool(right, pool, driver, step, &mut right_outs),
         );
+        outs.append(&mut right_outs);
+    } else if let Some(Task { path, body }) = tasks.pop() {
+        // The running thread's lane (`run`'s caller alone has the driver
+        // lane); no task span is open across a `join`, so lanes nest.
+        let track = if std::thread::current().id() == driver {
+            Track::ROOT
+        } else {
+            Track::pool_worker(pool.current_lane())
+        };
+        let (out, children) = step(body, track);
+        let child = |(k, body)| Task::child(&path, k, body);
+        let children = children.into_iter().enumerate().map(child).collect();
         outs.push((path, out));
+        run_on_pool(children, pool, driver, step, outs);
     }
-    outs
 }
 
 /// Runs the tree on `transport.size()` ranks under the dynamic load
@@ -222,21 +243,25 @@ mod tests {
         (n.label, children)
     }
 
+    fn seed(i: u8, depth: u32) -> Task<Node> {
+        let label = i.to_string();
+        Task {
+            path: vec![i],
+            body: Node { depth, label },
+        }
+    }
+
     fn seeds() -> Vec<Task<Node>> {
-        (0..3u8)
-            .map(|i| Task {
-                path: vec![i],
-                body: Node {
-                    depth: 2,
-                    label: i.to_string(),
-                },
-            })
-            .collect()
+        (0..3).map(|i| seed(i, 2)).collect()
+    }
+
+    fn on_pool(width: usize, seeds: Vec<Task<Node>>) -> Vec<(Vec<u8>, String)> {
+        Executor::Pool.run(seeds, &Pool::new(width), &Tracer::wall(), split)
     }
 
     #[test]
-    fn inline_executor_emits_outputs_in_path_order() {
-        let outs = Executor::Inline.run(seeds(), &Tracer::wall(), split);
+    fn width_0_pool_executor_emits_outputs_in_path_order() {
+        let outs = on_pool(0, seeds());
         // Three levels: 3 seeds, 4 children each, 3 grandchildren each.
         assert_eq!(outs.len(), 3 + 3 * 4 + 3 * 4 * 3);
         assert!(outs.windows(2).all(|w| w[0].0 < w[1].0), "not path-sorted");
@@ -247,10 +272,37 @@ mod tests {
     }
 
     #[test]
-    fn rank_executor_returns_the_inline_list_at_every_rank_count() {
-        let want = Executor::Inline.run(seeds(), &Tracer::wall(), split);
+    fn pool_executor_returns_the_width_0_list_at_every_width() {
+        // Lopsided: one seed four levels deep, five leaves beside it.
+        let lopsided = (0..6).map(|i| seed(i, if i == 0 { 3 } else { 0 }));
+        for tree in [seeds(), vec![], lopsided.collect()] {
+            let want = on_pool(0, tree.clone());
+            for width in [1usize, 2, 4] {
+                assert_eq!(on_pool(width, tree.clone()), want, "width = {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_surfaces_from_run_and_the_pool_stays_usable() {
+        let pool = Pool::new(2);
+        let run = |fail: &str| {
+            let step = |n: Node, lane| {
+                assert_ne!(n.label, fail, "task failed");
+                split(n, lane)
+            };
+            let tree = || Executor::Pool.run(seeds(), &pool, &Tracer::wall(), step);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(tree))
+        };
+        assert!(run("1.2.0").is_err());
+        assert_eq!(run("no such task").unwrap(), on_pool(0, seeds()));
+    }
+
+    #[test]
+    fn rank_executor_returns_the_pool_list_at_every_rank_count() {
+        let want = on_pool(0, seeds());
         for ranks in [1usize, 2, 4] {
-            let got = Executor::ranks(ranks).run(seeds(), &Tracer::wall(), split);
+            let got = Executor::ranks(ranks).run(seeds(), &Pool::new(0), &Tracer::wall(), split);
             assert_eq!(got, want, "ranks = {ranks}");
         }
     }
@@ -259,9 +311,10 @@ mod tests {
     fn an_empty_tree_returns_at_once_under_both_executors() {
         let sim = crate::SimTransport::new(4, crate::FaultPlan::chaos(7));
         let sim = Executor::Ranks(Arc::new(sim), BalancerConfig::default());
-        for executor in [Executor::Inline, Executor::ranks(4), sim] {
+        for executor in [Executor::Pool, Executor::ranks(4), sim] {
             let tracer = executor.tracer();
-            assert!(executor.run(vec![], &tracer, split).is_empty());
+            let outs = executor.run(vec![], &Pool::new(0), &tracer, split);
+            assert!(outs.is_empty());
         }
     }
 }

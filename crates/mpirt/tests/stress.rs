@@ -1,7 +1,9 @@
 //! Stress tests for the runtime: randomized workloads, many ranks,
 //! dynamic work creation, exactly-once processing.
 
-use adm_mpirt::{run, run_balanced, BalancerConfig, Src, Window, WorkItem, WorkQueue};
+use adm_mpirt::{
+    run, run_balanced, BalancerConfig, Executor, Pool, Src, Task, Window, WorkItem, WorkQueue,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -16,6 +18,34 @@ impl WorkItem for Job {
     fn cost(&self) -> u64 {
         self.cost
     }
+}
+
+/// Concurrency of the pool executor, without a clock: each of two seed
+/// tasks waits for the other to arrive, so one thread running them in
+/// turn gives up waiting inside the first.
+#[test]
+fn pool_executor_runs_sibling_tasks_concurrently() {
+    let arrived = AtomicUsize::new(0);
+    let meet = |_: Job, _lane| {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let t0 = std::time::Instant::now();
+        while arrived.load(Ordering::SeqCst) < 2 && t0.elapsed() < Duration::from_secs(30) {
+            std::thread::yield_now();
+        }
+        (arrived.load(Ordering::SeqCst), Vec::new())
+    };
+    let body = Job {
+        id: 0,
+        cost: 1,
+        spawn: 0,
+    };
+    let seeds = [0u8, 1].map(|i| Task {
+        path: vec![i],
+        body: body.clone(),
+    });
+    let tracer = adm_trace::Tracer::wall();
+    let outs = Executor::Pool.run(seeds.into(), &Pool::new(1), &tracer, meet);
+    assert_eq!(outs, [(vec![0], 2), (vec![1], 2)]);
 }
 
 #[test]

@@ -49,8 +49,8 @@ use crate::request::{canonical_request, cost_estimate, RequestError};
 pub struct ServerConfig {
     /// Executor threads. `0` = manual pump mode (deterministic tests).
     pub workers: usize,
-    /// Width of the one shared mesh [`Pool`] (0 = inline). Sized to
-    /// the machine once, not per job.
+    /// Width of the one shared mesh [`Pool`] every job's tasks and merge
+    /// fork on (0 = inline). Sized to the machine once, not per job.
     pub pool_threads: usize,
     /// Admission queue bound: queued-but-unstarted jobs beyond this
     /// are rejected with [`ServeError::Busy`].
@@ -352,9 +352,9 @@ impl Server {
             state.inflight.insert(key.clone(), inf.clone());
             let mut job_config = config.clone();
             // Execution knobs are the server's to set: persistence
-            // goes to the disk cache's entry directory, and the job
-            // runs on the shared pool (merge_threads is unused by the
-            // pooled entry point but kept coherent for logs).
+            // goes to the disk cache's entry directory, and the whole
+            // job (task tree, leaf triangulations, merge) forks on the
+            // shared pool, so the request's merge_threads is never read.
             job_config.shard_out = shared.disk.as_ref().map(|d| d.entry_dir(&key));
             state.queue.push(QueuedJob {
                 key,

@@ -111,6 +111,34 @@ fn warm_cache_is_10x_faster_than_cold() {
     server.shutdown();
 }
 
+/// Two executor threads sharing a wide pool run each other's subdomain
+/// tasks; the responses are still the ones a width-0 server gives.
+#[test]
+fn jobs_sharing_a_wide_pool_return_the_width_0_digests() {
+    let configs = [MeshConfig::naca0012(16), MeshConfig::naca0012(20)];
+    let digests = |pool_threads: usize| -> Vec<String> {
+        let server = Server::new(ServerConfig {
+            workers: 2,
+            pool_threads,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let tickets: Vec<_> = configs
+            .iter()
+            .map(|c| server.submit_nowait(c, 0).unwrap())
+            .collect();
+        let digests = tickets
+            .into_iter()
+            .map(|t| t.wait().unwrap().digest.clone());
+        let digests = digests.collect();
+        server.shutdown();
+        digests
+    };
+    let wide = digests(2);
+    assert_ne!(wide[0], wide[1], "the requests must be distinct");
+    assert_eq!(wide, digests(0));
+}
+
 /// Acceptance: the admission queue rejects with a typed Busy instead
 /// of growing without bound.
 #[test]

@@ -91,11 +91,11 @@ impl Track {
         }
     }
 
-    /// The merge-pool lane of worker `w` (the pool's external lane maps
+    /// The lane of worker-pool lane `w` (the pool's external lane maps
     /// to its own `w`). Lives in the driver process row, offset past
-    /// the serial driver lane so per-worker `merge.node` spans render
-    /// beneath the root `phase.merge` span.
-    pub fn merge_worker(w: usize) -> Track {
+    /// the serial driver lane so a worker's `task.*` and `merge.node`
+    /// spans render beneath the root's phase spans.
+    pub fn pool_worker(w: usize) -> Track {
         Track {
             pid: 0,
             tid: w as u32 + 1,

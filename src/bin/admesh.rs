@@ -63,7 +63,7 @@ OPTIONS:
                             capped: thickness capped at 20*H0)
     --max-area <A>         far-field triangle area cap            [default: 1.0]
     --subdomains <N>       target subdomains per stage            [default: 32]
-    --ranks <N>            run on N parallel ranks (mpirt)        [default: sequential]
+    --ranks <N>            run on N parallel ranks (mpirt)        [default: in-process pool]
     --out <PATH>           write Triangle-format ASCII mesh
     --binary-out <PATH>    write compact binary mesh
     --out-shards <DIR>     distributed output: write per-subdomain shards plus
@@ -363,7 +363,7 @@ fn run_poly(args: &Args, path: &str) -> Result<PslgMeshResult, String> {
     };
     let executor = match args.ranks {
         Some(r) if r > 1 => Executor::ranks(r),
-        _ => Executor::Inline,
+        _ => Executor::Pool,
     };
     let pool = adm2d::mpirt::Pool::new(default_merge_threads());
     let shard_out = args.out_shards.as_deref().map(std::path::Path::new);

@@ -29,7 +29,7 @@ OPTIONS:
     --host <ADDR>          bind address                   [default: 127.0.0.1]
     --port <N>             bind port (0 = ephemeral)      [default: 7777]
     --workers <N>          mesh executor threads          [default: 2]
-    --pool-threads <N>     shared mesh pool width         [default: workers]
+    --pool-threads <N>     pool all jobs' tasks fork on   [default: workers]
     --queue-cap <N>        admission queue bound; excess
                            requests get a typed BUSY      [default: 64]
     --mem-cache-mb <N>     memory LRU budget in MiB       [default: 256]

@@ -130,8 +130,8 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Tentpole oracle: the sharded output of the NACA pipeline
-/// reconstructs to the exact in-process merged mesh under the inline
-/// executor (`ranks` 0: sequential `generate`, the reference) and at
+/// reconstructs to the exact in-process merged mesh under the pool
+/// executor (`ranks` 0: in-process `generate`, the reference) and at
 /// every rank count, and the shard set itself is byte-identical across
 /// executors and rank schedules (shards are keyed by task path, not by
 /// list index or rank).
