@@ -10,15 +10,7 @@
 use adm_bench::{maybe_write_trace, write_json, Series};
 use adm_core::{generate, MeshConfig, TaskKind};
 use adm_simnet::{simulate, InitialDist, SimConfig, Task};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct WeakScalingReport {
-    base_tasks: usize,
-    base_work_s: f64,
-    efficiency: Series,
-    paper_reference: &'static str,
-}
+use adm_trace::json::obj;
 
 fn main() {
     let mut config = MeshConfig::naca0012(100);
@@ -69,11 +61,11 @@ fn main() {
         );
         eff.push(p as f64, e);
     }
-    let report = WeakScalingReport {
-        base_tasks: base.len(),
-        base_work_s: base_work,
-        efficiency: eff,
-        paper_reference: "extension of the paper's future-work item: larger-cluster behaviour",
+    let report = obj! {
+        "base_tasks": base.len(),
+        "base_work_s": base_work,
+        "efficiency": &eff,
+        "paper_reference": "extension of the paper's future-work item: larger-cluster behaviour",
     };
     let path = write_json("ext_weak_scaling", &report).expect("write report");
     eprintln!("[weak] wrote {}", path.display());

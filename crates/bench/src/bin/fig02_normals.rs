@@ -9,21 +9,9 @@
 use adm_airfoil::Naca4;
 use adm_bench::{maybe_write_trace, write_json};
 use adm_blayer::{emit_rays, loop_normals, max_consecutive_angle, CornerThresholds, RaySource};
+use adm_trace::json::obj;
 use adm_trace::{Tracer, Track};
-use serde::Serialize;
 use std::fmt::Write as _;
-
-#[derive(Serialize)]
-struct NormalsReport {
-    surface_points: usize,
-    rays: usize,
-    fan_rays: usize,
-    interpolated_rays: usize,
-    max_angle_before_refinement_deg: f64,
-    max_angle_after_refinement_deg: f64,
-    trailing_edge_turn_deg: f64,
-    paper_reference: &'static str,
-}
 
 fn main() {
     let tracer = Tracer::wall();
@@ -106,15 +94,15 @@ fn main() {
     let path = adm_bench::report::write_artifact("fig02_normals.svg", svg.as_bytes()).unwrap();
     eprintln!("[fig02] wrote {}", path.display());
 
-    let report = NormalsReport {
-        surface_points: surface.len(),
-        rays: rays.len(),
-        fan_rays: fans,
-        interpolated_rays: interp,
-        max_angle_before_refinement_deg: max_before.to_degrees(),
-        max_angle_after_refinement_deg: max_after.to_degrees(),
-        trailing_edge_turn_deg: te_turn.to_degrees(),
-        paper_reference: "Fig 2: NACA 0012 with surface normals; Figs 3/4: TE angles need fans",
+    let report = obj! {
+        "surface_points": surface.len(),
+        "rays": rays.len(),
+        "fan_rays": fans,
+        "interpolated_rays": interp,
+        "max_angle_before_refinement_deg": max_before.to_degrees(),
+        "max_angle_after_refinement_deg": max_after.to_degrees(),
+        "trailing_edge_turn_deg": te_turn.to_degrees(),
+        "paper_reference": "Fig 2: NACA 0012 with surface normals; Figs 3/4: TE angles need fans",
     };
     let path = write_json("fig02_normals", &report).unwrap();
     eprintln!("[fig02] wrote {}", path.display());

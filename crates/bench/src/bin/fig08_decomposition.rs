@@ -11,22 +11,9 @@ use adm_bench::{maybe_write_trace, write_json};
 use adm_blayer::{build_boundary_layer, BlParams, Geometric};
 use adm_delaunay::divconq::triangulate_dc;
 use adm_partition::{decompose, triangulate_leaf, DecomposeParams, Subdomain};
+use adm_trace::json::obj;
 use adm_trace::{Tracer, Track};
-use serde::Serialize;
 use std::fmt::Write as _;
-
-#[derive(Serialize)]
-struct DecompositionReport {
-    cloud_points: usize,
-    leaves: usize,
-    merged_equals_direct: bool,
-    direct_triangles: usize,
-    min_cost: u64,
-    max_cost: u64,
-    mean_cost: f64,
-    imbalance: f64,
-    paper_reference: &'static str,
-}
 
 fn main() {
     let tracer = Tracer::wall();
@@ -145,16 +132,16 @@ fn main() {
         .expect("write svg");
     eprintln!("[fig08] wrote {}", svg_path.display());
 
-    let report = DecompositionReport {
-        cloud_points: cloud.len(),
-        leaves: d.leaves.len(),
-        merged_equals_direct: equal,
-        direct_triangles: direct.len(),
-        min_cost: min,
-        max_cost: max,
-        mean_cost: mean,
-        imbalance: max as f64 / mean,
-        paper_reference: "Fig 8: 30p30n boundary layer in 128 independent Delaunay subdomains",
+    let report = obj! {
+        "cloud_points": cloud.len(),
+        "leaves": d.leaves.len(),
+        "merged_equals_direct": equal,
+        "direct_triangles": direct.len(),
+        "min_cost": min,
+        "max_cost": max,
+        "mean_cost": mean,
+        "imbalance": max as f64 / mean,
+        "paper_reference": "Fig 8: 30p30n boundary layer in 128 independent Delaunay subdomains",
     };
     let path = write_json("fig08_decomposition", &report).expect("write report");
     eprintln!("[fig08] wrote {}", path.display());

@@ -12,21 +12,9 @@ use adm_core::refine_region;
 use adm_decouple::{decouple_to_count, initial_quadrants, GradedSizing};
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
+use adm_trace::json::obj;
 use adm_trace::{Tracer, Track};
-use serde::Serialize;
 use std::fmt::Write as _;
-
-#[derive(Serialize)]
-struct DecouplingReport {
-    subdomains: usize,
-    border_splits: usize,
-    min_triangles: usize,
-    max_triangles: usize,
-    mean_triangles: f64,
-    coefficient_of_variation: f64,
-    total_triangles: usize,
-    paper_reference: &'static str,
-}
 
 fn main() {
     let body = Aabb::new(Point2::new(-0.2, -0.25), Point2::new(1.2, 0.25));
@@ -102,15 +90,15 @@ fn main() {
         adm_bench::report::write_artifact("fig10_decoupling.svg", svg.as_bytes()).expect("svg");
     eprintln!("[fig10] wrote {}", svg_path.display());
 
-    let report = DecouplingReport {
-        subdomains: leaves.len(),
-        border_splits: splits,
-        min_triangles: min,
-        max_triangles: max,
-        mean_triangles: mean,
-        coefficient_of_variation: cv,
-        total_triangles: total,
-        paper_reference: "Fig 10: decoupled subdomains with roughly equal triangle counts",
+    let report = obj! {
+        "subdomains": leaves.len(),
+        "border_splits": splits,
+        "min_triangles": min,
+        "max_triangles": max,
+        "mean_triangles": mean,
+        "coefficient_of_variation": cv,
+        "total_triangles": total,
+        "paper_reference": "Fig 10: decoupled subdomains with roughly equal triangle counts",
     };
     let path = write_json("fig10_decoupling", &report).expect("write report");
     eprintln!("[fig10] wrote {}", path.display());

@@ -21,35 +21,10 @@
 //! address space, while the parallel run's deliverable is the verified
 //! shard set. The shard write itself is charged, parallel over ranks.
 
-use adm_bench::{
-    maybe_write_snapshot_trace, phase_rows, scaling_config, write_json, PhaseRow, Series,
-};
+use adm_bench::{maybe_write_snapshot_trace, phase_rows, scaling_config, write_json, Series};
 use adm_core::{generate, TaskKind};
 use adm_simnet::{simulate, InitialDist, LinkModel, Schedule, SimConfig, SimResult, Task};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct ScalingReport {
-    mesh_triangles: usize,
-    tasks: usize,
-    serial_fraction: f64,
-    sequential_s: f64,
-    /// Measured merge time (tree-parallel in the modeled wall clock;
-    /// measured but NOT charged in `sharded` mode).
-    merge_s: f64,
-    /// `merged` (classic single-mesh output) or `sharded` (distributed
-    /// per-task shards, merge deferred to offline reconstruction).
-    mode: String,
-    /// Measured wall time of the shard write (0 in `merged` mode);
-    /// charged as `shard_write_s / p` in the modeled wall clock.
-    shard_write_s: f64,
-    schedule: String,
-    speedup: Series,
-    efficiency: Series,
-    /// Trace-derived per-phase breakdown of the measured sequential run.
-    trace_phases: Vec<PhaseRow>,
-    paper_reference: &'static str,
-}
+use adm_trace::json::{obj, Value};
 
 /// Renders a simulated schedule as a trace snapshot: one lane per
 /// simulated rank, one span per executed task, plus a root lane covering
@@ -267,19 +242,26 @@ fn main() {
         maybe_write_snapshot_trace(&sim_snapshot(*p, sim)).expect("write trace");
     }
 
-    let report = ScalingReport {
-        mesh_triangles: result.stats.total_triangles,
-        tasks: tasks.len(),
-        serial_fraction: amdahl,
-        sequential_s,
-        merge_s,
-        mode: if sharded { "sharded" } else { "merged" }.to_string(),
-        shard_write_s,
-        schedule: format!("{schedule:?}"),
-        speedup,
-        efficiency,
-        trace_phases: phase_rows(&result.trace),
-        paper_reference: "Fig 11: speedup ~180 at 256 ranks; Fig 12: ~80% at 128, ~70% at 256",
+    let report = obj! {
+        "mesh_triangles": result.stats.total_triangles,
+        "tasks": tasks.len(),
+        "serial_fraction": amdahl,
+        "sequential_s": sequential_s,
+        // Measured merge time (tree-parallel in the modeled wall clock;
+        // measured but NOT charged in `sharded` mode).
+        "merge_s": merge_s,
+        // `merged` (classic single-mesh output) or `sharded` (distributed
+        // per-task shards, merge deferred to offline reconstruction).
+        "mode": if sharded { "sharded" } else { "merged" },
+        // Measured wall time of the shard write (0 in `merged` mode);
+        // charged as `shard_write_s / p` in the modeled wall clock.
+        "shard_write_s": shard_write_s,
+        "schedule": format!("{schedule:?}"),
+        "speedup": &speedup,
+        "efficiency": &efficiency,
+        // Trace-derived per-phase breakdown of the measured sequential run.
+        "trace_phases": Value::arr(&phase_rows(&result.trace)),
+        "paper_reference": "Fig 11: speedup ~180 at 256 ranks; Fig 12: ~80% at 128, ~70% at 256",
     };
     let path = write_json(
         &format!(

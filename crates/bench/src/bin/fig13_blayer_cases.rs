@@ -15,21 +15,9 @@ use adm_blayer::{
     RaySource,
 };
 use adm_geom::point::Point2;
+use adm_trace::json::obj;
 use adm_trace::{Tracer, Track};
-use serde::Serialize;
 use std::fmt::Write as _;
-
-#[derive(Serialize)]
-struct BlayerCasesReport {
-    elements: usize,
-    rays_per_element: Vec<usize>,
-    fan_rays_per_element: Vec<usize>,
-    clamped_rays_per_element: Vec<usize>,
-    self_intersections_resolved: bool,
-    multielement_disjoint: bool,
-    max_tip_jump_ratio: f64,
-    paper_reference: &'static str,
-}
 
 fn render(
     layers: &[adm_blayer::BoundaryLayer],
@@ -201,15 +189,15 @@ fn main() {
         "fig13_flap_blunt_te.svg",
     );
 
-    let report = BlayerCasesReport {
-        elements: layers.len(),
-        rays_per_element: rays_n,
-        fan_rays_per_element: fans_n.clone(),
-        clamped_rays_per_element: clamped_n.clone(),
-        self_intersections_resolved: self_ok,
-        multielement_disjoint: multi_ok,
-        max_tip_jump_ratio: max_jump,
-        paper_reference: "Fig 13: resolved self/multi-element intersections, cusp fans, blunt TE",
+    let report = obj! {
+        "elements": layers.len(),
+        "rays_per_element": rays_n,
+        "fan_rays_per_element": fans_n.clone(),
+        "clamped_rays_per_element": clamped_n.clone(),
+        "self_intersections_resolved": self_ok,
+        "multielement_disjoint": multi_ok,
+        "max_tip_jump_ratio": max_jump,
+        "paper_reference": "Fig 13: resolved self/multi-element intersections, cusp fans, blunt TE",
     };
     let path = write_json("fig13_blayer_cases", &report).expect("write report");
     eprintln!("[fig13] wrote {}", path.display());

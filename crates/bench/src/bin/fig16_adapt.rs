@@ -28,10 +28,9 @@ use adm_core::{adapt, generate, AdaptOptions, MeshConfig, UniformH};
 use adm_decouple::EQUILATERAL;
 use adm_delaunay::mesh::Mesh;
 use adm_solver::{solve_potential_flow, zz_error, FlowConditions};
-use serde::Serialize;
+use adm_trace::json::{obj, Value};
 use std::sync::Arc;
 
-#[derive(Serialize)]
 struct SamplePoint {
     /// What distinguishes this point within its family (cycle index,
     /// uniform cap h, or far-field max area).
@@ -42,23 +41,16 @@ struct SamplePoint {
     error_per_dof: f64,
 }
 
-#[derive(Serialize)]
-struct AdaptEconomyReport {
-    points: usize,
-    max_area: f64,
-    cycles: usize,
-    floor_factor: f64,
-    gradation: f64,
-    adapted: Vec<SamplePoint>,
-    uniform: Vec<SamplePoint>,
-    one_shot: Vec<SamplePoint>,
-    adapted_final_error_per_dof: f64,
-    uniform_best_error_per_dof: f64,
-    one_shot_best_error_per_dof: f64,
-    /// The acceptance bit: final adapted cycle beats the best point of
-    /// both non-adaptive families on error-per-DoF.
-    adapted_beats_both: bool,
-    paper_reference: &'static str,
+impl From<&SamplePoint> for Value {
+    fn from(p: &SamplePoint) -> Value {
+        obj! {
+            "knob": p.knob,
+            "triangles": p.triangles,
+            "dofs": p.dofs,
+            "error_total": p.error_total,
+            "error_per_dof": p.error_per_dof,
+        }
+    }
 }
 
 /// Solves the shared model problem and returns the estimator's view.
@@ -175,21 +167,23 @@ fn main() {
     println!("one-shot   {one_shot_best:.3}");
     println!("adapted beats both: {}", if beats { "YES" } else { "NO" });
 
-    let report = AdaptEconomyReport {
-        points,
-        max_area,
-        cycles,
-        floor_factor,
-        gradation,
-        adapted,
-        uniform,
-        one_shot,
-        adapted_final_error_per_dof: adapted_final,
-        uniform_best_error_per_dof: uniform_best,
-        one_shot_best_error_per_dof: one_shot_best,
-        adapted_beats_both: beats,
-        paper_reference: "fig. 16: solution-aware anisotropy buys accuracy per element; \
-                          here measured as ZZ error * sqrt(dofs), lower = better",
+    let report = obj! {
+        "points": points,
+        "max_area": max_area,
+        "cycles": cycles,
+        "floor_factor": floor_factor,
+        "gradation": gradation,
+        "adapted": Value::arr(&adapted),
+        "uniform": Value::arr(&uniform),
+        "one_shot": Value::arr(&one_shot),
+        "adapted_final_error_per_dof": adapted_final,
+        "uniform_best_error_per_dof": uniform_best,
+        "one_shot_best_error_per_dof": one_shot_best,
+        // The acceptance bit: final adapted cycle beats the best point of
+        // both non-adaptive families on error-per-DoF.
+        "adapted_beats_both": beats,
+        "paper_reference": "fig. 16: solution-aware anisotropy buys accuracy per element; \
+                            here measured as ZZ error * sqrt(dofs), lower = better",
     };
     let path = write_json("fig16_adapt", &report).expect("write report");
     eprintln!("[fig16_adapt] wrote {}", path.display());

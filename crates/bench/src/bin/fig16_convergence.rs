@@ -20,22 +20,8 @@ use adm_delaunay::mesh::Mesh;
 use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
 use adm_geom::point::Point2;
 use adm_solver::{assemble, cg, dirichlet_on_boundary, CgOptions};
+use adm_trace::json::obj;
 use adm_trace::Track;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct ConvergenceReport {
-    aniso_triangles: usize,
-    iso_triangles: usize,
-    element_ratio: f64,
-    aniso_iterations: usize,
-    iso_iterations: usize,
-    iteration_ratio: f64,
-    tolerance: f64,
-    aniso_residuals_sampled: Vec<(usize, f64)>,
-    iso_residuals_sampled: Vec<(usize, f64)>,
-    paper_reference: &'static str,
-}
 
 /// Builds the purely isotropic comparison mesh: same surface, same far
 /// field, graded sizing whose body edge length resolves the first-layer
@@ -169,17 +155,17 @@ fn main() {
     println!("element ratio:   {ratio_e:.1}x   (paper: 14.7x)");
     println!("iteration ratio: {ratio_i:.2}x  (paper: ~2x, 10k vs 5k)");
 
-    let report = ConvergenceReport {
-        aniso_triangles: aniso.stats.total_triangles,
-        iso_triangles: iso.num_triangles(),
-        element_ratio: ratio_e,
-        aniso_iterations: hist_aniso.len(),
-        iso_iterations: hist_iso.len(),
-        iteration_ratio: ratio_i,
-        tolerance: tol,
-        aniso_residuals_sampled: sample(&hist_aniso),
-        iso_residuals_sampled: sample(&hist_iso),
-        paper_reference: "aniso 360,241 tris ~5k iters; iso 5,314,372 tris ~10k iters to 1e-12",
+    let report = obj! {
+        "aniso_triangles": aniso.stats.total_triangles,
+        "iso_triangles": iso.num_triangles(),
+        "element_ratio": ratio_e,
+        "aniso_iterations": hist_aniso.len(),
+        "iso_iterations": hist_iso.len(),
+        "iteration_ratio": ratio_i,
+        "tolerance": tol,
+        "aniso_residuals_sampled": sample(&hist_aniso),
+        "iso_residuals_sampled": sample(&hist_iso),
+        "paper_reference": "aniso 360,241 tris ~5k iters; iso 5,314,372 tris ~10k iters to 1e-12",
     };
     let path = write_json("fig16_convergence", &report).expect("write report");
     eprintln!("[fig16] wrote {}", path.display());

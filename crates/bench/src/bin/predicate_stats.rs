@@ -29,24 +29,7 @@ fn run() {
     use adm_bench::write_json;
     use adm_core::{generate, MeshConfig};
     use adm_geom::predicates::stats;
-    use serde::Serialize;
-
-    #[derive(Serialize)]
-    struct PredicateReport {
-        /// Scalar ladder rungs `[stage_a, stage_b, stage_c, exact]`.
-        orient2d_ladder: [u64; 4],
-        incircle_ladder: [u64; 4],
-        /// Batched lanes and how many fell back to the scalar ladder.
-        orient2d_batch: u64,
-        orient2d_batch_fallback: u64,
-        incircle_batch: u64,
-        incircle_batch_fallback: u64,
-        /// batch_lanes / (batch_lanes + direct scalar calls).
-        batch_absorption: f64,
-        /// batch_fallbacks / batch_lanes.
-        batch_fallback_rate: f64,
-        workload: &'static str,
-    }
+    use adm_trace::json::{obj, Value};
 
     let mut config = MeshConfig::naca0012(96);
     config.sizing_max_area = 0.5;
@@ -82,16 +65,20 @@ fn run() {
         100.0 * fallback_rate
     );
 
-    let report = PredicateReport {
-        orient2d_ladder: orient,
-        incircle_ladder: incircle,
-        orient2d_batch: ob[0],
-        orient2d_batch_fallback: ob[1],
-        incircle_batch: ib[0],
-        incircle_batch_fallback: ib[1],
-        batch_absorption: absorption,
-        batch_fallback_rate: fallback_rate,
-        workload: "naca0012(96) sizing 0.5, 8/8 subdomains, single rank",
+    let report = obj! {
+        // Scalar ladder rungs `[stage_a, stage_b, stage_c, exact]`.
+        "orient2d_ladder": Value::arr(orient),
+        "incircle_ladder": Value::arr(incircle),
+        // Batched lanes and how many fell back to the scalar ladder.
+        "orient2d_batch": ob[0],
+        "orient2d_batch_fallback": ob[1],
+        "incircle_batch": ib[0],
+        "incircle_batch_fallback": ib[1],
+        // batch_lanes / (batch_lanes + direct scalar calls).
+        "batch_absorption": absorption,
+        // batch_fallbacks / batch_lanes.
+        "batch_fallback_rate": fallback_rate,
+        "workload": "naca0012(96) sizing 0.5, 8/8 subdomains, single rank",
     };
     let path = write_json("predicate_stats", &report).expect("write report");
     eprintln!("[predicate_stats] wrote {}", path.display());

@@ -21,79 +21,32 @@
 
 use adm_bench::write_json;
 use adm_serve::{replay, workload, Server, ServerConfig};
+use adm_trace::json::{obj, Value};
 use adm_trace::Histogram;
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct PhaseReport {
-    requests: usize,
-    ok: usize,
-    busy: usize,
-    wall_s: f64,
-    rps: f64,
-    p50_us: u64,
-    p90_us: u64,
-    p99_us: u64,
-}
-
-#[derive(Serialize)]
-struct HistReport {
-    /// log2 bucket counts, bucket i covers [2^(i-1), 2^i).
-    buckets: Vec<u64>,
-    count: u64,
-    mean: f64,
-}
-
-fn hist_report(h: Option<&Histogram>) -> HistReport {
-    match h {
-        Some(h) => HistReport {
-            buckets: h.buckets.to_vec(),
-            count: h.count,
-            mean: h.mean(),
-        },
-        None => HistReport {
-            buckets: Vec::new(),
-            count: 0,
-            mean: 0.0,
-        },
+fn hist_report(h: Option<&Histogram>) -> Value {
+    obj! {
+        // log2 bucket counts, bucket i covers [2^(i-1), 2^i).
+        "buckets": h.map_or(Vec::new(), |h| h.buckets.to_vec()),
+        "count": h.map_or(0, |h| h.count),
+        "mean": h.map_or(0.0, Histogram::mean),
     }
 }
 
-#[derive(Serialize)]
-struct ServeThroughputReport {
-    requests: usize,
-    distinct: usize,
-    seed: u64,
-    dup_threads: usize,
-    cold: PhaseReport,
-    warm: PhaseReport,
-    dup: PhaseReport,
-    /// warm.rps / cold.rps — the cache's whole value proposition.
-    warm_over_cold: f64,
-    /// Server-side hit rate over the warm phase (hits / requests).
-    warm_hit_rate: f64,
-    /// Coalesced duplicates during the dup phase.
-    dup_coalesced: u64,
-    /// Mesh jobs over all three phases (== distinct if caching works).
-    mesh_jobs: u64,
-    /// Queue-depth histogram (log2 buckets) over the whole run.
-    queue_depth_hist: HistReport,
-    /// Serve-side latency histogram in microseconds (log2 buckets).
-    latency_us_hist: HistReport,
-    /// All per-key digests agreed across phases.
-    digests_consistent: bool,
+fn rps(stats: &adm_serve::ReplayStats, wall_s: f64) -> f64 {
+    stats.ok as f64 / wall_s.max(1e-9)
 }
 
-fn phase(stats: &adm_serve::ReplayStats, wall_s: f64) -> PhaseReport {
-    PhaseReport {
-        requests: stats.total,
-        ok: stats.ok,
-        busy: stats.busy,
-        wall_s,
-        rps: stats.ok as f64 / wall_s.max(1e-9),
-        p50_us: stats.latency_quantile(0.50),
-        p90_us: stats.latency_quantile(0.90),
-        p99_us: stats.latency_quantile(0.99),
+fn phase(stats: &adm_serve::ReplayStats, wall_s: f64) -> Value {
+    obj! {
+        "requests": stats.total,
+        "ok": stats.ok,
+        "busy": stats.busy,
+        "wall_s": wall_s,
+        "rps": rps(stats, wall_s),
+        "p50_us": stats.latency_quantile(0.50),
+        "p90_us": stats.latency_quantile(0.90),
+        "p99_us": stats.latency_quantile(0.99),
     }
 }
 
@@ -190,22 +143,31 @@ fn main() {
             .all(|(k, d)| cold.digests.get(k).is_none_or(|c| c == d));
 
     let snap = server.tracer().snapshot();
-    let report = ServeThroughputReport {
-        requests,
-        distinct,
-        seed,
-        dup_threads: threads.max(4),
-        warm_over_cold: (warm.ok as f64 / warm_s.max(1e-9)) / (cold.ok as f64 / cold_s.max(1e-9)),
-        warm_hit_rate,
-        dup_coalesced,
-        mesh_jobs: server.tracer().counter("serve.mesh_jobs")
-            + dup_server.tracer().counter("serve.mesh_jobs"),
-        cold: phase(&cold, cold_s),
-        warm: phase(&warm, warm_s),
-        dup: phase(&dup, dup_s),
-        queue_depth_hist: hist_report(snap.histograms.get("serve.queue_depth")),
-        latency_us_hist: hist_report(snap.histograms.get("serve.latency_us")),
-        digests_consistent,
+    let (cold_rps, warm_rps) = (rps(&cold, cold_s), rps(&warm, warm_s));
+    let mesh_jobs =
+        server.tracer().counter("serve.mesh_jobs") + dup_server.tracer().counter("serve.mesh_jobs");
+    let report = obj! {
+        "requests": requests,
+        "distinct": distinct,
+        "seed": seed,
+        "dup_threads": threads.max(4),
+        "cold": phase(&cold, cold_s),
+        "warm": phase(&warm, warm_s),
+        "dup": phase(&dup, dup_s),
+        // warm.rps / cold.rps — the cache's whole value proposition.
+        "warm_over_cold": warm_rps / cold_rps,
+        // Server-side hit rate over the warm phase (hits / requests).
+        "warm_hit_rate": warm_hit_rate,
+        // Coalesced duplicates during the dup phase.
+        "dup_coalesced": dup_coalesced,
+        // Mesh jobs over all three phases (== distinct if caching works).
+        "mesh_jobs": mesh_jobs,
+        // Queue-depth histogram (log2 buckets) over the whole run.
+        "queue_depth_hist": hist_report(snap.histograms.get("serve.queue_depth")),
+        // Serve-side latency histogram in microseconds (log2 buckets).
+        "latency_us_hist": hist_report(snap.histograms.get("serve.latency_us")),
+        // All per-key digests agreed across phases.
+        "digests_consistent": digests_consistent,
     };
 
     server.shutdown();
@@ -214,12 +176,12 @@ fn main() {
     let path = write_json("serve_throughput", &report).expect("write report");
     eprintln!(
         "cold {:.1} req/s | warm {:.1} req/s ({:.0}x) | warm hit rate {:.1}% | dup coalesced {} | {} mesh jobs",
-        report.cold.rps,
-        report.warm.rps,
-        report.warm_over_cold,
-        report.warm_hit_rate * 100.0,
-        report.dup_coalesced,
-        report.mesh_jobs
+        cold_rps,
+        warm_rps,
+        warm_rps / cold_rps,
+        warm_hit_rate * 100.0,
+        dup_coalesced,
+        mesh_jobs
     );
     eprintln!("wrote {}", path.display());
 }

@@ -9,22 +9,8 @@
 use adm_bench::{maybe_write_trace, write_json};
 use adm_core::{generate, MeshConfig};
 use adm_delaunay::io::{write_ascii, write_binary};
-use serde::Serialize;
+use adm_trace::json::obj;
 use std::time::Instant;
-
-#[derive(Serialize)]
-struct IoReport {
-    mesh_triangles: usize,
-    ascii_bytes: usize,
-    binary_bytes: usize,
-    ascii_s: f64,
-    binary_s: f64,
-    size_ratio: f64,
-    speed_ratio: f64,
-    ascii_extrapolated_min_at_paper_size: f64,
-    binary_extrapolated_min_at_paper_size: f64,
-    paper_reference: &'static str,
-}
 
 fn main() {
     let mut config = MeshConfig::naca0012(120);
@@ -66,17 +52,17 @@ fn main() {
         ascii_s / binary_s
     );
 
-    let report = IoReport {
-        mesh_triangles: n,
-        ascii_bytes: ascii.len(),
-        binary_bytes: binary.len(),
-        ascii_s,
-        binary_s,
-        size_ratio: ascii.len() as f64 / binary.len() as f64,
-        speed_ratio: ascii_s / binary_s,
-        ascii_extrapolated_min_at_paper_size: ascii_paper_min,
-        binary_extrapolated_min_at_paper_size: binary_paper_min,
-        paper_reference:
+    let report = obj! {
+        "mesh_triangles": n,
+        "ascii_bytes": ascii.len(),
+        "binary_bytes": binary.len(),
+        "ascii_s": ascii_s,
+        "binary_s": binary_s,
+        "size_ratio": ascii.len() as f64 / binary.len() as f64,
+        "speed_ratio": ascii_s / binary_s,
+        "ascii_extrapolated_min_at_paper_size": ascii_paper_min,
+        "binary_extrapolated_min_at_paper_size": binary_paper_min,
+        "paper_reference":
             "ASCII write of the 172.8M-triangle mesh took 9 minutes; binary is cheaper",
     };
     let path = write_json("table_output_io", &report).expect("write report");

@@ -7,25 +7,9 @@
 //! constrained refinement, the "plain Triangle" role) and [`generate`]
 //! (full decomposed pipeline on one rank).
 
-use adm_bench::{
-    maybe_write_trace, phase_rows, sequential_efficiency_excl_merge, write_json, PhaseRow,
-};
+use adm_bench::{maybe_write_trace, phase_rows, sequential_efficiency_excl_merge, write_json};
 use adm_core::{generate, generate_undecomposed, MeshConfig, TaskKind};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct SequentialReport {
-    undecomposed_s: f64,
-    pipeline_s: f64,
-    sequential_efficiency: f64,
-    sequential_efficiency_excl_merge: f64,
-    undecomposed_triangles: usize,
-    pipeline_triangles: usize,
-    triangle_overhead: f64,
-    /// Trace-derived per-phase breakdown of the best pipeline run.
-    trace_phases: Vec<PhaseRow>,
-    paper_reference: &'static str,
-}
+use adm_trace::json::{obj, Value};
 
 fn main() {
     // A reasonably large mesh: the decoupling overhead is a fixed cost
@@ -98,21 +82,23 @@ fn main() {
         100.0 * overhead
     );
 
-    let report = SequentialReport {
-        undecomposed_s: base.stats.total_s,
-        pipeline_s: pipe.stats.total_s,
-        sequential_efficiency: eff,
-        sequential_efficiency_excl_merge: eff_nomerge,
-        undecomposed_triangles: base.stats.total_triangles,
-        pipeline_triangles: pipe.stats.total_triangles,
-        triangle_overhead: overhead,
-        trace_phases: phase_rows(&pipe.trace),
-        paper_reference: "Triangle 192 s vs pipeline 196 s => ~98% sequential efficiency",
-    };
+    // Trace-derived per-phase breakdown of the best pipeline run.
+    let trace_phases = phase_rows(&pipe.trace);
     println!("phase breakdown (trace-derived):");
-    for row in &report.trace_phases {
+    for row in &trace_phases {
         println!("  {:<24} x{:<5} {:>9.3}s", row.name, row.count, row.total_s);
     }
+    let report = obj! {
+        "undecomposed_s": base.stats.total_s,
+        "pipeline_s": pipe.stats.total_s,
+        "sequential_efficiency": eff,
+        "sequential_efficiency_excl_merge": eff_nomerge,
+        "undecomposed_triangles": base.stats.total_triangles,
+        "pipeline_triangles": pipe.stats.total_triangles,
+        "triangle_overhead": overhead,
+        "trace_phases": Value::arr(&trace_phases),
+        "paper_reference": "Triangle 192 s vs pipeline 196 s => ~98% sequential efficiency",
+    };
     let path = write_json("table_sequential", &report).expect("write report");
     eprintln!("[table] wrote {}", path.display());
     maybe_write_trace(&pipe.trace).expect("write trace");

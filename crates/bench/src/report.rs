@@ -1,12 +1,12 @@
 //! Machine-readable experiment outputs.
 
+use adm_trace::json::{obj, Value};
 use adm_trace::Tracer;
-use serde::Serialize;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A labeled series of (x, y) samples.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Series label (e.g. "speedup").
     pub name: String,
@@ -29,15 +29,20 @@ impl Series {
     }
 }
 
-/// Writes any serializable report into `bench_results/<name>.json`
+impl From<&Series> for Value {
+    fn from(s: &Series) -> Value {
+        obj! { "name": s.name.as_str(), "points": Value::arr(s.points.iter().copied()) }
+    }
+}
+
+/// Writes a report, pretty-printed, into `bench_results/<name>.json`
 /// (creating the directory next to the workspace root).
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::path::PathBuf> {
+pub fn write_json(name: &str, value: &Value) -> std::io::Result<std::path::PathBuf> {
     let dir = Path::new("bench_results");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    let s = serde_json::to_string_pretty(value)?;
-    f.write_all(s.as_bytes())?;
+    f.write_all(value.to_string_pretty().as_bytes())?;
     f.write_all(b"\n")?;
     f.flush()?;
     Ok(path)
@@ -54,7 +59,7 @@ pub fn write_artifact(name: &str, contents: &[u8]) -> std::io::Result<std::path:
 
 /// One row of the per-phase summary embedded in bench reports: spans
 /// aggregated by name, largest total first.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseRow {
     /// Span name (e.g. `task.inviscid_refine`).
     pub name: String,
@@ -62,6 +67,12 @@ pub struct PhaseRow {
     pub count: u64,
     /// Summed duration in seconds.
     pub total_s: f64,
+}
+
+impl From<&PhaseRow> for Value {
+    fn from(r: &PhaseRow) -> Value {
+        obj! { "name": r.name.as_str(), "count": r.count, "total_s": r.total_s }
+    }
 }
 
 /// The trace-derived per-phase breakdown of a run.

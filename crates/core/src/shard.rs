@@ -37,6 +37,7 @@ use adm_delaunay::mesh::Mesh;
 use adm_kernel::frontier::{frontier_bytes, frontier_from_bytes, shared_by_stamp, FrontierEntry};
 use adm_mpirt::Pool;
 use adm_partition::reduction_plan;
+use adm_trace::json::{self, obj, Value};
 use adm_trace::{Tracer, Track};
 use std::collections::HashMap;
 use std::fs;
@@ -90,9 +91,10 @@ fn hex_to_path(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+    let nibble = |b: u8| (b as char).to_digit(16);
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| Some((nibble(pair[0])? * 16 + nibble(pair[1])?) as u8))
         .collect()
 }
 
@@ -211,72 +213,80 @@ pub fn write_manifest(dir: &Path, manifest: &ShardManifest) -> io::Result<()> {
     atomic_write(&dir.join(MANIFEST_NAME), manifest.to_json().as_bytes())
 }
 
-/// Reads the manifest from `dir`.
+/// Largest manifest [`read_manifest`] will read: far above any real one
+/// (65,536 shards x ~400 B), far below what would hurt the reader.
+pub const MAX_MANIFEST_BYTES: u64 = 64 << 20;
+
+/// Reads the manifest from `dir`. A file over [`MAX_MANIFEST_BYTES`] is
+/// refused before a byte of it is read.
 pub fn read_manifest(dir: &Path) -> io::Result<ShardManifest> {
-    let text = fs::read_to_string(dir.join(MANIFEST_NAME))?;
-    ShardManifest::from_json(&text)
+    let path = dir.join(MANIFEST_NAME);
+    let len = fs::metadata(&path)?.len();
+    if len > MAX_MANIFEST_BYTES {
+        return Err(bad_data(format!(
+            "manifest is {len} bytes, over the {MAX_MANIFEST_BYTES}-byte cap"
+        )));
+    }
+    ShardManifest::from_json(&fs::read_to_string(path)?)
 }
 
 impl ShardManifest {
     /// Deterministic JSON serialization (fixed key order, sorted shards,
-    /// no environment-dependent fields).
+    /// no environment-dependent fields): the pretty form of
+    /// [`adm_trace::json`] plus a final newline. An empty shard list
+    /// would print as `[]`; no caller writes one (`pipeline::drive`
+    /// always has a merge input).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"format\": \"{MANIFEST_FORMAT}\",\n"));
-        s.push_str(&format!("  \"shard_count\": {},\n", self.shards.len()));
-        s.push_str("  \"shards\": [\n");
-        for (i, sh) in self.shards.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"path\": \"{}\",\n", path_hex(&sh.path)));
-            s.push_str(&format!("      \"file\": \"{}\",\n", sh.file));
-            s.push_str(&format!("      \"frontier\": \"{}\",\n", sh.frontier_file));
-            s.push_str(&format!("      \"mesh_sha256\": \"{}\",\n", sh.mesh_sha256));
-            s.push_str(&format!(
-                "      \"frontier_sha256\": \"{}\",\n",
-                sh.frontier_sha256
-            ));
-            s.push_str(&format!("      \"vertices\": {},\n", sh.vertices));
-            s.push_str(&format!("      \"triangles\": {}\n", sh.triangles));
-            s.push_str(if i + 1 == self.shards.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let shards = self.shards.iter().map(|sh| {
+            obj! {
+                "path": path_hex(&sh.path),
+                "file": sh.file.as_str(),
+                "frontier": sh.frontier_file.as_str(),
+                "mesh_sha256": sh.mesh_sha256.as_str(),
+                "frontier_sha256": sh.frontier_sha256.as_str(),
+                "vertices": sh.vertices,
+                "triangles": sh.triangles,
+            }
+        });
+        let doc = obj! {
+            "format": MANIFEST_FORMAT,
+            "shard_count": self.shards.len(),
+            "shards": Value::arr(shards),
+        };
+        doc.to_string_pretty() + "\n"
     }
 
     /// Parses the manifest schema written by [`ShardManifest::to_json`].
-    /// Hand-rolled: the workspace is dependency-free and the vendored
-    /// serde_json stub only serializes.
     pub fn from_json(text: &str) -> io::Result<ShardManifest> {
-        let value = json::parse(text)?;
-        let obj = value.as_object("manifest")?;
-        let format = json::field(obj, "format")?.as_str("format")?;
+        let doc = json::parse(text).map_err(|e| bad_data(e.to_string()))?;
+        let missing = |key: &str| bad_data(format!("manifest: no {key:?} of the right type"));
+        let string = |obj: &Value, key: &str| {
+            let field = obj.get(key).and_then(Value::as_str);
+            field.map(str::to_string).ok_or_else(|| missing(key))
+        };
+        let count = |obj: &Value, key: &str| {
+            let field = obj.get(key).and_then(Value::as_u64);
+            field.ok_or_else(|| missing(key))
+        };
+        let format = string(&doc, "format")?;
         if format != MANIFEST_FORMAT {
             return Err(bad_data(format!("unknown manifest format {format:?}")));
         }
-        let declared = json::field(obj, "shard_count")?.as_u64("shard_count")?;
-        let mut shards = Vec::new();
-        for item in json::field(obj, "shards")?.as_array("shards")? {
-            let sh = item.as_object("shard entry")?;
-            let hex = json::field(sh, "path")?.as_str("path")?;
-            let path =
-                hex_to_path(hex).ok_or_else(|| bad_data(format!("bad shard path hex {hex:?}")))?;
+        let declared = count(&doc, "shard_count")?;
+        let listed = doc.get("shards").and_then(Value::as_array);
+        let listed = listed.ok_or_else(|| missing("shards"))?;
+        let mut shards = Vec::with_capacity(listed.len());
+        for sh in listed {
+            let hex = string(sh, "path")?;
             shards.push(ShardMeta {
-                path,
-                file: json::field(sh, "file")?.as_str("file")?.to_string(),
-                frontier_file: json::field(sh, "frontier")?.as_str("frontier")?.to_string(),
-                mesh_sha256: json::field(sh, "mesh_sha256")?
-                    .as_str("mesh_sha256")?
-                    .to_string(),
-                frontier_sha256: json::field(sh, "frontier_sha256")?
-                    .as_str("frontier_sha256")?
-                    .to_string(),
-                vertices: json::field(sh, "vertices")?.as_u64("vertices")?,
-                triangles: json::field(sh, "triangles")?.as_u64("triangles")?,
+                path: hex_to_path(&hex)
+                    .ok_or_else(|| bad_data(format!("bad shard path hex {hex:?}")))?,
+                file: string(sh, "file")?,
+                frontier_file: string(sh, "frontier")?,
+                mesh_sha256: string(sh, "mesh_sha256")?,
+                frontier_sha256: string(sh, "frontier_sha256")?,
+                vertices: count(sh, "vertices")?,
+                triangles: count(sh, "triangles")?,
             });
         }
         if declared != shards.len() as u64 {
@@ -291,170 +301,6 @@ impl ShardManifest {
 
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Minimal JSON reader for the manifest subset: objects, arrays,
-/// escape-free strings, and unsigned integers.
-mod json {
-    use super::bad_data;
-    use std::io;
-
-    #[derive(Debug)]
-    pub enum Value {
-        Obj(Vec<(String, Value)>),
-        Arr(Vec<Value>),
-        Str(String),
-        Num(u64),
-    }
-
-    impl Value {
-        pub fn as_object(&self, what: &str) -> io::Result<&[(String, Value)]> {
-            match self {
-                Value::Obj(fields) => Ok(fields),
-                _ => Err(bad_data(format!("{what}: expected object"))),
-            }
-        }
-        pub fn as_array(&self, what: &str) -> io::Result<&[Value]> {
-            match self {
-                Value::Arr(items) => Ok(items),
-                _ => Err(bad_data(format!("{what}: expected array"))),
-            }
-        }
-        pub fn as_str(&self, what: &str) -> io::Result<&str> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(bad_data(format!("{what}: expected string"))),
-            }
-        }
-        pub fn as_u64(&self, what: &str) -> io::Result<u64> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err(bad_data(format!("{what}: expected number"))),
-            }
-        }
-    }
-
-    pub fn field<'v>(obj: &'v [(String, Value)], key: &str) -> io::Result<&'v Value> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| bad_data(format!("missing field {key:?}")))
-    }
-
-    pub fn parse(text: &str) -> io::Result<Value> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(bad_data("trailing bytes after JSON value".into()));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> io::Result<()> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(bad_data(format!(
-                "expected {:?} at byte {}",
-                c as char, *pos
-            )))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> io::Result<Value> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(bad_data(format!("bad object at byte {}", *pos))),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(bad_data(format!("bad array at byte {}", *pos))),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while *pos < b.len() && b[*pos].is_ascii_digit() {
-                    *pos += 1;
-                }
-                let s = std::str::from_utf8(&b[start..*pos]).expect("ascii digits");
-                s.parse::<u64>()
-                    .map(Value::Num)
-                    .map_err(|e| bad_data(format!("bad number {s:?}: {e}")))
-            }
-            _ => Err(bad_data(format!("unexpected byte at {}", *pos))),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> io::Result<String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(bad_data(format!("expected string at byte {}", *pos)));
-        }
-        *pos += 1;
-        let start = *pos;
-        while *pos < b.len() && b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                return Err(bad_data("escapes not supported in manifest strings".into()));
-            }
-            *pos += 1;
-        }
-        if *pos >= b.len() {
-            return Err(bad_data("unterminated string".into()));
-        }
-        let s = std::str::from_utf8(&b[start..*pos])
-            .map_err(|e| bad_data(format!("non-UTF8 string: {e}")))?
-            .to_string();
-        *pos += 1;
-        Ok(s)
-    }
 }
 
 /// Result of [`verify_shards`]: what was checked and every inconsistency

@@ -696,10 +696,19 @@ impl Transport for SimTransport {
             st.started_mains += 1;
         }
         let now = st.now;
-        Core::trace(&mut st, &[TR_START, rank as u64, lane_code(lane), now]);
+        // Before the gate opens the Main lanes arrive in whatever order
+        // the OS ran their threads, so they are hashed in rank order once
+        // all are here. A Helper's Main holds the token while it waits in
+        // `await_thread`, which already orders that registration.
+        if st.gate_open || lane != Lane::Main {
+            Core::trace(&mut st, &[TR_START, rank as u64, lane_code(lane), now]);
+        }
         core.cv.notify_all(); // wake await_thread / gate watchers
         if !st.gate_open && st.started_mains == core.size {
             st.gate_open = true;
+            for r in 0..core.size {
+                Core::trace(&mut st, &[TR_START, r as u64, lane_code(Lane::Main), now]);
+            }
             core.reschedule(&mut st);
         }
         core.wait_token(st, me);

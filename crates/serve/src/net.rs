@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adm_core::config::MeshConfig;
+use adm_trace::json::{obj, Value};
 
 use crate::request::{canonical_request, RequestError};
 use crate::server::{ServeError, Server};
@@ -142,24 +143,16 @@ fn handle_conn(server: &Server, stream: &TcpStream, timeout: Option<Duration>) -
     }
 }
 
-/// Counters + gauges as a small hand-rolled JSON object.
+/// Counters + gauges as one compact JSON object.
 pub fn stats_json(server: &Server) -> String {
     let snap = server.tracer().snapshot();
-    let mut out = String::from("{\"counters\":{");
-    let mut first = true;
-    for (name, v) in &snap.counters {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\"{name}\":{v}"));
-    }
-    out.push_str(&format!(
-        "}},\"queue_depth\":{},\"mem_cache_bytes\":{}}}",
-        server.queue_depth(),
-        server.mem_cache_bytes()
-    ));
-    out
+    let counters = snap.counters.iter().map(|(name, v)| (name.as_ref(), *v));
+    let stats = obj! {
+        "counters": Value::obj(counters),
+        "queue_depth": server.queue_depth(),
+        "mem_cache_bytes": server.mem_cache_bytes(),
+    };
+    stats.to_string()
 }
 
 /// A blocking protocol client for the replay driver, tests, and CLI.

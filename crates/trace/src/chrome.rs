@@ -7,108 +7,65 @@
 //! resolution. Lane names travel as `"M"` metadata events; counters and
 //! histogram summaries ride in the top-level `otherData` object.
 //!
-//! The writer is hand-rolled (this crate is dependency-free) and fully
-//! deterministic: given the same snapshot it produces the same bytes,
-//! which is what lets the chaos suite assert byte-identical traces per
-//! simulation seed.
+//! Every event is an [`adm_trace::json`](crate::json) value written
+//! compact on a line of its own, so the export is fully deterministic:
+//! given the same snapshot it produces the same bytes, which is what lets
+//! the chaos suite assert byte-identical traces per simulation seed.
 
+use crate::json::{obj, Value};
 use crate::TraceSnapshot;
-use std::fmt::Write as _;
 use std::io;
 
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Nanoseconds rendered as microseconds with three decimals (the trace
-/// format's native unit, kept at full resolution).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Nanoseconds as microseconds, the trace format's native unit (exact to
+/// the nanosecond for any run shorter than 10^15 ns).
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1000.0
 }
 
 /// Renders the snapshot as a Chrome trace-event JSON document.
 pub fn to_chrome_json(snap: &TraceSnapshot) -> String {
-    let mut out = String::new();
-    out.push_str("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [");
-    let mut first = true;
-    let mut push = |s: String, first: &mut bool| {
-        if !*first {
-            out.push(',');
+    let lanes = snap.track_names.iter().map(|(track, name)| {
+        obj! {
+            "ph": "M",
+            "name": "thread_name",
+            "pid": track.pid,
+            "tid": track.tid,
+            "args": obj! { "name": name.as_str() },
         }
-        *first = false;
-        out.push('\n');
-        out.push_str(&s);
+    });
+    let spans = snap.spans.iter().filter(|s| s.closed()).map(|span| {
+        obj! {
+            "ph": "X",
+            "name": span.name.as_ref(),
+            "cat": "adm",
+            "pid": span.track.pid,
+            "tid": span.track.tid,
+            "ts": us(span.start_ns),
+            "dur": us(span.end_ns - span.start_ns),
+            "args": Value::obj(span.args.iter().copied()),
+        }
+    });
+    let mut out = String::from("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [");
+    for (i, event) in lanes.chain(spans).enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&event.to_string());
+    }
+    let histograms = snap.histograms.iter().map(|(name, h)| {
+        let summary = obj! {
+            "count": h.count,
+            "sum": h.sum,
+            "min": if h.count == 0 { 0 } else { h.min },
+            "max": h.max,
+        };
+        (name.as_ref(), summary)
+    });
+    let other = obj! {
+        "counters": Value::obj(snap.counters.iter().map(|(name, v)| (name.as_ref(), *v))),
+        "histograms": Value::obj(histograms),
     };
-
-    for (track, name) in &snap.track_names {
-        push(
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {}, \"tid\": {}, \"args\": {{\"name\": \"{}\"}}}}",
-                track.pid,
-                track.tid,
-                esc(name)
-            ),
-            &mut first,
-        );
-    }
-    for span in snap.spans.iter().filter(|s| s.closed()) {
-        let mut args = String::new();
-        for (i, (k, v)) in span.args.iter().enumerate() {
-            if i > 0 {
-                args.push_str(", ");
-            }
-            let _ = write!(args, "\"{}\": {v}", esc(k));
-        }
-        push(
-            format!(
-                "{{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"adm\", \"pid\": {}, \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{{args}}}}}",
-                esc(&span.name),
-                span.track.pid,
-                span.track.tid,
-                us(span.start_ns),
-                us(span.end_ns - span.start_ns),
-            ),
-            &mut first,
-        );
-    }
-    out.push_str("\n],\n\"otherData\": {\n\"counters\": {");
-    for (i, (name, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n\"{}\": {v}", esc(name));
-    }
-    out.push_str("\n},\n\"histograms\": {");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-            esc(name),
-            h.count,
-            h.sum,
-            if h.count == 0 { 0 } else { h.min },
-            h.max
-        );
-    }
-    out.push_str("\n}\n}\n}\n");
+    out.push_str("\n],\n\"otherData\": ");
+    out.push_str(&other.to_string_pretty());
+    out.push_str("\n}\n");
     out
 }
 
@@ -120,31 +77,43 @@ pub fn write_chrome_trace<W: io::Write>(mut w: W, snap: &TraceSnapshot) -> io::R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TestClock, Tracer, Track};
+    use crate::{json, TestClock, Tracer, Track};
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// The one structural test: the export parses back, through `Value`,
+    /// to exactly the recorded lanes, spans (escaped names, `ts`/`dur` in
+    /// microseconds), counters and histogram summaries.
     #[test]
-    fn export_contains_complete_events_and_metadata() {
+    fn export_parses_back_to_the_recorded_events() {
         let clock = Arc::new(TestClock::new());
         let t = Tracer::new(clock.clone());
-        t.name_track(Track::rank(0), "rank 0 mesher");
-        let g = t.span(Track::rank(0), "refine");
-        clock.advance(Duration::from_micros(3));
+        let Track { pid, tid } = Track::rank(0);
+        t.name_track(Track::rank(0), "rank 0 \"mesher\"");
+        let g = t.span(Track::rank(0), "quo\"te\\path");
+        clock.advance(Duration::from_nanos(3_001));
         g.close_with(&[("triangles", 12)]);
         t.count("tasks", 1);
         t.observe("rtt_ns", 1500);
 
-        let json = to_chrome_json(&t.snapshot());
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"name\": \"refine\""));
-        assert!(json.contains("\"ts\": 0.000"));
-        assert!(json.contains("\"dur\": 3.000"));
-        assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"rank 0 mesher\""));
-        assert!(json.contains("\"triangles\": 12"));
-        assert!(json.contains("\"tasks\": 1"));
-        assert!(json.contains("\"rtt_ns\""));
+        let lane = obj! { "name": "rank 0 \"mesher\"" };
+        let expected = obj! {
+            "displayTimeUnit": "ms",
+            "traceEvents": vec![
+                obj! { "ph": "M", "name": "thread_name", "pid": pid, "tid": tid, "args": lane },
+                obj! {
+                    "ph": "X", "name": "quo\"te\\path", "cat": "adm", "pid": pid, "tid": tid,
+                    "ts": 0.0, "dur": 3.001, "args": obj! { "triangles": 12u64 },
+                },
+            ],
+            "otherData": obj! {
+                "counters": obj! { "tasks": 1u64 },
+                "histograms": obj! {
+                    "rtt_ns": obj! { "count": 1u64, "sum": 1500u64, "min": 1500u64, "max": 1500u64 },
+                },
+            },
+        };
+        assert_eq!(json::parse(&to_chrome_json(&t.snapshot())), Ok(expected));
     }
 
     #[test]
@@ -160,13 +129,5 @@ mod tests {
             to_chrome_json(&t.snapshot())
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn names_are_escaped() {
-        let t = Tracer::new(Arc::new(TestClock::new()));
-        t.span(Track::ROOT, "quo\"te\\path").close();
-        let json = to_chrome_json(&t.snapshot());
-        assert!(json.contains("quo\\\"te\\\\path"));
     }
 }

@@ -26,6 +26,7 @@
 mod clock;
 
 pub mod chrome;
+pub mod json;
 
 pub use clock::{Clock, TestClock, WallClock};
 

@@ -23,6 +23,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use adm2d::serve::{canonical_request, workload, Client, Rng, WireResponse, PROTO};
+use adm2d::trace::json::{self, obj, Value};
 
 const USAGE: &str = "\
 serve-replay — workload replay and chaos client for admeshd
@@ -269,7 +270,7 @@ fn main() -> ExitCode {
     // Server-side hit rate over this run, from STATS deltas… the
     // replay owns the whole server lifetime in CI, so totals suffice.
     let hit_rate = match Client::connect(addr).and_then(|mut c| c.stats()) {
-        Ok(json) => hit_rate_from_stats(&json),
+        Ok(stats) => hit_rate_from_stats(&stats),
         Err(_) => None,
     };
 
@@ -281,18 +282,21 @@ fn main() -> ExitCode {
     }
 
     if args.json {
-        println!(
-            "{{\"requests\":{},\"ok\":{},\"busy\":{},\"errors\":{},\"disconnected\":{},\"mismatches\":{},\"wall_s\":{:.6},\"rps\":{:.3},\"p50_us\":{p50},\"p90_us\":{p90},\"p99_us\":{p99},\"hit_rate\":{}}}",
-            args.requests,
-            tally.ok,
-            tally.busy,
-            tally.errs,
-            tally.disconnected,
-            tally.mismatches,
-            wall.as_secs_f64(),
-            rps,
-            hit_rate.map_or("null".to_string(), |h| format!("{h:.4}")),
-        );
+        let report = obj! {
+            "requests": args.requests,
+            "ok": tally.ok,
+            "busy": tally.busy,
+            "errors": tally.errs,
+            "disconnected": tally.disconnected,
+            "mismatches": tally.mismatches,
+            "wall_s": wall.as_secs_f64(),
+            "rps": rps,
+            "p50_us": p50,
+            "p90_us": p90,
+            "p99_us": p99,
+            "hit_rate": hit_rate,
+        };
+        println!("{report}");
     } else {
         println!(
             "replayed {} requests in {:.3}s: {} ok ({:.1} req/s), {} busy, {} errors, {} chaos-disconnects",
@@ -355,22 +359,39 @@ fn record(tally: &Mutex<Tally>, out: std::io::Result<WireResponse>, dt: Duration
     }
 }
 
-/// Pulls `serve.*` counters out of the stats JSON and computes the
+/// Reads the `serve.*` counters of a `STATS` document and computes the
 /// cache hit rate (mem + disk + coalesced over all answered work).
-fn hit_rate_from_stats(json: &str) -> Option<f64> {
-    let counter = |name: &str| -> u64 {
-        json.find(&format!("\"{name}\":"))
-            .and_then(|at| {
-                let rest = &json[at + name.len() + 3..];
-                let end = rest.find(|c: char| !c.is_ascii_digit())?;
-                rest[..end].parse().ok()
-            })
-            .unwrap_or(0)
-    };
+fn hit_rate_from_stats(stats: &str) -> Option<f64> {
+    let doc = json::parse(stats).ok()?;
+    let counters = doc.get("counters")?;
+    let counter = |name: &str| counters.get(name).and_then(Value::as_u64).unwrap_or(0);
     let hits = counter("serve.hits_mem") + counter("serve.hits_disk") + counter("serve.coalesced");
     let total = hits + counter("serve.mesh_jobs");
     if total == 0 {
         return None;
     }
     Some(hits as f64 / total as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hit_rate_does_not_depend_on_how_stats_is_spaced() {
+        let stats = obj! {
+            "counters": obj! {
+                "serve.coalesced": 1u64,
+                "serve.hits_disk": 2u64,
+                "serve.hits_mem": 3u64,
+                "serve.mesh_jobs": 2u64,
+            },
+            "queue_depth": 0u64,
+            "mem_cache_bytes": 4096u64,
+        };
+        assert_eq!(hit_rate_from_stats(&stats.to_string()), Some(0.75));
+        assert_eq!(hit_rate_from_stats(&stats.to_string_pretty()), Some(0.75));
+        assert_eq!(hit_rate_from_stats("{\"counters\":{}}"), None);
+        assert_eq!(hit_rate_from_stats("{\"counters\":"), None);
+    }
 }
