@@ -151,29 +151,28 @@ pub fn propagate_interface_splits(
     donor: &Mesh,
     interface_loops: &[Vec<Point2>],
 ) -> usize {
+    use adm_delaunay::mesh::NIL;
     use adm_geom::segment::Segment;
     use adm_kernel::canonical_bits;
-    // Donor constrained endpoints.
-    let mut donor_pts: Vec<Point2> = Vec::new();
-    {
-        let mut seen = std::collections::HashSet::new();
-        for (a, b) in donor.constrained_edges() {
-            for v in [a, b] {
-                let p = donor.vertex(v as usize);
-                if seen.insert(canonical_bits(p)) {
-                    donor_pts.push(p);
-                }
-            }
-        }
-    }
-    // Canonical coordinate -> BL vertex id (the BL mesh stores the
-    // arena's normalized points, while interface loops may still carry
-    // -0.0 variants — canonical bits make the two sides agree).
-    let mut id_of: std::collections::HashMap<(u64, u64), u32> = std::collections::HashMap::new();
+    use std::collections::HashMap;
+    // Donor constrained endpoints, once each, sorted by `x` so a border
+    // segment reads only the ones inside its own `x`-extent.
+    let ends = donor.constrained_edges().flat_map(|(a, b)| [a, b]);
+    let mut donor_pts: Vec<Point2> = ends.map(|v| donor.vertex(v as usize)).collect();
+    let key = |p: &Point2| canonical_bits(*p);
+    let by_x = |p: &Point2, q: &Point2| (p.x + 0.0).total_cmp(&(q.x + 0.0));
+    donor_pts.sort_by(|p, q| by_x(p, q).then(key(p).cmp(&key(q))));
+    donor_pts.dedup_by_key(|p| key(p));
+    // Canonical coordinate -> BL vertex id (lowest wins) of the interface
+    // points (the BL mesh stores the arena's normalized points, while
+    // interface loops may still carry -0.0 variants — canonical bits make
+    // the two sides agree).
+    let loop_pts = interface_loops.iter().flatten();
+    let mut id_of: HashMap<(u64, u64), u32> = loop_pts.map(|&p| (canonical_bits(p), NIL)).collect();
     for i in 0..bl.num_vertices() {
-        id_of
-            .entry(canonical_bits(bl.vertex(i)))
-            .or_insert(i as u32);
+        if let Some(id) = id_of.get_mut(&canonical_bits(bl.vertex(i))) {
+            *id = (*id).min(i as u32);
+        }
     }
     let mut inserted = 0usize;
     for border in interface_loops {
@@ -185,12 +184,17 @@ pub fn propagate_interface_splits(
             if len == 0.0 {
                 continue;
             }
-            // Donor vertices strictly interior to this segment.
+            // Donor vertices strictly interior to this segment. One within
+            // `tol` of it lies within `tol` of its `x`-extent; twice that
+            // covers the rounding of the distance below.
             let dir = b - a;
-            let mut added: Vec<(f64, Point2)> = donor_pts
+            let tol = 1e-9 * (1.0 + len);
+            let first = donor_pts.partition_point(|p| p.x < a.x.min(b.x) - 2.0 * tol);
+            let mut added: Vec<(f64, Point2)> = donor_pts[first..]
                 .iter()
+                .take_while(|p| p.x <= a.x.max(b.x) + 2.0 * tol)
                 .filter(|&&p| p != a && p != b)
-                .filter(|&&p| seg.distance_to_point(p) < 1e-9 * (1.0 + len))
+                .filter(|&&p| seg.distance_to_point(p) < tol)
                 .map(|&p| ((p - a).dot(dir) / dir.norm_sq(), p))
                 // Guard against near-endpoint splits (degenerate slivers).
                 .filter(|&(t, _)| t > 1e-9 && t < 1.0 - 1e-9)
@@ -198,13 +202,13 @@ pub fn propagate_interface_splits(
             if added.is_empty() {
                 continue;
             }
-            added.sort_by(|x, y| x.0.total_cmp(&y.0));
-            let Some(&ida) = id_of.get(&canonical_bits(a)) else {
+            // Equal parameters go by canonical bits (the donor's edge set
+            // iterates in a per-process order, so nothing else is stable).
+            added.sort_by(|x, y| x.0.total_cmp(&y.0).then(key(&x.1).cmp(&key(&y.1))));
+            let (ida, idb) = (id_of[&canonical_bits(a)], id_of[&canonical_bits(b)]);
+            if ida == NIL || idb == NIL {
                 continue;
-            };
-            let Some(&idb) = id_of.get(&canonical_bits(b)) else {
-                continue;
-            };
+            }
             let mut left = ida;
             for (_, p) in added {
                 let Some((t, e)) = bl.find_edge(left, idb) else {
@@ -242,6 +246,39 @@ mod tests {
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
+    }
+
+    #[test]
+    fn propagated_splits_are_found_through_the_x_index() {
+        let mut bl = Mesh::from_triangles(
+            vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)],
+            vec![[0, 1, 2], [0, 2, 3]],
+        );
+        // The loop carries -0.0 where the mesh stores 0.0; its second
+        // segment is vertical, so only the tolerance widens its x-extent.
+        let border = vec![p(-0.0, -0.0), p(1.0, -0.0), p(1.0, 1.0), p(-0.0, 1.0)];
+        // Donor constrained endpoints: two on the vertical segment (given
+        // out of order), one on the bottom, the corners themselves, and one
+        // inside both x-ranges but on neither segment.
+        let pts = [
+            (1.0, 0.5),
+            (1.0, 0.25),
+            (0.5, -0.0),
+            (1.0, 0.0),
+            (0.5, -0.7),
+            (1.0, 1.0),
+        ];
+        let mut donor = Mesh::from_triangles(pts.map(|(x, y)| p(x, y)).to_vec(), Vec::new());
+        for v in 0..5 {
+            donor.constrain_edge(v, v + 1);
+        }
+        assert_eq!(propagate_interface_splits(&mut bl, &donor, &[border]), 3);
+        bl.check_consistency();
+        assert_eq!(
+            bl.points()[4..],
+            [p(0.5, 0.0), p(1.0, 0.25), p(1.0, 0.5)],
+            "bottom split first, then the vertical segment's in parameter order"
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Subdomain meshes share bitwise-identical border points (the decoupling
 //! invariant), so merging is vertex deduplication plus triangle
-//! re-indexing, followed by a conformity check.
+//! re-indexing; rebuilding the adjacency in [`MeshMerger::finish`] proves
+//! the union conforming. `merge_inputs` is the one spelling of that tail.
 //! [`MeshMerger::add_mesh_spliced`] deduplicates through the arena:
 //! vertices stamped with a [`GlobalVertexId`] resolve through a dense
 //! array; unstamped vertices are hashed by their
@@ -11,11 +12,11 @@
 //! allows to be shared), and everything else is appended blindly. Hashing
 //! is O(interface), not O(total).
 
-use adm_delaunay::mesh::Mesh;
+use adm_delaunay::mesh::{Mesh, NIL};
 use adm_geom::point::Point2;
 use adm_kernel::{canonical_bits, canonical_point, GlobalVertexId};
 use adm_mpirt::Pool;
-use adm_partition::ReductionNode;
+use adm_partition::{reduction_plan, ReductionNode};
 use adm_trace::{Tracer, Track};
 use std::collections::HashMap;
 
@@ -293,7 +294,8 @@ impl MeshMerger {
         );
     }
 
-    /// Finalizes into a global [`Mesh`], rebuilding adjacency.
+    /// Finalizes into a global [`Mesh`], rebuilding adjacency with
+    /// [`Mesh::from_triangles`] — the complete manifoldness proof.
     ///
     /// # Panics
     /// Panics if the union is non-manifold (an interface mismatch).
@@ -374,36 +376,40 @@ pub struct Conformity {
     pub boundary_edges: usize,
 }
 
-/// Verifies edge-manifoldness and returns edge statistics. (Construction
-/// via [`MeshMerger::finish`] already panics on >2-triangle edges; this
-/// reports the counts.)
+/// The merge tail every driver and [`crate::reconstruct`] share: the
+/// balanced reduction over the inputs' task paths (strictly ascending),
+/// then [`MeshMerger::finish`], whose adjacency build is the conformity
+/// proof.
+pub(crate) fn merge_inputs(
+    inputs: &[(&[u8], &Mesh)],
+    pool: &Pool,
+    tracer: Option<&Tracer>,
+) -> Mesh {
+    let (paths, meshes): (Vec<&[u8]>, Vec<&Mesh>) = inputs.iter().copied().unzip();
+    merge_tree_spliced(&meshes, &reduction_plan(&paths), pool, tracer).finish()
+}
+
+/// Edge statistics of `mesh`, counted off its adjacency: a `NIL`
+/// neighbour is a boundary edge, every other half-edge is one side of an
+/// interior edge. Manifoldness needs no check here: a [`Mesh`] cannot
+/// hold an edge with a third triangle ([`Mesh::from_triangles`]).
 pub fn check_conformity(mesh: &Mesh) -> Conformity {
-    let mut counts: HashMap<(u32, u32), usize> = HashMap::new();
-    for t in mesh.live_triangles() {
-        let tri = mesh.tri(t as usize);
-        for k in 0..3 {
-            let (a, b) = (tri[k], tri[(k + 1) % 3]);
-            let key = if a < b { (a, b) } else { (b, a) };
-            *counts.entry(key).or_insert(0) += 1;
-        }
+    let half_edges = 3 * mesh.num_triangles();
+    let boundary_edges = mesh
+        .live_triangles()
+        .flat_map(|t| mesh.tri_neighbors(t as usize))
+        .filter(|&n| n == NIL)
+        .count();
+    Conformity {
+        interior_edges: (half_edges - boundary_edges) / 2,
+        boundary_edges,
     }
-    let mut conf = Conformity {
-        interior_edges: 0,
-        boundary_edges: 0,
-    };
-    for (&key, &c) in &counts {
-        match c {
-            1 => conf.boundary_edges += 1,
-            2 => conf.interior_edges += 1,
-            n => panic!("edge {key:?} shared by {n} triangles"),
-        }
-    }
-    conf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adm_delaunay::cdt::{carve, constrained_delaunay};
 
     /// Slot-level equality of two meshes: same slot count, same per-slot
     /// liveness, same corner triples on every live slot. This is the old
@@ -424,6 +430,47 @@ mod tests {
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
+    }
+
+    /// The edge-table count `check_conformity` was before it read the
+    /// adjacency: the oracle for the count.
+    fn edge_table_count(mesh: &Mesh) -> Conformity {
+        let mut counts: HashMap<(u32, u32), usize> = HashMap::new();
+        for t in mesh.live_triangles() {
+            let tri = mesh.tri(t as usize);
+            for k in 0..3 {
+                let (a, b) = (tri[k], tri[(k + 1) % 3]);
+                *counts.entry((a.min(b), a.max(b))).or_insert(0) += 1;
+            }
+        }
+        let boundary_edges = counts.values().filter(|&&c| c == 1).count();
+        assert!(counts.values().all(|&c| c <= 2), "edge under 3 triangles");
+        Conformity {
+            interior_edges: counts.len() - boundary_edges,
+            boundary_edges,
+        }
+    }
+
+    #[test]
+    fn adjacency_count_equals_the_edge_table_also_after_carving() {
+        let mut meshes = mixed_identity_meshes();
+        meshes.push(fold_spliced(&meshes.iter().collect::<Vec<_>>()));
+        // A square ring: carving removes the hole's triangles and patches
+        // the survivors' neighbours to NIL, which must count as boundary.
+        let square = |h: f64| [p(-h, -h), p(h, -h), p(h, h), p(-h, h)];
+        let pts = [square(1.5), square(0.5)].concat();
+        let loops = [0u32, 4].map(|base| (0..4).map(move |k| (base + k, base + (k + 1) % 4)));
+        let segments: Vec<(u32, u32)> = loops.into_iter().flatten().collect();
+        let (mut carved, _) = constrained_delaunay(&pts, &segments, false).unwrap();
+        let before = carved.num_triangles();
+        carve(&mut carved, &[p(0.0, 0.0)]);
+        assert!(carved.num_triangles() < before, "the hole must be carved");
+        meshes.push(carved);
+        for (k, mesh) in meshes.iter().enumerate() {
+            assert_eq!(check_conformity(mesh), edge_table_count(mesh), "mesh {k}");
+        }
+        let ring = check_conformity(meshes.last().unwrap());
+        assert_eq!((ring.boundary_edges, ring.interior_edges), (8, 8));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::inviscid::{
     build_sizing, decouple_threshold, propagate_interface_splits, refine_nearbody,
     refine_nearbody_stamped, refine_region,
 };
-use crate::merge::{check_conformity, merge_tree_spliced};
+use crate::merge::merge_inputs;
 use crate::shard::write_shard_set;
 use crate::sizing::ComposedSizing;
 use crate::tasklog::{TaskKind, TaskLog};
@@ -31,7 +31,7 @@ use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 use adm_kernel::{GlobalVertexId, MeshArena};
 use adm_mpirt::{Executor, Pool, Task, WorkItem};
-use adm_partition::{reduction_plan, triangulate_leaf_pooled, DecomposeParams, Subdomain};
+use adm_partition::{triangulate_leaf_pooled, DecomposeParams, Subdomain};
 use adm_trace::{Tracer, Track};
 use std::borrow::Cow;
 use std::path::Path;
@@ -499,9 +499,10 @@ pub(crate) struct Driven<T> {
 /// merge inputs (ascending task path) plus the plan's stats. The driver
 /// owns the rest: the tracer (on the executor's clock, handed to every
 /// plan function), the root `pipeline` span and its three phase children
-/// on the driver lane, the shard set, the reduction over the task tree on
-/// `pool`, the conformity check, the task log. A plan's error ends the
-/// run before anything is written.
+/// on the driver lane, the shard set, the merge tail on `pool`
+/// ([`merge_inputs`]: reduction over the task tree, then the adjacency
+/// build that proves the union manifold), the task log. A plan's error
+/// ends the run before anything is written.
 pub(crate) fn drive<S: Sync, B: WorkItem, O: Send + 'static, T, E: From<std::io::Error>>(
     executor: Executor,
     pool: &Pool,
@@ -542,12 +543,10 @@ pub(crate) fn drive<S: Sync, B: WorkItem, O: Send + 'static, T, E: From<std::io:
         write_shard_set(dir, &inputs, Some(tracer))?;
         span.close();
     }
-    let (paths, meshes): (Vec<&[u8]>, Vec<&Mesh>) = inputs.into_iter().unzip();
     // The sub-meshes reduce over the task tree itself, so sibling subtrees
     // merge independently: a balanced in-order plan over an associative
     // absorb, bitwise equal to the sequential left fold at any pool width.
-    let mesh = merge_tree_spliced(&meshes, &reduction_plan(&paths), pool, Some(tracer)).finish();
-    check_conformity(&mesh);
+    let mesh = merge_inputs(&inputs, pool, Some(tracer));
     span.close_with(&[("triangles", mesh.num_triangles() as u64)]);
     tracer.count("merge.steals", pool.steals() - steals_before);
     root.close();

@@ -31,12 +31,11 @@
 //! referencing partial shards.
 
 use crate::hash::{sha256_hex, Sha256};
-use crate::merge::{check_conformity, merge_tree_spliced};
+use crate::merge::merge_inputs;
 use adm_delaunay::io::{extract_frontier, read_binary, write_binary};
 use adm_delaunay::mesh::Mesh;
 use adm_kernel::frontier::{frontier_bytes, frontier_from_bytes, shared_by_stamp, FrontierEntry};
 use adm_mpirt::Pool;
-use adm_partition::reduction_plan;
 use adm_trace::json::{self, obj, Value};
 use adm_trace::{Tracer, Track};
 use std::collections::HashMap;
@@ -86,6 +85,18 @@ fn path_hex(path: &[u8]) -> String {
     }
     s
 }
+
+/// The mesh and frontier file names of the shard at task path `path`.
+fn shard_file_names(path: &[u8]) -> (String, String) {
+    let hex = path_hex(path);
+    (format!("shard-{hex}.adm"), format!("shard-{hex}.frontier"))
+}
+
+/// Longest task path a manifest may name, one byte per tree level: the
+/// `shard-<hex>.frontier` name of a longer one exceeds the 255-byte file
+/// name limit, so [`write_shard_set`] cannot have written it, and
+/// `reduction_plan` recurses once per shared prefix byte.
+const MAX_PATH_BYTES: usize = 120;
 
 fn hex_to_path(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
@@ -174,9 +185,7 @@ fn write_shard_set_impl(
     fs::create_dir_all(dir)?;
     let mut manifest = ShardManifest::default();
     for (i, (path, mesh)) in shards.iter().enumerate() {
-        let hex = path_hex(path);
-        let file = format!("shard-{hex}.adm");
-        let frontier_file = format!("shard-{hex}.frontier");
+        let (file, frontier_file) = shard_file_names(path);
         let mut mesh_bytes = Vec::new();
         write_binary(mesh, &mut mesh_bytes)?;
         let fr_bytes = frontier_bytes(&extract_frontier(mesh));
@@ -256,7 +265,12 @@ impl ShardManifest {
         doc.to_string_pretty() + "\n"
     }
 
-    /// Parses the manifest schema written by [`ShardManifest::to_json`].
+    /// Parses the manifest schema written by [`ShardManifest::to_json`] and
+    /// holds it to what [`write_shard_set`] can write: at least one shard,
+    /// strictly ascending task paths of at most `MAX_PATH_BYTES` levels,
+    /// and the file names those paths derive — so no manifest reaches
+    /// [`reconstruct`] with a path twice or [`verify_shards`] with a file
+    /// outside the shard directory.
     pub fn from_json(text: &str) -> io::Result<ShardManifest> {
         let doc = json::parse(text).map_err(|e| bad_data(e.to_string()))?;
         let missing = |key: &str| bad_data(format!("manifest: no {key:?} of the right type"));
@@ -278,20 +292,35 @@ impl ShardManifest {
         let mut shards = Vec::with_capacity(listed.len());
         for sh in listed {
             let hex = string(sh, "path")?;
+            let path =
+                hex_to_path(&hex).ok_or_else(|| bad_data(format!("bad shard path hex {hex:?}")))?;
+            if path.len() > MAX_PATH_BYTES {
+                let levels = path.len();
+                return Err(bad_data(format!("shard path of {levels} levels")));
+            }
+            let prev: Option<&ShardMeta> = shards.last();
+            if prev.is_some_and(|prev| prev.path >= path) {
+                return Err(bad_data(format!("shard path {hex} does not ascend")));
+            }
+            let named = (string(sh, "file")?, string(sh, "frontier")?);
+            if named != shard_file_names(&path) {
+                return Err(bad_data(format!(
+                    "shard {hex} names {named:?}, not its own files"
+                )));
+            }
             shards.push(ShardMeta {
-                path: hex_to_path(&hex)
-                    .ok_or_else(|| bad_data(format!("bad shard path hex {hex:?}")))?,
-                file: string(sh, "file")?,
-                frontier_file: string(sh, "frontier")?,
+                path,
+                file: named.0,
+                frontier_file: named.1,
                 mesh_sha256: string(sh, "mesh_sha256")?,
                 frontier_sha256: string(sh, "frontier_sha256")?,
                 vertices: count(sh, "vertices")?,
                 triangles: count(sh, "triangles")?,
             });
         }
-        if declared != shards.len() as u64 {
+        if declared != shards.len() as u64 || shards.is_empty() {
             return Err(bad_data(format!(
-                "shard_count {declared} != {} listed shards",
+                "shard_count {declared}, {} listed shards (at least one, and equal)",
                 shards.len()
             )));
         }
@@ -403,23 +432,20 @@ pub fn pairwise_frontier_digest(a: &[FrontierEntry], b: &[FrontierEntry]) -> (St
 }
 
 /// Reconstructs the canonical merged mesh from a shard directory:
-/// reads every shard in manifest (merge) order and replays the exact
-/// in-process reduction — same paths, same plan, associative splice —
-/// on an inline pool. The result is canonically identical to the mesh
-/// the pipeline's own merge produced.
+/// reads every shard in manifest (merge) order and runs the drivers' own
+/// merge tail (`merge::merge_inputs`: same paths, same plan, associative
+/// splice, manifoldness proven by the adjacency build) on an inline pool.
+/// The result is canonically identical to the mesh the pipeline's own
+/// merge produced.
 pub fn reconstruct(dir: &Path, manifest: &ShardManifest) -> io::Result<Mesh> {
     let mut meshes = Vec::with_capacity(manifest.shards.len());
     for sh in &manifest.shards {
         let bytes = fs::read(dir.join(&sh.file))?;
         meshes.push(read_binary(&mut bytes.as_slice())?);
     }
-    let refs: Vec<&Mesh> = meshes.iter().collect();
-    let paths: Vec<&[u8]> = manifest.shards.iter().map(|s| s.path.as_slice()).collect();
-    let plan = reduction_plan(&paths);
-    let pool = Pool::new(0);
-    let mesh = merge_tree_spliced(&refs, &plan, &pool, None).finish();
-    check_conformity(&mesh);
-    Ok(mesh)
+    let paths = manifest.shards.iter().map(|s| s.path.as_slice());
+    let inputs: Vec<(&[u8], &Mesh)> = paths.zip(&meshes).collect();
+    Ok(merge_inputs(&inputs, &Pool::new(0), None))
 }
 
 #[cfg(test)]

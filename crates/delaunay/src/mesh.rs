@@ -182,6 +182,12 @@ impl Mesh {
     /// Builds a mesh from a vertex list and CCW triangle soup, deriving
     /// the neighbor adjacency from shared edges.
     ///
+    /// This is the one manifoldness proof: twins are found through the
+    /// incident-corner lists, and the first time either side of an edge is
+    /// visited every triangle carrying it (they all have a corner at its
+    /// start vertex) is seen, so the outcome does not depend on the order
+    /// the triangles arrive in.
+    ///
     /// # Panics
     /// Panics if an edge is shared by more than two triangles or by two
     /// triangles with the same orientation (non-manifold input).
@@ -191,33 +197,17 @@ impl Mesh {
             first_inc: vec![NIL; vertices.len()],
             coords_x: vertices.iter().map(|p| p.x).collect(),
             coords_y: vertices.iter().map(|p| p.y).collect(),
-            tris: tris
-                .into_iter()
-                .map(|v| TriRec {
-                    v,
-                    n: [NIL; 3],
-                    inc: [NIL; 3],
-                    con: 0,
-                })
-                .collect(),
             ..Default::default()
         };
-        mesh.alive = BitSet::with_len(mesh.tris.len(), true);
-        mesh.live_count = mesh.tris.len();
-        let mut half: HashMap<(u32, u32), (u32, u8)> = HashMap::new();
+        mesh.tris.reserve_exact(tris.len());
+        for v in tris {
+            mesh.alloc_triangle(v);
+        }
         for t in 0..mesh.tris.len() as u32 {
-            let tri = mesh.tris[t as usize].v;
-            mesh.link_corners(t);
-            for i in 0..3u8 {
-                let (a, b) = (tri[(i as usize + 1) % 3], tri[(i as usize + 2) % 3]);
-                mesh.vert_tri[a as usize] = t;
-                // The twin half-edge runs b -> a.
-                if let Some((n, j)) = half.remove(&(b, a)) {
-                    mesh.tris[t as usize].n[i as usize] = n;
-                    mesh.tris[n as usize].n[j as usize] = t;
-                } else {
-                    let prev = half.insert((a, b), (t, i));
-                    assert!(prev.is_none(), "non-manifold edge ({a},{b})");
+            for i in 0..3 {
+                // A linked half-edge was proven when its twin was visited.
+                if mesh.tris[t as usize].n[i] == NIL {
+                    mesh.link_twin(t, i);
                 }
             }
         }
@@ -700,6 +690,32 @@ impl Mesh {
         for (i, &v) in tri.iter().enumerate() {
             self.tris[t as usize].inc[i] = self.first_inc[v as usize];
             self.first_inc[v as usize] = 3 * t + i as u32;
+        }
+    }
+
+    /// Links the unlinked half-edge `a -> b` (edge `i` of `t`) to its twin,
+    /// found on `a`'s incident list — where every live triangle on the edge
+    /// has a corner — or leaves it `NIL` when nothing carries `b -> a`.
+    ///
+    /// # Panics
+    /// Panics if another triangle carries `a -> b`, or two carry `b -> a`.
+    fn link_twin(&mut self, t: u32, i: usize) {
+        let (a, b) = self.edge_vertices(t, i as u8);
+        let mut cur = self.first_inc[a as usize];
+        while cur != NIL {
+            let (t2, k) = (cur / 3, (cur % 3) as usize);
+            let tri = self.tris[t2 as usize].v;
+            // Corner `k` starts half-edge a -> tri[k+1] (edge k+2) and
+            // ends half-edge tri[k+2] -> a (edge k+1).
+            let again = tri[(k + 1) % 3] == b && (t2, (k + 2) % 3) != (t, i);
+            let twin = tri[(k + 2) % 3] == b;
+            let second = twin && (t2 == t || self.tris[t as usize].n[i] != NIL);
+            assert!(!again && !second, "non-manifold edge ({a},{b})");
+            if twin {
+                self.tris[t as usize].n[i] = t2;
+                self.tris[t2 as usize].n[(k + 1) % 3] = t;
+            }
+            cur = self.tris[t2 as usize].inc[k];
         }
     }
 
@@ -1329,6 +1345,85 @@ mod tests {
             vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)],
             vec![[0, 1, 2], [0, 2, 3]],
         )
+    }
+
+    /// The hash-map twin linker `from_triangles` used before it proved
+    /// manifoldness from the corner lists: the adjacency oracle.
+    fn hash_adjacency(tris: &[[u32; 3]]) -> Vec<[u32; 3]> {
+        let mut n = vec![[NIL; 3]; tris.len()];
+        let mut half: HashMap<(u32, u32), (usize, usize)> = HashMap::new();
+        for (t, tri) in tris.iter().enumerate() {
+            for i in 0..3 {
+                let (a, b) = (tri[(i + 1) % 3], tri[(i + 2) % 3]);
+                if let Some((t2, j)) = half.remove(&(b, a)) {
+                    n[t][i] = t2 as u32;
+                    n[t2][j] = t as u32;
+                } else {
+                    half.insert((a, b), (t, i));
+                }
+            }
+        }
+        n
+    }
+
+    /// The edge {0,1} under three triangles, in arrival order `order`.
+    fn three_on_one_edge(order: [usize; 3]) -> Mesh {
+        let tris = [[0, 1, 2], [1, 0, 3], [0, 1, 4]];
+        let pts = vec![
+            p(0.0, 0.0),
+            p(1.0, 0.0),
+            p(0.5, 1.0),
+            p(0.5, -1.0),
+            p(0.5, 2.0),
+        ];
+        Mesh::from_triangles(pts, order.map(|k| tris[k]).to_vec())
+    }
+
+    macro_rules! third_triangle_panics {
+        ($($name:ident: $order:expr,)*) => {$(
+            #[test]
+            #[should_panic(expected = "non-manifold")]
+            fn $name() {
+                three_on_one_edge($order);
+            }
+        )*};
+    }
+    // All six orders: a linker that forgets an edge once both its sides
+    // have matched accepts four of them.
+    third_triangle_panics! {
+        third_triangle_order_012: [0, 1, 2],
+        third_triangle_order_021: [0, 2, 1],
+        third_triangle_order_102: [1, 0, 2],
+        third_triangle_order_120: [1, 2, 0],
+        third_triangle_order_201: [2, 0, 1],
+        third_triangle_order_210: [2, 1, 0],
+    }
+
+    #[test]
+    #[should_panic(expected = "non-manifold")]
+    fn two_copies_of_one_triangle_are_rejected() {
+        let pts = vec![p(0.0, 0.0), p(1.0, 0.0), p(0.5, 1.0)];
+        Mesh::from_triangles(pts, vec![[0, 1, 2], [0, 1, 2]]);
+    }
+
+    #[test]
+    fn shuffled_soup_links_the_same_twins_as_the_hash_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        let pts: Vec<Point2> = (0..400)
+            .map(|_| p(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
+            .collect();
+        let dc = triangulate_dc(&pts, false);
+        let mut tris = dc.triangles();
+        for k in (1..tris.len()).rev() {
+            tris.swap(k, rng.gen_range(0..k + 1));
+        }
+        let want = hash_adjacency(&tris);
+        let m = Mesh::from_triangles(dc.points.clone(), tris);
+        m.check_consistency();
+        for (t, n) in want.iter().enumerate() {
+            assert_eq!(m.tri_neighbors(t), *n, "neighbours of slot {t}");
+        }
     }
 
     fn mesh_from_dc(points: &[Point2]) -> Mesh {

@@ -395,12 +395,13 @@ impl ReductionNode {
 /// task-tree paths (the order the sequential merge consumes them in).
 ///
 /// # Panics
-/// Panics if `paths` is empty or not sorted.
+/// Panics if `paths` is empty or not strictly ascending (the recursion
+/// below ends only on distinct paths).
 pub fn reduction_plan(paths: &[&[u8]]) -> ReductionNode {
     assert!(!paths.is_empty(), "reduction plan over no tasks");
     assert!(
-        paths.windows(2).all(|w| w[0] <= w[1]),
-        "paths must be sorted"
+        paths.windows(2).all(|w| w[0] < w[1]),
+        "paths must be sorted and distinct"
     );
     plan_range(paths, 0, paths.len(), 0)
 }
@@ -664,8 +665,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
     fn reduction_plan_rejects_unsorted_paths() {
-        let _ = reduction_plan(&[&[2u8][..], &[1u8][..]]);
+        // A repeated path too: the recursion would never reach its end.
+        for second in [1u8, 2] {
+            let plan = std::panic::catch_unwind(|| reduction_plan(&[&[2u8][..], &[second][..]]));
+            let msg = *plan.expect_err("must panic").downcast::<&str>().unwrap();
+            assert!(msg.contains("sorted and distinct"), "{msg}");
+        }
     }
 }

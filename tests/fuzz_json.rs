@@ -3,15 +3,19 @@
 //!
 //! Three real documents — a two-shard manifest, the daemon's `STATS`, a
 //! committed bench report — are mutated 2,000 times each (bit flip, range
-//! delete, range duplicate, truncate, a run of `[` spliced in). For every
-//! mutant `json::parse` and `ShardManifest::from_json` must return, not
-//! panic, and a truncated document must never come back `Ok`. The whole
+//! delete, range duplicate, truncate, a run of `[` spliced in); the manifest
+//! also with one shard row listed twice and counted, as it stands and
+//! mutated 200 times more. For every mutant `json::parse` and
+//! `ShardManifest::from_json` must return, not panic, a truncated document
+//! must never come back `Ok`, and a manifest that is accepted must be one
+//! `reduction_plan` can schedule (so none names a path twice). The whole
 //! sweep runs on a 256 kB stack, so it is the depth cap that survives the
 //! bracket runs, not a roomy main thread.
 
 use adm2d::core::{write_shard_set, ShardManifest};
 use adm2d::delaunay::mesh::Mesh;
 use adm2d::geom::point::Point2;
+use adm2d::partition::reduction_plan;
 use adm2d::serve::{stats_json, Rng, Server, ServerConfig};
 use adm2d::trace::json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,6 +59,18 @@ fn mutate(doc: &[u8], rng: &mut Rng) -> (Vec<u8>, bool) {
     (out, false)
 }
 
+/// `manifest` once per shard row, with that whole row listed twice (and so
+/// counted in `shard_count`).
+fn with_a_row_twice(manifest: &str) -> Vec<String> {
+    let whole = ShardManifest::from_json(manifest).expect("the corpus is a manifest");
+    let twice = |k: usize| {
+        let mut m = whole.clone();
+        m.shards.insert(k, m.shards[k].clone());
+        m.to_json()
+    };
+    (0..whole.shards.len()).map(twice).collect()
+}
+
 fn corpora() -> Vec<(&'static str, String)> {
     let square = |x: f64| {
         let pts = [(x, 0.0), (x + 1.0, 0.0), (x + 1.0, 1.0), (x, 1.0)];
@@ -88,6 +104,28 @@ fn corpora() -> Vec<(&'static str, String)> {
 #[test]
 fn mutated_documents_are_rejected_or_parsed_never_a_panic() {
     let corpora = corpora();
+    // Whether `from_json` took the mutant; `json::parse` and
+    // `from_json` must return, and an accepted manifest must plan.
+    let check = |name: &str, i: u64, bytes: &[u8], truncated: bool| -> bool {
+        let text = String::from_utf8_lossy(bytes);
+        let verdict = catch_unwind(AssertUnwindSafe(|| {
+            let manifest = ShardManifest::from_json(&text);
+            if let Ok(m) = &manifest {
+                let paths: Vec<&[u8]> = m.shards.iter().map(|s| &s.path[..]).collect();
+                reduction_plan(&paths);
+            }
+            (json::parse(&text).is_ok(), manifest.is_ok())
+        }));
+        let Ok((parsed, read)) = verdict else {
+            panic!("{name} mutant {i} panicked: {text:?}");
+        };
+        assert!(parsed || !read, "{name} mutant {i}: manifest from non-JSON");
+        assert!(
+            !(truncated && parsed),
+            "{name} mutant {i}: truncated document accepted: {text:?}"
+        );
+        read
+    };
     let sweep = move || {
         for (name, doc) in corpora {
             assert!(
@@ -97,21 +135,24 @@ fn mutated_documents_are_rejected_or_parsed_never_a_panic() {
             let mut rng = Rng::new(0xADA2_D000 ^ doc.len() as u64);
             for i in 0..MUTANTS_PER_CORPUS {
                 let (bytes, truncated) = mutate(doc.as_bytes(), &mut rng);
-                let text = String::from_utf8_lossy(&bytes);
-                let verdict = catch_unwind(AssertUnwindSafe(|| {
-                    (
-                        json::parse(&text).is_ok(),
-                        ShardManifest::from_json(&text).is_ok(),
-                    )
-                }));
-                let Ok((parsed, read)) = verdict else {
-                    panic!("{name} mutant {i} panicked: {text:?}");
-                };
-                assert!(parsed || !read, "{name} mutant {i}: manifest from non-JSON");
+                check(name, i, &bytes, truncated);
+            }
+            if name != "manifest" {
+                continue;
+            }
+            // The manifest alone, after its own sweep (so the three mutant
+            // streams above stay what they were): a row listed twice is
+            // refused as it stands, and its mutants never reach a panic.
+            for (k, twice) in with_a_row_twice(&doc).iter().enumerate() {
+                let name = format!("manifest with row {k} twice");
                 assert!(
-                    !(truncated && parsed),
-                    "{name} mutant {i}: truncated document accepted: {text:?}"
+                    !check(&name, 0, twice.as_bytes(), false),
+                    "{name}: accepted"
                 );
+                for i in 1..=MUTANTS_PER_CORPUS / 10 {
+                    let (bytes, truncated) = mutate(twice.as_bytes(), &mut rng);
+                    check(&name, i, &bytes, truncated);
+                }
             }
         }
     };

@@ -169,6 +169,68 @@ fn hostile_manifest_fails_closed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Manifests `write_shard_set` cannot write, over intact shard files
+/// (so every digest still verifies): none may reach the reduction.
+#[test]
+fn doctored_manifests_fail_closed() {
+    type Doctor = fn(&mut ShardManifest);
+    let doctors: [(&str, Doctor); 6] = [
+        ("duplicate path", |m| m.shards[1].path = vec![0]),
+        ("empty list", |m| m.shards.clear()),
+        ("descending paths", |m| m.shards.reverse()),
+        ("file outside the directory", |m| {
+            m.shards[0].file = "../x.adm".into()
+        }),
+        ("swapped frontiers", |m| {
+            let (a, b) = m.shards.split_at_mut(1);
+            std::mem::swap(&mut a[0].frontier_file, &mut b[0].frontier_file);
+        }),
+        // Ascending and self-consistently named, but `reduction_plan`
+        // would recurse once per byte of the shared prefix.
+        ("paths deeper than any task tree", |m| {
+            for (last, sh) in m.shards.iter_mut().enumerate() {
+                sh.path = [vec![0; 100_000], vec![last as u8]].concat();
+                let hex: String = sh.path.iter().map(|b| format!("{b:02x}")).collect();
+                sh.file = format!("shard-{hex}.adm");
+                sh.frontier_file = format!("shard-{hex}.frontier");
+            }
+        }),
+    ];
+    let root = scratch_dir("doctored");
+    let mut cache = DiskCache::new(&root).unwrap();
+    let entry = cache.entry_dir("deadbeef");
+    for (what, doctor) in doctors {
+        let mut manifest = write_two_squares(&entry, true);
+        doctor(&mut manifest);
+        std::fs::write(entry.join(MANIFEST_NAME), manifest.to_json()).unwrap();
+
+        let dir = entry.clone();
+        let err = on_small_stack(move || read_manifest(&dir)).expect_err(what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+
+        let refused = std::process::Command::new(env!("CARGO_BIN_EXE_shard-cat"))
+            .arg(&entry)
+            .output()
+            .expect("shard-cat runs");
+        assert_eq!(
+            refused.status.code(),
+            Some(1),
+            "{what}: an exit, not a signal"
+        );
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(stderr.contains("error: "), "{what}: {stderr}");
+
+        let loaded;
+        (cache, loaded) = on_small_stack(move || {
+            let loaded = cache.load("deadbeef");
+            (cache, loaded)
+        });
+        assert!(matches!(loaded, DiskLoad::Corrupt), "{what}");
+        assert!(!entry.exists(), "{what}: corrupt entry must be purged");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn chrome_export_parses_back() {
     let clock = Arc::new(TestClock::new());
