@@ -8,27 +8,68 @@
 //! on every construction, while `with_anchor_set` over a shared
 //! `AnchorSet` pays only the pruned limiting pass — the difference is
 //! what every adaptation cycle after the first saves.
+//!
+//! Cycle 0 meshes without a metric, so `adapt/cycle_naca16` never asks
+//! one. `adapt/two_cycles_naca16` adds the metric-driven second cycle,
+//! and `sizing/metric_at_recovered` isolates its sizing query: the field
+//! `hessian_metric` recovers from the cycle-0 mesh, asked at that mesh's
+//! triangle centroids — the clustered query pattern of refinement, where
+//! most samples share a few cells of the field's grid.
 
 use adm_core::{adapt, AdaptOptions, AnchorSet, GradationLimited, MeshConfig, UniformH};
 use adm_geom::point::Point2;
+use adm_solver::{hessian_metric, solve_potential_flow, FlowConditions, MetricParams};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn bench_adapt_cycle(c: &mut Criterion) {
+fn naca16() -> MeshConfig {
     let mut config = MeshConfig::naca0012(16);
     config.sizing_max_area = 6.0;
     config.bl_subdomains = 4;
     config.inviscid_subdomains = 4;
     config.merge_threads = 0;
+    config
+}
+
+fn bench_adapt_cycle(c: &mut Criterion) {
+    let config = naca16();
+    for (id, cycles) in [("adapt/cycle_naca16", 1), ("adapt/two_cycles_naca16", 2)] {
+        let opts = AdaptOptions {
+            cycles,
+            ..Default::default()
+        };
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                let out = adapt(&config, &opts);
+                std::hint::black_box(out.cycles.last().unwrap().error_total)
+            })
+        });
+    }
+}
+
+fn bench_recovered_metric(c: &mut Criterion) {
     let opts = AdaptOptions {
         cycles: 1,
         ..Default::default()
     };
-    c.bench_function("adapt/cycle_naca16", |b| {
+    let mesh = adapt(&naca16(), &opts).mesh;
+    let flow = solve_potential_flow(&mesh, &FlowConditions::default());
+    let field = hessian_metric(&mesh, &flow.psi, &MetricParams::default());
+    let centroids: Vec<Point2> = mesh
+        .live_triangles()
+        .map(|t| {
+            let [a, b, c] = mesh.tri(t as usize).map(|v| mesh.vertex(v as usize));
+            Point2::new((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
+        })
+        .collect();
+    c.bench_function("sizing/metric_at_recovered", |b| {
         b.iter(|| {
-            let out = adapt(&config, &opts);
-            std::hint::black_box(out.cycles.last().unwrap().error_total)
+            let mut sum = 0.0;
+            for &q in &centroids {
+                sum += field.metric_at(q).a;
+            }
+            std::hint::black_box(sum)
         })
     });
 }
@@ -68,6 +109,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_adapt_cycle, bench_gradation_reuse
+    targets = bench_adapt_cycle, bench_recovered_metric, bench_gradation_reuse
 }
 criterion_main!(benches);

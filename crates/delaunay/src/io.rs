@@ -259,7 +259,8 @@ pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Mesh> {
         }
         tris.push(t);
     }
-    let mut mesh = Mesh::from_triangles(vertices, tris);
+    let mut mesh = Mesh::try_from_triangles(vertices, tris)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     for (v, &raw) in stamps.iter().enumerate() {
         if raw != GlobalVertexId::NONE_RAW {
             mesh.stamp_vertex(v as u32, GlobalVertexId(raw));
@@ -416,6 +417,33 @@ mod tests {
         header.extend_from_slice(&(u32::MAX as u64).to_le_bytes());
         let err = read_binary(&mut header.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn non_manifold_binary_is_an_error_not_an_abort() {
+        // A third triangle on edge {0,1}, a repeated vertex, and one
+        // triangle listed twice: each used to panic inside the reader.
+        let soups: [&[[u32; 3]]; 3] = [
+            &[[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+            &[[0, 0, 1]],
+            &[[0, 1, 2], [0, 1, 2]],
+        ];
+        let pts = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)];
+        for tris in soups {
+            let mut buf = BINARY_MAGIC_V1.to_vec();
+            buf.extend_from_slice(&(pts.len() as u64).to_le_bytes());
+            buf.extend_from_slice(&(tris.len() as u64).to_le_bytes());
+            for (x, y) in pts {
+                buf.extend_from_slice(&f64::to_le_bytes(x));
+                buf.extend_from_slice(&f64::to_le_bytes(y));
+            }
+            for v in tris.iter().flatten() {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+            let err = read_binary(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tris:?}");
+            assert!(err.to_string().starts_with("non-manifold edge"), "{err}");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod triangulator;
 pub use cdt::{carve, constrained_delaunay, insert_constraint, CdtError};
 pub use divconq::{delaunay_rec, merge_hulls, prepare_input, triangulate_dc, DcTriangulation};
 pub use incremental::triangulate_incremental;
-pub use mesh::{Location, Mesh, NIL};
+pub use mesh::{Location, Mesh, NonManifoldEdge, NIL};
 pub use poly::{read_poly, write_poly, PolyFile};
 pub use quality::{circumcenter, mesh_quality, tri_quality, MeshQuality, TriQuality};
 pub use refine::{refine, RefineParams, RefineStats};

@@ -30,6 +30,25 @@ pub fn edge_key(a: u32, b: u32) -> (u32, u32) {
     }
 }
 
+/// Why [`Mesh::try_from_triangles`] refused a triangle soup: the directed
+/// edge `a -> b` is carried twice, or its reverse `b -> a` is carried by
+/// two triangles or by the triangle that carries `a -> b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NonManifoldEdge {
+    /// Start vertex of the offending half-edge.
+    pub a: u32,
+    /// End vertex of the offending half-edge.
+    pub b: u32,
+}
+
+impl std::fmt::Display for NonManifoldEdge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "non-manifold edge ({},{})", self.a, self.b)
+    }
+}
+
+impl std::error::Error for NonManifoldEdge {}
+
 /// Where a query point lies relative to the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Location {
@@ -190,8 +209,27 @@ impl Mesh {
     ///
     /// # Panics
     /// Panics if an edge is shared by more than two triangles or by two
-    /// triangles with the same orientation (non-manifold input).
+    /// triangles with the same orientation (non-manifold input); see
+    /// [`Mesh::try_from_triangles`] for the fallible form.
     pub fn from_triangles(vertices: Vec<Point2>, tris: Vec<[u32; 3]>) -> Self {
+        match Mesh::try_from_triangles(vertices, tris) {
+            Ok(mesh) => mesh,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`Mesh::from_triangles`] for a soup from outside the program: a
+    /// non-manifold edge (shared by more than two triangles, by two with
+    /// the same orientation, or twice by one triangle with a repeated
+    /// vertex) is returned as an error.
+    ///
+    /// # Panics
+    /// Panics if a triangle names a vertex index `>= vertices.len()`;
+    /// range-check untrusted indices first.
+    pub fn try_from_triangles(
+        vertices: Vec<Point2>,
+        tris: Vec<[u32; 3]>,
+    ) -> Result<Self, NonManifoldEdge> {
         let mut mesh = Mesh {
             vert_tri: vec![NIL; vertices.len()],
             first_inc: vec![NIL; vertices.len()],
@@ -207,11 +245,11 @@ impl Mesh {
             for i in 0..3 {
                 // A linked half-edge was proven when its twin was visited.
                 if mesh.tris[t as usize].n[i] == NIL {
-                    mesh.link_twin(t, i);
+                    mesh.link_twin(t, i)?;
                 }
             }
         }
-        mesh
+        Ok(mesh)
     }
 
     /// Pre-sizes every per-vertex and per-triangle array (plus the
@@ -696,10 +734,8 @@ impl Mesh {
     /// Links the unlinked half-edge `a -> b` (edge `i` of `t`) to its twin,
     /// found on `a`'s incident list — where every live triangle on the edge
     /// has a corner — or leaves it `NIL` when nothing carries `b -> a`.
-    ///
-    /// # Panics
-    /// Panics if another triangle carries `a -> b`, or two carry `b -> a`.
-    fn link_twin(&mut self, t: u32, i: usize) {
+    /// Fails if another triangle carries `a -> b`, or two carry `b -> a`.
+    fn link_twin(&mut self, t: u32, i: usize) -> Result<(), NonManifoldEdge> {
         let (a, b) = self.edge_vertices(t, i as u8);
         let mut cur = self.first_inc[a as usize];
         while cur != NIL {
@@ -710,13 +746,16 @@ impl Mesh {
             let again = tri[(k + 1) % 3] == b && (t2, (k + 2) % 3) != (t, i);
             let twin = tri[(k + 2) % 3] == b;
             let second = twin && (t2 == t || self.tris[t as usize].n[i] != NIL);
-            assert!(!again && !second, "non-manifold edge ({a},{b})");
+            if again || second {
+                return Err(NonManifoldEdge { a, b });
+            }
             if twin {
                 self.tris[t as usize].n[i] = t2;
                 self.tris[t2 as usize].n[(k + 1) % 3] = t;
             }
             cur = self.tris[t2 as usize].inc[k];
         }
+        Ok(())
     }
 
     /// Removes `t`'s three corners from their vertices' incident lists

@@ -291,73 +291,82 @@ impl MetricField {
         )
     }
 
-    /// Collects sample candidates in expanding Chebyshev rings around
-    /// `p`'s cell until at least `k` are gathered, then one extra ring
-    /// (a nearer sample can hide one ring further out than the ring
-    /// that first satisfied the count).
-    fn candidates(&self, p: Point2, k: usize) -> Vec<u32> {
+    /// Visits every sample in expanding Chebyshev rings around `p`'s
+    /// cell until at least `k` have been visited, then one extra ring (a
+    /// nearer sample can hide one ring further out than the ring that
+    /// first satisfied the count). The stop rule reads only the per-cell
+    /// counts, so which samples are visited does not depend on `visit`.
+    /// Ring cells are pairwise distinct and every sample lives in exactly
+    /// one cell, so no sample is visited twice.
+    fn visit_rings(&self, p: Point2, k: usize, mut visit: impl FnMut(u32)) {
         let (cx, cy) = self.cell_coords(p);
         let rmax = self.nx.max(self.ny) as i64;
-        let mut out: Vec<u32> = Vec::with_capacity(k * 2);
-        let push_cell = |out: &mut Vec<u32>, x: i64, y: i64| {
+        let mut cell = |x: i64, y: i64| -> usize {
             if x < 0 || y < 0 || x >= self.nx as i64 || y >= self.ny as i64 {
-                return;
+                return 0;
             }
             let c = (y * self.nx as i64 + x) as usize;
             let (s, e) = (self.cell_start[c] as usize, self.cell_start[c + 1] as usize);
-            out.extend_from_slice(&self.cell_items[s..e]);
+            self.cell_items[s..e].iter().for_each(|&i| visit(i));
+            e - s
         };
-        let mut satisfied_at: Option<i64> = None;
+        let (mut seen, mut satisfied) = (0, false);
         for r in 0..=rmax {
             if r == 0 {
-                push_cell(&mut out, cx, cy);
+                seen += cell(cx, cy);
             } else {
                 for x in (cx - r)..=(cx + r) {
-                    push_cell(&mut out, x, cy - r);
-                    push_cell(&mut out, x, cy + r);
+                    seen += cell(x, cy - r);
+                    seen += cell(x, cy + r);
                 }
                 for y in (cy - r + 1)..(cy + r) {
-                    push_cell(&mut out, cx - r, y);
-                    push_cell(&mut out, cx + r, y);
+                    seen += cell(cx - r, y);
+                    seen += cell(cx + r, y);
                 }
             }
-            match satisfied_at {
-                Some(r0) if r > r0 => break,
-                None if out.len() >= k => satisfied_at = Some(r),
-                _ => {}
+            if satisfied {
+                break;
             }
+            satisfied = seen >= k;
         }
-        out
     }
 
     /// Interpolated tensor at `p`: log-Euclidean inverse-distance blend
     /// of the [`KNN`] nearest samples. Deterministic — candidate order
-    /// is grid-fixed, ties break on the sample index.
+    /// is grid-fixed, ties break on the sample index. Allocation-free:
+    /// the ring walk keeps the `k` smallest `(distance², index)` keys in
+    /// a fixed array, the same set and order a full sort of every
+    /// visited sample under that strict total order would keep.
     pub fn metric_at(&self, p: Point2) -> Metric2 {
         let k = KNN.min(self.pts.len());
-        let mut cand = self.candidates(p, k);
-        // (distance², index) ascending; index tiebreak keeps duplicate
-        // sample points stable.
-        cand.sort_by(|&i, &j| {
-            let di = p.distance_sq(self.pts[i as usize]);
-            let dj = p.distance_sq(self.pts[j as usize]);
-            di.total_cmp(&dj).then(i.cmp(&j))
+        let less = |a: (f64, u32), b: (f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt();
+        let mut best = [(f64::INFINITY, u32::MAX); KNN];
+        let mut kept = 0;
+        self.visit_rings(p, k, |i| {
+            let key = (p.distance_sq(self.pts[i as usize]), i);
+            let mut j = if kept < k {
+                kept += 1;
+                kept - 1
+            } else if less(key, best[k - 1]) {
+                k - 1
+            } else {
+                return;
+            };
+            while j > 0 && less(key, best[j - 1]) {
+                best[j] = best[j - 1];
+                j -= 1;
+            }
+            best[j] = key;
         });
-        cand.truncate(k);
-        cand.dedup();
-        let nearest = cand[0] as usize;
-        let d0 = p.distance_sq(self.pts[nearest]);
+        let (d0, nearest) = best[0];
         if d0 <= self.snap_sq {
-            return self.metrics[nearest];
+            return self.metrics[nearest as usize];
         }
-        let items: Vec<(f64, Metric2)> = cand
-            .iter()
-            .map(|&i| {
-                let d2 = p.distance_sq(self.pts[i as usize]);
-                (1.0 / d2, self.metrics[i as usize])
-            })
-            .collect();
-        Metric2::interpolate_log(&items)
+        let mut items = [(0.0, self.metrics[nearest as usize]); KNN];
+        for (item, &(d2, i)) in items.iter_mut().zip(&best[..k]) {
+            *item = (1.0 / d2, self.metrics[i as usize]);
+        }
+        Metric2::interpolate_log(&items[..k])
     }
 
     /// Scalar sizing view: the conservative edge length
@@ -511,6 +520,197 @@ mod tests {
             assert_eq!(m1.a.to_bits(), m2.a.to_bits());
             assert_eq!(m1.b.to_bits(), m2.b.to_bits());
             assert_eq!(m1.d.to_bits(), m2.d.to_bits());
+        }
+    }
+
+    impl MetricField {
+        /// The ring gather `metric_at` replaced: every candidate is
+        /// collected into a `Vec` and the stop rule counts its length.
+        fn candidates(&self, p: Point2, k: usize) -> Vec<u32> {
+            let (cx, cy) = self.cell_coords(p);
+            let rmax = self.nx.max(self.ny) as i64;
+            let mut out: Vec<u32> = Vec::with_capacity(k * 2);
+            let push_cell = |out: &mut Vec<u32>, x: i64, y: i64| {
+                if x < 0 || y < 0 || x >= self.nx as i64 || y >= self.ny as i64 {
+                    return;
+                }
+                let c = (y * self.nx as i64 + x) as usize;
+                let (s, e) = (self.cell_start[c] as usize, self.cell_start[c + 1] as usize);
+                out.extend_from_slice(&self.cell_items[s..e]);
+            };
+            let mut satisfied_at: Option<i64> = None;
+            for r in 0..=rmax {
+                if r == 0 {
+                    push_cell(&mut out, cx, cy);
+                } else {
+                    for x in (cx - r)..=(cx + r) {
+                        push_cell(&mut out, x, cy - r);
+                        push_cell(&mut out, x, cy + r);
+                    }
+                    for y in (cy - r + 1)..(cy + r) {
+                        push_cell(&mut out, cx - r, y);
+                        push_cell(&mut out, cx + r, y);
+                    }
+                }
+                match satisfied_at {
+                    Some(r0) if r > r0 => break,
+                    None if out.len() >= k => satisfied_at = Some(r),
+                    _ => {}
+                }
+            }
+            out
+        }
+
+        /// The sort-and-truncate query `metric_at` replaced: sort every
+        /// ring candidate by `(distance², index)`, keep `k`. The
+        /// bit-equality oracle.
+        fn metric_at_sorted(&self, p: Point2) -> Metric2 {
+            let k = KNN.min(self.pts.len());
+            let mut cand = self.candidates(p, k);
+            cand.sort_by(|&i, &j| {
+                let di = p.distance_sq(self.pts[i as usize]);
+                let dj = p.distance_sq(self.pts[j as usize]);
+                di.total_cmp(&dj).then(i.cmp(&j))
+            });
+            cand.truncate(k);
+            cand.dedup();
+            let nearest = cand[0] as usize;
+            if p.distance_sq(self.pts[nearest]) <= self.snap_sq {
+                return self.metrics[nearest];
+            }
+            let items: Vec<(f64, Metric2)> = cand
+                .iter()
+                .map(|&i| {
+                    let d2 = p.distance_sq(self.pts[i as usize]);
+                    (1.0 / d2, self.metrics[i as usize])
+                })
+                .collect();
+            Metric2::interpolate_log(&items)
+        }
+    }
+
+    /// splitmix64 step: a seeded, dependency-free stream of `u64`s.
+    fn splitmix(s: &mut u64) -> u64 {
+        *s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn uniform(s: &mut u64, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * (splitmix(s) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in the square `[lo, hi)²`.
+    fn in_square(s: &mut u64, lo: f64, hi: f64) -> Point2 {
+        p(uniform(s, lo, hi), uniform(s, lo, hi))
+    }
+
+    /// A field over `pts` with seeded anisotropic SPD tensors.
+    fn seeded_field(s: &mut u64, pts: &[Point2]) -> MetricField {
+        let ms = pts
+            .iter()
+            .map(|_| {
+                let t = uniform(s, 0.0, std::f64::consts::PI);
+                let l2 = uniform(s, 0.5, 4.0);
+                Metric2::from_eigen(l2 * uniform(s, 1.0, 100.0), l2, (t.cos(), t.sin()))
+            })
+            .collect();
+        MetricField::new(pts.to_vec(), ms)
+    }
+
+    fn assert_same_bits(f: &MetricField, q: Point2) {
+        let (got, want) = (f.metric_at(q), f.metric_at_sorted(q));
+        assert_eq!(got.a.to_bits(), want.a.to_bits(), "a at {q:?}");
+        assert_eq!(got.b.to_bits(), want.b.to_bits(), "b at {q:?}");
+        assert_eq!(got.d.to_bits(), want.d.to_bits(), "d at {q:?}");
+    }
+
+    #[test]
+    fn selection_matches_sort_on_a_clustered_field() {
+        // 95% of the samples in a box 1/50 of the bbox on a side: the
+        // recovered-metric shape, where a few cells hold most samples.
+        // The box straddles the grid lines at 0.5, so a query's own cell
+        // can hold its k candidates while nearer ones sit one ring out.
+        let mut s = 25;
+        let (n, lo, hi) = (1_000, 0.49, 0.51);
+        let mut pts = vec![p(0.0, 0.0), p(1.0, 1.0)];
+        while pts.len() < n * 5 / 100 {
+            pts.push(in_square(&mut s, 0.0, 1.0));
+        }
+        while pts.len() < n {
+            pts.push(in_square(&mut s, lo, hi));
+        }
+        let f = seeded_field(&mut s, &pts);
+        for i in 0..10_000 {
+            let q = if i % 2 == 0 {
+                in_square(&mut s, lo, hi)
+            } else {
+                in_square(&mut s, -0.5, 1.5)
+            };
+            assert_same_bits(&f, q);
+        }
+    }
+
+    #[test]
+    fn selection_matches_sort_on_samples_duplicates_and_tiny_fields() {
+        let mut s = 7;
+        // Exact-sample queries take the snap path.
+        let pts: Vec<Point2> = (0..300).map(|_| in_square(&mut s, -2.0, 3.0)).collect();
+        let f = seeded_field(&mut s, &pts);
+        for &q in &pts {
+            assert_same_bits(&f, q);
+        }
+        // Duplicate sample points: equal distances, the index decides.
+        let dup: Vec<Point2> = (0..120)
+            .map(|k| p((k / 3 % 5) as f64, (k / 15 % 3) as f64))
+            .collect();
+        let f = seeded_field(&mut s, &dup);
+        for i in 0..500 {
+            let q = if i % 3 == 0 {
+                p((i % 5) as f64 + 0.5, (i % 3) as f64)
+            } else {
+                in_square(&mut s, -1.0, 6.0)
+            };
+            assert_same_bits(&f, q);
+        }
+        // Fewer samples than KNN.
+        for n in 1..KNN {
+            let pts: Vec<Point2> = (0..n).map(|_| in_square(&mut s, 0.0, 1.0)).collect();
+            let f = seeded_field(&mut s, &pts);
+            for &q in &pts {
+                assert_same_bits(&f, q);
+            }
+            for _ in 0..200 {
+                assert_same_bits(&f, in_square(&mut s, -1.0, 2.0));
+            }
+        }
+    }
+
+    #[test]
+    fn selection_matches_sort_on_degenerate_boxes_and_far_queries() {
+        let mut s = 11;
+        // Zero-width bbox (every sample on the line x = 1), then a
+        // zero-area one (every sample at one point).
+        let line: Vec<Point2> = (0..200).map(|k| p(1.0, 0.025 * k as f64)).collect();
+        for pts in [line, vec![p(2.0, -3.0); 20]] {
+            let f = seeded_field(&mut s, &pts);
+            for &q in &pts {
+                assert_same_bits(&f, q);
+            }
+            for _ in 0..500 {
+                assert_same_bits(&f, in_square(&mut s, -4.0, 9.0));
+            }
+        }
+        // Queries far outside the bbox clamp to a border cell.
+        let pts: Vec<Point2> = (0..500).map(|_| in_square(&mut s, 0.0, 1.0)).collect();
+        let f = seeded_field(&mut s, &pts);
+        for _ in 0..500 {
+            let r = 10f64.powf(uniform(&mut s, 1.0, 12.0));
+            let t = uniform(&mut s, 0.0, std::f64::consts::TAU);
+            assert_same_bits(&f, p(r * t.cos(), r * t.sin()));
         }
     }
 
