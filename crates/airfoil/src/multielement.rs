@@ -92,13 +92,14 @@ pub fn naca0012_domain(n_per_side: usize, farfield_chords: f64) -> Pslg {
 mod tests {
     use super::*;
     use adm_geom::polygon::{contains_point, is_simple};
+    use adm_geom::predicates::orient2d;
     use adm_geom::segment::Segment;
 
     #[test]
     fn naca0012_domain_basics() {
         let d = naca0012_domain(40, 30.0);
         assert_eq!(d.loops.len(), 1);
-        assert!(d.surface_vertex_count() >= 79);
+        assert!(d.loops[0].len() >= 79);
         assert!(d.farfield.width() >= 60.0);
     }
 
@@ -108,7 +109,9 @@ mod tests {
         let mut pts = foil.surface(40);
         add_cove(&mut pts, 0.5, 0.9, 0.75);
         assert!(is_simple(&pts));
-        assert!(!adm_geom::polygon::is_convex_ccw(&pts));
+        let n = pts.len();
+        let reflex = |i: usize| orient2d(pts[i], pts[(i + 1) % n], pts[(i + 2) % n]) < 0.0;
+        assert!((0..n).any(reflex), "the cove adds a reflex corner");
         // At least a few points were pulled.
         let pulled = pts
             .iter()

@@ -7,7 +7,7 @@
 
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
-use adm_geom::polygon::{centroid, is_ccw, is_simple, signed_area};
+use adm_geom::polygon::{centroid, is_ccw, is_simple};
 use adm_geom::pslg::{Pslg as GeneralPslg, PslgError, ValidPslg};
 
 /// One closed component (airfoil element) of the configuration.
@@ -118,42 +118,19 @@ impl Pslg {
     /// edges plus the far-field rectangle as constraint segments, one
     /// hole seed per component (the fluid region is outside the bodies).
     pub fn to_general(&self) -> GeneralPslg {
-        let mut points = Vec::with_capacity(self.surface_vertex_count() + 4);
-        let mut segments = Vec::new();
+        let mut general = GeneralPslg::new(Vec::new(), Vec::new(), self.hole_seeds());
         for l in &self.loops {
-            let base = points.len() as u32;
-            let n = l.points.len() as u32;
-            points.extend_from_slice(&l.points);
-            for i in 0..n {
-                segments.push((base + i, base + (i + 1) % n));
-            }
+            general.push_loop(&l.points);
         }
-        let base = points.len() as u32;
-        points.extend([
-            Point2::new(self.farfield.min.x, self.farfield.min.y),
-            Point2::new(self.farfield.max.x, self.farfield.min.y),
-            Point2::new(self.farfield.max.x, self.farfield.max.y),
-            Point2::new(self.farfield.min.x, self.farfield.max.y),
-        ]);
-        for i in 0..4 {
-            segments.push((base + i, base + (i + 1) % 4));
-        }
-        GeneralPslg {
-            points,
-            segments,
-            holes: self.hole_seeds(),
-        }
+        let (lo, hi) = (self.farfield.min, self.farfield.max);
+        general.push_loop(&[lo, Point2::new(hi.x, lo.y), hi, Point2::new(lo.x, hi.y)]);
+        general
     }
 
     /// Validates the lowered domain through the general front door's
     /// typed checks (crossing segments, duplicate points, ...).
     pub fn validate_general(&self) -> Result<ValidPslg, PslgError> {
         self.to_general().validate()
-    }
-
-    /// Total number of surface vertices across all loops.
-    pub fn surface_vertex_count(&self) -> usize {
-        self.loops.iter().map(|l| l.len()).sum()
     }
 
     /// One interior (hole) seed per loop.
@@ -164,11 +141,6 @@ impl Pslg {
     /// Reference chord (longest loop chord).
     pub fn reference_chord(&self) -> f64 {
         self.loops.iter().map(|l| l.chord()).fold(0.0, f64::max)
-    }
-
-    /// Total solid area covered by the components.
-    pub fn solid_area(&self) -> f64 {
-        self.loops.iter().map(|l| signed_area(&l.points)).sum()
     }
 }
 

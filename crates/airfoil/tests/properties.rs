@@ -2,7 +2,7 @@
 
 use adm_airfoil::{transform, Naca4, Pslg, SurfaceLoop};
 use adm_geom::point::Point2;
-use adm_geom::polygon::{is_ccw, is_simple, perimeter, signed_area};
+use adm_geom::polygon::{is_ccw, is_simple, signed_area};
 use proptest::prelude::*;
 
 fn naca_code() -> impl Strategy<Value = (f64, f64, f64)> {
@@ -49,6 +49,9 @@ proptest! {
         let foil = Naca4 { camber: m, camber_pos: p, thickness: t, sharp_te: true };
         let s = foil.surface(24);
         let out = transform(&s, scale, rot, Point2::new(tx, ty));
+        let perimeter = |poly: &[Point2]| -> f64 {
+            poly.iter().zip(poly.iter().cycle().skip(1)).map(|(a, b)| a.distance(*b)).sum()
+        };
         prop_assert!((perimeter(&out) - scale * perimeter(&s)).abs() < 1e-9 * perimeter(&s).max(1.0));
         prop_assert!((signed_area(&out).abs() - scale * scale * signed_area(&s).abs()).abs()
             < 1e-9 * signed_area(&s).abs().max(1.0));

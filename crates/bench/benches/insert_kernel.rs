@@ -15,8 +15,10 @@
 
 use adm_airfoil::Naca4;
 use adm_delaunay::incremental::triangulate_incremental;
-use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
+use adm_delaunay::refine::{refine, RefineParams};
+use adm_delaunay::{carve, constrained_delaunay};
 use adm_geom::point::Point2;
+use adm_geom::pslg::Pslg;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 
@@ -67,33 +69,25 @@ fn bench_incremental(c: &mut Criterion) {
 fn bench_ruppert_naca(c: &mut Criterion) {
     // Fixed NACA 0012 subdomain: the airfoil surface inside a tight box,
     // surface and box fully constrained, interior carved, then refined.
-    let surface = Naca4::naca0012().surface(100);
-    let mut pts = vec![
+    let mut domain = Pslg::default();
+    domain.push_loop(&[
         Point2::new(-0.5, -0.6),
         Point2::new(1.5, -0.6),
         Point2::new(1.5, 0.6),
         Point2::new(-0.5, 0.6),
-    ];
-    let mut segments: Vec<(u32, u32)> = vec![(0, 1), (1, 2), (2, 3), (3, 0)];
-    let s0 = pts.len() as u32;
-    let m = surface.len() as u32;
-    pts.extend(surface);
-    for k in 0..m {
-        segments.push((s0 + k, s0 + (k + 1) % m));
-    }
+    ]);
+    domain.push_loop(&Naca4::naca0012().surface(100));
+    let params = RefineParams {
+        max_area: Some(2e-4),
+        ..Default::default()
+    };
     c.bench_function("insert_kernel/ruppert_naca0012", |b| {
         b.iter(|| {
-            let opts = TriOptions {
-                segments: segments.clone(),
-                holes: vec![Point2::new(0.5, 0.0)],
-                refine: Some(RefineOptions {
-                    max_area: Some(2e-4),
-                    ..Default::default()
-                }),
-                ..Default::default()
-            };
-            let out = triangulate(&pts, &opts).unwrap();
-            std::hint::black_box(out.mesh.num_triangles())
+            let (mut mesh, _) =
+                constrained_delaunay(&domain.points, &domain.segments, false).unwrap();
+            carve(&mut mesh, &[Point2::new(0.5, 0.0)]);
+            refine(&mut mesh, None, &params);
+            std::hint::black_box(mesh.num_triangles())
         })
     });
 }

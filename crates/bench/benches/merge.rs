@@ -25,22 +25,23 @@ use adm_partition::{reduction_plan, triangulate_leaf, Subdomain};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 
-/// A stamped subdomain mesh: `border` points on a circle (its convex
-/// hull, so consecutive points are Delaunay edges we can constrain as
-/// the interface) around `interior` random points, interned into a fresh
-/// arena whose ids are therefore the positional indices.
-fn stamped_subdomain(interior: usize, border: usize, seed: u64) -> (Mesh, usize) {
+/// A stamped subdomain mesh: `border` points on a circle centred at
+/// `(cx, 0)` (its convex hull, so consecutive points are Delaunay edges we
+/// can constrain as the interface) around `interior` random points,
+/// interned into a fresh arena whose ids are therefore the positional
+/// indices.
+fn stamped_subdomain(interior: usize, border: usize, seed: u64, cx: f64) -> (Mesh, usize) {
     let mut r = rand::rngs::StdRng::seed_from_u64(seed);
     let mut pts: Vec<Point2> = (0..border)
         .map(|i| {
             let a = i as f64 / border as f64 * std::f64::consts::TAU;
-            Point2::new(a.cos(), a.sin())
+            Point2::new(cx + a.cos(), a.sin())
         })
         .collect();
     pts.extend((0..interior).map(|_| {
         let a = r.gen_range(0.0..std::f64::consts::TAU);
         let d = r.gen_range(0.0..0.9f64).sqrt();
-        Point2::new(d * a.cos(), d * a.sin())
+        Point2::new(cx + d * a.cos(), d * a.sin())
     }));
 
     let mut arena = MeshArena::with_capacity(pts.len());
@@ -58,7 +59,7 @@ fn stamped_subdomain(interior: usize, border: usize, seed: u64) -> (Mesh, usize)
 fn bench_interior_sweep(c: &mut Criterion) {
     const INTERFACE: usize = 64;
     for interior in [1_000usize, 4_000, 16_000] {
-        let (mesh, arena_len) = stamped_subdomain(interior, INTERFACE, 11);
+        let (mesh, arena_len) = stamped_subdomain(interior, INTERFACE, 11, 0.0);
         let verts = mesh.num_vertices();
         let tris = mesh.num_triangles();
         c.bench_function(format!("merge/spliced/interior_{interior}").as_str(), |b| {
@@ -74,7 +75,7 @@ fn bench_interior_sweep(c: &mut Criterion) {
 fn bench_interface_sweep(c: &mut Criterion) {
     const INTERIOR: usize = 16_000;
     for interface in [64usize, 256, 1_024] {
-        let (mesh, arena_len) = stamped_subdomain(INTERIOR, interface, 23);
+        let (mesh, arena_len) = stamped_subdomain(INTERIOR, interface, 23, 0.0);
         let verts = mesh.num_vertices();
         let tris = mesh.num_triangles();
         c.bench_function(
@@ -94,13 +95,7 @@ fn bench_interface_sweep(c: &mut Criterion) {
 /// rebased by `id_offset`, so many tiles can share one conceptual arena
 /// without id collisions.
 fn stamped_tile(interior: usize, border: usize, seed: u64, tile: usize) -> Mesh {
-    let (mut mesh, arena_len) = stamped_subdomain(interior, border, seed);
-    let dx = 3.0 * tile as f64;
-    for i in 0..mesh.num_vertices() {
-        let mut p = mesh.vertex(i);
-        p.x += dx;
-        mesh.set_vertex(i, p);
-    }
+    let (mut mesh, arena_len) = stamped_subdomain(interior, border, seed, 3.0 * tile as f64);
     let offset = (tile * arena_len) as u32;
     let ids: Vec<GlobalVertexId> = (0..arena_len as u32)
         .map(|i| GlobalVertexId(offset + i))

@@ -1,7 +1,7 @@
 //! Constrained-Delaunay and Ruppert-refinement benchmarks.
 
-use adm_delaunay::cdt::{constrained_delaunay, insert_constraint};
-use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
+use adm_delaunay::cdt::{carve, constrained_delaunay, insert_constraint};
+use adm_delaunay::refine::{refine, RefineParams};
 use adm_geom::point::Point2;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -15,18 +15,17 @@ fn bench_refine(c: &mut Criterion) {
             Point2::new(1.0, 1.0),
             Point2::new(0.0, 1.0),
         ];
+        let segments = [(0, 1), (1, 2), (2, 3), (3, 0)];
+        let params = RefineParams {
+            max_area: Some(max_area),
+            ..Default::default()
+        };
         g.bench_function(format!("unit_square_area_{max_area:.0e}"), |b| {
             b.iter(|| {
-                let opts = TriOptions {
-                    segments: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-                    refine: Some(RefineOptions {
-                        max_area: Some(max_area),
-                        ..Default::default()
-                    }),
-                    ..Default::default()
-                };
-                let out = triangulate(&pts, &opts).unwrap();
-                std::hint::black_box(out.mesh.num_triangles())
+                let (mut mesh, _) = constrained_delaunay(&pts, &segments, false).unwrap();
+                carve(&mut mesh, &[]);
+                refine(&mut mesh, None, &params);
+                std::hint::black_box(mesh.num_triangles())
             })
         });
     }

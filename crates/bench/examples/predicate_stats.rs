@@ -7,7 +7,8 @@
 #[cfg(feature = "predicate-stats")]
 fn main() {
     use adm_delaunay::incremental::triangulate_incremental;
-    use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
+    use adm_delaunay::refine::{refine, RefineParams};
+    use adm_delaunay::{carve, constrained_delaunay};
     use adm_geom::point::Point2;
     use adm_geom::predicates::stats;
     use rand::{Rng, SeedableRng};
@@ -29,17 +30,16 @@ fn main() {
         Point2::new(0.0, 1.0),
     ];
     stats::reset();
-    let opts = TriOptions {
-        segments: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-        refine: Some(RefineOptions {
-            max_area: Some(2.5e-4),
-            ..Default::default()
-        }),
+    let (mut mesh, _) =
+        constrained_delaunay(&square, &[(0, 1), (1, 2), (2, 3), (3, 0)], false).unwrap();
+    carve(&mut mesh, &[]);
+    let params = RefineParams {
+        max_area: Some(2.5e-4),
         ..Default::default()
     };
-    let out = triangulate(&square, &opts).unwrap();
+    refine(&mut mesh, None, &params);
     let (orient, incircle) = stats::snapshot();
-    println!("ruppert 2.5e-4 ({} triangles):", out.mesh.num_triangles());
+    println!("ruppert 2.5e-4 ({} triangles):", mesh.num_triangles());
     report(orient, incircle);
 
     // The counters also publish into the trace metrics registry, which is

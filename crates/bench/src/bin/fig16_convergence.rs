@@ -17,7 +17,7 @@ use adm_bench::{maybe_write_trace, write_json};
 use adm_core::{generate, MeshConfig};
 use adm_decouple::{GradedSizing, SizingFn};
 use adm_delaunay::mesh::Mesh;
-use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
+use adm_delaunay::{carve, constrained_delaunay, refine, RefineParams};
 use adm_geom::point::Point2;
 use adm_solver::{assemble, cg, dirichlet_on_boundary, CgOptions};
 use adm_trace::json::obj;
@@ -27,23 +27,7 @@ use adm_trace::Track;
 /// field, graded sizing whose body edge length resolves the first-layer
 /// scale isotropically.
 fn isotropic_mesh(config: &MeshConfig, h0: f64) -> Mesh {
-    let mut points: Vec<Point2> = Vec::new();
-    let mut segments: Vec<(u32, u32)> = Vec::new();
-    for l in &config.pslg.loops {
-        let base = points.len() as u32;
-        let n = l.points.len() as u32;
-        points.extend_from_slice(&l.points);
-        segments.extend((0..n).map(|i| (base + i, base + (i + 1) % n)));
-    }
-    let f = &config.pslg.farfield;
-    let base = points.len() as u32;
-    points.extend_from_slice(&[
-        f.min,
-        Point2::new(f.max.x, f.min.y),
-        f.max,
-        Point2::new(f.min.x, f.max.y),
-    ]);
-    segments.extend((0..4).map(|i| (base + i, base + (i + 1) % 4)));
+    let pslg = config.pslg.to_general();
     let body: Vec<Point2> = config
         .pslg
         .loops
@@ -51,20 +35,12 @@ fn isotropic_mesh(config: &MeshConfig, h0: f64) -> Mesh {
         .flat_map(|l| l.points.clone())
         .collect();
     let sizing = GradedSizing::new(&body, h0, config.sizing_rate, config.sizing_max_area, 64);
-    let sz = |p: Point2| sizing.target_area(p);
-    let opts = TriOptions {
-        segments,
-        holes: config.pslg.hole_seeds(),
-        carve_outside: true,
-        refine: Some(RefineOptions {
-            sizing: Some(&sz),
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    triangulate(&points, &opts)
-        .expect("isotropic meshing failed")
-        .mesh
+    let (mut mesh, _) = constrained_delaunay(&pslg.points, &pslg.segments, false)
+        .expect("isotropic meshing failed");
+    carve(&mut mesh, &pslg.holes);
+    let area = |p: Point2| sizing.target_area(p);
+    refine(&mut mesh, Some(&area), &RefineParams::default());
+    mesh
 }
 
 /// Solves the model problem and returns the residual history.

@@ -9,9 +9,9 @@ pub mod workloads;
 
 pub use report::{
     maybe_write_snapshot_trace, maybe_write_trace, phase_rows, write_json, write_snapshot_trace,
-    write_trace, PhaseRow, Series,
+    PhaseRow, Series,
 };
-pub use workloads::{scaling_config, standard_config};
+pub use workloads::scaling_config;
 
 /// Sequential efficiency with the merge stage excluded from **both**
 /// sides of the ratio:

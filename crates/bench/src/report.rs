@@ -113,11 +113,6 @@ pub fn write_snapshot_trace(path: &Path, snap: &adm_trace::TraceSnapshot) -> std
     adm_trace::chrome::write_chrome_trace(f, snap)
 }
 
-/// Writes `tracer` as Chrome trace-event JSON to `path`.
-pub fn write_trace(path: &Path, tracer: &Tracer) -> std::io::Result<()> {
-    write_snapshot_trace(path, &tracer.snapshot())
-}
-
 /// Honors a `--trace-out` argument if present: exports `tracer` there and
 /// reports the path on stderr. Returns the path written, if any.
 pub fn maybe_write_trace(tracer: &Tracer) -> std::io::Result<Option<PathBuf>> {

@@ -2,17 +2,6 @@
 
 use adm_core::MeshConfig;
 
-/// The standard evaluation case: NACA 0012, moderate resolution — runs in
-//  seconds on one core.
-pub fn standard_config() -> MeshConfig {
-    let mut c = MeshConfig::naca0012(80);
-    c.sizing_max_area = 1.0;
-    c.bl_subdomains = 64;
-    c.inviscid_subdomains = 64;
-    c.merge_threads = 0; // task costs feed adm-simnet: measure them uncontended
-    c
-}
-
 /// The scaling case: larger mesh, more subdomains, so that 256 simulated
 /// ranks still have multiple tasks each.
 pub fn scaling_config(points_per_side: usize, subdomains: usize) -> MeshConfig {

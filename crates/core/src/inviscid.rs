@@ -9,10 +9,11 @@
 //! interface rules; the pipeline's task tree decides which runs where.
 
 use adm_decouple::{GradedSizing, Region, SizingFn};
+use adm_delaunay::cdt::{carve, constrained_delaunay};
 use adm_delaunay::mesh::Mesh;
-use adm_delaunay::refine::RefineStats;
-use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
+use adm_delaunay::refine::{refine, RefineParams, RefineStats};
 use adm_geom::point::Point2;
+use adm_geom::pslg::Pslg;
 use adm_kernel::GlobalVertexId;
 
 /// Smallest body edge length for which no boundary-layer outer-border
@@ -47,56 +48,33 @@ pub fn build_sizing(
     GradedSizing::new(&body, h0, rate, max_area, 64)
 }
 
-/// Refines one region (border polygon) against the sizing field.
-/// Returns the mesh and the refinement statistics (whose
-/// `segment_splits` counts border-segment splits).
-pub fn refine_region(region_border: &[Point2], sizing: &dyn SizingFn) -> (Mesh, RefineStats) {
-    let n = region_border.len() as u32;
-    let segments: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    let sz = |p: Point2| sizing.target_area(p);
-    let opts = TriOptions {
-        segments,
-        carve_outside: true,
-        refine: Some(RefineOptions {
-            sizing: Some(&sz),
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    let out = triangulate(region_border, &opts).expect("region triangulation failed");
-    (out.mesh, out.refine_stats.unwrap_or_default())
+/// Triangle's `-p -q -a` on one closed domain: CDT of `pslg`, carved from
+/// the outside and from its hole seeds, then Ruppert-refined against
+/// `sizing`'s area bound. Input point `i` is mesh vertex `map[i]`.
+fn refine_domain(pslg: &Pslg, sizing: &dyn SizingFn) -> (Mesh, Vec<u32>, RefineStats) {
+    let (mut mesh, map) = constrained_delaunay(&pslg.points, &pslg.segments, false)
+        .expect("inviscid domain triangulation failed");
+    carve(&mut mesh, &pslg.holes);
+    let area = |p: Point2| sizing.target_area(p);
+    let stats = refine(&mut mesh, Some(&area), &RefineParams::default());
+    (mesh, map, stats)
 }
 
-/// The shared assembly + refinement behind the near-body entry points.
-fn nearbody_triangulation(
-    rect_border: &[Point2],
-    holes: &[Vec<Point2>],
-    hole_seeds: &[Point2],
-    sizing: &dyn SizingFn,
-) -> adm_delaunay::triangulator::TriOutput {
-    let mut points: Vec<Point2> = rect_border.to_vec();
-    let mut segments: Vec<(u32, u32)> = {
-        let n = rect_border.len() as u32;
-        (0..n).map(|i| (i, (i + 1) % n)).collect()
-    };
+/// The near-body domain: the outer border loop, then one loop per hole.
+fn nearbody_pslg(rect_border: &[Point2], holes: &[Vec<Point2>], hole_seeds: &[Point2]) -> Pslg {
+    let mut pslg = Pslg::new(Vec::new(), Vec::new(), hole_seeds.to_vec());
+    pslg.push_loop(rect_border);
     for hole in holes {
-        let base = points.len() as u32;
-        let n = hole.len() as u32;
-        points.extend_from_slice(hole);
-        segments.extend((0..n).map(|i| (base + i, base + (i + 1) % n)));
+        pslg.push_loop(hole);
     }
-    let sz = |p: Point2| sizing.target_area(p);
-    let opts = TriOptions {
-        segments,
-        holes: hole_seeds.to_vec(),
-        carve_outside: true,
-        refine: Some(RefineOptions {
-            sizing: Some(&sz),
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    triangulate(&points, &opts).expect("near-body triangulation failed")
+    pslg
+}
+
+/// Refines one region (border polygon) against the sizing field: the
+/// near-body case with no holes. Returns the mesh and the refinement
+/// statistics (whose `segment_splits` counts border-segment splits).
+pub fn refine_region(region_border: &[Point2], sizing: &dyn SizingFn) -> (Mesh, RefineStats) {
+    refine_nearbody(region_border, &[], &[], sizing)
 }
 
 /// Refines the near-body subdomain: outer rectangle border + hole loops.
@@ -106,16 +84,16 @@ pub fn refine_nearbody(
     hole_seeds: &[Point2],
     sizing: &dyn SizingFn,
 ) -> (Mesh, RefineStats) {
-    let out = nearbody_triangulation(rect_border, holes, hole_seeds, sizing);
-    (out.mesh, out.refine_stats.unwrap_or_default())
+    let (mesh, _, stats) = refine_domain(&nearbody_pslg(rect_border, holes, hole_seeds), sizing);
+    (mesh, stats)
 }
 
 /// [`refine_nearbody`] with arena identity stamps: `rect_ids[i]` is the
 /// global id of `rect_border[i]` and `hole_ids[k][i]` of `holes[k][i]`.
 /// The produced mesh carries those stamps on its input-point vertices
-/// (via the triangulator's point map), so the merger can splice its
-/// interface without hashing coordinates. Refinement Steiner vertices
-/// stay unstamped — the ones on constrained segments remain constrained
+/// (via the CDT's point map), so the merger can splice its interface
+/// without hashing coordinates. Refinement Steiner vertices stay
+/// unstamped — the ones on constrained segments remain constrained
 /// endpoints and resolve through the merger's coordinate path.
 pub fn refine_nearbody_stamped(
     rect_border: &[Point2],
@@ -127,12 +105,13 @@ pub fn refine_nearbody_stamped(
 ) -> (Mesh, RefineStats) {
     assert_eq!(rect_border.len(), rect_ids.len());
     assert_eq!(holes.len(), hole_ids.len());
-    let mut out = nearbody_triangulation(rect_border, holes, hole_seeds, sizing);
+    let pslg = nearbody_pslg(rect_border, holes, hole_seeds);
+    let (mut mesh, map, stats) = refine_domain(&pslg, sizing);
     let all_ids = rect_ids.iter().chain(hole_ids.iter().flatten());
-    for (&v, &gid) in out.point_map.iter().zip(all_ids) {
-        out.mesh.stamp_vertex(v, gid);
+    for (&v, &gid) in map.iter().zip(all_ids) {
+        mesh.stamp_vertex(v, gid);
     }
-    (out.mesh, out.refine_stats.unwrap_or_default())
+    (mesh, stats)
 }
 
 /// Propagates interface splits from a refined donor mesh back into the
@@ -242,7 +221,7 @@ pub fn decouple_threshold(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adm_decouple::UniformSizing;
+    use adm_decouple::UniformH;
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
@@ -300,13 +279,13 @@ mod tests {
             }
             b
         };
-        let sizing = UniformSizing(0.01);
+        let sizing = UniformH(0.15);
         let (mesh, _splits) = refine_region(&border, &sizing);
         mesh.check_consistency();
         assert!(mesh.num_triangles() > 100);
         let q = adm_delaunay::quality::mesh_quality(&mesh);
         assert!((q.total_area - 1.0).abs() < 1e-9);
-        assert!(q.max_area <= 0.01 + 1e-12);
+        assert!(q.max_area <= sizing.target_area(p(0.5, 0.5)) + 1e-12);
     }
 
     #[test]
@@ -328,7 +307,7 @@ mod tests {
             b
         };
         let hole: Vec<Point2> = vec![p(-0.5, -0.5), p(0.5, -0.5), p(0.5, 0.5), p(-0.5, 0.5)];
-        let sizing = UniformSizing(0.05);
+        let sizing = UniformH(0.35);
         let (mesh, _) = refine_nearbody(&rect, &[hole], &[p(0.0, 0.0)], &sizing);
         mesh.check_consistency();
         let q = adm_delaunay::quality::mesh_quality(&mesh);

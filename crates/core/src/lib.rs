@@ -39,7 +39,6 @@ pub use shard::{
     write_manifest, write_shard_set, ConsistencyReport, ShardManifest, ShardMeta, MANIFEST_NAME,
 };
 pub use sizing::{
-    AnchorSet, ComposedSizing, FnSizing, GradationLimited, GradedSizing, MetricSizing, SizingFn,
-    UniformH,
+    AnchorSet, ComposedSizing, GradationLimited, GradedSizing, MetricSizing, SizingFn, UniformH,
 };
 pub use tasklog::{TaskKind, TaskLog, TaskRecord};

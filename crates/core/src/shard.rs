@@ -161,8 +161,8 @@ pub fn write_shard_set(
 
 /// [`write_shard_set`] with a failure injected mid-write of shard
 /// `fail_at` — the atomicity test's crash stand-in.
-#[doc(hidden)]
-pub fn write_shard_set_with_fault(
+#[cfg(test)]
+fn write_shard_set_with_fault(
     dir: &Path,
     shards: &[(&[u8], &Mesh)],
     fail_at: usize,

@@ -21,26 +21,7 @@ use adm_geom::metric::MetricField;
 use adm_geom::point::Point2;
 use std::sync::Arc;
 
-pub use adm_decouple::{GradedSizing, SizingFn};
-
-/// Uniform edge length everywhere.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformH(pub f64);
-
-impl SizingFn for UniformH {
-    fn h(&self, _p: Point2) -> f64 {
-        self.0
-    }
-}
-
-/// Adapts a plain closure `h(x, y)` into a [`SizingFn`].
-pub struct FnSizing<F: Fn(Point2) -> f64 + Sync>(pub F);
-
-impl<F: Fn(Point2) -> f64 + Sync> SizingFn for FnSizing<F> {
-    fn h(&self, p: Point2) -> f64 {
-        (self.0)(p)
-    }
-}
+pub use adm_decouple::{GradedSizing, SizingFn, UniformH};
 
 /// A reusable anchor table for [`GradationLimited`]: the anchor points
 /// plus, per anchor, every other anchor sorted by distance.
@@ -189,16 +170,6 @@ impl<S: SizingFn> GradationLimited<S> {
         &self.anchors
     }
 
-    /// The limited value at anchor `i` (what `h` returns there).
-    pub fn anchor_h(&self, i: usize) -> f64 {
-        self.limited[i]
-    }
-
-    /// Anchor count.
-    pub fn anchor_len(&self) -> usize {
-        self.anchors.len()
-    }
-
     /// The growth rate this field is limited to.
     pub fn gradation(&self) -> f64 {
         self.gradation
@@ -317,21 +288,24 @@ mod tests {
     }
 
     #[test]
-    fn fn_sizing_wraps_closures() {
-        let s = FnSizing(|q: Point2| 0.1 + 0.01 * q.x.abs());
-        assert!((s.h(p(10.0, 0.0)) - 0.2).abs() < 1e-15);
-    }
-
-    #[test]
     fn limiter_caps_a_jump() {
         // Base: tiny at the origin, huge everywhere else. The limiter
         // must pull nearby anchors down to tiny + g·d.
+        struct Spike;
+        impl SizingFn for Spike {
+            fn h(&self, q: Point2) -> f64 {
+                if q == p(0.0, 0.0) {
+                    0.1
+                } else {
+                    10.0
+                }
+            }
+        }
         let anchors = [p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0)];
-        let base = FnSizing(|q: Point2| if q.x == 0.0 && q.y == 0.0 { 0.1 } else { 10.0 });
-        let lim = GradationLimited::new(base, &anchors, 0.5);
-        assert!((lim.anchor_h(0) - 0.1).abs() < 1e-12);
-        assert!((lim.anchor_h(1) - 0.6).abs() < 1e-12);
-        assert!((lim.anchor_h(2) - 1.1).abs() < 1e-12);
+        let lim = GradationLimited::new(Spike, &anchors, 0.5);
+        for (a, want) in anchors.iter().zip([0.1, 0.6, 1.1]) {
+            assert!((lim.h(*a) - want).abs() < 1e-12);
+        }
         // Query points interpolate the same bound.
         assert!((lim.h(p(0.5, 0.0)) - 0.35).abs() < 1e-12);
     }

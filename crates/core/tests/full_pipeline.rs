@@ -2,7 +2,7 @@
 
 use adm_core::{
     generate, generate_on, generate_parallel, generate_undecomposed, mesh_digest_hex, Executor,
-    FnSizing, MeshConfig, PipelineStats,
+    MeshConfig, PipelineStats, SizingFn,
 };
 use adm_delaunay::quality::mesh_quality;
 use adm_mpirt::Pool;
@@ -78,10 +78,15 @@ fn parallel_run_matches_sequential_mesh() {
 #[test]
 fn sequential_and_one_rank_report_equal_stats() {
     let mut config = small_naca_config();
-    config.extra_sizing = Some(std::sync::Arc::new(FnSizing(|p: adm_geom::Point2| {
-        let d = (p.x - p.x.clamp(0.0, 1.0)).hypot(p.y);
-        0.008 + 0.5 * (d - 0.08).max(0.0)
-    })));
+    /// Fine near the chord line, graded away from it.
+    struct NearChord;
+    impl SizingFn for NearChord {
+        fn h(&self, p: adm_geom::Point2) -> f64 {
+            let d = (p.x - p.x.clamp(0.0, 1.0)).hypot(p.y);
+            0.008 + 0.5 * (d - 0.08).max(0.0)
+        }
+    }
+    config.extra_sizing = Some(std::sync::Arc::new(NearChord));
     let plain = generate(&small_naca_config()).stats;
     let seq = generate(&config).stats;
     assert!(

@@ -8,11 +8,11 @@
 //! algorithm change, not a speed pass), re-pin with the printed digest.
 
 use adm_core::{generate, generate_parallel, sha256_hex, MeshConfig};
-use adm_delaunay::cdt::{constrained_delaunay, insert_constraint};
+use adm_delaunay::cdt::{carve, constrained_delaunay, insert_constraint};
 use adm_delaunay::incremental::triangulate_incremental;
 use adm_delaunay::io::write_ascii_canonical;
 use adm_delaunay::mesh::Mesh;
-use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
+use adm_delaunay::refine::{refine, RefineParams};
 use adm_geom::point::Point2;
 
 fn mesh_sha(mesh: &Mesh) -> String {
@@ -83,17 +83,16 @@ fn ruppert_unit_square_digest() {
         Point2::new(1.0, 1.0),
         Point2::new(0.0, 1.0),
     ];
-    let opts = TriOptions {
-        segments: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-        refine: Some(RefineOptions {
-            max_area: Some(1e-3),
-            ..Default::default()
-        }),
+    let segments = [(0, 1), (1, 2), (2, 3), (3, 0)];
+    let (mut mesh, _) = constrained_delaunay(&pts, &segments, false).expect("cdt");
+    carve(&mut mesh, &[]);
+    let params = RefineParams {
+        max_area: Some(1e-3),
         ..Default::default()
     };
-    let out = triangulate(&pts, &opts).expect("refine");
+    refine(&mut mesh, None, &params);
     assert_eq!(
-        mesh_sha(&out.mesh),
+        mesh_sha(&mesh),
         "4e3cc83d6ec286c1be9155e08359f2612ae3c6ea2db58dd2d1032cf4d67deb6c",
         "Ruppert refinement output drifted"
     );

@@ -5,18 +5,19 @@
 //! (3) be a fixed point — limiting the already-limited field changes
 //! nothing, at anchors or at arbitrary query points.
 
-// Indexed loops keep `anchor_h(i)` visibly paired with `anchors[i]`.
-#![allow(clippy::needless_range_loop)]
-
-use adm_core::{FnSizing, GradationLimited, SizingFn};
+use adm_core::{GradationLimited, SizingFn};
 use adm_geom::point::Point2;
 use proptest::prelude::*;
 
 /// Deterministic, strictly positive, non-Lipschitz-friendly base field:
 /// rapid oscillation makes the raw anchor values jump around so the
 /// limiter actually has work to do.
-fn base() -> impl SizingFn {
-    FnSizing(|p: Point2| 0.05 + (5.0 * p.x).sin().abs() + (7.0 * p.y).cos().abs())
+struct Wiggly;
+
+impl SizingFn for Wiggly {
+    fn h(&self, p: Point2) -> f64 {
+        0.05 + (5.0 * p.x).sin().abs() + (7.0 * p.y).cos().abs()
+    }
 }
 
 fn anchor_strategy() -> impl Strategy<Value = Vec<Point2>> {
@@ -35,14 +36,14 @@ proptest! {
         g in 0.05f64..2.0,
         query in (-12.0f64..12.0, -12.0f64..12.0),
     ) {
-        let lim = GradationLimited::new(base(), &anchors, g);
-        for i in 0..anchors.len() {
-            let hi = lim.anchor_h(i);
+        let lim = GradationLimited::new(Wiggly, &anchors, g);
+        for (i, &ai) in anchors.iter().enumerate() {
+            let hi = lim.h(ai);
             prop_assert!(hi > 0.0 && hi.is_finite());
             // Never above the base value at the anchor.
-            prop_assert!(hi <= base().h(anchors[i]) * (1.0 + 1e-12));
-            for j in 0..anchors.len() {
-                let bound = lim.anchor_h(j) + g * anchors[i].distance(anchors[j]);
+            prop_assert!(hi <= Wiggly.h(ai) * (1.0 + 1e-12));
+            for (j, &aj) in anchors.iter().enumerate() {
+                let bound = lim.h(aj) + g * ai.distance(aj);
                 prop_assert!(
                     hi <= bound * (1.0 + 1e-9),
                     "anchor {} violates the cap against anchor {}: {} > {}",
@@ -54,9 +55,9 @@ proptest! {
         // cone (the definition, checked through the public surface).
         let q = Point2::new(query.0, query.1);
         let hq = lim.h(q);
-        prop_assert!(hq > 0.0 && hq <= base().h(q) * (1.0 + 1e-12));
-        for i in 0..anchors.len() {
-            let bound = lim.anchor_h(i) + g * q.distance(anchors[i]);
+        prop_assert!(hq > 0.0 && hq <= Wiggly.h(q) * (1.0 + 1e-12));
+        for &a in &anchors {
+            let bound = lim.h(a) + g * q.distance(a);
             prop_assert!(hq <= bound * (1.0 + 1e-9));
         }
     }
@@ -70,11 +71,11 @@ proptest! {
         g in 0.05f64..2.0,
         query in (-12.0f64..12.0, -12.0f64..12.0),
     ) {
-        let once = GradationLimited::new(base(), &anchors, g);
+        let once = GradationLimited::new(Wiggly, &anchors, g);
         let twice = GradationLimited::new(&once, &anchors, g);
         let scale = 1e-12;
-        for i in 0..anchors.len() {
-            let (a, b) = (once.anchor_h(i), twice.anchor_h(i));
+        for (i, &ai) in anchors.iter().enumerate() {
+            let (a, b) = (once.h(ai), twice.h(ai));
             prop_assert!(
                 (a - b).abs() <= scale * a.abs().max(1.0),
                 "anchor {} moved on the second pass: {} -> {}",

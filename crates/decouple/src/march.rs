@@ -109,7 +109,7 @@ pub fn chain_respects_bounds(chain: &[Point2], sizing: &dyn SizingFn) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sizing::{GradedSizing, UniformSizing};
+    use crate::sizing::{GradedSizing, UniformH};
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn uniform_marching_is_nearly_uniform() {
-        let s = UniformSizing(0.1);
+        let s = UniformH(0.5);
         let chain = march_path(p(0.0, 0.0), p(10.0, 0.0), &s);
         assert!(chain.len() > 10);
         assert_eq!(chain[0], p(0.0, 0.0));
@@ -125,7 +125,7 @@ mod tests {
         assert!(chain_respects_bounds(&chain, &s));
         // Interior steps all equal STEP_FACTOR * k; the final one or two
         // segments share the remainder evenly.
-        let k = k_value(0.1);
+        let k = k_value(s.target_area(p(0.0, 0.0)));
         let nseg = chain.len() - 1;
         for w in chain.windows(2).take(nseg.saturating_sub(2)) {
             let d = w[0].distance(w[1]);
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn degenerate_and_short_paths() {
-        let s = UniformSizing(0.1);
+        let s = UniformH(0.5);
         let same = march_path(p(1.0, 1.0), p(1.0, 1.0), &s);
         assert_eq!(same.len(), 1);
         // A path shorter than one step yields exactly the two endpoints.

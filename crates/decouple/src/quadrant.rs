@@ -185,7 +185,7 @@ pub fn initial_quadrants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sizing::{GradedSizing, UniformSizing};
+    use crate::sizing::{GradedSizing, UniformH};
     use adm_geom::polygon::{is_ccw, is_simple, signed_area};
 
     fn boxes() -> (Aabb, Aabb) {
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn quadrants_tile_the_annulus() {
         let (b, f) = boxes();
-        let s = UniformSizing(2.0);
+        let s = UniformH(2.0);
         let d = initial_quadrants(&b, &f, &s);
         let mut total = 0.0;
         for q in &d.quadrants {
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn nearbody_border_is_ccw_rectangle() {
         let (b, f) = boxes();
-        let s = UniformSizing(2.0);
+        let s = UniformH(2.0);
         let d = initial_quadrants(&b, &f, &s);
         assert!(is_ccw(&d.nearbody_border));
         assert!(is_simple(&d.nearbody_border));
@@ -268,7 +268,7 @@ mod tests {
         // edge along the far field, the short edge reaching the near-body
         // box (Figure 9 layout).
         let (b, f) = boxes();
-        let s = UniformSizing(2.0);
+        let s = UniformH(2.0);
         let d = initial_quadrants(&b, &f, &s);
         let expect = [
             // left, top, right, bottom

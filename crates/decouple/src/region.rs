@@ -227,7 +227,7 @@ pub fn decouple_to_count(
 mod tests {
     use super::*;
     use crate::march::march_path;
-    use crate::sizing::UniformSizing;
+    use crate::sizing::UniformH;
     use adm_geom::polygon::{is_ccw, is_simple, signed_area};
 
     fn p(x: f64, y: f64) -> Point2 {
@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn rect_region_is_ccw_simple() {
-        let s = UniformSizing(0.05);
+        let s = UniformH(0.3);
         let r = rect_region(p(0.0, 0.0), p(4.0, 2.0), &s);
         assert!(is_ccw(&r.border));
         assert!(is_simple(&r.border));
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn plus_split_produces_four_tiling_children() {
-        let s = UniformSizing(0.05);
+        let s = UniformH(0.3);
         let r = rect_region(p(0.0, 0.0), p(4.0, 4.0), &s);
         let children = r.plus_split(&s);
         let mut total = 0.0;
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn plus_split_does_not_touch_outer_border() {
-        let s = UniformSizing(0.08);
+        let s = UniformH(0.4);
         let r = rect_region(p(0.0, 0.0), p(4.0, 4.0), &s);
         let before: std::collections::HashSet<(u64, u64)> = r
             .border
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn shared_internal_borders_are_identical() {
-        let s = UniformSizing(0.05);
+        let s = UniformH(0.3);
         let r = rect_region(p(0.0, 0.0), p(4.0, 4.0), &s);
         let children = r.plus_split(&s);
         // Points on the internal '+' (x == cx or y == cy, strictly inside)
@@ -326,15 +326,15 @@ mod tests {
 
     #[test]
     fn estimate_scales_with_sizing() {
-        let coarse = UniformSizing(0.5);
-        let fine = UniformSizing(0.05);
+        let coarse = UniformH(1.0);
+        let fine = UniformH(0.3);
         let r = rect_region(p(0.0, 0.0), p(4.0, 4.0), &coarse);
         assert!(r.estimated_triangles(&fine) > 5.0 * r.estimated_triangles(&coarse));
     }
 
     #[test]
     fn decouple_to_count_reaches_target() {
-        let s = UniformSizing(0.02);
+        let s = UniformH(0.2);
         let r = rect_region(p(0.0, 0.0), p(8.0, 8.0), &s);
         let leaves = decouple_to_count(vec![r], 16, &s);
         assert!(leaves.len() >= 16);

@@ -46,16 +46,12 @@ impl<S: SizingFn + ?Sized> SizingFn for Box<S> {
     }
 }
 
-/// Uniform target area everywhere.
+/// Uniform edge length everywhere.
 #[derive(Debug, Clone, Copy)]
-pub struct UniformSizing(pub f64);
+pub struct UniformH(pub f64);
 
-impl SizingFn for UniformSizing {
+impl SizingFn for UniformH {
     fn h(&self, _p: Point2) -> f64 {
-        (self.0 / EQUILATERAL).sqrt()
-    }
-
-    fn target_area(&self, _p: Point2) -> f64 {
         self.0
     }
 }
@@ -141,9 +137,10 @@ mod tests {
 
     #[test]
     fn uniform_field() {
-        let s = UniformSizing(0.5);
-        assert_eq!(s.target_area(p(0.0, 0.0)), 0.5);
-        assert_eq!(s.target_area(p(100.0, -3.0)), 0.5);
+        let s = UniformH(0.5);
+        assert_eq!(s.h(p(100.0, -3.0)), 0.5);
+        assert_eq!(s.target_area(p(0.0, 0.0)), EQUILATERAL * 0.25);
+        assert_eq!(s.target_area(p(100.0, -3.0)), EQUILATERAL * 0.25);
     }
 
     #[test]

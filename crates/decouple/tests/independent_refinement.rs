@@ -6,30 +6,21 @@
 
 use adm_decouple::{decouple_to_count, initial_quadrants, GradedSizing, Region, SizingFn};
 use adm_delaunay::quality::mesh_quality;
-use adm_delaunay::triangulator::{triangulate, RefineOptions, TriOptions};
+use adm_delaunay::{carve, constrained_delaunay, refine, Mesh, RefineParams, RefineStats};
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 use adm_geom::polygon::signed_area;
+use adm_geom::pslg::Pslg;
 
-fn refine_region(
-    region: &Region,
-    sizing: &dyn SizingFn,
-) -> (adm_delaunay::Mesh, adm_delaunay::RefineStats) {
-    let pts = region.border.clone();
-    let n = pts.len() as u32;
-    let segments: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    let sz = |p: Point2| sizing.target_area(p);
-    let opts = TriOptions {
-        segments,
-        carve_outside: true,
-        refine: Some(RefineOptions {
-            sizing: Some(&sz),
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    let out = triangulate(&pts, &opts).expect("refinement failed");
-    (out.mesh, out.refine_stats.unwrap())
+fn refine_region(region: &Region, sizing: &dyn SizingFn) -> (Mesh, RefineStats) {
+    let mut pslg = Pslg::default();
+    pslg.push_loop(&region.border);
+    let (mut mesh, _) =
+        constrained_delaunay(&pslg.points, &pslg.segments, false).expect("refinement failed");
+    carve(&mut mesh, &[]);
+    let area = |p: Point2| sizing.target_area(p);
+    let stats = refine(&mut mesh, Some(&area), &RefineParams::default());
+    (mesh, stats)
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use adm_decouple::{
     chain_respects_bounds, decouple_to_count, initial_quadrants, k_value, march_path, GradedSizing,
-    SizingFn, UniformSizing,
+    SizingFn, UniformH,
 };
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
@@ -49,7 +49,7 @@ proptest! {
     ) {
         let b = Aabb::new(Point2::new(-bw, -bh), Point2::new(bw, bh));
         let f = b.inflated(margin);
-        let sizing = UniformSizing(h0);
+        let sizing = UniformH(h0);
         let d = initial_quadrants(&b, &f, &sizing);
         let mut total = 0.0;
         for q in &d.quadrants {

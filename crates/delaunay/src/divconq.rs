@@ -324,7 +324,7 @@ impl DcTriangulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adm_geom::predicates::{in_circle, orient2d};
+    use adm_geom::predicates::{incircle, orient2d};
 
     fn pts_of(coords: &[(f64, f64)]) -> Vec<Point2> {
         coords.iter().map(|&(x, y)| Point2::new(x, y)).collect()
@@ -344,7 +344,7 @@ mod tests {
                     continue;
                 }
                 assert!(
-                    !in_circle(a, b, c, p),
+                    incircle(a, b, c, p) <= 0.0,
                     "point {i} inside circumcircle of {t:?}"
                 );
             }

@@ -284,7 +284,7 @@ fn grow_hull(mesh: &mut Mesh, p: Point2, exit_t: u32, exit_i: u8) -> u32 {
 mod tests {
     use super::*;
     use crate::divconq::triangulate_dc;
-    use adm_geom::predicates::in_circle;
+    use adm_geom::predicates::incircle;
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
@@ -304,7 +304,7 @@ mod tests {
                 if tri.contains(&(i as u32)) {
                     continue;
                 }
-                assert!(!in_circle(a, b, c, q), "empty-circle violation");
+                assert!(incircle(a, b, c, q) <= 0.0, "empty-circle violation");
             }
         }
     }

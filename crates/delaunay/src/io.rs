@@ -116,47 +116,34 @@ pub fn read_ascii<R: BufRead>(r: &mut R) -> io::Result<Mesh> {
     Ok(Mesh::from_triangles(vertices, tris))
 }
 
-/// Version-1 binary magic: vertices + triangles only.
+/// Version-1 binary magic (read only): vertices + triangles.
 const BINARY_MAGIC_V1: &[u8; 8] = b"ADM2DM01";
-/// Version-2 binary magic: v1 payload plus a per-vertex global-id table
-/// (raw [`GlobalVertexId`] values, `u32::MAX` = unstamped) between the
-/// vertex and triangle sections. Written only when the mesh carries
-/// stamps, so v1 readers keep working on unstamped meshes.
+/// Version-2 binary magic (read only): the v1 payload plus a per-vertex
+/// global-id table (raw [`GlobalVertexId`] values, `u32::MAX` =
+/// unstamped) between the vertex and triangle sections.
 const BINARY_MAGIC_V2: &[u8; 8] = b"ADM2DM02";
-/// Version-3 binary magic: adds a flags byte plus a sorted
-/// constrained-edge section after the triangles, so a binary round-trip
-/// preserves the constraint set (v1/v2 silently dropped it, which makes
-/// them unusable as shard formats — the spliced merge keys its shared
-/// vertices off constrained-edge endpoints). Written only when the mesh
-/// actually carries constraints, so unconstrained output stays
-/// byte-identical to the older versions.
+/// Version-3 binary magic, the one [`write_binary`] emits: a constraint
+/// count and a flags byte after the v1 counts, the stamp table when the
+/// flags say so, and a sorted constrained-edge section after the
+/// triangles. v1/v2 dropped the constraint set, which made them unusable
+/// as shard formats — the spliced merge keys its shared vertices off
+/// constrained-edge endpoints.
 const BINARY_MAGIC_V3: &[u8; 8] = b"ADM2DM03";
 
 /// Stamp-table-present bit in the v3 flags byte.
 const V3_FLAG_STAMPS: u8 = 1;
 
-/// Writes the mesh in the compact binary format (little-endian). The
-/// writer is buffered internally. Meshes with constrained edges are
-/// written as version 3 (stamps and constraints persisted); stamped
-/// but unconstrained meshes as version 2; plain meshes stay
-/// byte-identical to the original version-1 format.
+/// Writes the mesh in the compact binary format (little-endian), always
+/// as version 3: stamps and constraints persist. The writer is buffered
+/// internally.
 pub fn write_binary<W: Write>(mesh: &Mesh, w: &mut W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
     let stamped = mesh.has_global_ids();
-    let constrained = mesh.num_constrained() > 0;
-    w.write_all(if constrained {
-        BINARY_MAGIC_V3
-    } else if stamped {
-        BINARY_MAGIC_V2
-    } else {
-        BINARY_MAGIC_V1
-    })?;
+    w.write_all(BINARY_MAGIC_V3)?;
     w.write_all(&(mesh.num_vertices() as u64).to_le_bytes())?;
     w.write_all(&(mesh.num_triangles() as u64).to_le_bytes())?;
-    if constrained {
-        w.write_all(&(mesh.num_constrained() as u64).to_le_bytes())?;
-        w.write_all(&[if stamped { V3_FLAG_STAMPS } else { 0 }])?;
-    }
+    w.write_all(&(mesh.num_constrained() as u64).to_le_bytes())?;
+    w.write_all(&[if stamped { V3_FLAG_STAMPS } else { 0 }])?;
     for i in 0..mesh.num_vertices() {
         let v = mesh.vertex(i);
         w.write_all(&v.x.to_le_bytes())?;
@@ -175,20 +162,19 @@ pub fn write_binary<W: Write>(mesh: &Mesh, w: &mut W) -> io::Result<()> {
             w.write_all(&vi.to_le_bytes())?;
         }
     }
-    if constrained {
-        // Sorted so the encoding is a pure function of the constraint
-        // *set* — the in-memory HashSet iterates in per-process order.
-        let mut edges: Vec<(u32, u32)> = mesh.constrained_edges().collect();
-        edges.sort_unstable();
-        for (a, b) in edges {
-            w.write_all(&a.to_le_bytes())?;
-            w.write_all(&b.to_le_bytes())?;
-        }
+    // Sorted so the encoding is a pure function of the constraint *set* —
+    // the in-memory HashSet iterates in per-process order.
+    let mut edges: Vec<(u32, u32)> = mesh.constrained_edges().collect();
+    edges.sort_unstable();
+    for (a, b) in edges {
+        w.write_all(&a.to_le_bytes())?;
+        w.write_all(&b.to_le_bytes())?;
     }
     w.flush()
 }
 
-/// Reads a mesh in any binary version written by [`write_binary`].
+/// Reads a mesh in any binary version: the v3 [`write_binary`] emits, and
+/// the v1/v2 earlier writers did.
 pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Mesh> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -485,29 +471,44 @@ mod tests {
     }
 
     #[test]
-    fn binary_version_picks_cheapest_format() {
-        // Constrained meshes need the v3 edge section.
-        let mut buf = Vec::new();
-        write_binary(&sample_mesh(), &mut buf).unwrap();
-        assert_eq!(&buf[..8], b"ADM2DM03");
-        // Stamped, unconstrained meshes keep the v2 header…
-        let mut stamped = Mesh::from_triangles(
-            vec![
-                Point2::new(0.0, 0.0),
-                Point2::new(1.0, 0.0),
-                Point2::new(0.0, 1.0),
-            ],
-            vec![[0, 1, 2]],
-        );
+    fn binary_writer_is_v3_and_reader_keeps_v1_v2() {
+        let tri = vec![
+            Point2::new(0.0, 0.0),
+            Point2::new(1.0, 0.0),
+            Point2::new(0.0, 1.0),
+        ];
+        let mut stamped = Mesh::from_triangles(tri.clone(), vec![[0, 1, 2]]);
         stamped.stamp_vertex(0, GlobalVertexId(7));
-        let mut buf2 = Vec::new();
-        write_binary(&stamped, &mut buf2).unwrap();
-        assert_eq!(&buf2[..8], b"ADM2DM02");
-        // …and plain meshes the v1 header, so older readers still work.
-        let plain = Mesh::from_triangles(stamped.points().to_vec(), vec![[0, 1, 2]]);
-        let mut buf1 = Vec::new();
-        write_binary(&plain, &mut buf1).unwrap();
-        assert_eq!(&buf1[..8], b"ADM2DM01");
+        // Plain, stamped and constrained meshes all write version 3: the
+        // plain one is the 33-byte header and its payload, nothing else.
+        let plain = Mesh::from_triangles(tri.clone(), vec![[0, 1, 2]]);
+        for mesh in [&plain, &stamped, &sample_mesh()] {
+            let mut buf = Vec::new();
+            write_binary(mesh, &mut buf).unwrap();
+            assert_eq!(&buf[..8], b"ADM2DM03");
+        }
+        let mut buf = Vec::new();
+        write_binary(&plain, &mut buf).unwrap();
+        assert_eq!(buf.len(), 33 + 3 * 16 + 3 * 4);
+        // A v2 file (stamps, no constraint section) written by hand.
+        let mut v2 = BINARY_MAGIC_V2.to_vec();
+        v2.extend_from_slice(&3u64.to_le_bytes());
+        v2.extend_from_slice(&1u64.to_le_bytes());
+        for p in &tri {
+            v2.extend_from_slice(&p.x.to_le_bytes());
+            v2.extend_from_slice(&p.y.to_le_bytes());
+        }
+        for stamp in [7, u32::MAX, u32::MAX] {
+            v2.extend_from_slice(&stamp.to_le_bytes());
+        }
+        for v in [0u32, 1, 2] {
+            v2.extend_from_slice(&v.to_le_bytes());
+        }
+        let back = read_binary(&mut v2.as_slice()).unwrap();
+        assert_eq!(back.points(), tri);
+        assert_eq!(back.global_id(0), Some(GlobalVertexId(7)));
+        assert_eq!(back.global_id(1), None);
+        assert_eq!(back.num_triangles(), 1);
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //!   concavities/holes;
 //! * [`mod@refine`] — Ruppert refinement with the `sqrt(2)` quality bound and
 //!   sizing-function area bounds (paper §II.E);
-//! * [`quality`] / [`io`] / [`triangulator`] — metrics, Triangle-format
-//!   I/O + SVG, and the switch-style facade.
+//! * [`quality`] / [`io`] / [`poly`] — metrics, Triangle-format I/O +
+//!   SVG, and `.poly` PSLG files.
+//!
+//! Triangle's `-p -q -a` is the three calls [`constrained_delaunay`] →
+//! [`carve`] → [`refine()`], with [`RefineParams`] as the only options
+//! struct and a [`refine::AreaFn`] closure as the area bound.
 
 pub mod bitset;
 pub mod brio;
@@ -27,7 +31,6 @@ pub mod poly;
 pub mod quadedge;
 pub mod quality;
 pub mod refine;
-pub mod triangulator;
 
 pub use cdt::{carve, constrained_delaunay, insert_constraint, CdtError};
 pub use divconq::{delaunay_rec, merge_hulls, prepare_input, triangulate_dc, DcTriangulation};
@@ -36,4 +39,3 @@ pub use mesh::{Location, Mesh, NonManifoldEdge, NIL};
 pub use poly::{read_poly, write_poly, PolyFile};
 pub use quality::{circumcenter, mesh_quality, tri_quality, MeshQuality, TriQuality};
 pub use refine::{refine, RefineParams, RefineStats};
-pub use triangulator::{triangulate, RefineOptions, TriOptions, TriOutput};

@@ -167,8 +167,8 @@ pub(crate) struct TriRec {
 /// A triangle mesh with neighbor adjacency and constrained-edge bookkeeping.
 ///
 /// Coordinates are stored as separate x/y arrays (SoA): the batched
-/// predicate filters read contiguous coordinate lanes, and the layout is
-/// exposed raw via [`Mesh::coords`]. All per-triangle state is fused in
+/// predicate filters read contiguous coordinate lanes. All per-triangle
+/// state is fused in
 /// [`TriRec`]; liveness is one bit per slot in a packed [`BitSet`].
 #[derive(Debug, Clone, Default)]
 pub struct Mesh {
@@ -294,13 +294,6 @@ impl Mesh {
         Point2::new(self.coords_x[i], self.coords_y[i])
     }
 
-    /// Overwrites the coordinates of vertex `i` (no topology change; the
-    /// caller is responsible for keeping the triangulation valid).
-    pub fn set_vertex(&mut self, i: usize, p: Point2) {
-        self.coords_x[i] = p.x;
-        self.coords_y[i] = p.y;
-    }
-
     /// All vertex coordinates, materialized as a `Point2` list.
     pub fn points(&self) -> Vec<Point2> {
         self.coords_x
@@ -308,13 +301,6 @@ impl Mesh {
             .zip(&self.coords_y)
             .map(|(&x, &y)| Point2::new(x, y))
             .collect()
-    }
-
-    /// The raw SoA coordinate arrays `(x, y)` — the layout the batched
-    /// predicate filters consume directly.
-    #[inline]
-    pub fn coords(&self) -> (&[f64], &[f64]) {
-        (&self.coords_x, &self.coords_y)
     }
 
     /// The corner vertices of triangle slot `t` (CCW).
@@ -706,12 +692,6 @@ impl Mesh {
         Location::Outside(last, worst)
     }
 
-    /// Locates `target` starting from an arbitrary live triangle.
-    pub fn locate(&self, target: Point2) -> Location {
-        let start = self.any_triangle().expect("empty mesh");
-        self.walk_from(start, target, false)
-    }
-
     /// Appends a new vertex (no topology change). Used by construction
     /// engines that manage their own triangle creation.
     pub(crate) fn push_vertex(&mut self, p: Point2) -> u32 {
@@ -818,8 +798,8 @@ impl Mesh {
     }
 
     /// Recomputes `t`'s constraint bitmask from the edge set. Used by the
-    /// cold reconstruction paths (edge flips, corridor retriangulation)
-    /// where the new triangles' edges may pre-exist in the set.
+    /// cold corridor retriangulation, where the new triangles' edges may
+    /// pre-exist in the set.
     fn refresh_con_bits(&mut self, t: u32) {
         let mut bits = 0u8;
         for i in 0..3u8 {
@@ -1062,77 +1042,6 @@ impl Mesh {
         }
         self.scratch = s;
         pv
-    }
-
-    /// Flips the edge `i` of triangle `t` shared with its neighbor:
-    /// the quadrilateral's diagonal is replaced by the other diagonal.
-    /// Returns the two new triangle ids. The edge must be interior and
-    /// unconstrained, and the quadrilateral strictly convex.
-    ///
-    /// # Panics
-    /// Panics (debug) if the edge is on the boundary or constrained.
-    pub fn flip_edge(&mut self, t: u32, i: u8) -> (u32, u32) {
-        let n = self.tris[t as usize].n[i as usize];
-        debug_assert_ne!(n, NIL, "cannot flip a boundary edge");
-        let (u, v) = self.edge_vertices(t, i);
-        debug_assert!(
-            !self.is_constrained_tri(t, i),
-            "cannot flip a constrained edge"
-        );
-        let apex_t = self.tris[t as usize].v[i as usize];
-        let nj = (0..3u8)
-            .find(|&j| {
-                let (x, y) = self.edge_vertices(n, j);
-                (x, y) == (v, u)
-            })
-            .expect("neighbor shares the edge");
-        let apex_n = self.tris[n as usize].v[nj as usize];
-
-        // External neighbors of the quadrilateral (by the edges they face).
-        let find_nb = |mesh: &Mesh, tri: u32, a: u32, b: u32| -> u32 {
-            for j in 0..3u8 {
-                let (x, y) = mesh.edge_vertices(tri, j);
-                if (x == a && y == b) || (x == b && y == a) {
-                    return mesh.tris[tri as usize].n[j as usize];
-                }
-            }
-            unreachable!("edge not in triangle")
-        };
-        let n_tu = find_nb(self, t, apex_t, u); // across (apex_t, u)
-        let n_tv = find_nb(self, t, v, apex_t); // across (v, apex_t)
-        let n_nu = find_nb(self, n, u, apex_n); // across (u, apex_n)
-        let n_nv = find_nb(self, n, apex_n, v); // across (apex_n, v)
-
-        // Rebuild in place: t := (apex_t, u, apex_n), n := (apex_n, v, apex_t).
-        self.kill_triangle(t);
-        self.kill_triangle(n);
-        let t1 = self.alloc_triangle([apex_t, u, apex_n]);
-        let t2 = self.alloc_triangle([apex_n, v, apex_t]);
-        self.refresh_con_bits(t1);
-        self.refresh_con_bits(t2);
-        // t1 edges: opp apex_t = (u, apex_n) -> n_nu; opp u = (apex_n,
-        // apex_t) -> t2; opp apex_n = (apex_t, u) -> n_tu.
-        self.tris[t1 as usize].n = [n_nu, t2, n_tu];
-        // t2 edges: opp apex_n = (v, apex_t) -> n_tv; opp v = (apex_t,
-        // apex_n) -> t1; opp apex_t = (apex_n, v) -> n_nv.
-        self.tris[t2 as usize].n = [n_tv, t1, n_nv];
-        // Patch the externals.
-        let mut patch = |ext: u32, old_a: u32, old_b: u32, new_t: u32| {
-            if ext == NIL {
-                return;
-            }
-            for j in 0..3u8 {
-                let (x, y) = self.edge_vertices(ext, j);
-                if (x == old_a && y == old_b) || (x == old_b && y == old_a) {
-                    self.tris[ext as usize].n[j as usize] = new_t;
-                }
-            }
-        };
-        patch(n_nu, u, apex_n, t1);
-        patch(n_tu, apex_t, u, t1);
-        patch(n_tv, v, apex_t, t2);
-        patch(n_nv, apex_n, v, t2);
-        (t1, t2)
     }
 
     /// Removes a set of triangles, patching surviving neighbors to NIL and
@@ -1519,17 +1428,29 @@ mod tests {
     #[test]
     fn locate_inside_on_edge_on_vertex_outside() {
         let m = square_mesh();
-        assert!(matches!(m.locate(p(0.6, 0.2)), Location::InTriangle(0)));
-        assert!(matches!(m.locate(p(0.2, 0.6)), Location::InTriangle(1)));
-        match m.locate(p(0.5, 0.5)) {
+        assert!(matches!(
+            m.walk_from(0, p(0.6, 0.2), false),
+            Location::InTriangle(0)
+        ));
+        assert!(matches!(
+            m.walk_from(0, p(0.2, 0.6), false),
+            Location::InTriangle(1)
+        ));
+        match m.walk_from(0, p(0.5, 0.5), false) {
             Location::OnEdge(t, i) => {
                 let (a, b) = m.edge_vertices(t, i);
                 assert_eq!(edge_key(a, b), (0, 2));
             }
             other => panic!("expected on-edge, got {other:?}"),
         }
-        assert!(matches!(m.locate(p(1.0, 1.0)), Location::OnVertex(2, _)));
-        assert!(matches!(m.locate(p(2.0, 2.0)), Location::Outside(..)));
+        assert!(matches!(
+            m.walk_from(0, p(1.0, 1.0), false),
+            Location::OnVertex(2, _)
+        ));
+        assert!(matches!(
+            m.walk_from(0, p(2.0, 2.0), false),
+            Location::Outside(..)
+        ));
     }
 
     #[test]
@@ -1645,56 +1566,6 @@ mod tests {
             }
             other => panic!("expected blocked, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn flip_edge_swaps_diagonal() {
-        let mut m = square_mesh();
-        // Shared edge (0, 2) is edge 1 of triangle 0.
-        let (t1, t2) = m.flip_edge(0, 1);
-        m.check_consistency();
-        assert!(m.find_edge(0, 2).is_none());
-        assert!(m.find_edge(1, 3).is_some());
-        assert!(m.is_alive(t1) && m.is_alive(t2));
-        assert_eq!(m.num_triangles(), 2);
-    }
-
-    #[test]
-    fn flip_edge_roundtrip_restores_topology() {
-        let mut m = square_mesh();
-        let (t1, _) = m.flip_edge(0, 1);
-        // Find the new shared edge (1,3) inside t1 and flip back.
-        let (t, i) = m.find_edge(1, 3).unwrap();
-        let _ = t1;
-        let (a, b) = m.edge_vertices(t, i);
-        assert_eq!(edge_key(a, b), (1, 3));
-        m.flip_edge(t, i);
-        m.check_consistency();
-        assert!(m.find_edge(0, 2).is_some());
-        assert!(m.find_edge(1, 3).is_none());
-    }
-
-    #[test]
-    fn flip_edge_with_external_neighbors() {
-        // 2x1 strip of 4 triangles: flipping an interior edge must patch
-        // the surrounding neighbors.
-        let mut m = Mesh::from_triangles(
-            vec![
-                p(0.0, 0.0),
-                p(1.0, 0.0),
-                p(2.0, 0.0),
-                p(2.0, 1.0),
-                p(1.0, 1.0),
-                p(0.0, 1.0),
-            ],
-            vec![[0, 1, 5], [1, 4, 5], [1, 2, 4], [2, 3, 4]],
-        );
-        // Shared edge (1, 4) between triangles 1 and 2.
-        let (t, i) = m.find_edge(1, 4).unwrap();
-        m.flip_edge(t, i);
-        m.check_consistency();
-        assert!(m.find_edge(2, 5).is_some());
-        assert_eq!(m.num_triangles(), 4);
     }
 
     #[test]

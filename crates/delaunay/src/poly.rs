@@ -50,59 +50,6 @@ impl PolyFile {
             holes: pslg.holes.clone(),
         }
     }
-
-    /// Reconstructs the closed loops of the segment graph (every vertex
-    /// must have degree 2 within a loop). Returns loops as point lists;
-    /// vertices not on any segment are ignored.
-    pub fn loops(&self) -> io::Result<Vec<Vec<Point2>>> {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); self.points.len()];
-        for &(a, b) in &self.segments {
-            adj[a as usize].push(b);
-            adj[b as usize].push(a);
-        }
-        for (v, n) in adj.iter().enumerate() {
-            if !n.is_empty() && n.len() != 2 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("vertex {v} has degree {} (loops need degree 2)", n.len()),
-                ));
-            }
-        }
-        let mut visited = vec![false; self.points.len()];
-        let mut loops = Vec::new();
-        for start in 0..self.points.len() as u32 {
-            if visited[start as usize] || adj[start as usize].is_empty() {
-                continue;
-            }
-            let mut cycle = Vec::new();
-            let mut prev = u32::MAX;
-            let mut cur = start;
-            loop {
-                visited[cur as usize] = true;
-                cycle.push(self.points[cur as usize]);
-                let next = adj[cur as usize]
-                    .iter()
-                    .copied()
-                    .find(|&n| n != prev)
-                    .ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "open segment chain")
-                    })?;
-                prev = cur;
-                cur = next;
-                if cur == start {
-                    break;
-                }
-                if cycle.len() > self.points.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "segment graph is not a set of simple loops",
-                    ));
-                }
-            }
-            loops.push(cycle);
-        }
-        Ok(loops)
-    }
 }
 
 /// Reads a `.poly` stream.
@@ -264,26 +211,6 @@ mod tests {
 ";
         let poly = read_poly(&mut text.as_bytes()).unwrap();
         assert_eq!(poly.points.len(), 3);
-    }
-
-    #[test]
-    fn loops_reconstructed() {
-        let poly = two_squares();
-        let loops = poly.loops().unwrap();
-        assert_eq!(loops.len(), 2);
-        assert_eq!(loops[0].len(), 4);
-        assert_eq!(loops[1].len(), 4);
-    }
-
-    #[test]
-    fn open_chain_rejected() {
-        let p = |x: f64, y: f64| Point2::new(x, y);
-        let poly = PolyFile {
-            points: vec![p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0)],
-            segments: vec![(0, 1), (1, 2)],
-            holes: vec![],
-        };
-        assert!(poly.loops().is_err());
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl EdgePool {
         self.oprev(self.sym(e))
     }
 
-    /// Previous edge around the left face (`lprev(e).dest == e.org`).
-    #[inline]
-    pub fn lprev(&self, e: u32) -> u32 {
-        self.sym(self.onext(e))
-    }
-
     /// Previous edge around the right face (`rprev(e).org == e.dest`).
     #[inline]
     pub fn rprev(&self, e: u32) -> u32 {
@@ -206,13 +200,6 @@ impl EdgePool {
         }
         self.free.extend(other.free.into_iter().map(|e| e + off));
         off
-    }
-
-    /// Iterates over one representative (the even half) of every live edge.
-    pub fn live_edges(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.recs.len() as u32)
-            .step_by(2)
-            .filter(move |&e| self.alive.get(e as usize))
     }
 
     /// Iterates over all live *directed* edges.
@@ -325,8 +312,8 @@ mod tests {
         let b = p.make_edge(2, 3);
         let c = p.make_edge(4, 5);
         p.delete_edge(b);
-        let live: Vec<u32> = p.live_edges().collect();
-        assert_eq!(live, vec![a, c]);
+        let live: Vec<u32> = p.live_directed_edges().collect();
+        assert_eq!(live, vec![a, a ^ 1, c, c ^ 1]);
         assert_eq!(p.live_count(), 4); // two undirected edges = 4 directed
     }
 }

@@ -84,13 +84,13 @@ impl RefineStats {
     }
 }
 
-/// Sizing query: target triangle *area* at a location.
-pub type SizingFn<'a> = &'a dyn Fn(Point2) -> f64;
+/// Area bound: target triangle *area* at a location (Triangle's `-a`).
+pub type AreaFn<'a> = &'a dyn Fn(Point2) -> f64;
 
 /// Refines `mesh` in place until every triangle satisfies the quality and
 /// size bounds. The mesh boundary (every NIL-neighbor edge) must be
 /// constrained — the pipeline guarantees this for all subdomains.
-pub fn refine(mesh: &mut Mesh, sizing: Option<SizingFn<'_>>, params: &RefineParams) -> RefineStats {
+pub fn refine(mesh: &mut Mesh, sizing: Option<AreaFn<'_>>, params: &RefineParams) -> RefineStats {
     debug_assert!(
         boundary_fully_constrained(mesh),
         "mesh border must be constrained"
@@ -315,7 +315,7 @@ fn shell_split_point(
 fn after_insert(
     mesh: &Mesh,
     v: u32,
-    sizing: Option<SizingFn<'_>>,
+    sizing: Option<AreaFn<'_>>,
     params: &RefineParams,
     acute: &std::collections::HashSet<u32>,
     seg_queue: &mut VecDeque<(u32, u32)>,
@@ -355,7 +355,7 @@ fn after_insert(
 fn is_bad(
     mesh: &Mesh,
     t: u32,
-    sizing: Option<SizingFn<'_>>,
+    sizing: Option<AreaFn<'_>>,
     params: &RefineParams,
     acute: &std::collections::HashSet<u32>,
 ) -> bool {

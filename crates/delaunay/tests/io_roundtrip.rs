@@ -3,10 +3,8 @@
 //! block) meshed through CDT → carve → refinement. Every writer/reader
 //! pair must reproduce the triangulation exactly — gated by comparing
 //! canonical serializations, which are insensitive to vertex/triangle
-//! ordering history — and the binary format must preserve arena identity
-//! stamps and constrained edges (`ADM2DM03` for constrained meshes,
-//! `ADM2DM02` for stamped-only ones) while keeping plain meshes on the
-//! version-1 magic (`ADM2DM01`).
+//! ordering history — and the binary format (`ADM2DM03`) must preserve
+//! arena identity stamps and constrained edges.
 
 use adm_delaunay::cdt::{carve, constrained_delaunay};
 use adm_delaunay::io::{read_ascii, read_binary, write_ascii, write_ascii_canonical, write_binary};
@@ -107,7 +105,7 @@ fn binary_stamped_boundary_round_trip() {
     let mut mesh = plate_mesh();
     // Stamp exactly the boundary (constrained-edge endpoints) with
     // synthetic arena ids, leaving refinement-interior vertices
-    // unstamped — the mixed table ADM2DM02 must persist faithfully.
+    // unstamped — the mixed stamp table must persist faithfully.
     let mut boundary: Vec<u32> = mesh.constrained_edges().flat_map(|(a, b)| [a, b]).collect();
     boundary.sort_unstable();
     boundary.dedup();

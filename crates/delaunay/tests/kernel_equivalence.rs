@@ -11,7 +11,7 @@ use adm_delaunay::divconq::triangulate_dc;
 use adm_delaunay::incremental::triangulate_incremental;
 use adm_delaunay::mesh::Mesh;
 use adm_geom::point::Point2;
-use adm_geom::predicates::in_circle;
+use adm_geom::predicates::incircle;
 use proptest::prelude::*;
 
 fn p(x: f64, y: f64) -> Point2 {
@@ -75,7 +75,10 @@ fn assert_empty_circle(mesh: &Mesh) {
             if tri.contains(&(i as u32)) {
                 continue;
             }
-            assert!(!in_circle(a, b, c, q), "empty-circle violation at t={t}");
+            assert!(
+                incircle(a, b, c, q) <= 0.0,
+                "empty-circle violation at t={t}"
+            );
         }
     }
 }

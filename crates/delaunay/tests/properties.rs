@@ -5,7 +5,7 @@ use adm_delaunay::divconq::triangulate_dc;
 use adm_delaunay::mesh::Mesh;
 use adm_delaunay::refine::{refine, RefineParams};
 use adm_geom::point::Point2;
-use adm_geom::predicates::{in_circle, orient2d};
+use adm_geom::predicates::{incircle, orient2d};
 use proptest::prelude::*;
 
 fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point2>> {
@@ -43,7 +43,7 @@ fn assert_is_delaunay(points: &[Point2], tris: &[[u32; 3]]) {
             if t.contains(&(i as u32)) {
                 continue;
             }
-            assert!(!in_circle(a, b, c, p), "empty-circle violation");
+            assert!(incircle(a, b, c, p) <= 0.0, "empty-circle violation");
         }
     }
 }

@@ -80,16 +80,6 @@ pub fn grow_expansion(e: &[f64], b: f64, out: &mut [f64]) -> usize {
     n
 }
 
-/// Sums two expansions into `out` (non-overlapping result, zero-eliminated).
-/// `out` must have room for `e.len() + f.len() + 1` components.
-///
-/// Implemented as repeated [`grow_expansion`]; exactness (not peak speed) is
-/// the contract — predicates only reach expansion arithmetic on
-/// near-degenerate input.
-pub fn expansion_sum(e: &[f64], f: &[f64], out: &mut [f64]) -> usize {
-    expansion_sum_simple(e, f, out)
-}
-
 #[inline]
 fn ensure_nonempty(out: &mut [f64], n: usize) -> usize {
     if n == 0 {
@@ -279,8 +269,10 @@ impl Expansion {
         }
     }
 
-    /// Exact product of two `f64`s as an expansion.
-    pub fn product(a: f64, b: f64) -> Self {
+    /// Exact product of two `f64`s as an expansion (the exact-`orient2d`
+    /// reference in the predicate tests).
+    #[cfg(test)]
+    pub(crate) fn product(a: f64, b: f64) -> Self {
         let (hi, lo) = two_product(a, b);
         let mut comps = Vec::with_capacity(2);
         if lo != 0.0 {

@@ -54,46 +54,6 @@ pub fn lower_hull_indices_sorted(points: &[Point2]) -> Vec<usize> {
     hull
 }
 
-/// Lower convex hull points of a **sorted** point slice (see
-/// [`lower_hull_indices_sorted`]).
-pub fn lower_hull_sorted(points: &[Point2]) -> Vec<Point2> {
-    lower_hull_indices_sorted(points)
-        .into_iter()
-        .map(|i| points[i])
-        .collect()
-}
-
-/// Full convex hull (counter-clockwise, no repeated first/last point) of an
-/// arbitrary point set. `O(n log n)` because of the sort.
-pub fn convex_hull(points: &[Point2]) -> Vec<Point2> {
-    let mut pts: Vec<Point2> = points.to_vec();
-    pts.sort_by(|a, b| a.lex_cmp(*b));
-    pts.dedup();
-    let n = pts.len();
-    if n <= 2 {
-        return pts;
-    }
-    let lower = lower_hull_indices_sorted(&pts);
-    // Upper hull: same scan over the reversed order.
-    let mut upper: Vec<usize> = Vec::with_capacity(n / 2 + 2);
-    for i in (0..n).rev() {
-        while upper.len() >= 2 {
-            let a = pts[upper[upper.len() - 2]];
-            let b = pts[upper[upper.len() - 1]];
-            if orient2d_one(a, b, pts[i]) <= 0.0 {
-                upper.pop();
-            } else {
-                break;
-            }
-        }
-        upper.push(i);
-    }
-    let mut hull: Vec<Point2> = lower.iter().map(|&i| pts[i]).collect();
-    // Skip the endpoints shared with the lower hull.
-    hull.extend(upper[1..upper.len() - 1].iter().map(|&i| pts[i]));
-    hull
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,6 +61,11 @@ mod tests {
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
+    }
+
+    fn lower_hull_sorted(points: &[Point2]) -> Vec<Point2> {
+        let hull = lower_hull_indices_sorted(points);
+        hull.into_iter().map(|i| points[i]).collect()
     }
 
     #[test]
@@ -173,33 +138,5 @@ mod tests {
         // Endpoints are the extreme input points.
         assert_eq!(h.first().copied().unwrap(), pts[0]);
         assert_eq!(h.last().copied().unwrap(), *pts.last().unwrap());
-    }
-
-    #[test]
-    fn full_hull_of_square_with_interior() {
-        let pts = [
-            p(0.0, 0.0),
-            p(1.0, 0.0),
-            p(1.0, 1.0),
-            p(0.0, 1.0),
-            p(0.5, 0.5),
-            p(0.25, 0.75),
-        ];
-        let h = convex_hull(&pts);
-        assert_eq!(h.len(), 4);
-        // CCW ordering.
-        for i in 0..h.len() {
-            let a = h[i];
-            let b = h[(i + 1) % h.len()];
-            let c = h[(i + 2) % h.len()];
-            assert!(orient2d(a, b, c) > 0.0);
-        }
-    }
-
-    #[test]
-    fn full_hull_degenerate_collinear() {
-        let pts = [p(0.0, 0.0), p(1.0, 1.0), p(2.0, 2.0)];
-        let h = convex_hull(&pts);
-        assert_eq!(h, vec![p(0.0, 0.0), p(2.0, 2.0)]);
     }
 }

@@ -25,12 +25,11 @@ pub mod segment;
 
 pub use aabb::Aabb;
 pub use adt::{extent_key, Adt, Point4};
-pub use hull::{convex_hull, lower_hull_indices_sorted, lower_hull_sorted};
+pub use hull::lower_hull_indices_sorted;
 pub use metric::{Metric2, MetricField};
 pub use point::{Point2, Vec2};
 pub use predicates::{
-    in_circle, incircle, incircle_batch, incircle_one, orient2d, orient2d_batch, orient2d_one,
-    orientation, Orientation,
+    incircle, incircle_batch, incircle_one, orient2d, orient2d_batch, orient2d_one,
 };
 pub use pslg::{Pslg, PslgError, RepairReport, ValidPslg};
 pub use pslg_gen::{generate_pslg, GeneratedPslg};

@@ -34,7 +34,8 @@ pub struct Metric2 {
 impl Metric2 {
     /// The isotropic metric prescribing edge length `h` in every
     /// direction: `M = I / h²`.
-    pub fn isotropic(h: f64) -> Self {
+    #[cfg(test)]
+    fn isotropic(h: f64) -> Self {
         assert!(h > 0.0 && h.is_finite(), "isotropic metric needs h > 0");
         let l = 1.0 / (h * h);
         Metric2 { a: l, b: 0.0, d: l }
@@ -131,13 +132,6 @@ impl Metric2 {
     pub fn h_min_dir(&self) -> f64 {
         let (l1, _, _) = self.eigen();
         1.0 / l1.sqrt()
-    }
-
-    /// The edge length along the least restrictive eigendirection:
-    /// `1/sqrt(λ_min)`.
-    pub fn h_max_dir(&self) -> f64 {
-        let (_, l2, _) = self.eigen();
-        1.0 / l2.sqrt()
     }
 
     /// `true` when the tensor is finite, symmetric by construction, and
@@ -406,7 +400,7 @@ mod tests {
         let m = Metric2::isotropic(0.25);
         assert!(m.is_spd());
         assert!((m.h_min_dir() - 0.25).abs() < 1e-14);
-        assert!((m.h_max_dir() - 0.25).abs() < 1e-14);
+        assert!((1.0 / m.eigen().1.sqrt() - 0.25).abs() < 1e-14);
         let (l1, l2, _) = m.eigen();
         assert!((l1 - 16.0).abs() < 1e-12);
         assert!((l2 - 16.0).abs() < 1e-12);
@@ -424,7 +418,7 @@ mod tests {
         let dot = (ec * c + es * s).abs();
         assert!((dot - 1.0).abs() < 1e-12, "eigvec off: {ec} {es}");
         assert!((m.h_min_dir() - 0.1).abs() < 1e-12);
-        assert!((m.h_max_dir() - 0.5).abs() < 1e-12);
+        assert!((1.0 / m.eigen().1.sqrt() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Simple-polygon utilities: area, orientation, containment, convexity.
+//! Simple-polygon utilities: area, orientation, containment, simplicity.
 //!
 //! Subdomain borders in the decoupling stage are simple polygons stored in
 //! counter-clockwise order (paper §II.E); these helpers validate and reason
 //! about them.
 
 use crate::point::Point2;
-use crate::predicates::orient2d;
 use crate::segment::Segment;
 
 /// Twice the signed area of the polygon (positive for counter-clockwise
@@ -34,24 +33,6 @@ pub fn signed_area(poly: &[Point2]) -> f64 {
 #[inline]
 pub fn is_ccw(poly: &[Point2]) -> bool {
     signed_area2(poly) > 0.0
-}
-
-/// `true` when the polygon is convex (vertices in CCW order, no reflex
-/// corner; exactly-collinear corners are allowed).
-pub fn is_convex_ccw(poly: &[Point2]) -> bool {
-    let n = poly.len();
-    if n < 3 {
-        return false;
-    }
-    for i in 0..n {
-        let a = poly[i];
-        let b = poly[(i + 1) % n];
-        let c = poly[(i + 2) % n];
-        if orient2d(a, b, c) < 0.0 {
-            return false;
-        }
-    }
-    true
 }
 
 /// Point-in-polygon by the crossing-number (even–odd) rule. Points exactly
@@ -134,12 +115,6 @@ pub fn is_simple(poly: &[Point2]) -> bool {
     true
 }
 
-/// Total perimeter length.
-pub fn perimeter(poly: &[Point2]) -> f64 {
-    let n = poly.len();
-    (0..n).map(|i| poly[i].distance(poly[(i + 1) % n])).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,20 +136,6 @@ mod tests {
         cw.reverse();
         assert_eq!(signed_area(&cw), -1.0);
         assert!(!is_ccw(&cw));
-    }
-
-    #[test]
-    fn convexity() {
-        assert!(is_convex_ccw(&unit_square()));
-        let arrow = vec![
-            p(0.0, 0.0),
-            p(2.0, 0.0),
-            p(1.0, 0.5),
-            p(2.0, 2.0),
-            p(0.0, 2.0),
-        ];
-        assert!(is_ccw(&arrow));
-        assert!(!is_convex_ccw(&arrow));
     }
 
     #[test]
@@ -225,10 +186,5 @@ mod tests {
         // Bow-tie: self-intersecting.
         let bow = vec![p(0.0, 0.0), p(1.0, 1.0), p(1.0, 0.0), p(0.0, 1.0)];
         assert!(!is_simple(&bow));
-    }
-
-    #[test]
-    fn perimeter_of_square() {
-        assert_eq!(perimeter(&unit_square()), 4.0);
     }
 }

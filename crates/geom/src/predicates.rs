@@ -175,17 +175,6 @@ macro_rules! bump_n {
     };
 }
 
-/// Orientation of the triple `(a, b, c)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Orientation {
-    /// `c` lies to the left of the directed line `a -> b` (counter-clockwise).
-    Ccw,
-    /// `c` lies to the right of the directed line `a -> b` (clockwise).
-    Cw,
-    /// The three points are exactly collinear.
-    Collinear,
-}
-
 /// Returns a positive value if `a, b, c` are in counter-clockwise order,
 /// negative if clockwise, and exactly `0.0` if collinear.
 ///
@@ -308,19 +297,6 @@ fn orient2d_exact(a: Point2, b: Point2, c: Point2) -> f64 {
         } else {
             s * f64::MIN_POSITIVE
         }
-    }
-}
-
-/// Classified orientation of `(a, b, c)`.
-#[inline]
-pub fn orientation(a: Point2, b: Point2, c: Point2) -> Orientation {
-    let d = orient2d(a, b, c);
-    if d > 0.0 {
-        Orientation::Ccw
-    } else if d < 0.0 {
-        Orientation::Cw
-    } else {
-        Orientation::Collinear
     }
 }
 
@@ -489,13 +465,6 @@ fn incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> f64 {
             s * f64::MIN_POSITIVE
         }
     }
-}
-
-/// `true` when `d` is strictly inside the circumcircle of the CCW triangle
-/// `(a, b, c)`.
-#[inline]
-pub fn in_circle(a: Point2, b: Point2, c: Point2, d: Point2) -> bool {
-    incircle(a, b, c, d) > 0.0
 }
 
 /// Batched `orient2d` over coordinate lanes: `out[k] = orient2d(a_k, b_k, c_k)`
@@ -730,8 +699,6 @@ mod tests {
         let c = Point2::new(0.0, 1.0);
         assert!(orient2d(a, b, c) > 0.0);
         assert!(orient2d(a, c, b) < 0.0);
-        assert_eq!(orientation(a, b, c), Orientation::Ccw);
-        assert_eq!(orientation(a, c, b), Orientation::Cw);
     }
 
     #[test]
@@ -740,7 +707,6 @@ mod tests {
         let b = Point2::new(1.0, 1.0);
         let c = Point2::new(2.0, 2.0);
         assert_eq!(orient2d(a, b, c), 0.0);
-        assert_eq!(orientation(a, b, c), Orientation::Collinear);
     }
 
     #[test]

@@ -165,6 +165,17 @@ impl Pslg {
         }
     }
 
+    /// Appends a closed loop: its points, then one segment from each point
+    /// to the next and from the last back to the first. The one
+    /// loop-to-segment encoder of the workspace.
+    pub fn push_loop(&mut self, loop_pts: &[Point2]) {
+        let base = self.points.len() as u32;
+        let n = loop_pts.len() as u32;
+        self.points.extend_from_slice(loop_pts);
+        self.segments
+            .extend((0..n).map(|i| (base + i, base + (i + 1) % n)));
+    }
+
     /// Bounding box of all points.
     pub fn bbox(&self) -> Aabb {
         let mut b = Aabb::empty();

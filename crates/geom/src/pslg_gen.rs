@@ -65,24 +65,6 @@ impl Rng {
     }
 }
 
-/// Builder state while assembling one case.
-struct Build {
-    points: Vec<Point2>,
-    segments: Vec<(u32, u32)>,
-    holes: Vec<Point2>,
-}
-
-impl Build {
-    fn push_loop(&mut self, loop_pts: &[Point2]) {
-        let base = self.points.len() as u32;
-        self.points.extend_from_slice(loop_pts);
-        let n = loop_pts.len() as u32;
-        for i in 0..n {
-            self.segments.push((base + i, base + (i + 1) % n));
-        }
-    }
-}
-
 /// An axis-aligned rectangle with optional 135° chamfers, on dyadic
 /// coordinates. `cut` of 0 gives the plain rectangle.
 fn chamfered_rect(x0: f64, y0: f64, w: f64, h: f64, cut: f64) -> Vec<Point2> {
@@ -107,7 +89,7 @@ fn chamfered_rect(x0: f64, y0: f64, w: f64, h: f64, cut: f64) -> Vec<Point2> {
 /// Every candidate is verified with the exact predicate; rounding that
 /// breaks collinearity skips the candidate instead of emitting an
 /// almost-collinear chain by accident.
-fn subdivide_collinear(b: &mut Build, si: usize, pieces: u64) {
+fn subdivide_collinear(b: &mut Pslg, si: usize, pieces: u64) {
     let (a, c) = b.segments[si];
     let (pa, pc) = (b.points[a as usize], b.points[c as usize]);
     let mut chain = vec![a];
@@ -134,11 +116,7 @@ fn subdivide_collinear(b: &mut Build, si: usize, pieces: u64) {
 /// proper crossing (`expect_reject`); the rest are valid by construction.
 pub fn generate_pslg(seed: u64) -> GeneratedPslg {
     let mut rng = Rng(seed);
-    let mut b = Build {
-        points: Vec::new(),
-        segments: Vec::new(),
-        holes: Vec::new(),
-    };
+    let mut b = Pslg::default();
 
     let parts = 1 + rng.below(3); // 1..=3 parts, one per 8-unit grid cell
     let mut prev_corner: Option<Point2> = None;
@@ -234,7 +212,7 @@ pub fn generate_pslg(seed: u64) -> GeneratedPslg {
     }
 
     GeneratedPslg {
-        pslg: Pslg::new(b.points, b.segments, b.holes),
+        pslg: b,
         expect_reject,
         seed,
     }

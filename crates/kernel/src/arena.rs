@@ -135,12 +135,6 @@ impl MeshArena {
         &self.points
     }
 
-    /// Materializes the coordinates of an id slice (for engines that take
-    /// `&[Point2]` input).
-    pub fn resolve(&self, ids: &[GlobalVertexId]) -> Vec<Point2> {
-        ids.iter().map(|&id| self.point(id)).collect()
-    }
-
     /// Number of distinct points interned.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -192,7 +186,8 @@ mod tests {
         assert_eq!(ids[0], ids[2]);
         assert_eq!(a.len(), 2);
         assert_eq!(a.ids_of(&[p(1.0, 0.0)]), vec![ids[1]]);
-        assert_eq!(a.resolve(&ids), vec![p(0.0, 0.0), p(1.0, 0.0), p(0.0, 0.0)]);
+        let resolved: Vec<Point2> = ids.iter().map(|&id| a.point(id)).collect();
+        assert_eq!(resolved, vec![p(0.0, 0.0), p(1.0, 0.0), p(0.0, 0.0)]);
     }
 
     #[test]

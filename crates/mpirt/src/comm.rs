@@ -25,12 +25,6 @@ pub struct Comm {
     pending: std::sync::Mutex<VecDeque<RawMsg>>,
 }
 
-/// Creates a production (threaded) fabric and the per-rank communicators
-/// for `size` ranks.
-pub fn fabric(size: usize) -> Vec<Comm> {
-    comms_for(Arc::new(ThreadedTransport::new(size)))
-}
-
 /// Builds the per-rank communicator handles over any transport.
 pub fn comms_for(transport: Arc<dyn Transport>) -> Vec<Comm> {
     let size = transport.size();
@@ -159,40 +153,6 @@ impl Comm {
     /// Synchronizes all ranks.
     pub fn barrier(&self) {
         self.transport.barrier(self.rank);
-    }
-
-    /// Gathers one value per rank at `root` (returns `Some(values)` only
-    /// at the root, ordered by rank).
-    pub fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
-        const GATHER_TAG: u64 = u64::MAX - 1;
-        if self.rank == root {
-            let mut slots: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-            slots[root] = Some(value);
-            for _ in 0..self.size - 1 {
-                let (src, v) = self.recv::<T>(Src::Any, GATHER_TAG);
-                slots[src] = Some(v);
-            }
-            Some(slots.into_iter().map(|s| s.expect("gather slot")).collect())
-        } else {
-            self.send(root, GATHER_TAG, value);
-            None
-        }
-    }
-
-    /// Broadcasts `value` from `root`; every rank returns the value.
-    pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
-        const BCAST_TAG: u64 = u64::MAX - 2;
-        if self.rank == root {
-            let v = value.expect("root must provide the broadcast value");
-            for dest in 0..self.size {
-                if dest != root {
-                    self.send(dest, BCAST_TAG, v.clone());
-                }
-            }
-            v
-        } else {
-            self.recv::<T>(Src::Rank(root), BCAST_TAG).1
-        }
     }
 }
 
@@ -340,25 +300,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], 42);
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let results = run(4, |comm| comm.gather(0, comm.rank() as u64 * 100));
-        assert_eq!(results[0], Some(vec![0, 100, 200, 300]));
-        assert!(results[1..].iter().all(|r| r.is_none()));
-    }
-
-    #[test]
-    fn bcast_distributes_value() {
-        let results = run(4, |comm| {
-            if comm.rank() == 2 {
-                comm.bcast(2, Some("payload".to_string()))
-            } else {
-                comm.bcast::<String>(2, None)
-            }
-        });
-        assert!(results.iter().all(|v| v == "payload"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A faithful single-machine model of the paper's MPI + pthreads layer
 //! (§III): ranks are OS threads with private memory, point-to-point typed
-//! messages with tag/source matching, gather/broadcast/barrier
-//! collectives, a one-sided **RMA window** for work-load estimates, and
+//! messages with tag/source matching, a barrier, a one-sided **RMA
+//! window** for work-load estimates, and
 //! the two-thread (mesher + communicator) dynamic load balancer with
 //! priority-queue scheduling and threshold-triggered work requests
 //! (§II.F).
@@ -23,7 +23,7 @@ pub mod tasktree;
 pub mod transport;
 pub mod window;
 
-pub use comm::{comms_for, fabric, run, run_with, Comm, Src};
+pub use comm::{comms_for, run, run_with, Comm, Src};
 pub use loadbalance::{run_balanced, BalancerConfig, Protocol, RankStats, WorkItem, WorkQueue};
 pub use pool::Pool;
 pub use simfault::{FaultPlan, SimTransport, StallPlan};

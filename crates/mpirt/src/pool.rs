@@ -124,7 +124,8 @@ impl Pool {
     /// After every outstanding `join` on this pool has returned, this is
     /// zero: claimed entries are popped, and inline-reclaimed entries are
     /// removed eagerly. A non-zero value at quiescence is a leak.
-    pub fn queued_entries(&self) -> usize {
+    #[cfg(test)]
+    fn queued_entries(&self) -> usize {
         self.shared
             .lanes
             .iter()
@@ -137,7 +138,8 @@ impl Pool {
     /// simultaneously queued jobs (bounded by join-tree depth), never the
     /// job *count* — reusing one pool across many sequential jobs must
     /// not grow it.
-    pub fn lane_capacities(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn lane_capacities(&self) -> Vec<usize> {
         self.shared
             .lanes
             .iter()

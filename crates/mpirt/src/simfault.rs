@@ -58,7 +58,8 @@ pub struct StallPlan {
 
 /// Seeded description of a simulated run: scheduling seed plus fault
 /// probabilities. Everything is public so tests can craft exact regimes;
-/// [`FaultPlan::reliable`] and [`FaultPlan::chaos`] cover the common ones.
+/// [`FaultPlan::default`] (fault-free) and [`FaultPlan::chaos`] cover the
+/// common ones.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Seed for the single RNG stream driving scheduling and faults.
@@ -85,12 +86,13 @@ pub struct FaultPlan {
     pub max_virtual_ns: u64,
 }
 
-impl FaultPlan {
-    /// A fault-free plan: deterministic scheduling and small latencies,
-    /// but no drops, duplicates, stalls, or stale reads.
-    pub fn reliable(seed: u64) -> Self {
+/// The fault-free plan (seed 0): deterministic scheduling and small
+/// latencies, but no drops, duplicates, stalls, or stale reads. Fault
+/// programs are this plan with some fields overridden.
+impl Default for FaultPlan {
+    fn default() -> Self {
         FaultPlan {
-            seed,
+            seed: 0,
             min_latency_ns: 1_000,
             jitter_ns: 4_000,
             heavy_delay_p: 0.0,
@@ -103,7 +105,9 @@ impl FaultPlan {
             max_virtual_ns: 60_000_000_000,
         }
     }
+}
 
+impl FaultPlan {
     /// An adversarial plan whose entire regime (which faults are active
     /// and how hard) is derived from `seed`, so sweeping seeds explores
     /// qualitatively different failure modes, not just different dice.
@@ -462,13 +466,9 @@ impl SimTransport {
     }
 
     /// Current virtual time in nanoseconds.
-    pub fn virtual_now_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn virtual_now_ns(&self) -> u64 {
         self.core.lock().now
-    }
-
-    /// The rank stalled by this plan, if any.
-    pub fn stalled_rank(&self) -> Option<usize> {
-        self.core.stall_rank
     }
 }
 
@@ -845,9 +845,16 @@ mod tests {
         Arc::new(SimTransport::new(size, plan))
     }
 
+    fn reliable(seed: u64) -> FaultPlan {
+        FaultPlan {
+            seed,
+            ..FaultPlan::default()
+        }
+    }
+
     #[test]
     fn reliable_ring_pass_completes() {
-        let t = sim(4, FaultPlan::reliable(1));
+        let t = sim(4, reliable(1));
         let results = run_with(t.clone(), |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
@@ -894,7 +901,7 @@ mod tests {
 
     #[test]
     fn pause_consumes_virtual_time() {
-        let t = sim(1, FaultPlan::reliable(5));
+        let t = sim(1, reliable(5));
         run_with(t.clone(), |comm| {
             comm.pause(Duration::from_millis(3));
         });
@@ -903,7 +910,7 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected_not_hung() {
-        let t = sim(2, FaultPlan::reliable(9));
+        let t = sim(2, reliable(9));
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_with(t, |comm| {
                 if comm.rank() == 0 {
@@ -925,7 +932,7 @@ mod tests {
 
     #[test]
     fn virtual_budget_catches_livelock() {
-        let mut plan = FaultPlan::reliable(3);
+        let mut plan = reliable(3);
         plan.max_virtual_ns = 2_000_000; // 2ms budget
         let t = sim(1, plan);
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -938,7 +945,7 @@ mod tests {
 
     #[test]
     fn dropped_messages_respect_fair_lossy_cap() {
-        let mut plan = FaultPlan::reliable(77);
+        let mut plan = reliable(77);
         plan.drop_p = 1.0; // drop everything the cap allows
         plan.max_consecutive_drops = 3;
         let t = sim(2, plan);
@@ -964,7 +971,7 @@ mod tests {
 
     #[test]
     fn duplication_delivers_twice() {
-        let mut plan = FaultPlan::reliable(11);
+        let mut plan = reliable(11);
         plan.dup_p = 1.0;
         let t = sim(2, plan);
         let results = run_with(t, |comm| {
@@ -984,7 +991,7 @@ mod tests {
 
     #[test]
     fn opaque_payloads_are_never_dropped_or_duplicated() {
-        let mut plan = FaultPlan::reliable(13);
+        let mut plan = reliable(13);
         plan.drop_p = 1.0;
         plan.dup_p = 1.0;
         plan.max_consecutive_drops = 100;
@@ -1006,7 +1013,7 @@ mod tests {
 
     #[test]
     fn window_hook_serves_stale_estimates() {
-        let mut plan = FaultPlan::reliable(21);
+        let mut plan = reliable(21);
         plan.stale_p = 1.0; // every estimate read is stale when history exists
         let t = sim(1, plan);
         let w = t.window(2);

@@ -118,29 +118,6 @@ impl Window {
         prev
     }
 
-    /// Atomic saturating subtraction.
-    pub fn fetch_sub_saturating(&self, offset: usize, delta: u64) -> u64 {
-        self.yield_op();
-        let mut cur = self.slots[offset].load(Ordering::Acquire);
-        loop {
-            let next = cur.saturating_sub(delta);
-            match self.slots[offset].compare_exchange_weak(
-                cur,
-                next,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(prev) => {
-                    if let Some(h) = &self.hook {
-                        h.on_put(offset, next);
-                    }
-                    return prev;
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
     /// Index of the slot with the maximum value among the first `limit`
     /// slots (ties to the lowest rank), excluding `exclude`. The limit
     /// matters when extra bookkeeping slots (e.g. a completion counter)
@@ -175,12 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_and_sub() {
+    fn fetch_add_accumulates() {
         let w = Window::new(1);
         assert_eq!(w.fetch_add(0, 5), 0);
         assert_eq!(w.fetch_add(0, 3), 5);
-        assert_eq!(w.fetch_sub_saturating(0, 100), 8);
-        assert_eq!(w.get(0), 0);
+        assert_eq!(w.get(0), 8);
     }
 
     #[test]

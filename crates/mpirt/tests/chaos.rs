@@ -225,7 +225,8 @@ fn forced_drops_trigger_retry_and_resend_paths() {
     let plan = FaultPlan {
         drop_p: 1.0,
         max_consecutive_drops: 2,
-        ..FaultPlan::reliable(11)
+        seed: 11,
+        ..FaultPlan::default()
     };
     let (results, _, _) = run_case(2, plan, Protocol::Hardened);
     assert_exactly_once(&results, "forced-drop plan, ranks 2");
@@ -246,7 +247,8 @@ fn stalled_rank_does_not_wedge_the_run() {
             until_ns: 2_000_000_000,
             factor: 40,
         }),
-        ..FaultPlan::reliable(3)
+        seed: 3,
+        ..FaultPlan::default()
     };
     let (results, _, _) = run_case(4, plan, Protocol::Hardened);
     assert_exactly_once(&results, "stall plan, ranks 4");
@@ -345,7 +347,8 @@ mod properties {
                 heavy_factor: 25,
                 jitter_ns: jitter_us * 1_000,
                 max_consecutive_drops: cap,
-                ..FaultPlan::reliable(seed)
+                seed,
+                ..FaultPlan::default()
             };
             let ctx = format!(
                 "seed {seed}, drop {drop_p:.3}, dup {dup_p:.3}, heavy {heavy_delay_p:.3}"
@@ -367,7 +370,8 @@ mod properties {
                 drop_p,
                 dup_p,
                 max_consecutive_drops: cap,
-                ..FaultPlan::reliable(seed)
+                seed,
+                ..FaultPlan::default()
             };
             reliable_stream_roundtrip(plan, 6);
         }

@@ -250,7 +250,7 @@ pub fn triangulate_all(leaves: &[Subdomain]) -> Vec<[u32; 3]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adm_geom::predicates::{in_circle, orient2d};
+    use adm_geom::predicates::{incircle, orient2d};
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
@@ -365,7 +365,7 @@ mod tests {
                 if t.contains(&(i as u32)) {
                     continue;
                 }
-                assert!(!in_circle(a, b, c, q), "grid merge violates Delaunay");
+                assert!(incircle(a, b, c, q) <= 0.0, "grid merge violates Delaunay");
             }
         }
     }

@@ -147,37 +147,18 @@ impl Subdomain {
         self.x_sorted.is_empty()
     }
 
-    /// Bounding box in O(1) from the sorted extremes. (After
-    /// [`Subdomain::shed_y_order`] the y-range falls back to a linear
-    /// scan; shed subdomains are leaves, so this path is cold.)
+    /// Bounding box in O(1) from the sorted extremes.
     pub fn bbox(&self) -> Aabb {
         let xmin = self.x_sorted.first().map_or(0.0, |v| v.pos.x);
         let xmax = self.x_sorted.last().map_or(0.0, |v| v.pos.x);
-        let (ymin, ymax) = if self.y_sorted.is_empty() {
-            self.x_sorted
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-                    (lo.min(v.pos.y), hi.max(v.pos.y))
-                })
-        } else {
-            (
-                self.y_sorted.first().map_or(0.0, |v| v.pos.y),
-                self.y_sorted.last().map_or(0.0, |v| v.pos.y),
-            )
-        };
+        let ymin = self.y_sorted.first().map_or(0.0, |v| v.pos.y);
+        let ymax = self.y_sorted.last().map_or(0.0, |v| v.pos.y);
         Aabb::new(Point2::new(xmin, ymin), Point2::new(xmax, ymax))
     }
 
     /// Number of internal (non-path) vertices.
     pub fn internal_count(&self) -> usize {
         self.x_sorted.iter().filter(|v| !v.boundary).count()
-    }
-
-    /// Ids of the vertices that lie on some dividing Delaunay path — the
-    /// interface set a merger must reconcile, everything else being
-    /// private to one subdomain.
-    pub fn boundary_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.x_sorted.iter().filter(|v| v.boundary).map(|v| v.id)
     }
 
     /// Chooses the cut axis: the median line runs parallel to the
@@ -326,30 +307,6 @@ impl Subdomain {
     pub fn cost(&self) -> u64 {
         2 * self.len() as u64
     }
-
-    /// Bytes a work transfer of this subdomain moves, reflecting the
-    /// paper's §IV communication optimizations:
-    ///
-    /// * projected coordinates are never sent (they depend on the median
-    ///   vertex, which changes per split) — a `Vertex` travels as
-    ///   position + id + flag, not its in-memory size;
-    /// * a sufficiently decomposed subdomain (after [`Subdomain::shed_y_order`])
-    ///   ships only its x-sorted vertices — exactly what the triangulator
-    ///   needs — halving the payload.
-    pub fn transfer_bytes(&self) -> u64 {
-        // pos (16) + id (4) + boundary flag (1), padded to 24.
-        const WIRE_VERTEX: u64 = 24;
-        let copies = if self.y_sorted.is_empty() { 1 } else { 2 };
-        copies * self.len() as u64 * WIRE_VERTEX + 64
-    }
-
-    /// Drops the y-sorted copy. Called once a subdomain is sufficiently
-    /// decomposed: from then on it only needs the x-sorted vertices (the
-    /// triangulator's input), which halves transfer payloads (paper §IV).
-    pub fn shed_y_order(&mut self) {
-        self.y_sorted = Vec::new();
-        self.y_sorted.shrink_to_fit();
-    }
 }
 
 /// One node of the binary merge-reduction schedule over a path-sorted
@@ -492,7 +449,7 @@ mod tests {
         let mut got: Vec<u32> = s.x_sorted.iter().map(|v| v.id).collect();
         got.sort_unstable();
         assert_eq!(got, vec![3, 7, 9]);
-        // Splitting marks path vertices; boundary_ids reports exactly those.
+        // Splitting marks exactly the path vertices as boundary.
         let big = Subdomain::root_with_ids(
             &grid(8, 8),
             &(100..164).map(GlobalVertexId).collect::<Vec<_>>(),
@@ -501,9 +458,10 @@ mod tests {
         let (_, _, path) = big.split(CutAxis::Y);
         let mut from_path = path.clone();
         from_path.sort_unstable();
-        let mut from_accessor: Vec<u32> = big.boundary_ids().collect();
-        from_accessor.sort_unstable();
-        assert_eq!(from_accessor, from_path);
+        let boundary = big.x_sorted.iter().filter(|v| v.boundary).map(|v| v.id);
+        let mut marked: Vec<u32> = boundary.collect();
+        marked.sort_unstable();
+        assert_eq!(marked, from_path);
         assert!(from_path.iter().all(|&id| (100..164).contains(&id)));
         let _ = s.split(CutAxis::X);
     }
@@ -589,29 +547,6 @@ mod tests {
     fn cost_scales_with_size() {
         let s = Subdomain::root(&grid(10, 10));
         assert_eq!(s.cost(), 200);
-    }
-
-    #[test]
-    fn shedding_y_order_halves_transfers() {
-        let mut s = Subdomain::root(&grid(10, 10));
-        let full = s.transfer_bytes();
-        let bbox_before = s.bbox();
-        s.shed_y_order();
-        let slim = s.transfer_bytes();
-        assert!(slim < full);
-        assert_eq!(slim - 64, (full - 64) / 2);
-        // The bounding box survives the shed (linear fallback).
-        assert_eq!(s.bbox(), bbox_before);
-        // The triangulator input is untouched.
-        assert_eq!(s.len(), 100);
-    }
-
-    #[test]
-    fn transfer_excludes_projected_coordinates() {
-        // The wire format is 24 bytes/vertex; the in-memory Vertex is
-        // larger because it carries the projection scratch field.
-        let s = Subdomain::root(&grid(5, 5));
-        assert!(std::mem::size_of::<Vertex>() as u64 * 2 * 25 > s.transfer_bytes() - 64);
     }
 
     /// In-order leaves of a reduction plan must be 0..n exactly once.

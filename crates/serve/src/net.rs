@@ -213,12 +213,6 @@ impl Client {
             other => Err(unexpected(other)),
         }
     }
-
-    /// The underlying write half (chaos clients poke at it directly —
-    /// partial writes, abrupt shutdowns).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.writer
-    }
 }
 
 fn unexpected(resp: WireResponse) -> io::Error {

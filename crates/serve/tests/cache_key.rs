@@ -114,7 +114,7 @@ fn canonical_form_is_stable_across_calls_and_clones() {
 #[test]
 fn extra_sizing_is_typed_uncacheable() {
     let mut c = MeshConfig::naca0012(16);
-    c.extra_sizing = Some(Arc::new(adm_core::sizing::FnSizing(|_| 0.5)));
+    c.extra_sizing = Some(Arc::new(adm_core::UniformH(0.5)));
     assert!(matches!(
         canonical_request(&c),
         Err(RequestError::Uncacheable(_))

@@ -27,15 +27,6 @@ impl LinkModel {
         }
     }
 
-    /// An infinitely fast network (for upper-bound/ablation runs).
-    pub fn ideal() -> Self {
-        LinkModel {
-            latency_s: 0.0,
-            bandwidth_bps: f64::INFINITY,
-            rma_op_s: 0.0,
-        }
-    }
-
     /// Time to move `bytes` point-to-point.
     #[inline]
     pub fn transfer_s(&self, bytes: u64) -> f64 {
@@ -55,12 +46,6 @@ mod tests {
         assert!(t > 1e-4 && t < 1e-3, "1 MiB transfer {t}");
         // Small message is latency bound.
         assert!((l.transfer_s(64) - l.latency_s) / l.latency_s < 0.01);
-    }
-
-    #[test]
-    fn ideal_link_is_free() {
-        let l = LinkModel::ideal();
-        assert_eq!(l.transfer_s(u64::MAX), 0.0);
     }
 
     #[test]

@@ -398,6 +398,15 @@ fn request_work(
 mod tests {
     use super::*;
 
+    /// An infinitely fast network: only task costs and scheduling remain.
+    fn ideal_link() -> LinkModel {
+        LinkModel {
+            latency_s: 0.0,
+            bandwidth_bps: f64::INFINITY,
+            rma_op_s: 0.0,
+        }
+    }
+
     fn uniform_tasks(n: usize, cost: f64, bytes: u64) -> Vec<Task> {
         (0..n)
             .map(|_| Task {
@@ -419,7 +428,7 @@ mod tests {
     fn ideal_link_perfect_split() {
         let tasks = uniform_tasks(64, 0.25, 1000);
         let cfg = SimConfig {
-            link: LinkModel::ideal(),
+            link: ideal_link(),
             ..Default::default()
         };
         let r = simulate(8, &tasks, InitialDist::RoundRobin, &cfg);
@@ -520,7 +529,7 @@ mod tests {
         // so FIFO hits them last.
         tasks.reverse();
         let cfg = SimConfig {
-            link: LinkModel::ideal(),
+            link: ideal_link(),
             ..Default::default()
         };
         let lf = simulate(4, &tasks, InitialDist::AllOnRoot, &cfg);

@@ -3,6 +3,15 @@
 use adm_simnet::{simulate, InitialDist, LinkModel, Schedule, SimConfig, Task};
 use proptest::prelude::*;
 
+/// An infinitely fast network: only task costs and scheduling remain.
+fn ideal_link() -> LinkModel {
+    LinkModel {
+        latency_s: 0.0,
+        bandwidth_bps: f64::INFINITY,
+        rma_op_s: 0.0,
+    }
+}
+
 fn tasks(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Task>> {
     prop::collection::vec(
         (1e-5f64..1e-2, 100u64..100_000).prop_map(|(c, b)| Task {
@@ -41,7 +50,7 @@ proptest! {
     #[test]
     fn parallel_never_slower_than_serial(ts in tasks(4..100)) {
         let cfg = SimConfig {
-            link: LinkModel::ideal(),
+            link: ideal_link(),
             ..Default::default()
         };
         let serial = simulate(1, &ts, InitialDist::RoundRobin, &cfg).makespan_s;
@@ -56,7 +65,7 @@ proptest! {
     fn monotone_in_ranks_uniform_tasks(n in 4usize..100, cost in 1e-4f64..1e-2) {
         let ts: Vec<Task> = (0..n).map(|_| Task { cost_s: cost, bytes: 100 }).collect();
         let cfg = SimConfig {
-            link: LinkModel::ideal(),
+            link: ideal_link(),
             ..Default::default()
         };
         let slack = 16.0 * cfg.poll_s;

@@ -387,7 +387,7 @@ mod tests {
         for m in f.metrics() {
             assert!(m.is_spd());
             let h_lo = m.h_min_dir();
-            let h_hi = m.h_max_dir();
+            let h_hi = 1.0 / m.eigen().1.sqrt();
             assert!(h_lo >= params.h_min - 1e-12 && h_hi <= params.h_max + 1e-9);
         }
     }

@@ -18,5 +18,5 @@ pub use estimate::{
 };
 pub use fem::{assemble, dirichlet_on_boundary, Dirichlet, FemSystem};
 pub use potential::{solve_potential_flow, write_field_svg, FlowConditions, FlowSolution};
-pub use solve::{cg, jacobi, CgOptions};
+pub use solve::{cg, CgOptions};
 pub use sparse::Csr;

@@ -86,35 +86,6 @@ pub fn cg(a: &Csr, b: &[f64], opts: &CgOptions) -> (Vec<f64>, Vec<f64>) {
     (x, history)
 }
 
-/// Point-Jacobi iteration (diagnostic solver; slow but simple). Returns
-/// the solution estimate and relative-residual history.
-pub fn jacobi(a: &Csr, b: &[f64], tol: f64, max_iters: usize) -> (Vec<f64>, Vec<f64>) {
-    let n = b.len();
-    let diag = a.diagonal();
-    let mut x = vec![0.0; n];
-    let mut x_new = vec![0.0; n];
-    let mut r = vec![0.0; n];
-    let norm_b = dot(b, b).sqrt().max(f64::MIN_POSITIVE);
-    let mut history = Vec::new();
-    for _ in 0..max_iters {
-        // r = b - A x; x_new = x + D^{-1} r.
-        a.mul_vec(&x, &mut r);
-        for i in 0..n {
-            r[i] = b[i] - r[i];
-        }
-        let rel = dot(&r, &r).sqrt() / norm_b;
-        history.push(rel);
-        if rel <= tol {
-            break;
-        }
-        for i in 0..n {
-            x_new[i] = x[i] + r[i] / diag[i].max(f64::MIN_POSITIVE);
-        }
-        std::mem::swap(&mut x, &mut x_new);
-    }
-    (x, history)
-}
-
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -186,31 +157,6 @@ mod tests {
             iters.push(hist.len());
         }
         assert!(iters[0] < iters[1] && iters[1] < iters[2], "{iters:?}");
-    }
-
-    #[test]
-    fn jacobi_converges_on_diagonally_dominant() {
-        let a = Csr::from_triplets(
-            3,
-            3,
-            &[
-                (0, 0, 4.0),
-                (0, 1, -1.0),
-                (1, 0, -1.0),
-                (1, 1, 4.0),
-                (1, 2, -1.0),
-                (2, 1, -1.0),
-                (2, 2, 4.0),
-            ],
-        );
-        let b = vec![3.0, 2.0, 3.0];
-        let (x, hist) = jacobi(&a, &b, 1e-10, 10_000);
-        assert!(hist.last().unwrap() < &1e-10);
-        let mut ax = vec![0.0; 3];
-        a.mul_vec(&x, &mut ax);
-        for (p, q) in ax.iter().zip(&b) {
-            assert!((p - q).abs() < 1e-8);
-        }
     }
 
     #[test]

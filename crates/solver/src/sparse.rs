@@ -70,11 +70,6 @@ impl Csr {
         self.row_ptr.len() - 1
     }
 
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.cols.len()
-    }
-
     /// `y = A * x`.
     pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.ncols);
@@ -130,7 +125,7 @@ mod tests {
             ],
         );
         assert_eq!(a.nrows(), 2);
-        assert_eq!(a.nnz(), 4);
+        assert_eq!(a.cols.len(), 4, "duplicate entries are summed");
         assert_eq!(a.get(0, 0), 3.0);
         assert_eq!(a.get(0, 1), 0.5);
         assert_eq!(a.get(1, 0), -1.0);

@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse algebra and FEM layers.
 
-use adm_solver::{cg, jacobi, CgOptions, Csr};
+use adm_solver::{cg, CgOptions, Csr};
 use proptest::prelude::*;
 
 /// Random diagonally-dominant SPD matrix in triplet form.
@@ -87,13 +87,15 @@ proptest! {
         prop_assert!(res < 1e-8, "actual residual {res}");
     }
 
-    /// Jacobi converges on diagonally-dominant systems and agrees with CG.
+    /// Jacobi-preconditioned CG converges on the same systems and agrees
+    /// with plain CG.
     #[test]
-    fn jacobi_agrees_with_cg(n in 4usize..30, seed in 0u64..200) {
+    fn jacobi_preconditioned_cg_agrees_with_cg(n in 4usize..30, seed in 0u64..200) {
         let (a, b) = spd_system(n, seed);
         let (x_cg, _) = cg(&a, &b, &CgOptions { tol: 1e-12, ..Default::default() });
-        let (x_j, hist) = jacobi(&a, &b, 1e-12, 500_000);
-        prop_assert!(hist.last().unwrap() <= &1e-12, "jacobi stalled");
+        let opts = CgOptions { tol: 1e-12, jacobi_precond: true, ..Default::default() };
+        let (x_j, hist) = cg(&a, &b, &opts);
+        prop_assert!(hist.last().unwrap() <= &1e-12, "preconditioned CG stalled");
         for (p, q) in x_cg.iter().zip(&x_j) {
             prop_assert!((p - q).abs() < 1e-6, "{p} vs {q}");
         }

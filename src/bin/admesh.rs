@@ -243,9 +243,20 @@ fn build_config(args: &Args) -> Result<MeshConfig, String> {
         let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
         let poly = adm2d::delaunay::read_poly(&mut std::io::BufReader::new(file))
             .map_err(|e| format!("{path}: {e}"))?;
-        let loops = poly.loops().map_err(|e| format!("{path}: {e}"))?;
+        // The general front door's checks, so crossing loops are a typed
+        // error here rather than an assert inside `with_farfield_margin`.
+        let valid = poly
+            .to_pslg()
+            .validate()
+            .map_err(|e| format!("{path}: {e}"))?;
+        let loops = valid.closed_loops();
         if loops.is_empty() {
             return Err(format!("{path}: no closed loops"));
+        }
+        let on_loops: usize = loops.iter().map(Vec::len).sum();
+        if on_loops < valid.pslg.segments.len() {
+            let stray = valid.pslg.segments.len() - on_loops;
+            return Err(format!("{path}: {stray} segment(s) lie on no closed loop"));
         }
         let loops = loops
             .into_iter()

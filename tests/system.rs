@@ -387,3 +387,69 @@ fn committed_poly_example_is_rank_invariant() {
         .sum();
     assert!((area - 16.5).abs() < 1e-9, "meshed area {area}");
 }
+
+/// `admesh --poly-airfoil` admits its `.poly` through `Pslg::validate`:
+/// two separate bodies mesh and exit 0, while crossing loops and a
+/// segment on no closed loop exit 1 with the reason on stderr — never a
+/// panic inside the airfoil domain's asserts.
+#[test]
+fn poly_airfoil_input_is_validated_before_meshing() {
+    use adm2d::delaunay::poly::{write_poly, PolyFile};
+    use adm2d::geom::point::Point2;
+    use adm2d::geom::pslg::Pslg;
+
+    let ellipse = |cx: f64, cy: f64, a: f64, b: f64| -> Vec<Point2> {
+        let at = |k: u32| std::f64::consts::TAU * f64::from(k) / 24.0;
+        (0..24)
+            .map(|k| Point2::new(cx + a * at(k).cos(), cy + b * at(k).sin()))
+            .collect()
+    };
+    let root = scratch_dir("poly-airfoil");
+    std::fs::create_dir_all(&root).unwrap();
+    let admesh = |name: &str, pslg: &Pslg| {
+        let path = root.join(format!("{name}.poly"));
+        let mut bytes = Vec::new();
+        write_poly(&PolyFile::from_pslg(pslg), &mut bytes).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        std::process::Command::new(env!("CARGO_BIN_EXE_admesh"))
+            .arg("--poly-airfoil")
+            .arg(&path)
+            .args(["--max-area", "6.0", "--subdomains", "4", "--quiet", "--out"])
+            .arg(root.join(format!("{name}.txt")))
+            .output()
+            .expect("admesh runs")
+    };
+
+    let mut two = Pslg::default();
+    two.push_loop(&ellipse(0.5, 0.0, 0.5, 0.08));
+    two.push_loop(&ellipse(1.6, -0.2, 0.3, 0.05));
+    let ok = admesh("two", &two);
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    let mesh = read_ascii(&mut std::io::BufReader::new(
+        std::fs::File::open(root.join("two.txt")).unwrap(),
+    ))
+    .unwrap();
+    assert!(mesh.num_triangles() > 1000);
+
+    let mut crossing = Pslg::default();
+    crossing.push_loop(&ellipse(0.5, 0.0, 0.5, 0.08));
+    crossing.push_loop(&ellipse(0.6, 0.02, 0.5, 0.08));
+    let mut open = two.clone();
+    open.push_loop(&ellipse(0.5, 2.0, 0.3, 0.05));
+    open.segments.pop();
+    for (name, pslg, reason) in [
+        ("crossing", &crossing, "properly cross"),
+        ("open", &open, "23 segment(s) lie on no closed loop"),
+    ] {
+        let out = admesh(name, pslg);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(reason), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
