@@ -9,11 +9,17 @@
 //!   growth and scratch warm-up.
 //! * `ruppert_naca0012`  — Ruppert refinement of a fixed NACA 0012
 //!   subdomain: split_edge + circumcenter inserts through the same kernel.
+//! * `ruppert_graded_region` — one far-field rectangle with a marched
+//!   border, refined against the pipeline's graded sizing field
+//!   (`build_sizing`) through an `AreaFn` closure: the sizing queries of a
+//!   decoupled leaf, most of them where the area cap applies.
 //!
 //! `bench_results/insert_kernel_baseline.json` holds the pre-optimization
 //! numbers this suite is compared against.
 
 use adm_airfoil::Naca4;
+use adm_core::build_sizing;
+use adm_decouple::{march_path, SizingFn};
 use adm_delaunay::incremental::triangulate_incremental;
 use adm_delaunay::refine::{refine, RefineParams};
 use adm_delaunay::{carve, constrained_delaunay};
@@ -92,6 +98,38 @@ fn bench_ruppert_naca(c: &mut Criterion) {
     });
 }
 
+fn bench_ruppert_graded_region(c: &mut Criterion) {
+    // The rate and area cap of the `inviscid_1m` workload (0.12, 0.005)
+    // around a NACA 0012 body. The rectangle starts just behind the
+    // trailing edge, so queries near it scan the body samples and the
+    // rest of the rectangle is capped.
+    let body = Naca4::naca0012().surface(120);
+    let sizing = build_sizing(&[body], 0.0, 0.12, 0.005);
+    let corners = [
+        Point2::new(1.05, -3.0),
+        Point2::new(7.05, -3.0),
+        Point2::new(7.05, 3.0),
+        Point2::new(1.05, 3.0),
+    ];
+    let mut border = Vec::new();
+    for k in 0..4 {
+        let side = march_path(corners[k], corners[(k + 1) % 4], &sizing);
+        border.extend_from_slice(&side[..side.len() - 1]);
+    }
+    let mut domain = Pslg::default();
+    domain.push_loop(&border);
+    let area = |p: Point2| sizing.target_area(p);
+    c.bench_function("insert_kernel/ruppert_graded_region", |b| {
+        b.iter(|| {
+            let (mut mesh, _) =
+                constrained_delaunay(&domain.points, &domain.segments, false).unwrap();
+            carve(&mut mesh, &[]);
+            refine(&mut mesh, Some(&area), &RefineParams::default());
+            std::hint::black_box(mesh.num_triangles())
+        })
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -101,6 +139,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_steady_state, bench_incremental, bench_ruppert_naca
+    targets = bench_steady_state, bench_incremental, bench_ruppert_naca, bench_ruppert_graded_region
 }
 criterion_main!(benches);

@@ -172,6 +172,27 @@ fn pool_width_changes_no_output() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The refinement work counters belong to the task tree, not to the
+/// schedule: each repeats exactly at every pool width and on two ranks.
+#[test]
+fn refine_counters_repeat_at_every_width_and_on_two_ranks() {
+    let names = [
+        "refine.sizing_evals",
+        "refine.stale_pops",
+        "refine.cavity_tris",
+    ];
+    let counts = |out: adm_core::PipelineResult| names.map(|n| out.trace.counter(n));
+    let mut config = small_naca_config();
+    config.merge_threads = 0;
+    let want = counts(generate(&config));
+    assert!(want.iter().all(|&c| c > 0), "{names:?} = {want:?}");
+    for width in [2, 8] {
+        config.merge_threads = width;
+        assert_eq!(counts(generate(&config)), want, "width {width}");
+    }
+    assert_eq!(counts(generate_parallel(&config, 2)), want, "2 ranks");
+}
+
 /// The "plain Triangle" baseline meshes the same domain through the
 /// same assembly: same boundary-layer mesh, same covered area, no
 /// decoupling borders inside the inviscid region.

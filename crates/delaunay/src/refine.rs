@@ -15,6 +15,7 @@
 //!    circumcenter encroaches a subsegment or is hidden behind one, in
 //!    which case the offending subsegment is split instead.
 
+use crate::bitset::BitSet;
 use crate::mesh::{Location, Mesh, NIL};
 use crate::quality::circumcenter;
 use adm_geom::point::Point2;
@@ -56,6 +57,14 @@ pub struct RefineStats {
     /// Bad triangles skipped because their circumcenter already exists as
     /// a vertex (cocircular clusters).
     pub skipped: usize,
+    /// Calls of the sizing function (area tests the uniform bound did not
+    /// already decide).
+    pub sizing_evals: usize,
+    /// Queue entries dropped on pop because their segment or triangle no
+    /// longer exists.
+    pub stale_pops: usize,
+    /// Triangles removed by the insertion cavities of all inserted points.
+    pub cavity_tris: usize,
     /// `true` when the insertion cap stopped refinement early.
     pub hit_cap: bool,
 }
@@ -68,6 +77,9 @@ impl RefineStats {
         self.circumcenters += other.circumcenters;
         self.encroach_rejections += other.encroach_rejections;
         self.skipped += other.skipped;
+        self.sizing_evals += other.sizing_evals;
+        self.stale_pops += other.stale_pops;
+        self.cavity_tris += other.cavity_tris;
         self.hit_cap |= other.hit_cap;
     }
 
@@ -81,6 +93,9 @@ impl RefineStats {
             self.encroach_rejections as u64,
         );
         tracer.count("refine.skipped", self.skipped as u64);
+        tracer.count("refine.sizing_evals", self.sizing_evals as u64);
+        tracer.count("refine.stale_pops", self.stale_pops as u64);
+        tracer.count("refine.cavity_tris", self.cavity_tris as u64);
     }
 }
 
@@ -95,28 +110,27 @@ pub fn refine(mesh: &mut Mesh, sizing: Option<AreaFn<'_>>, params: &RefineParams
         boundary_fully_constrained(mesh),
         "mesh border must be constrained"
     );
-    let mut stats = RefineStats::default();
-    let mut seg_queue: VecDeque<(u32, u32)> = VecDeque::new();
-    let mut tri_queue: VecDeque<(u32, [u32; 3])> = VecDeque::new();
-    // Input vertices where constrained segments meet at an acute angle:
-    // their segments are split on concentric power-of-two shells instead
-    // of at midpoints (Ruppert/Shewchuk), which stops the mutual-
-    // encroachment cascade that acute corners otherwise trigger.
-    let acute = acute_apexes(mesh);
-
-    // Seed the queues. The constrained-edge set iterates in hash order,
-    // which varies between runs; sort so refinement (and therefore the
-    // whole pipeline) is deterministic.
+    // The constrained-edge set iterates in hash order, which varies
+    // between runs; sort so refinement (and therefore the whole pipeline)
+    // is deterministic.
     let mut segs: Vec<(u32, u32)> = mesh.constrained_edges().collect();
     segs.sort_unstable();
+    let mut r = Refiner {
+        sizing,
+        params,
+        acute: acute_apexes(mesh, &segs),
+        seg_queue: VecDeque::new(),
+        tri_queue: VecDeque::new(),
+        stats: RefineStats::default(),
+    };
     for (a, b) in segs {
         if is_encroached(mesh, a, b) {
-            seg_queue.push_back((a, b));
+            r.seg_queue.push_back((a, b));
         }
     }
-    for t in mesh.live_triangles().collect::<Vec<_>>() {
-        if is_bad(mesh, t, sizing, params, &acute) {
-            tri_queue.push_back((t, mesh.tris[t as usize].v));
+    for t in mesh.live_triangles() {
+        if r.is_bad(mesh, t) {
+            r.tri_queue.push_back((t, mesh.tris[t as usize].v));
         }
     }
 
@@ -128,90 +142,75 @@ pub fn refine(mesh: &mut Mesh, sizing: Option<AreaFn<'_>>, params: &RefineParams
         assert!(
             spins <= 64 * (inserted + mesh.num_triangles() + 64),
             "refinement livelock: inserted={inserted} seg_q={} tri_q={} tris={}",
-            seg_queue.len(),
-            tri_queue.len(),
+            r.seg_queue.len(),
+            r.tri_queue.len(),
             mesh.num_triangles()
         );
         // Encroached segments have priority.
-        if let Some((a, b)) = seg_queue.pop_front() {
+        if let Some((a, b)) = r.seg_queue.pop_front() {
             // Stale entries: the edge may have been split already. A live
             // entry is split unconditionally — it was queued either because
             // an existing vertex encroaches it or because a rejected
             // circumcenter does; re-checking only the former livelocks.
-            let Some((t, i)) = mesh.find_edge(a, b) else {
-                continue;
+            let (t, i) = match mesh.find_edge(a, b) {
+                Some((t, i)) if mesh.is_constrained_tri(t, i) => (t, i),
+                _ => {
+                    r.stats.stale_pops += 1;
+                    continue;
+                }
             };
-            if !mesh.is_constrained_tri(t, i) {
-                continue;
-            }
-            let mid = shell_split_point(mesh, a, b, &acute);
+            let mid = r.split_point(mesh, a, b);
             // Direct edge split: split points of slanted edges are
             // generally not exactly collinear with the edge, so a
             // locate-based insert could land them just outside the domain.
             let v = mesh.split_edge(t, i, mid);
             inserted += 1;
-            stats.segment_splits += 1;
-            after_insert(
-                mesh,
-                v,
-                sizing,
-                params,
-                &acute,
-                &mut seg_queue,
-                &mut tri_queue,
-            );
+            r.stats.segment_splits += 1;
+            r.after_insert(mesh, v);
             continue;
         }
-        let Some((t, verts)) = tri_queue.pop_front() else {
+        let Some((t, verts)) = r.tri_queue.pop_front() else {
             break;
         };
         // Stale: the triangle may have been destroyed.
         if !mesh.is_alive(t) || mesh.tris[t as usize].v != verts {
+            r.stats.stale_pops += 1;
             continue;
         }
-        if !is_bad(mesh, t, sizing, params, &acute) {
-            continue;
-        }
-        let tri = mesh.tris[t as usize].v;
-        let (pa, pb, pc) = (
-            mesh.vertex(tri[0] as usize),
-            mesh.vertex(tri[1] as usize),
-            mesh.vertex(tri[2] as usize),
+        // No re-check: every push site queues a triangle it has just found
+        // bad, `is_bad` is a pure function of the vertex triple, and that
+        // triple was confirmed unchanged above.
+        debug_assert!(
+            is_bad(mesh, t, sizing, params, &r.acute, &mut 0),
+            "queued triangle {t} {verts:?} is no longer bad"
         );
+        let [pa, pb, pc] = verts.map(|v| mesh.vertex(v as usize));
         let Some(cc) = circumcenter(pa, pb, pc) else {
-            stats.skipped += 1;
+            r.stats.skipped += 1;
             continue;
         };
         // Walk toward the circumcenter; constrained edges block.
         match mesh.walk_from(t, cc, true) {
             Location::OnVertex(..) => {
-                stats.skipped += 1;
+                r.stats.skipped += 1;
             }
             Location::Blocked(bt, bi) | Location::Outside(bt, bi) => {
                 // The segment hiding the circumcenter is split instead.
                 if mesh.is_constrained_tri(bt, bi) {
                     let (a, b) = mesh.edge_vertices(bt, bi);
-                    let mid = shell_split_point(mesh, a, b, &acute);
+                    let mid = r.split_point(mesh, a, b);
                     let v = mesh.split_edge(bt, bi, mid);
                     inserted += 1;
-                    stats.segment_splits += 1;
-                    after_insert(
-                        mesh,
-                        v,
-                        sizing,
-                        params,
-                        &acute,
-                        &mut seg_queue,
-                        &mut tri_queue,
-                    );
+                    r.stats.segment_splits += 1;
+                    r.after_insert(mesh, v);
                     // The original triangle may still be bad; requeue.
                     if mesh.is_alive(t) && mesh.tris[t as usize].v == verts {
-                        tri_queue.push_back((t, verts));
+                        r.tri_queue.push_back((t, verts));
                     }
                 } else {
                     // Walked out of an unconstrained border — cannot happen
                     // when the boundary is fully constrained.
-                    stats.skipped += 1;
+                    r.stats.skipped += 1;
                 }
             }
             Location::InTriangle(ct) | Location::OnEdge(ct, _) => {
@@ -221,77 +220,119 @@ pub fn refine(mesh: &mut Mesh, sizing: Option<AreaFn<'_>>, params: &RefineParams
                 if encroached.is_empty() {
                     if let Some(v) = mesh.insert_point(cc, ct) {
                         inserted += 1;
-                        stats.circumcenters += 1;
-                        after_insert(
-                            mesh,
-                            v,
-                            sizing,
-                            params,
-                            &acute,
-                            &mut seg_queue,
-                            &mut tri_queue,
-                        );
+                        r.stats.circumcenters += 1;
+                        r.after_insert(mesh, v);
                     } else {
-                        stats.skipped += 1;
+                        r.stats.skipped += 1;
                     }
                 } else {
-                    stats.encroach_rejections += 1;
-                    for (a, b) in encroached {
-                        seg_queue.push_back((a, b));
-                    }
-                    tri_queue.push_back((t, verts));
+                    r.stats.encroach_rejections += 1;
+                    r.seg_queue.extend(encroached);
+                    r.tri_queue.push_back((t, verts));
                 }
             }
         }
     }
-    stats.hit_cap = inserted >= params.max_insertions;
-    stats
+    r.stats.hit_cap = inserted >= params.max_insertions;
+    r.stats
+}
+
+/// The state of one refinement run besides the mesh: the bounds, the
+/// acute apexes, both work queues and the counters.
+struct Refiner<'a> {
+    sizing: Option<AreaFn<'a>>,
+    params: &'a RefineParams,
+    acute: BitSet,
+    seg_queue: VecDeque<(u32, u32)>,
+    tri_queue: VecDeque<(u32, [u32; 3])>,
+    stats: RefineStats,
+}
+
+impl Refiner<'_> {
+    fn is_bad(&mut self, mesh: &Mesh, t: u32) -> bool {
+        let evals = &mut self.stats.sizing_evals;
+        is_bad(mesh, t, self.sizing, self.params, &self.acute, evals)
+    }
+
+    fn split_point(&self, mesh: &Mesh, a: u32, b: u32) -> Point2 {
+        shell_split_point(mesh, a, b, |v| is_apex(&self.acute, v))
+    }
+
+    /// After inserting vertex `v`, counts its cavity (still in the
+    /// mesh's insertion scratch) and queues any newly bad triangles around
+    /// it and any newly encroached constrained edges of those triangles.
+    fn after_insert(&mut self, mesh: &Mesh, v: u32) {
+        self.stats.cavity_tris += mesh.scratch.cavity.len();
+        for t in mesh.star(v) {
+            if self.is_bad(mesh, t) {
+                self.tri_queue.push_back((t, mesh.tris[t as usize].v));
+            }
+            for i in 0..3u8 {
+                if mesh.is_constrained_tri(t, i) {
+                    // `(t, i)` already spans the edge, so the diametral test
+                    // runs directly on it and its neighbor — no find_edge
+                    // rescan of the star.
+                    let (a, b) = mesh.edge_vertices(t, i);
+                    let pa = mesh.vertex(a as usize);
+                    let pb = mesh.vertex(b as usize);
+                    let apex_inside = |t: u32| {
+                        let tri = mesh.tris[t as usize].v;
+                        let apex = tri.iter().copied().find(|&x| x != a && x != b).unwrap();
+                        let pv = mesh.vertex(apex as usize);
+                        (pa - pv).dot(pb - pv) < 0.0
+                    };
+                    let n = mesh.tris[t as usize].n[i as usize];
+                    if apex_inside(t) || (n != NIL && apex_inside(n)) {
+                        self.seg_queue.push_back((a, b));
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Vertices where two constrained edges meet at less than 75 degrees —
-/// the apexes needing concentric-shell treatment. Computed once from the
-/// initial constraint set: later splits only create 180-degree joints.
-fn acute_apexes(mesh: &Mesh) -> std::collections::HashSet<u32> {
-    use std::collections::HashMap;
-    let mut incident: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (a, b) in mesh.constrained_edges() {
-        incident.entry(a).or_default().push(b);
-        incident.entry(b).or_default().push(a);
-    }
-    let mut acute = std::collections::HashSet::new();
+/// the apexes needing concentric-shell treatment — as one bit per vertex
+/// of the initial mesh. Computed once from the initial constraint set
+/// `segs`: later splits only create 180-degree joints, and the Steiner
+/// points they add lie past the end of the set ([`is_apex`]).
+fn acute_apexes(mesh: &Mesh, segs: &[(u32, u32)]) -> BitSet {
+    // Both directions of every segment, grouped by their first vertex:
+    // each group is one vertex's constrained neighbours. Whether some pair
+    // in a group is acute does not depend on the order inside it.
+    let mut ends: Vec<(u32, u32)> = segs.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+    ends.sort_unstable();
+    let mut acute = BitSet::with_len(mesh.num_vertices(), false);
     let threshold = 75f64.to_radians();
-    for (&v, others) in &incident {
-        if others.len() < 2 {
-            continue;
-        }
+    for group in ends.chunk_by(|x, y| x.0 == y.0) {
+        let v = group[0].0;
         let pv = mesh.vertex(v as usize);
-        'outer: for i in 0..others.len() {
-            for j in (i + 1)..others.len() {
-                let d1 = mesh.vertex(others[i] as usize) - pv;
-                let d2 = mesh.vertex(others[j] as usize) - pv;
-                if d1.angle_between(d2) < threshold {
-                    acute.insert(v);
-                    break 'outer;
-                }
-            }
+        let dir = |k: usize| mesh.vertex(group[k].1 as usize) - pv;
+        let n = group.len();
+        let mut pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+        if pairs.any(|(i, j)| dir(i).angle_between(dir(j)) < threshold) {
+            acute.set(v as usize, true);
         }
     }
     acute
 }
 
+/// `true` when `v` is an acute apex. Vertices added after
+/// [`acute_apexes`] ran lie past the end of the set and never are.
+#[inline]
+fn is_apex(acute: &BitSet, v: u32) -> bool {
+    (v as usize) < acute.len() && acute.get(v as usize)
+}
+
 /// Split location for constrained segment `(a, b)`: the midpoint, unless
-/// an endpoint is an acute apex — then the split lands on the concentric
-/// power-of-two shell nearest the midpoint, so subsegments radiating from
-/// the apex share shell radii and stop encroaching one another.
-fn shell_split_point(
-    mesh: &Mesh,
-    a: u32,
-    b: u32,
-    acute: &std::collections::HashSet<u32>,
-) -> Point2 {
+/// exactly one endpoint is an acute apex — then the split lands on the
+/// concentric power-of-two shell nearest the midpoint, so subsegments
+/// radiating from the apex share shell radii and stop encroaching one
+/// another.
+fn shell_split_point(mesh: &Mesh, a: u32, b: u32, acute: impl Fn(u32) -> bool) -> Point2 {
     let pa = mesh.vertex(a as usize);
     let pb = mesh.vertex(b as usize);
-    let apex = match (acute.contains(&a), acute.contains(&b)) {
+    let apex = match (acute(a), acute(b)) {
         (true, false) => Some((pa, pb)),
         (false, true) => Some((pb, pa)),
         _ => None,
@@ -310,54 +351,19 @@ fn shell_split_point(
     }
 }
 
-/// After inserting vertex `v`, queue any newly bad triangles around it and
-/// any newly encroached constrained edges of those triangles.
-fn after_insert(
-    mesh: &Mesh,
-    v: u32,
-    sizing: Option<AreaFn<'_>>,
-    params: &RefineParams,
-    acute: &std::collections::HashSet<u32>,
-    seg_queue: &mut VecDeque<(u32, u32)>,
-    tri_queue: &mut VecDeque<(u32, [u32; 3])>,
-) {
-    for t in mesh.star(v) {
-        if is_bad(mesh, t, sizing, params, acute) {
-            tri_queue.push_back((t, mesh.tris[t as usize].v));
-        }
-        for i in 0..3u8 {
-            if mesh.is_constrained_tri(t, i) {
-                // `(t, i)` already spans the edge, so the diametral test
-                // runs directly on it and its neighbor — no find_edge
-                // rescan of the star.
-                let (a, b) = mesh.edge_vertices(t, i);
-                let pa = mesh.vertex(a as usize);
-                let pb = mesh.vertex(b as usize);
-                let apex_inside = |t: u32| {
-                    let tri = mesh.tris[t as usize].v;
-                    let apex = tri.iter().copied().find(|&x| x != a && x != b).unwrap();
-                    let pv = mesh.vertex(apex as usize);
-                    (pa - pv).dot(pb - pv) < 0.0
-                };
-                let n = mesh.tris[t as usize].n[i as usize];
-                if apex_inside(t) || (n != NIL && apex_inside(n)) {
-                    seg_queue.push_back((a, b));
-                }
-            }
-        }
-    }
-}
-
 /// A triangle is bad when it violates the ratio bound or any area bound.
 /// Triangles with an acute-apex vertex are exempt from the *ratio* bound:
 /// quality there is limited by the input angle itself, and insisting on
 /// `sqrt(2)` would refine forever (Triangle applies the same exemption).
+/// A pure function of `t`'s vertex triple; `sizing_evals` counts the
+/// calls of `sizing`.
 fn is_bad(
     mesh: &Mesh,
     t: u32,
     sizing: Option<AreaFn<'_>>,
     params: &RefineParams,
-    acute: &std::collections::HashSet<u32>,
+    acute: &BitSet,
+    sizing_evals: &mut usize,
 ) -> bool {
     let tri = mesh.tris[t as usize].v;
     let (a, b, c) = (
@@ -376,12 +382,13 @@ fn is_bad(
         }
     }
     if let Some(f) = sizing {
+        *sizing_evals += 1;
         let centroid = Point2::new((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0);
         if area > f(centroid) {
             return true;
         }
     }
-    if !acute.is_empty() && tri.iter().any(|v| acute.contains(v)) {
+    if tri.iter().any(|&v| is_apex(acute, v)) {
         return false;
     }
     let la = b.distance(c);
@@ -629,6 +636,90 @@ mod tests {
         assert!(mesh.num_constrained() > before, "no segment was split");
         mesh.check_consistency();
         assert!(mesh.is_constrained_delaunay());
+    }
+
+    /// The map-and-set apex finder [`acute_apexes`] replaced: the oracle
+    /// its bits are held to.
+    fn acute_apex_set(mesh: &Mesh) -> std::collections::HashSet<u32> {
+        let mut incident: std::collections::HashMap<u32, Vec<u32>> = Default::default();
+        for (a, b) in mesh.constrained_edges() {
+            incident.entry(a).or_default().push(b);
+            incident.entry(b).or_default().push(a);
+        }
+        let mut acute = std::collections::HashSet::new();
+        for (&v, others) in &incident {
+            let pv = mesh.vertex(v as usize);
+            for i in 0..others.len() {
+                for j in (i + 1)..others.len() {
+                    let d1 = mesh.vertex(others[i] as usize) - pv;
+                    let d2 = mesh.vertex(others[j] as usize) - pv;
+                    if d1.angle_between(d2) < 75f64.to_radians() {
+                        acute.insert(v);
+                    }
+                }
+            }
+        }
+        acute
+    }
+
+    #[test]
+    fn apex_bits_and_hash_set_split_every_segment_alike() {
+        // Six spokes 15 degrees apart from one apex, a 30-degree wedge
+        // corner at another, a 60-degree corner, and an enclosing box whose
+        // right angles are not acute.
+        let mut pts = vec![p(0.0, 0.0)];
+        let mut segs = Vec::new();
+        for k in 0..6u32 {
+            let th = (k as f64) * 15f64.to_radians();
+            pts.push(p(3.0 * th.cos(), 3.0 * th.sin()));
+            segs.push((0, k + 1));
+        }
+        let th = 30f64.to_radians();
+        pts.extend([
+            p(-3.0, -3.0),
+            p(-1.0, -3.0),
+            p(-3.0 + 2.0 * th.cos(), -3.0 + 2.0 * th.sin()),
+        ]);
+        segs.extend([(7, 8), (8, 9), (9, 7)]);
+        pts.extend([p(-4.0, -4.0), p(5.0, -4.0), p(5.0, 5.0), p(-4.0, 5.0)]);
+        segs.extend([(10, 11), (11, 12), (12, 13), (13, 10)]);
+        let (mut mesh, map) = constrained_delaunay(&pts, &segs, false).unwrap();
+        carve(&mut mesh, &[p(-2.5, -2.9)]);
+
+        let set = acute_apex_set(&mesh);
+        let mut sorted: Vec<(u32, u32)> = mesh.constrained_edges().collect();
+        sorted.sort_unstable();
+        let bits = acute_apexes(&mesh, &sorted);
+        assert!(set.contains(&map[0]) && set.contains(&map[7]) && !set.contains(&map[10]));
+        for v in 0..mesh.num_vertices() as u32 + 64 {
+            assert_eq!(is_apex(&bits, v), set.contains(&v), "vertex {v}");
+        }
+
+        // The shell cascade: split every segment at an apex, round after
+        // round, as encroachment does near acute corners. Both membership
+        // tests must pick the same point for every split, including the
+        // segments between earlier split points.
+        let mut splits = 0;
+        for _ in 0..5 {
+            let mut edges: Vec<(u32, u32)> = mesh.constrained_edges().collect();
+            edges.sort_unstable();
+            for (a, b) in edges {
+                let by_bit = shell_split_point(&mesh, a, b, |v| is_apex(&bits, v));
+                let by_set = shell_split_point(&mesh, a, b, |v| set.contains(&v));
+                assert_eq!(
+                    (by_bit.x.to_bits(), by_bit.y.to_bits()),
+                    (by_set.x.to_bits(), by_set.y.to_bits()),
+                    "segment ({a}, {b})"
+                );
+                if set.contains(&a) || set.contains(&b) {
+                    let (t, i) = mesh.find_edge(a, b).unwrap();
+                    mesh.split_edge(t, i, by_bit);
+                    splits += 1;
+                }
+            }
+        }
+        assert!(splits >= 30, "only {splits} apex splits");
+        mesh.check_consistency();
     }
 
     #[test]
