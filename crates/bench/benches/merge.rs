@@ -15,15 +15,21 @@
 //! * `merge/tree/threads_*` — the tree-parallel reduction over 8 stamped
 //!   tiles at pool widths 1/2/4/8: same bytes at every width, shrinking
 //!   wall clock.
+//! * `merge/finish/leaves_16` — the whole merge tail, reduction plus
+//!   [`MeshMerger::finish`], over the 16 stamped leaf meshes of one
+//!   decomposed 60k-point cloud: neighbouring leaves share their dividing
+//!   paths, so the splice links real interfaces. The `bench-smoke` CI job
+//!   gates it against `bench_results/merge_baseline.json`.
 
 use adm_core::{merge_tree_spliced, MeshMerger};
 use adm_delaunay::mesh::Mesh;
 use adm_geom::point::Point2;
 use adm_kernel::{GlobalVertexId, MeshArena};
 use adm_mpirt::Pool;
-use adm_partition::{reduction_plan, triangulate_leaf, Subdomain};
+use adm_partition::{decompose, reduction_plan, triangulate_leaf, DecomposeParams, Subdomain};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
 
 /// A stamped subdomain mesh: `border` points on a circle centred at
 /// `(cx, 0)` (its convex hull, so consecutive points are Delaunay edges we
@@ -61,10 +67,9 @@ fn bench_interior_sweep(c: &mut Criterion) {
     for interior in [1_000usize, 4_000, 16_000] {
         let (mesh, arena_len) = stamped_subdomain(interior, INTERFACE, 11, 0.0);
         let verts = mesh.num_vertices();
-        let tris = mesh.num_triangles();
         c.bench_function(format!("merge/spliced/interior_{interior}").as_str(), |b| {
             b.iter(|| {
-                let mut m = MeshMerger::with_capacity(arena_len, verts + 16, tris + 16);
+                let mut m = MeshMerger::with_capacity(arena_len, verts + 16);
                 m.add_mesh_spliced(&mesh);
                 std::hint::black_box(m)
             })
@@ -77,12 +82,11 @@ fn bench_interface_sweep(c: &mut Criterion) {
     for interface in [64usize, 256, 1_024] {
         let (mesh, arena_len) = stamped_subdomain(INTERIOR, interface, 23, 0.0);
         let verts = mesh.num_vertices();
-        let tris = mesh.num_triangles();
         c.bench_function(
             format!("merge/spliced/interface_{interface}").as_str(),
             |b| {
                 b.iter(|| {
-                    let mut m = MeshMerger::with_capacity(arena_len, verts + 16, tris + 16);
+                    let mut m = MeshMerger::with_capacity(arena_len, verts + 16);
                     m.add_mesh_spliced(&mesh);
                     std::hint::black_box(m)
                 })
@@ -121,10 +125,66 @@ fn bench_tree_sweep(c: &mut Criterion) {
     }
 }
 
+/// The leaf meshes of `points` decomposed into `leaves` subdomains, each
+/// a standalone mesh stamped with arena ids, so shared dividing-path
+/// vertices resolve by stamp. A triangle two sibling leaves both keep is
+/// kept by the first, as in the pipeline.
+fn stamped_leaves(points: &[Point2], leaves: usize) -> Vec<Mesh> {
+    let mut arena = MeshArena::with_capacity(points.len());
+    let ids = arena.intern_all(points);
+    let root = Subdomain::root_with_ids(points, &ids);
+    let params = DecomposeParams::for_subdomain_count(leaves);
+    let mut seen: HashSet<[u32; 3]> = HashSet::new();
+    let mut meshes = Vec::new();
+    for leaf in decompose(root, &params).leaves {
+        let mut local: HashMap<u32, u32> = HashMap::new();
+        let mut pts = Vec::new();
+        let mut tris = Vec::new();
+        for t in triangulate_leaf(&leaf) {
+            let mut key = t;
+            key.sort_unstable();
+            if !seen.insert(key) {
+                continue;
+            }
+            tris.push(t.map(|g| {
+                *local.entry(g).or_insert_with(|| {
+                    pts.push(arena.point(GlobalVertexId(g)));
+                    (pts.len() - 1) as u32
+                })
+            }));
+        }
+        let mut mesh = Mesh::from_triangles(pts, tris);
+        for (&g, &l) in &local {
+            mesh.stamp_vertex(l, GlobalVertexId(g));
+        }
+        meshes.push(mesh);
+    }
+    meshes
+}
+
+fn bench_finish(c: &mut Criterion) {
+    const POINTS: usize = 60_000;
+    const LEAVES: usize = 16;
+    let mut r = rand::rngs::StdRng::seed_from_u64(47);
+    let cloud: Vec<Point2> = (0..POINTS)
+        .map(|_| Point2::new(r.gen_range(-10.0..10.0), r.gen_range(-10.0..10.0)))
+        .collect();
+    let meshes = stamped_leaves(&cloud, LEAVES);
+    let refs: Vec<&Mesh> = meshes.iter().collect();
+    let paths: Vec<[u8; 2]> = (0..refs.len() as u16).map(|i| i.to_be_bytes()).collect();
+    let path_refs: Vec<&[u8]> = paths.iter().map(|p| p.as_slice()).collect();
+    let plan = reduction_plan(&path_refs);
+    let pool = Pool::new(0);
+    c.bench_function(format!("merge/finish/leaves_{LEAVES}").as_str(), |b| {
+        b.iter(|| std::hint::black_box(merge_tree_spliced(&refs, &plan, &pool, None).finish()))
+    });
+}
+
 fn merge_benches(c: &mut Criterion) {
     bench_interior_sweep(c);
     bench_interface_sweep(c);
     bench_tree_sweep(c);
+    bench_finish(c);
 }
 
 criterion_group! {

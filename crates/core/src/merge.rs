@@ -1,9 +1,12 @@
 //! Merging independently-meshed subdomains into one global mesh.
 //!
 //! Subdomain meshes share bitwise-identical border points (the decoupling
-//! invariant), so merging is vertex deduplication plus triangle
-//! re-indexing; rebuilding the adjacency in [`MeshMerger::finish`] proves
-//! the union conforming. `merge_inputs` is the one spelling of that tail.
+//! invariant), so merging is vertex deduplication plus a splice of the
+//! parts' own adjacency: [`MeshMerger::finish`] hands every part and its
+//! vertex map to [`Mesh::splice`], which links and proves only the
+//! half-edges between vertices two or more parts reference — the only
+//! edges two parts can share — and so proves the union conforming.
+//! `merge_inputs` is the one spelling of that tail.
 //! [`MeshMerger::add_mesh_spliced`] deduplicates through the arena:
 //! vertices stamped with a [`GlobalVertexId`] resolve through a dense
 //! array; unstamped vertices are hashed by their
@@ -33,10 +36,18 @@ const UNRESOLVED: u32 = u32::MAX;
 /// what lets the tree-parallel reduction ([`crate::merge_tree_spliced`])
 /// guarantee sha256-identical output to the sequential path-sorted
 /// fold.
+///
+/// The merger holds the spliced meshes by reference, each with its local
+/// -> merged vertex map, until [`MeshMerger::finish`] splices them.
 #[derive(Default)]
-pub struct MeshMerger {
+pub struct MeshMerger<'a> {
     vertices: Vec<Point2>,
-    triangles: Vec<[u32; 3]>,
+    /// The spliced meshes, in splice order.
+    parts: Vec<&'a Mesh>,
+    /// The parts' local -> merged vertex maps, concatenated in part order
+    /// (one entry per part vertex; [`UNRESOLVED`] for a vertex no live
+    /// triangle or constraint uses).
+    maps: Vec<u32>,
     constrained: Vec<(u32, u32)>,
     /// Canonical coordinate bits -> merged vertex (the hashing path).
     index: HashMap<(u64, u64), u32>,
@@ -51,13 +62,11 @@ pub struct MeshMerger {
     /// Rare second-and-later arena ids cross-registered to a vertex
     /// that already carries one (mixed stamp/coordinate interfaces).
     extra_gids: Vec<(u32, u32)>,
-    /// Per-call scratch: local vertex -> merged vertex.
-    local_map: Vec<u32>,
     /// Per-call scratch: local vertex lies on a constrained edge.
     shared_mark: Vec<bool>,
 }
 
-impl MeshMerger {
+impl<'a> MeshMerger<'a> {
     /// Creates an empty merger.
     pub fn new() -> Self {
         Self::default()
@@ -65,20 +74,20 @@ impl MeshMerger {
 
     /// Creates a merger pre-sized for splicing: `arena_len` global ids
     /// (the minting arena's [`adm_kernel::MeshArena::len`]) plus room for
-    /// `vertices`/`triangles` merged entities, so a bounded sequence of
-    /// [`MeshMerger::add_mesh_spliced`] calls allocates nothing beyond
-    /// the per-mesh scratch growth.
-    pub fn with_capacity(arena_len: usize, vertices: usize, triangles: usize) -> Self {
+    /// `vertices` merged vertices and as many part vertices, so a bounded
+    /// sequence of [`MeshMerger::add_mesh_spliced`] calls allocates nothing
+    /// beyond the per-mesh scratch growth.
+    pub fn with_capacity(arena_len: usize, vertices: usize) -> Self {
         MeshMerger {
             vertices: Vec::with_capacity(vertices),
-            triangles: Vec::with_capacity(triangles),
+            parts: Vec::with_capacity(16),
+            maps: Vec::with_capacity(vertices),
             constrained: Vec::with_capacity(vertices / 2 + 16),
             index: HashMap::with_capacity(arena_len + vertices / 8 + 16),
             global_map: vec![UNRESOLVED; arena_len],
             meta_gid: Vec::with_capacity(vertices),
             meta_shared: Vec::with_capacity(vertices),
             extra_gids: Vec::with_capacity(16),
-            local_map: Vec::with_capacity(vertices),
             shared_mark: Vec::with_capacity(vertices),
         }
     }
@@ -179,11 +188,13 @@ impl MeshMerger {
     /// segment splits inherit the constraint). So stamped vertices resolve
     /// through `global_map`, unstamped constrained endpoints through the
     /// coordinate index, and everything else is appended without any
-    /// lookup.
-    pub fn add_mesh_spliced(&mut self, mesh: &Mesh) {
+    /// lookup. The mesh itself is kept for [`MeshMerger::finish`], with
+    /// its vertex map.
+    pub fn add_mesh_spliced(&mut self, mesh: &'a Mesh) {
         let n = mesh.num_vertices();
-        self.local_map.clear();
-        self.local_map.resize(n, UNRESOLVED);
+        let base = self.maps.len();
+        self.maps.resize(base + n, UNRESOLVED);
+        self.parts.push(mesh);
         self.shared_mark.clear();
         self.shared_mark.resize(n, false);
         // Pass 1: mark the shared-vertex frontier. Marking commutes, so
@@ -194,25 +205,17 @@ impl MeshMerger {
             self.shared_mark[a as usize] = true;
             self.shared_mark[b as usize] = true;
         }
-        // Pass 2: triangles, in deterministic live order.
+        // Pass 2: triangle corners, in deterministic live order.
         for t in mesh.live_triangles() {
-            let tri = mesh.tri(t as usize);
-            let mut g = [0u32; 3];
-            for (k, &v) in tri.iter().enumerate() {
-                let cur = self.local_map[v as usize];
-                g[k] = if cur != UNRESOLVED {
-                    cur
-                } else {
-                    let m = if self.shared_mark[v as usize] {
+            for v in mesh.tri(t as usize) {
+                if self.maps[base + v as usize] == UNRESOLVED {
+                    self.maps[base + v as usize] = if self.shared_mark[v as usize] {
                         self.resolve_shared(mesh, v)
                     } else {
                         self.resolve_private(mesh, v)
                     };
-                    self.local_map[v as usize] = m;
-                    m
-                };
+                }
             }
-            self.triangles.push(g);
         }
         // Pass 3: constrained edges. Endpoints referenced by no live
         // triangle (possible after carving) resolve here — order within
@@ -220,13 +223,12 @@ impl MeshMerger {
         // itself a set.
         for (a, b) in mesh.constrained_edges() {
             for v in [a, b] {
-                if self.local_map[v as usize] == UNRESOLVED {
-                    let m = self.resolve_shared(mesh, v);
-                    self.local_map[v as usize] = m;
+                if self.maps[base + v as usize] == UNRESOLVED {
+                    self.maps[base + v as usize] = self.resolve_shared(mesh, v);
                 }
             }
             self.constrained
-                .push((self.local_map[a as usize], self.local_map[b as usize]));
+                .push((self.maps[base + a as usize], self.maps[base + b as usize]));
         }
     }
 
@@ -248,10 +250,11 @@ impl MeshMerger {
     /// Preconditions are the same as [`MeshMerger::add_mesh_spliced`]'s
     /// (the decoupling invariant, one arena minting all ids); both
     /// mergers must resolve ids against the same arena.
-    pub fn absorb(&mut self, child: MeshMerger) {
+    pub fn absorb(&mut self, child: MeshMerger<'a>) {
         let MeshMerger {
             vertices,
-            triangles,
+            parts,
+            maps,
             constrained,
             meta_gid,
             meta_shared,
@@ -285,8 +288,11 @@ impl MeshMerger {
         for (v, gid) in extra_gids {
             self.register_gid(cmap[v as usize], GlobalVertexId(gid));
         }
-        self.triangles
-            .extend(triangles.into_iter().map(|t| t.map(|v| cmap[v as usize])));
+        self.parts.extend(parts);
+        self.maps.extend(maps.into_iter().map(|m| match m {
+            UNRESOLVED => UNRESOLVED,
+            m => cmap[m as usize],
+        }));
         self.constrained.extend(
             constrained
                 .into_iter()
@@ -294,14 +300,29 @@ impl MeshMerger {
         );
     }
 
-    /// Finalizes into a global [`Mesh`], rebuilding adjacency with
-    /// [`Mesh::from_triangles`] — the complete manifoldness proof.
+    /// Every part with its slice of `maps`, in splice order.
+    fn part_maps(&self) -> impl Iterator<Item = (&'a Mesh, &[u32])> + '_ {
+        let mut off = 0;
+        self.parts.iter().map(move |&part| {
+            let map = &self.maps[off..off + part.num_vertices()];
+            off += part.num_vertices();
+            (part, map)
+        })
+    }
+
+    /// Finalizes into a global [`Mesh`] with [`Mesh::splice`]: each part's
+    /// adjacency is kept, and only half-edges between vertices that two or
+    /// more parts reference are linked or checked. Private vertices are
+    /// never aliased, so no other edge can be shared, and the manifoldness
+    /// proof is as complete as a rebuild from the triangle soup.
     ///
     /// # Panics
     /// Panics if the union is non-manifold (an interface mismatch).
-    pub fn finish(self) -> Mesh {
-        let mut mesh = Mesh::from_triangles(self.vertices, self.triangles);
-        for (a, b) in self.constrained {
+    pub fn finish(mut self) -> Mesh {
+        let vertices = std::mem::take(&mut self.vertices);
+        let parts: Vec<(&Mesh, &[u32])> = self.part_maps().collect();
+        let mut mesh = Mesh::splice(vertices, &parts).unwrap_or_else(|e| panic!("{e}"));
+        for &(a, b) in &self.constrained {
             mesh.constrain_edge(a, b);
         }
         mesh
@@ -323,29 +344,28 @@ impl MeshMerger {
 /// When `tracer` is given, every internal node emits a `merge.node`
 /// span on the [`Track::pool_worker`] lane of whichever pool worker
 /// performed it, with `lo`/`hi` args naming the covered task range.
-pub fn merge_tree_spliced(
-    meshes: &[&Mesh],
+pub fn merge_tree_spliced<'a>(
+    meshes: &[&'a Mesh],
     plan: &ReductionNode,
     pool: &Pool,
     tracer: Option<&Tracer>,
-) -> MeshMerger {
+) -> MeshMerger<'a> {
     assert_eq!(plan.lo, 0, "plan must start at the first mesh");
     assert_eq!(plan.hi, meshes.len(), "plan must cover every mesh");
     reduce(meshes, plan, pool, tracer)
 }
 
-fn reduce(
-    meshes: &[&Mesh],
+fn reduce<'a>(
+    meshes: &[&'a Mesh],
     node: &ReductionNode,
     pool: &Pool,
     tracer: Option<&Tracer>,
-) -> MeshMerger {
+) -> MeshMerger<'a> {
     match &node.children {
         None => {
             let slice = &meshes[node.lo..node.hi];
             let verts: usize = slice.iter().map(|m| m.num_vertices()).sum();
-            let tris: usize = slice.iter().map(|m| m.num_triangles()).sum();
-            let mut merger = MeshMerger::with_capacity(0, verts + 16, tris + 16);
+            let mut merger = MeshMerger::with_capacity(0, verts + 16);
             for mesh in slice {
                 merger.add_mesh_spliced(mesh);
             }
@@ -378,8 +398,7 @@ pub struct Conformity {
 
 /// The merge tail every driver and [`crate::reconstruct`] share: the
 /// balanced reduction over the inputs' task paths (strictly ascending),
-/// then [`MeshMerger::finish`], whose adjacency build is the conformity
-/// proof.
+/// then [`MeshMerger::finish`], whose splice is the conformity proof.
 pub(crate) fn merge_inputs(
     inputs: &[(&[u8], &Mesh)],
     pool: &Pool,
@@ -392,7 +411,8 @@ pub(crate) fn merge_inputs(
 /// Edge statistics of `mesh`, counted off its adjacency: a `NIL`
 /// neighbour is a boundary edge, every other half-edge is one side of an
 /// interior edge. Manifoldness needs no check here: a [`Mesh`] cannot
-/// hold an edge with a third triangle ([`Mesh::from_triangles`]).
+/// hold an edge with a third triangle ([`Mesh::from_triangles`],
+/// [`Mesh::splice`]).
 pub fn check_conformity(mesh: &Mesh) -> Conformity {
     let half_edges = 3 * mesh.num_triangles();
     let boundary_edges = mesh
@@ -411,21 +431,32 @@ mod tests {
     use super::*;
     use adm_delaunay::cdt::{carve, constrained_delaunay};
 
-    /// Slot-level equality of two meshes: same slot count, same per-slot
-    /// liveness, same corner triples on every live slot. This is the old
-    /// raw `triangles` Vec comparison, expressed through the accessor API.
-    fn assert_slots_eq(got: &Mesh, seq: &Mesh, label: &str) {
-        assert_eq!(got.num_slots(), seq.num_slots(), "slot count, {label}");
-        for t in 0..got.num_slots() {
-            assert_eq!(
-                got.is_alive(t as u32),
-                seq.is_alive(t as u32),
-                "liveness of slot {t}, {label}"
-            );
-            if got.is_alive(t as u32) {
-                assert_eq!(got.tri(t), seq.tri(t), "slot {t}, {label}");
-            }
+    include!("../tests/support/mesh_state.rs");
+
+    /// The finish before the splice, kept as the oracle: the parts' live
+    /// triangles, mapped, as one soup through [`Mesh::from_triangles`],
+    /// then the constraint list.
+    fn soup_finish(merger: &MeshMerger) -> Mesh {
+        let soup: Vec<[u32; 3]> = merger
+            .part_maps()
+            .flat_map(|(part, map)| {
+                part.live_triangles()
+                    .map(move |t| part.tri(t as usize).map(|v| map[v as usize]))
+            })
+            .collect();
+        let mut mesh = Mesh::from_triangles(merger.vertices.clone(), soup);
+        for &(a, b) in &merger.constrained {
+            mesh.constrain_edge(a, b);
         }
+        mesh
+    }
+
+    /// [`MeshMerger::finish`], held to [`soup_finish`].
+    fn finish_checked(merger: MeshMerger, label: &str) -> Mesh {
+        let want = soup_finish(&merger);
+        let got = merger.finish();
+        assert_same_state(&got, &want, label);
+        got
     }
 
     fn p(x: f64, y: f64) -> Point2 {
@@ -642,7 +673,7 @@ mod tests {
             vec![[0, 1, 2]],
         );
         right.stamp_prefix(&[0, 3, 1].map(GlobalVertexId));
-        let mut m = MeshMerger::with_capacity(4, 4, 2);
+        let mut m = MeshMerger::with_capacity(4, 4);
         m.add_mesh_spliced(&left);
         m.add_mesh_spliced(&right);
         let merged = m.finish();
@@ -734,7 +765,7 @@ mod tests {
         for mesh in meshes {
             m.add_mesh_spliced(mesh);
         }
-        m.finish()
+        finish_checked(m, "sequential fold")
     }
 
     #[test]
@@ -753,14 +784,9 @@ mod tests {
                 right.add_mesh_spliced(m);
             }
             left.absorb(right);
-            let got = left.finish();
-            assert_eq!(got.points(), seq.points(), "split={split}");
-            assert_slots_eq(&got, &seq, &format!("split={split}"));
-            assert_eq!(
-                got.num_constrained(),
-                seq.num_constrained(),
-                "split={split}"
-            );
+            let label = format!("split={split}");
+            let got = finish_checked(left, &label);
+            assert_same_state(&got, &seq, &label);
         }
     }
 
@@ -788,14 +814,82 @@ mod tests {
         let plan = adm_partition::reduction_plan(&paths);
         for threads in [0usize, 1, 2, 4] {
             let pool = Pool::new(threads);
-            let got = merge_tree_spliced(&refs, &plan, &pool, None).finish();
-            assert_eq!(got.points(), seq.points(), "threads={threads}");
-            assert_slots_eq(&got, &seq, &format!("threads={threads}"));
-            assert_eq!(
-                got.num_constrained(),
-                seq.num_constrained(),
-                "threads={threads}"
-            );
+            let label = format!("threads={threads}");
+            let got = finish_checked(merge_tree_spliced(&refs, &plan, &pool, None), &label);
+            assert_same_state(&got, &seq, &label);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-manifold")]
+    fn linked_interior_edge_in_two_parts_is_detected() {
+        // Both parts carry the diagonal (0,0)-(1,1) as an interior edge
+        // they have already linked, between two stamped vertices; every
+        // other vertex is private. Only the check of linked frontier
+        // half-edges sees the diagonal under four triangles.
+        let part = |a: Point2, b: Point2| {
+            let mut m = Mesh::from_triangles(
+                vec![p(0.0, 0.0), a, p(1.0, 1.0), b],
+                vec![[0, 1, 2], [0, 2, 3]],
+            );
+            m.stamp_vertex(0, GlobalVertexId(0));
+            m.stamp_vertex(2, GlobalVertexId(1));
+            m
+        };
+        let a = part(p(1.0, 0.0), p(0.0, 1.0));
+        let b = part(p(2.0, -1.0), p(-1.0, 2.0));
+        let mut m = MeshMerger::with_capacity(2, 8);
+        m.add_mesh_spliced(&a);
+        m.add_mesh_spliced(&b);
+        let _ = m.finish();
+    }
+
+    #[test]
+    fn a_part_aliasing_its_own_vertices_matches_the_soup_build() {
+        // Two coincident constrained corners of one part collapse onto
+        // one pinched (but manifold) merged vertex. The result equals the
+        // soup build, constraint bits included: the constrained-edge pass
+        // sees only one fan of a pinched vertex, so the part's own bits
+        // must not be carried over.
+        let mut part = Mesh::from_triangles(
+            vec![
+                p(0.0, 0.0),
+                p(1.0, 0.0),
+                p(0.0, 1.0),
+                p(0.0, -0.0),
+                p(-1.0, 0.0),
+                p(0.0, -1.0),
+            ],
+            vec![[0, 1, 2], [3, 4, 5]],
+        );
+        part.constrain_edge(0, 1);
+        part.constrain_edge(3, 4);
+        let mut m = MeshMerger::new();
+        m.add_mesh_spliced(&part);
+        let merged = finish_checked(m, "aliased part");
+        assert_eq!(merged.num_vertices(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-manifold")]
+    fn a_part_aliasing_its_own_vertices_into_a_doubled_edge_is_detected() {
+        // Corners 0 and 3 coincide, so the part's distinct edges 0 -> 1
+        // and 3 -> 1 become one half-edge carried twice. Vertex 1 is
+        // private, so only the full proof an aliasing part triggers sees it.
+        let mut part = Mesh::from_triangles(
+            vec![
+                p(0.0, 0.0),
+                p(1.0, 0.0),
+                p(0.0, 1.0),
+                p(0.0, -0.0),
+                p(0.5, -1.0),
+            ],
+            vec![[0, 1, 2], [3, 1, 4]],
+        );
+        part.constrain_edge(0, 2);
+        part.constrain_edge(3, 4);
+        let mut m = MeshMerger::new();
+        m.add_mesh_spliced(&part);
+        let _ = m.finish();
     }
 }

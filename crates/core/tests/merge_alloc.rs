@@ -3,8 +3,8 @@
 //! After one warm-up `add_mesh_spliced` (which sizes the per-call
 //! scratch) on a merger built with `with_capacity`, splicing a second
 //! stamped mesh — vertex pushes, global-map resolution, the constrained
-//! shared-frontier marking, triangle appends — must perform zero heap
-//! allocations.
+//! shared-frontier marking, the vertex-map append — must perform zero
+//! heap allocations.
 //!
 //! This file holds exactly one test so no sibling test thread can
 //! allocate inside the measurement window.
@@ -78,8 +78,7 @@ fn spliced_merge_does_not_allocate() {
     }
 
     let total_v = warm.num_vertices() + measured.num_vertices();
-    let total_t = warm.num_triangles() + measured.num_triangles();
-    let mut merger = MeshMerger::with_capacity(arena.len(), total_v + 64, total_t + 64);
+    let mut merger = MeshMerger::with_capacity(arena.len(), total_v + 64);
 
     // Warm-up sizes the local scratch; the warm mesh is at least as large
     // as the measured one, so the later `resize` stays within capacity.

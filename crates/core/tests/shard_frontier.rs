@@ -197,7 +197,7 @@ proptest! {
 
         // Reconstruction oracle: the offline merge equals the
         // sequential fold over the same shard meshes.
-        let mut merger = MeshMerger::with_capacity(arena.len(), arena.len(), 4 * arena.len());
+        let mut merger = MeshMerger::with_capacity(arena.len(), arena.len());
         for m in &meshes {
             merger.add_mesh_spliced(m);
         }

@@ -168,8 +168,8 @@ pub(crate) struct TriRec {
 ///
 /// Coordinates are stored as separate x/y arrays (SoA): the batched
 /// predicate filters read contiguous coordinate lanes. All per-triangle
-/// state is fused in
-/// [`TriRec`]; liveness is one bit per slot in a packed [`BitSet`].
+/// state is fused in one `TriRec` record per slot; liveness is one bit
+/// per slot in a packed [`BitSet`].
 #[derive(Debug, Clone, Default)]
 pub struct Mesh {
     /// Vertex x coordinates (vertices are never removed).
@@ -221,7 +221,9 @@ impl Mesh {
     /// [`Mesh::from_triangles`] for a soup from outside the program: a
     /// non-manifold edge (shared by more than two triangles, by two with
     /// the same orientation, or twice by one triangle with a repeated
-    /// vertex) is returned as an error.
+    /// vertex) is returned as an error. A union of meshes that are already
+    /// conforming need not go through a soup: [`Mesh::splice`] keeps their
+    /// adjacency and proves only the edges they could share.
     ///
     /// # Panics
     /// Panics if a triangle names a vertex index `>= vertices.len()`;
@@ -248,6 +250,92 @@ impl Mesh {
                     mesh.link_twin(t, i)?;
                 }
             }
+        }
+        Ok(mesh)
+    }
+
+    /// The union of `parts` over `vertices`, where `parts[k].1[v]` is the
+    /// merged index of vertex `v` of mesh `parts[k].0` (`u32::MAX` for a
+    /// vertex no live triangle uses). The result is the state
+    /// [`Mesh::try_from_triangles`] builds from the parts' live triangles,
+    /// mapped, in part and slot order — same slots, incident lists and
+    /// adjacency, and like it no constrained edges: the caller constrains
+    /// the union's edges afterwards, as after [`Mesh::from_triangles`].
+    ///
+    /// Each part is a conforming mesh, so its adjacency is copied, not
+    /// re-derived. A vertex only one part references has all its
+    /// triangles in that part, so an edge can be carried by two parts
+    /// only if both its endpoints are referenced by two or more: only
+    /// those half-edges are linked (when `NIL`) or checked against every
+    /// other triangle on the edge (when the part already linked them),
+    /// and the manifoldness proof stays complete. A part that maps two of
+    /// its own vertices to one merged vertex voids that argument; then
+    /// every half-edge is proven.
+    pub fn splice(
+        vertices: Vec<Point2>,
+        parts: &[(&Mesh, &[u32])],
+    ) -> Result<Mesh, NonManifoldEdge> {
+        let nv = vertices.len();
+        let total: usize = parts.iter().map(|(part, _)| part.num_triangles()).sum();
+        let mut mesh = Mesh {
+            vert_tri: vec![NIL; nv],
+            first_inc: vec![NIL; nv],
+            coords_x: vertices.iter().map(|p| p.x).collect(),
+            coords_y: vertices.iter().map(|p| p.y).collect(),
+            alive: BitSet::with_len(total, true),
+            live_count: total,
+            ..Default::default()
+        };
+        // `shared[m]`: merged vertex `m` is referenced by two or more
+        // parts; `last[m]` is the last part that referenced it.
+        let mut last = vec![NIL; nv];
+        let mut shared = vec![false; nv];
+        let mut aliased = false;
+        for (k, &(part, map)) in parts.iter().enumerate() {
+            debug_assert_eq!(map.len(), part.num_vertices(), "one map entry per vertex");
+            for &m in map.iter().filter(|&&m| m != NIL) {
+                let seen = &mut last[m as usize];
+                aliased |= *seen == k as u32;
+                shared[m as usize] |= *seen != NIL;
+                *seen = k as u32;
+            }
+        }
+        if aliased {
+            shared.fill(true);
+        }
+        mesh.tris.reserve_exact(total);
+        let mut rank: Vec<u32> = Vec::new();
+        let mut frontier: Vec<u32> = Vec::new();
+        for &(part, map) in parts {
+            // Part slot -> merged slot: live slots keep their order.
+            let base = mesh.tris.len() as u32;
+            rank.clear();
+            rank.resize(part.num_slots(), NIL);
+            for (r, s) in part.live_triangles().enumerate() {
+                rank[s as usize] = base + r as u32;
+            }
+            for s in part.live_triangles() {
+                let rec = part.tris[s as usize];
+                let v = rec.v.map(|x| map[x as usize]);
+                debug_assert!(v.iter().all(|&m| (m as usize) < nv), "unmapped corner");
+                let t = mesh.tris.len() as u32;
+                mesh.tris.push(TriRec {
+                    v,
+                    n: rec.n.map(|x| if x == NIL { NIL } else { rank[x as usize] }),
+                    inc: [NIL; 3],
+                    con: 0,
+                });
+                mesh.link_corners(t);
+                for i in 0..3 {
+                    mesh.vert_tri[v[i] as usize] = t;
+                    if shared[v[(i + 1) % 3] as usize] && shared[v[(i + 2) % 3] as usize] {
+                        frontier.push(3 * t + i as u32);
+                    }
+                }
+            }
+        }
+        for h in frontier {
+            mesh.link_twin(h / 3, (h % 3) as usize)?;
         }
         Ok(mesh)
     }
@@ -711,10 +799,12 @@ impl Mesh {
         }
     }
 
-    /// Links the unlinked half-edge `a -> b` (edge `i` of `t`) to its twin,
-    /// found on `a`'s incident list — where every live triangle on the edge
-    /// has a corner — or leaves it `NIL` when nothing carries `b -> a`.
-    /// Fails if another triangle carries `a -> b`, or two carry `b -> a`.
+    /// Links half-edge `a -> b` (edge `i` of `t`) to its twin, found on
+    /// `a`'s incident list — where every live triangle on the edge has a
+    /// corner — or leaves it `NIL` when nothing carries `b -> a`. An
+    /// already-linked half-edge is proven instead: its neighbour must be
+    /// the one triangle carrying `b -> a`. Fails if another triangle
+    /// carries `a -> b`, or two carry `b -> a`.
     fn link_twin(&mut self, t: u32, i: usize) -> Result<(), NonManifoldEdge> {
         let (a, b) = self.edge_vertices(t, i as u8);
         let mut cur = self.first_inc[a as usize];
@@ -725,7 +815,8 @@ impl Mesh {
             // ends half-edge tri[k+2] -> a (edge k+1).
             let again = tri[(k + 1) % 3] == b && (t2, (k + 2) % 3) != (t, i);
             let twin = tri[(k + 2) % 3] == b;
-            let second = twin && (t2 == t || self.tris[t as usize].n[i] != NIL);
+            let linked = self.tris[t as usize].n[i];
+            let second = twin && (t2 == t || (linked != NIL && linked != t2));
             if again || second {
                 return Err(NonManifoldEdge { a, b });
             }

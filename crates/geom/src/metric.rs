@@ -326,7 +326,7 @@ impl MetricField {
     }
 
     /// Interpolated tensor at `p`: log-Euclidean inverse-distance blend
-    /// of the [`KNN`] nearest samples. Deterministic — candidate order
+    /// of the `KNN` (6) nearest samples. Deterministic — candidate order
     /// is grid-fixed, ties break on the sample index. Allocation-free:
     /// the ring walk keeps the `k` smallest `(distance², index)` keys in
     /// a fixed array, the same set and order a full sort of every

@@ -10,7 +10,7 @@
 //! degenerate — inputs are usually resolved without heap allocation.
 //!
 //! Build with the `predicate-stats` feature to count how often each rung of
-//! the ladder settles the sign (see [`stats`]).
+//! the ladder settles the sign (see the `stats` module).
 
 use crate::expansion::{
     estimate, fast_expansion_sum_zeroelim, scale_expansion, two_diff, two_diff_tail, two_product,

@@ -205,12 +205,15 @@ impl Subdomain {
 
         // Hull input: (along-line coordinate, lift), already sorted by the
         // along-line coordinate; equal-coordinate runs are ordered by the
-        // secondary axis, not the lift, so fix those runs locally.
+        // secondary axis, not the lift, so fix those runs locally. The runs
+        // group with `==`, under which -0.0 equals 0.0, but the hull checks
+        // its order with `total_cmp`, which puts -0.0 first: `+ 0.0` turns
+        // -0.0 into 0.0 (and changes no other value), so both agree.
         let mut flat: Vec<Point2> = hull_order
             .iter()
             .map(|v| match axis {
-                CutAxis::Y => Point2::new(v.pos.y, v.proj),
-                CutAxis::X => Point2::new(v.pos.x, v.proj),
+                CutAxis::Y => Point2::new(v.pos.y + 0.0, v.proj),
+                CutAxis::X => Point2::new(v.pos.x + 0.0, v.proj),
             })
             .collect();
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -525,6 +528,28 @@ mod tests {
         for v in &hi.x_sorted {
             assert!(v.pos.x >= cut.at || path.contains(&v.id));
         }
+    }
+
+    #[test]
+    fn signed_zero_twins_on_the_cut_line_keep_the_hull_input_sorted() {
+        // (0, 1) arrives twice, once as x = -0.0, which sorts first and
+        // survives the dedup, so the x = 0 column mixes both zero signs.
+        // Its lifts put (0, 2) ahead of (-0.0, 1): before the zero sign
+        // was normalised, the hull's debug sortedness check fired.
+        let pts = [
+            p(-1.0, 2.0),
+            p(0.0, 1.0),
+            p(-0.0, 1.0),
+            p(0.0, 2.0),
+            p(0.0, 3.0),
+            p(1.0, 2.0),
+            p(0.5, 0.0),
+        ];
+        let mut s = Subdomain::root(&pts);
+        assert_eq!(s.len(), pts.len() - 1, "the twins dedup");
+        let (lo, hi, path) = s.split(CutAxis::X);
+        assert!(!path.is_empty());
+        assert_eq!(lo.len() + hi.len(), s.len() + path.len());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! is observable through the `adm-trace` registry (`serve.*` counters
 //! and histograms, [`Track::SERVER_FRONT`](adm_trace::Track) /
 //! `Track::server(w)` lanes) and provable under load with the seeded
-//! replay/chaos driver in [`replay`].
+//! replay/chaos driver in [`replay`](mod@replay).
 //!
 //! No async runtime and no third-party dependencies: std networking,
 //! std threads, and the crates below this one.
