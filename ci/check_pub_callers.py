@@ -33,7 +33,7 @@ ALLOW = {
     "check_well_formed": "span-nesting oracle every traced test runs on its trace",
     "chain_respects_bounds": "equation-(1) segment-length oracle of the decoupling tests",
     "triangulate_all": "serial reference the decomposed boundary-layer triangulation is held to",
-    "pairwise_frontier_digest": "pairwise shard-interface oracle of the shard-set property tests",
+    "triangulate_incremental": "second construction engine the divide-and-conquer kernel and golden digests are cross-checked against",
     "generate_pslg": "seeded adversarial PSLG corpus of the fuzz gates",
     "write_poly": "writes the .poly replay file of a failing fuzz case",
     "chaos_run": "seeded chaos schedule behind the job server's replay-determinism test",

@@ -12,8 +12,8 @@
 //!        [--sharded]
 //!
 //! `--sharded` models the distributed-output mode: each rank streams its
-//! subdomain meshes to per-task shards (manifest + frontier sidecars),
-//! and the merge reduction never runs — consumers reconstruct offline
+//! subdomain meshes to per-task shards (one `.adm` file each, plus one
+//! manifest), and the merge reduction never runs — consumers reconstruct offline
 //! with `shard-cat` only when they need the unified mesh. The merge is
 //! still *measured* (reported as `merge_s`) but charged to neither the
 //! modeled wall clock nor dropped from the sequential baseline: the

@@ -35,8 +35,8 @@ pub struct MeshConfig {
     /// merge). `0` runs all on the calling thread — same output bits.
     pub merge_threads: usize,
     /// Distributed output: when set, every merge-input mesh is also
-    /// streamed to a per-subdomain shard (plus frontier sidecar and
-    /// manifest) in this directory — see `crate::shard`. The in-process
+    /// streamed to a per-subdomain shard file (`shard-<path>.adm`), plus
+    /// one manifest, in this directory — see `crate::shard`. The in-process
     /// merge still runs; consumers that accept shards can skip it
     /// entirely and reconstruct offline with `shard-cat`.
     pub shard_out: Option<std::path::PathBuf>,

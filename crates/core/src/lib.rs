@@ -35,8 +35,8 @@ pub use pipeline::{
 };
 pub use pslg_pipeline::{mesh_pslg, mesh_pslg_on, PslgMeshError, PslgMeshResult};
 pub use shard::{
-    atomic_write, pairwise_frontier_digest, read_manifest, reconstruct, verify_shards,
-    write_manifest, write_shard_set, ConsistencyReport, ShardManifest, ShardMeta, MANIFEST_NAME,
+    atomic_write, read_manifest, reconstruct, verify_shards, write_manifest, write_shard_set,
+    ConsistencyReport, ShardManifest, ShardMeta, MANIFEST_NAME,
 };
 pub use sizing::{
     AnchorSet, ComposedSizing, GradationLimited, GradedSizing, MetricSizing, SizingFn, UniformH,

@@ -15,7 +15,7 @@
 //! allows to be shared), and everything else is appended blindly. Hashing
 //! is O(interface), not O(total).
 
-use adm_delaunay::mesh::{Mesh, NIL};
+use adm_delaunay::mesh::{Mesh, NonManifoldEdge, NIL};
 use adm_geom::point::Point2;
 use adm_kernel::{canonical_bits, canonical_point, GlobalVertexId};
 use adm_mpirt::Pool;
@@ -314,18 +314,25 @@ impl<'a> MeshMerger<'a> {
     /// adjacency is kept, and only half-edges between vertices that two or
     /// more parts reference are linked or checked. Private vertices are
     /// never aliased, so no other edge can be shared, and the manifoldness
-    /// proof is as complete as a rebuild from the triangle soup.
-    ///
-    /// # Panics
-    /// Panics if the union is non-manifold (an interface mismatch).
-    pub fn finish(mut self) -> Mesh {
+    /// proof is as complete as a rebuild from the triangle soup. Returns
+    /// the first non-manifold edge if the union has one (an interface
+    /// mismatch).
+    pub fn try_finish(mut self) -> Result<Mesh, NonManifoldEdge> {
         let vertices = std::mem::take(&mut self.vertices);
         let parts: Vec<(&Mesh, &[u32])> = self.part_maps().collect();
-        let mut mesh = Mesh::splice(vertices, &parts).unwrap_or_else(|e| panic!("{e}"));
+        let mut mesh = Mesh::splice(vertices, &parts)?;
         for &(a, b) in &self.constrained {
             mesh.constrain_edge(a, b);
         }
-        mesh
+        Ok(mesh)
+    }
+
+    /// [`MeshMerger::try_finish`] for unions known to be manifold.
+    ///
+    /// # Panics
+    /// Panics if the union is non-manifold (an interface mismatch).
+    pub fn finish(self) -> Mesh {
+        self.try_finish().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -398,14 +405,14 @@ pub struct Conformity {
 
 /// The merge tail every driver and [`crate::reconstruct`] share: the
 /// balanced reduction over the inputs' task paths (strictly ascending),
-/// then [`MeshMerger::finish`], whose splice is the conformity proof.
+/// then [`MeshMerger::try_finish`], whose splice is the conformity proof.
 pub(crate) fn merge_inputs(
     inputs: &[(&[u8], &Mesh)],
     pool: &Pool,
     tracer: Option<&Tracer>,
-) -> Mesh {
+) -> Result<Mesh, NonManifoldEdge> {
     let (paths, meshes): (Vec<&[u8]>, Vec<&Mesh>) = inputs.iter().copied().unzip();
-    merge_tree_spliced(&meshes, &reduction_plan(&paths), pool, tracer).finish()
+    merge_tree_spliced(&meshes, &reduction_plan(&paths), pool, tracer).try_finish()
 }
 
 /// Edge statistics of `mesh`, counted off its adjacency: a `NIL`
@@ -543,12 +550,9 @@ mod tests {
         assert_eq!(merged.num_constrained(), 1);
     }
 
-    #[test]
-    #[should_panic(expected = "non-manifold")]
-    fn interface_mismatch_is_detected() {
-        // Two triangulations of the same (border-constrained) square with
-        // different diagonals: overlapping triangles create a non-manifold
-        // union.
+    /// Two triangulations of the same (border-constrained) square with
+    /// different diagonals: overlapping triangles, a non-manifold union.
+    fn mismatched_squares() -> [Mesh; 2] {
         let square = |tris: Vec<[u32; 3]>| {
             let mut m = Mesh::from_triangles(
                 vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)],
@@ -559,12 +563,28 @@ mod tests {
             }
             m
         };
-        let a = square(vec![[0, 1, 2], [0, 2, 3]]);
-        let b = square(vec![[0, 1, 3], [1, 2, 3]]);
+        [
+            square(vec![[0, 1, 2], [0, 2, 3]]),
+            square(vec![[0, 1, 3], [1, 2, 3]]),
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "non-manifold")]
+    fn interface_mismatch_is_detected() {
+        let [a, b] = mismatched_squares();
         let mut m = MeshMerger::new();
         m.add_mesh_spliced(&a);
         m.add_mesh_spliced(&b);
         let _ = m.finish();
+    }
+
+    #[test]
+    fn interface_mismatch_is_an_error_from_try_finish() {
+        let [a, b] = mismatched_squares();
+        let inputs: [(&[u8], &Mesh); 2] = [(&[0], &a), (&[1], &b)];
+        let err = merge_inputs(&inputs, &Pool::new(0), None).unwrap_err();
+        assert!(err.to_string().starts_with("non-manifold edge"), "{err}");
     }
 
     #[test]

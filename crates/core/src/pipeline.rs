@@ -546,7 +546,7 @@ pub(crate) fn drive<S: Sync, B: WorkItem, O: Send + 'static, T, E: From<std::io:
     // The sub-meshes reduce over the task tree itself, so sibling subtrees
     // merge independently: a balanced in-order plan over an associative
     // absorb, bitwise equal to the sequential left fold at any pool width.
-    let mesh = merge_inputs(&inputs, pool, Some(tracer));
+    let mesh = merge_inputs(&inputs, pool, Some(tracer)).unwrap_or_else(|e| panic!("{e}"));
     span.close_with(&[("triangles", mesh.num_triangles() as u64)]);
     tracer.count("merge.steals", pool.steals() - steals_before);
     root.close();

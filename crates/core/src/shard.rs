@@ -4,9 +4,11 @@
 //! its subdomain resident and the unified mesh is only materialized when a
 //! consumer demands it. This module is that output mode: every merge
 //! input (the boundary-layer mesh plus each subdomain mesh, keyed by its
-//! task path) is streamed to its own `ADM2DM03` shard file together with
-//! a frontier sidecar, and a manifest (`mesh.admshards.json`) records the
-//! shard list with per-file sha256 digests.
+//! task path) is streamed to its own `ADM2DM03` shard file,
+//! `shard-<hex path>.adm`, and a manifest (`mesh.admshards.json`) records
+//! the shard list with per-file sha256 digests. A shard is one file: its
+//! vertices, `GlobalVertexId` stamps and sorted constrained-edge list are
+//! all that the consistency check and the merge read.
 //!
 //! Three properties make shards a trustworthy distribution format:
 //!
@@ -15,30 +17,31 @@
 //!    The same config produces byte-identical shard sets at any rank
 //!    count, under any balancer schedule, and under any injected fault
 //!    plan the run survives.
-//! 2. **Cheap global consistency** — neighboring shards may only share
-//!    constrained-frontier vertices, and every shared stamped vertex must
-//!    carry bitwise-identical coordinates in both shards. [`verify_shards`]
-//!    proves that by comparing frontier sidecars (20 bytes per interface
-//!    vertex) without touching triangle data; [`pairwise_frontier_digest`]
-//!    is the two-shard digest form of the same check.
-//! 3. **Exact reconstruction** — [`reconstruct`] replays the in-process
-//!    tree merge (same reduction plan over the same path order, inline
-//!    pool) over the shard files, so the offline merged mesh is
-//!    canonically identical to the one the pipeline would have produced.
+//! 2. **Global consistency without the merged mesh** — neighboring shards
+//!    may only share constrained-edge endpoints, and every shared stamped
+//!    vertex must carry bitwise-identical coordinates in every shard.
+//!    [`verify_shards`] proves that on the parsed shards themselves, the
+//!    same meshes [`reconstruct`] merges.
+//! 3. **Exact reconstruction** — [`reconstruct`] refuses a set that fails
+//!    that check, then replays the in-process tree merge (same reduction
+//!    plan over the same path order, inline pool) over the shard files,
+//!    so the offline merged mesh is canonically identical to the one the
+//!    pipeline would have produced. A union that is not manifold is an
+//!    error, not a panic.
 //!
 //! All writes go through [`atomic_write`] (temp file + rename) and the
 //! manifest is written last, so a killed run can never leave a manifest
 //! referencing partial shards.
 
-use crate::hash::{sha256_hex, Sha256};
+use crate::hash::sha256_hex;
 use crate::merge::merge_inputs;
-use adm_delaunay::io::{extract_frontier, read_binary, write_binary};
+use adm_delaunay::io::{read_binary, write_binary};
 use adm_delaunay::mesh::Mesh;
-use adm_kernel::frontier::{frontier_bytes, frontier_from_bytes, shared_by_stamp, FrontierEntry};
+use adm_kernel::canonical_bits;
 use adm_mpirt::Pool;
 use adm_trace::json::{self, obj, Value};
 use adm_trace::{Tracer, Track};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -46,26 +49,30 @@ use std::path::{Path, PathBuf};
 /// Manifest file name inside a shard directory.
 pub const MANIFEST_NAME: &str = "mesh.admshards.json";
 
-/// Manifest format tag; bump when the schema changes.
-pub const MANIFEST_FORMAT: &str = "admshards-v1";
+/// Manifest format tag; bump when the schema changes. `admshards-v1`
+/// (with per-shard frontier sidecars) is refused like any unknown tag.
+pub const MANIFEST_FORMAT: &str = "admshards-v2";
 
-/// One shard's manifest entry.
+/// One shard's manifest entry. The shard's file name is derived from its
+/// path ([`ShardMeta::file_name`]), so the manifest does not store it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMeta {
     /// Task path that produced this shard (the merge-order key).
     pub path: Vec<u8>,
-    /// Mesh file name (relative to the shard directory).
-    pub file: String,
-    /// Frontier sidecar file name (relative to the shard directory).
-    pub frontier_file: String,
     /// sha256 of the mesh file bytes.
     pub mesh_sha256: String,
-    /// sha256 of the frontier sidecar bytes.
-    pub frontier_sha256: String,
     /// Live triangles in the shard.
     pub triangles: u64,
     /// Vertices in the shard.
     pub vertices: u64,
+}
+
+impl ShardMeta {
+    /// The shard's file name inside the shard directory:
+    /// `shard-<hex path>.adm`.
+    pub fn file_name(&self) -> String {
+        shard_file_name(&self.path)
+    }
 }
 
 /// The shard directory's table of contents. Serialization is fully
@@ -86,16 +93,16 @@ fn path_hex(path: &[u8]) -> String {
     s
 }
 
-/// The mesh and frontier file names of the shard at task path `path`.
-fn shard_file_names(path: &[u8]) -> (String, String) {
-    let hex = path_hex(path);
-    (format!("shard-{hex}.adm"), format!("shard-{hex}.frontier"))
+/// The file name of the shard at task path `path`.
+fn shard_file_name(path: &[u8]) -> String {
+    format!("shard-{}.adm", path_hex(path))
 }
 
 /// Longest task path a manifest may name, one byte per tree level: the
-/// `shard-<hex>.frontier` name of a longer one exceeds the 255-byte file
-/// name limit, so [`write_shard_set`] cannot have written it, and
-/// `reduction_plan` recurses once per shared prefix byte.
+/// `shard-<hex>.adm.tmp` name [`atomic_write`] gives a longer one on its
+/// way to disk exceeds the 255-byte file name limit, so
+/// [`write_shard_set`] cannot have written it, and `reduction_plan`
+/// recurses once per shared prefix byte.
 const MAX_PATH_BYTES: usize = 120;
 
 fn hex_to_path(s: &str) -> Option<Vec<u8>> {
@@ -149,8 +156,8 @@ fn atomic_write_inner(path: &Path, bytes: &[u8], inject_failure: bool) -> io::Re
 /// order and [`reconstruct`] replays it.
 ///
 /// With a tracer, each shard write emits a `shard.write` span on the
-/// [`Track::shard_writer`] lane and feeds the `shard.count`,
-/// `shard.bytes`, and `shard.frontier.bytes` counters.
+/// [`Track::shard_writer`] lane and feeds the `shard.count` and
+/// `shard.bytes` counters.
 pub fn write_shard_set(
     dir: &Path,
     shards: &[(&[u8], &Mesh)],
@@ -185,13 +192,11 @@ fn write_shard_set_impl(
     fs::create_dir_all(dir)?;
     let mut manifest = ShardManifest::default();
     for (i, (path, mesh)) in shards.iter().enumerate() {
-        let (file, frontier_file) = shard_file_names(path);
         let mut mesh_bytes = Vec::new();
         write_binary(mesh, &mut mesh_bytes)?;
-        let fr_bytes = frontier_bytes(&extract_frontier(mesh));
         let span = tracer.map(|t| t.span(Track::shard_writer(0), "shard.write"));
-        atomic_write_inner(&dir.join(&file), &mesh_bytes, fail_at == Some(i))?;
-        atomic_write(&dir.join(&frontier_file), &fr_bytes)?;
+        let file = dir.join(shard_file_name(path));
+        atomic_write_inner(&file, &mesh_bytes, fail_at == Some(i))?;
         if let (Some(t), Some(s)) = (tracer, span) {
             s.close_with(&[
                 ("bytes", mesh_bytes.len() as u64),
@@ -199,14 +204,10 @@ fn write_shard_set_impl(
             ]);
             t.count("shard.count", 1);
             t.count("shard.bytes", mesh_bytes.len() as u64);
-            t.count("shard.frontier.bytes", fr_bytes.len() as u64);
         }
         manifest.shards.push(ShardMeta {
             path: path.to_vec(),
-            file,
-            frontier_file,
             mesh_sha256: sha256_hex(&mesh_bytes),
-            frontier_sha256: sha256_hex(&fr_bytes),
             triangles: mesh.num_triangles() as u64,
             vertices: mesh.num_vertices() as u64,
         });
@@ -249,10 +250,7 @@ impl ShardManifest {
         let shards = self.shards.iter().map(|sh| {
             obj! {
                 "path": path_hex(&sh.path),
-                "file": sh.file.as_str(),
-                "frontier": sh.frontier_file.as_str(),
                 "mesh_sha256": sh.mesh_sha256.as_str(),
-                "frontier_sha256": sh.frontier_sha256.as_str(),
                 "vertices": sh.vertices,
                 "triangles": sh.triangles,
             }
@@ -266,11 +264,10 @@ impl ShardManifest {
     }
 
     /// Parses the manifest schema written by [`ShardManifest::to_json`] and
-    /// holds it to what [`write_shard_set`] can write: at least one shard,
-    /// strictly ascending task paths of at most `MAX_PATH_BYTES` levels,
-    /// and the file names those paths derive — so no manifest reaches
-    /// [`reconstruct`] with a path twice or [`verify_shards`] with a file
-    /// outside the shard directory.
+    /// holds it to what [`write_shard_set`] can write: at least one shard
+    /// and strictly ascending task paths of at most `MAX_PATH_BYTES`
+    /// levels — so no manifest reaches [`reconstruct`] with a path twice.
+    /// File names derive from the paths, so none can leave the directory.
     pub fn from_json(text: &str) -> io::Result<ShardManifest> {
         let doc = json::parse(text).map_err(|e| bad_data(e.to_string()))?;
         let missing = |key: &str| bad_data(format!("manifest: no {key:?} of the right type"));
@@ -302,18 +299,9 @@ impl ShardManifest {
             if prev.is_some_and(|prev| prev.path >= path) {
                 return Err(bad_data(format!("shard path {hex} does not ascend")));
             }
-            let named = (string(sh, "file")?, string(sh, "frontier")?);
-            if named != shard_file_names(&path) {
-                return Err(bad_data(format!(
-                    "shard {hex} names {named:?}, not its own files"
-                )));
-            }
             shards.push(ShardMeta {
                 path,
-                file: named.0,
-                frontier_file: named.1,
                 mesh_sha256: string(sh, "mesh_sha256")?,
-                frontier_sha256: string(sh, "frontier_sha256")?,
                 vertices: count(sh, "vertices")?,
                 triangles: count(sh, "triangles")?,
             });
@@ -338,8 +326,6 @@ fn bad_data(msg: String) -> io::Error {
 pub struct ConsistencyReport {
     /// Shards checked.
     pub shard_count: usize,
-    /// Frontier entries checked across all shards.
-    pub frontier_entries: usize,
     /// Distinct stamped interface vertices seen in ≥ 2 shards (the set
     /// the cross-shard agreement check actually covers).
     pub shared_stamped: usize,
@@ -354,98 +340,107 @@ impl ConsistencyReport {
     }
 }
 
-/// The cheap global consistency check: recomputes every shard and
-/// frontier digest against the manifest, then proves all shards agree on
-/// their shared interface — every stamped frontier vertex that appears
-/// in more than one shard must carry bitwise-identical coordinates
-/// everywhere. Reads O(shards + interface) bytes of frontier data plus
-/// the shard files for digesting; never builds the merged mesh.
-pub fn verify_shards(dir: &Path, manifest: &ShardManifest) -> io::Result<ConsistencyReport> {
+/// The one reader of a shard directory. Reads each shard once, checks its
+/// digest against the manifest, and parses it with [`read_binary`], which
+/// proves it manifold. Then it records the claim of every stamped
+/// constrained-edge endpoint, `gid -> canonical coordinate bits`: a gid
+/// claimed with two different coordinates, in one shard or two, is a
+/// problem. Returns the report and the parsed meshes in manifest order;
+/// the meshes are complete only when the report is consistent.
+fn load_shards(dir: &Path, manifest: &ShardManifest) -> io::Result<(ConsistencyReport, Vec<Mesh>)> {
     let mut report = ConsistencyReport {
         shard_count: manifest.shards.len(),
         ..Default::default()
     };
-    // gid -> (xbits, ybits, first shard claiming it, seen in ≥2 shards)
-    let mut claims: HashMap<u32, (u64, u64, usize, bool)> = HashMap::new();
+    let mut meshes = Vec::with_capacity(manifest.shards.len());
+    // gid -> (canonical bits, first shard claiming it, seen in ≥ 2 shards)
+    let mut claims: HashMap<u32, ((u64, u64), usize, bool)> = HashMap::new();
     for (i, sh) in manifest.shards.iter().enumerate() {
-        let mesh_bytes = fs::read(dir.join(&sh.file))?;
-        let got = sha256_hex(&mesh_bytes);
+        let file = sh.file_name();
+        let bytes = fs::read(dir.join(&file))?;
+        let got = sha256_hex(&bytes);
         if got != sh.mesh_sha256 {
-            report.problems.push(format!(
-                "{}: mesh digest {got} != manifest {}",
-                sh.file, sh.mesh_sha256
-            ));
+            let want = &sh.mesh_sha256;
+            report
+                .problems
+                .push(format!("{file}: mesh digest {got} != manifest {want}"));
+            continue;
         }
-        let fr_bytes = fs::read(dir.join(&sh.frontier_file))?;
-        let got = sha256_hex(&fr_bytes);
-        if got != sh.frontier_sha256 {
-            report.problems.push(format!(
-                "{}: frontier digest {got} != manifest {}",
-                sh.frontier_file, sh.frontier_sha256
-            ));
-        }
-        let entries = frontier_from_bytes(&fr_bytes)
-            .ok_or_else(|| bad_data(format!("{}: malformed frontier", sh.frontier_file)))?;
-        report.frontier_entries += entries.len();
-        for e in &entries {
-            if !e.is_stamped() {
+        let mesh = match read_binary(&mut bytes.as_slice()) {
+            Ok(mesh) => mesh,
+            Err(e) => {
+                report.problems.push(format!("{file}: {e}"));
                 continue;
             }
-            match claims.entry(e.gid) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert((e.xbits, e.ybits, i, false));
+        };
+        for (gid, bits) in stamped_interface(&mesh) {
+            match claims.entry(gid) {
+                Entry::Vacant(slot) => {
+                    slot.insert((bits, i, false));
                 }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let (x, y, first, _) = *slot.get();
-                    if first != i {
-                        slot.get_mut().3 = true;
-                    }
-                    if (x, y) != (e.xbits, e.ybits) {
+                Entry::Occupied(mut slot) => {
+                    let (first_bits, first, _) = *slot.get();
+                    slot.get_mut().2 |= first != i;
+                    if first_bits != bits {
+                        let first = manifest.shards[first].file_name();
                         report.problems.push(format!(
-                            "frontier disagreement on gid {}: {} vs {}",
-                            e.gid, manifest.shards[first].frontier_file, sh.frontier_file
+                            "stamped vertex disagreement on gid {gid}: {first} vs {file}"
                         ));
                     }
                 }
             }
         }
+        meshes.push(mesh);
     }
-    report.shared_stamped = claims.values().filter(|c| c.3).count();
-    Ok(report)
+    report.shared_stamped = claims.values().filter(|c| c.2).count();
+    Ok((report, meshes))
 }
 
-/// Digest of the frontier entries `a` shares with `b` (by stamp), as
-/// seen from each side. The two digests are equal iff the shards agree
-/// bitwise on every shared interface vertex — the pairwise form of the
-/// [`verify_shards`] invariant, usable between any two neighbors without
-/// the rest of the shard set.
-pub fn pairwise_frontier_digest(a: &[FrontierEntry], b: &[FrontierEntry]) -> (String, String) {
-    let shared = shared_by_stamp(a, b);
-    let mut ha = Sha256::new();
-    let mut hb = Sha256::new();
-    for (ea, eb) in &shared {
-        ha.update(&frontier_bytes(std::slice::from_ref(ea)));
-        hb.update(&frontier_bytes(std::slice::from_ref(eb)));
-    }
-    let hex = |d: [u8; 32]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
-    (hex(ha.finish()), hex(hb.finish()))
+/// The stamped constrained-edge endpoints of `mesh` as `(gid, canonical
+/// coordinate bits)`, sorted and deduplicated — the vertices another
+/// shard may share by stamp, in an order independent of the constraint
+/// set's hash order.
+fn stamped_interface(mesh: &Mesh) -> Vec<(u32, (u64, u64))> {
+    let mut claims: Vec<(u32, (u64, u64))> = mesh
+        .constrained_edges()
+        .flat_map(|(a, b)| [a, b])
+        .filter_map(|v| {
+            let gid = mesh.global_id(v)?.raw();
+            Some((gid, canonical_bits(mesh.vertex(v as usize))))
+        })
+        .collect();
+    claims.sort_unstable();
+    claims.dedup();
+    claims
 }
 
-/// Reconstructs the canonical merged mesh from a shard directory:
-/// reads every shard in manifest (merge) order and runs the drivers' own
+/// The global consistency check, on the bytes [`reconstruct`] would
+/// merge: every shard file matches its manifest digest and parses as a
+/// manifold mesh, and every stamped interface vertex carries
+/// bitwise-identical coordinates in every shard that claims it. Reads and
+/// parses each shard once; never builds the merged mesh.
+pub fn verify_shards(dir: &Path, manifest: &ShardManifest) -> io::Result<ConsistencyReport> {
+    load_shards(dir, manifest).map(|(report, _)| report)
+}
+
+/// Reconstructs the canonical merged mesh from a shard directory. Reads
+/// every shard once, refuses the set as `InvalidData` unless
+/// [`verify_shards`] would call it consistent, and runs the drivers' own
 /// merge tail (`merge::merge_inputs`: same paths, same plan, associative
-/// splice, manifoldness proven by the adjacency build) on an inline pool.
-/// The result is canonically identical to the mesh the pipeline's own
-/// merge produced.
+/// splice) on an inline pool. The result is canonically identical to the
+/// mesh the pipeline's own merge produced; a union that is not manifold
+/// (say, one shard listed under two paths) is `InvalidData` too.
 pub fn reconstruct(dir: &Path, manifest: &ShardManifest) -> io::Result<Mesh> {
-    let mut meshes = Vec::with_capacity(manifest.shards.len());
-    for sh in &manifest.shards {
-        let bytes = fs::read(dir.join(&sh.file))?;
-        meshes.push(read_binary(&mut bytes.as_slice())?);
+    let (report, meshes) = load_shards(dir, manifest)?;
+    if let Some(first) = report.problems.first() {
+        let n = report.problems.len();
+        return Err(bad_data(format!(
+            "inconsistent shard set ({n} problems): {first}"
+        )));
     }
     let paths = manifest.shards.iter().map(|s| s.path.as_slice());
     let inputs: Vec<(&[u8], &Mesh)> = paths.zip(&meshes).collect();
-    Ok(merge_inputs(&inputs, &Pool::new(0), None))
+    merge_inputs(&inputs, &Pool::new(0), None).map_err(|e| bad_data(format!("shard union: {e}")))
 }
 
 #[cfg(test)]
@@ -519,12 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn frontier_disagreement_is_reported() {
+    fn stamped_vertex_disagreement_is_reported_and_refused() {
         let a = square_mesh(0.0, 0);
-        let mut b = square_mesh(1.0, 4);
-        b.stamp_vertex(0, GlobalVertexId(1));
-        b.stamp_vertex(3, GlobalVertexId(2));
-        // Corrupt the shared vertex: same gid, different coordinates —
+        // The right square of `write_verify_reconstruct` with its shared
+        // vertex corrupted: same gid, different coordinates —
         // per-shard digests stay self-consistent, only the cross-shard
         // check can see it.
         let corrupt = {
@@ -554,14 +547,10 @@ mod tests {
             "{:?}",
             report.problems
         );
-        // The pairwise digest form catches the same corruption.
-        let fa = extract_frontier(&a);
-        let fb = extract_frontier(&corrupt);
-        let (da, db) = pairwise_frontier_digest(&fa, &fb);
-        assert_ne!(da, db);
-        // And agrees for the honest pair.
-        let (da, db) = pairwise_frontier_digest(&fa, &extract_frontier(&b));
-        assert_eq!(da, db);
+        // Reconstruction refuses the set instead of merging it.
+        let err = reconstruct(&dir, &manifest).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("gid 1"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -149,7 +149,7 @@ fn chaos_schedules_produce_identical_shard_sets() {
         let digests = manifest
             .shards
             .iter()
-            .map(|s| (s.file.clone(), s.mesh_sha256.clone()))
+            .map(|s| (s.file_name(), s.mesh_sha256.clone()))
             .collect();
         (manifest_bytes, digests)
     };
@@ -167,7 +167,7 @@ fn chaos_schedules_produce_identical_shard_sets() {
         let digests: Vec<(String, String)> = manifest
             .shards
             .iter()
-            .map(|s| (s.file.clone(), s.mesh_sha256.clone()))
+            .map(|s| (s.file_name(), s.mesh_sha256.clone()))
             .collect();
         (manifest_bytes, digests)
     };

@@ -1,20 +1,18 @@
-//! Property tests for the sharded-output frontier invariant: for random
-//! clouds and random cut sequences, every pair of neighboring shards
-//! must agree on their shared interface frontier — same stamped global
-//! ids, same coordinate bits, hence equal pairwise digests — without
-//! any shard ever seeing another's mesh. A tampered frontier is the
-//! negative control: flipping one coordinate bit in one sidecar must be
-//! caught by the global consistency check and must split the pairwise
-//! digests.
+//! Property tests for the sharded-output interface invariant: for random
+//! clouds and random cut sequences, neighboring shards agree on their
+//! shared interface — every stamped constrained-edge endpoint carries the
+//! same coordinate bits in every shard — and the offline reconstruction
+//! equals the sequential fold. The negative control moves one shared
+//! vertex by one ulp inside a shard's `.adm` bytes: the consistency check
+//! must name the gid, and reconstruction must refuse the set.
 
 use adm_core::{
-    pairwise_frontier_digest, reconstruct, sha256_hex, verify_shards, write_manifest,
-    write_shard_set, MeshMerger,
+    reconstruct, sha256_hex, verify_shards, write_manifest, write_shard_set, MeshMerger,
 };
 use adm_delaunay::io::write_ascii_canonical;
 use adm_delaunay::mesh::Mesh;
 use adm_geom::point::Point2;
-use adm_kernel::{frontier_bytes, frontier_from_bytes, FrontierEntry, GlobalVertexId, MeshArena};
+use adm_kernel::{GlobalVertexId, MeshArena};
 use adm_partition::{triangulate_leaf, CutAxis, Subdomain};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -64,7 +62,7 @@ fn split_by_axes(root: Subdomain, axes: &[CutAxis]) -> Vec<Subdomain> {
 /// Triangulates the leaves into standalone stamped meshes and
 /// constrains every edge whose endpoints both live in more than one
 /// leaf — the synthetic stand-in for the pipeline's interface
-/// constraints, which is what the frontier sidecars record.
+/// constraints, which is what the shard consistency check reads.
 fn leaf_meshes_with_interfaces(arena: &MeshArena, leaves: &[Subdomain]) -> Vec<Mesh> {
     type RawLeaf = (HashMap<u32, u32>, Vec<Point2>, Vec<[u32; 3]>);
     let mut seen: HashSet<[u32; 3]> = HashSet::new();
@@ -129,16 +127,26 @@ fn scratch(tag: u64) -> PathBuf {
     dir
 }
 
-fn read_frontier(dir: &std::path::Path, file: &str) -> Vec<FrontierEntry> {
-    frontier_from_bytes(&std::fs::read(dir.join(file)).expect("frontier sidecar"))
-        .expect("well-formed frontier records")
+/// The gids of `mesh`'s stamped constrained-edge endpoints, each with
+/// the local vertex that carries it.
+fn stamped_interface(mesh: &Mesh) -> HashMap<u32, u32> {
+    mesh.constrained_edges()
+        .flat_map(|(a, b)| [a, b])
+        .filter_map(|v| Some((mesh.global_id(v)?.0, v)))
+        .collect()
+}
+
+/// Byte offset of vertex `v`'s `x` in an `ADM2DM03` file: the 8-byte
+/// magic, three `u64` counts and one flags byte, then 16 bytes a vertex.
+fn x_offset(v: u32) -> usize {
+    33 + 16 * v as usize
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Pairwise frontier-digest agreement for every neighboring shard
-    /// pair, plus the reconstruction oracle against the sequential fold.
+    /// An honest shard set verifies, shares stamped interface vertices,
+    /// and reconstructs to the sequential fold.
     #[test]
     fn neighboring_shards_agree_on_their_frontier(
         cloud in cloud_strategy(),
@@ -164,36 +172,11 @@ proptest! {
             .collect();
         let manifest = write_shard_set(&dir, &inputs, None).expect("shard write");
 
-        // Global consistency holds for an honest shard set.
+        // Global consistency holds for an honest shard set, and the check
+        // covers at least one vertex two shards share.
         let report = verify_shards(&dir, &manifest).expect("shards readable");
         prop_assert!(report.is_consistent(), "{:?}", report.problems);
-
-        // Every pair of shards that shares stamped frontier vertices
-        // agrees: both sides of the pairwise digest are equal.
-        let frontiers: Vec<Vec<FrontierEntry>> = manifest
-            .shards
-            .iter()
-            .map(|s| read_frontier(&dir, &s.frontier_file))
-            .collect();
-        let mut shared_pairs = 0usize;
-        for i in 0..frontiers.len() {
-            for j in i + 1..frontiers.len() {
-                let (da, db) = pairwise_frontier_digest(&frontiers[i], &frontiers[j]);
-                prop_assert_eq!(
-                    &da, &db,
-                    "shards {} and {} disagree on their shared frontier", i, j
-                );
-                let gids: HashSet<u32> = frontiers[i]
-                    .iter()
-                    .filter(|e| e.is_stamped())
-                    .map(|e| e.gid)
-                    .collect();
-                if frontiers[j].iter().any(|e| e.is_stamped() && gids.contains(&e.gid)) {
-                    shared_pairs += 1;
-                }
-            }
-        }
-        prop_assert!(shared_pairs > 0, "cut sequence produced no shared interfaces");
+        prop_assert!(report.shared_stamped > 0, "cut sequence produced no shared interfaces");
 
         // Reconstruction oracle: the offline merge equals the
         // sequential fold over the same shard meshes.
@@ -208,13 +191,13 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Negative control: tamper with one shared frontier vertex in one
-    /// sidecar (keeping that shard's manifest digest self-consistent, so
-    /// per-file hashing alone cannot catch it) — the cross-shard
-    /// consistency check must flag the disagreement and the pairwise
-    /// digests must split.
+    /// Negative control on the merged data: move one shared stamped
+    /// vertex by one ulp inside a shard's `.adm` bytes and re-stamp that
+    /// row's digest, so per-file hashing alone cannot catch it. The
+    /// consistency check must name the gid, and reconstruction must
+    /// refuse the set rather than merge it.
     #[test]
-    fn tampered_frontier_vertex_is_caught(
+    fn moved_shared_vertex_is_caught_and_refused(
         cloud in cloud_strategy(),
         tag in 0u64..1_000_000,
     ) {
@@ -233,62 +216,35 @@ proptest! {
             .collect();
         let mut manifest = write_shard_set(&dir, &inputs, None).expect("shard write");
 
-        // Find a shard whose frontier has a stamped entry shared with
-        // another shard, and nudge that entry's x coordinate bits.
-        let frontiers: Vec<Vec<FrontierEntry>> = manifest
-            .shards
-            .iter()
-            .map(|s| read_frontier(&dir, &s.frontier_file))
-            .collect();
-        let shared_gid = {
-            let mut counts: HashMap<u32, usize> = HashMap::new();
-            for f in &frontiers {
-                for e in f.iter().filter(|e| e.is_stamped()) {
-                    *counts.entry(e.gid).or_insert(0) += 1;
-                }
-            }
-            counts.into_iter().find(|&(_, c)| c > 1).map(|(g, _)| g)
-        };
-        prop_assume!(shared_gid.is_some());
-        let gid = shared_gid.unwrap();
-        let victim = frontiers
-            .iter()
-            .position(|f| f.iter().any(|e| e.gid == gid))
-            .unwrap();
+        // The smallest gid the first shard shares with another.
+        let interfaces: Vec<HashMap<u32, u32>> = meshes.iter().map(stamped_interface).collect();
+        let shared = interfaces[0]
+            .keys()
+            .filter(|g| interfaces[1..].iter().any(|f| f.contains_key(g)))
+            .min()
+            .copied();
+        prop_assume!(shared.is_some());
+        let gid = shared.unwrap();
 
-        let mut tampered = frontiers[victim].clone();
-        for e in &mut tampered {
-            if e.gid == gid {
-                e.xbits ^= 1; // one ulp off: still a plausible coordinate
-            }
-        }
-        let bytes = frontier_bytes(&tampered);
-        let honest = &manifest.shards[victim];
-        std::fs::write(dir.join(&honest.frontier_file), &bytes).expect("tamper write");
-        // Re-stamp the manifest so the per-file digest still matches:
-        // only the cross-shard check can catch this.
-        manifest.shards[victim].frontier_sha256 = sha256_hex(&bytes);
+        let file = dir.join(manifest.shards[0].file_name());
+        let mut bytes = std::fs::read(&file).expect("shard readable");
+        prop_assert_eq!(&bytes[..8], b"ADM2DM03");
+        let at = x_offset(interfaces[0][&gid]);
+        let x = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        bytes[at..at + 8].copy_from_slice(&(x ^ 1).to_le_bytes()); // one ulp off
+        std::fs::write(&file, &bytes).expect("tamper write");
+        manifest.shards[0].mesh_sha256 = sha256_hex(&bytes);
         write_manifest(&dir, &manifest).expect("manifest rewrite");
 
         let report = verify_shards(&dir, &manifest).expect("shards readable");
+        let named = format!("disagreement on gid {gid}:");
         prop_assert!(
-            !report.is_consistent(),
-            "tampered frontier passed the consistency check"
-        );
-        prop_assert!(
-            report.problems.iter().any(|p| p.contains("disagreement")),
-            "unexpected problem set: {:?}",
+            report.problems.iter().any(|p| p.contains(&named)),
+            "moved vertex passed the consistency check: {:?}",
             report.problems
         );
-
-        // And the pairwise digests split for some honest neighbor.
-        let other = frontiers
-            .iter()
-            .enumerate()
-            .position(|(i, f)| i != victim && f.iter().any(|e| e.gid == gid))
-            .unwrap();
-        let (da, db) = pairwise_frontier_digest(&tampered, &frontiers[other]);
-        prop_assert!(da != db, "tampering did not split the pairwise digest");
+        let err = reconstruct(&dir, &manifest).expect_err("an inconsistent set is refused");
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

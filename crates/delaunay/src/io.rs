@@ -7,7 +7,7 @@
 
 use crate::mesh::Mesh;
 use adm_geom::point::Point2;
-use adm_kernel::{canonicalize_frontier, FrontierEntry, GlobalVertexId};
+use adm_kernel::GlobalVertexId;
 use std::io::{self, BufRead, BufWriter, Read, Write};
 
 /// Writes the mesh as Triangle-style ASCII: a `.node` section then a
@@ -268,25 +268,6 @@ pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Mesh> {
     Ok(mesh)
 }
 
-/// Extracts the mesh's interface frontier: one canonical
-/// [`FrontierEntry`] per constrained-edge endpoint, in canonical
-/// (sorted, deduped) order. This is the shareable-vertex set of the
-/// decoupling invariant — exactly the vertices a spliced merge may
-/// identify with another subdomain's — and its digest is what the
-/// sharded-output consistency check compares across neighboring shards.
-pub fn extract_frontier(mesh: &Mesh) -> Vec<FrontierEntry> {
-    let mut entries = Vec::with_capacity(mesh.num_constrained() * 2);
-    for (a, b) in mesh.constrained_edges() {
-        for v in [a, b] {
-            entries.push(FrontierEntry::new(
-                mesh.global_id(v),
-                mesh.vertex(v as usize),
-            ));
-        }
-    }
-    canonicalize_frontier(entries)
-}
-
 /// Renders the mesh edges as an SVG document (for the qualitative figures).
 /// The writer is buffered internally.
 pub fn write_svg<W: Write>(mesh: &Mesh, w: &mut W, width: f64) -> io::Result<()> {
@@ -530,26 +511,6 @@ mod tests {
         let mut again = Vec::new();
         write_binary(&back, &mut again).unwrap();
         assert_eq!(buf, again);
-    }
-
-    #[test]
-    fn frontier_is_constrained_endpoints_only() {
-        let mut mesh = sample_mesh();
-        mesh.stamp_vertex(0, GlobalVertexId(11));
-        let frontier = extract_frontier(&mesh);
-        // All four boundary corners appear exactly once; the interior
-        // point (1.5, 1.4) does not.
-        assert_eq!(frontier.len(), 4);
-        assert!(frontier.iter().any(|e| e.gid == 11));
-        let interior = Point2::new(1.5, 1.4);
-        assert!(!frontier
-            .iter()
-            .any(|e| e.xbits == interior.x.to_bits() && e.ybits == interior.y.to_bits()));
-        // And it survives a binary round-trip bit-for-bit.
-        let mut buf = Vec::new();
-        write_binary(&mesh, &mut buf).unwrap();
-        let back = read_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(extract_frontier(&back), frontier);
     }
 
     #[test]

@@ -23,9 +23,5 @@
 //! coordinate bits of every vertex of every subdomain.
 
 pub mod arena;
-pub mod frontier;
 
 pub use arena::{canonical_bits, canonical_point, GlobalVertexId, MeshArena};
-pub use frontier::{
-    canonicalize_frontier, frontier_bytes, frontier_from_bytes, shared_by_stamp, FrontierEntry,
-};

@@ -5,19 +5,20 @@
 //! [`crate::request::cache_key`]. The memory level stores the finished
 //! canonical-ASCII response bytes (what goes on the wire), so a hit is
 //! a hash lookup plus an `Arc` clone. The disk level stores the mesh
-//! as a PR-8 shard set — written *by the pipeline itself* via
-//! `shard_out` while the miss is being meshed, so persistence costs no
-//! extra serialization pass — and a load replays the digest-verified
-//! reconstruction, which is canonically identical to the in-process
-//! merge. A digest mismatch (truncated/corrupted shard) is treated as
-//! a miss and the entry is purged, never served.
+//! as a shard set — written *by the pipeline itself* via `shard_out`
+//! while the miss is being meshed, so persistence costs no extra
+//! serialization pass — and a load is [`reconstruct`], which reads and
+//! parses each shard file once, checks it, and merges canonically
+//! identically to the in-process merge. Anything it refuses (a digest
+//! mismatch, a truncated shard, an inconsistent or old-format set) is
+//! treated as a miss and the entry is purged, never served.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use adm_core::hash::sha256_hex;
-use adm_core::shard::{read_manifest, reconstruct, verify_shards, MANIFEST_NAME};
+use adm_core::shard::{read_manifest, reconstruct, MANIFEST_NAME};
 use adm_delaunay::io::write_ascii_canonical;
 use adm_delaunay::mesh::Mesh;
 
@@ -131,8 +132,8 @@ pub struct DiskCache {
 pub enum DiskLoad {
     /// No entry for this key.
     Miss,
-    /// Entry existed but failed digest verification or reconstruction;
-    /// it has been purged. Callers mesh fresh.
+    /// Entry existed but its manifest or reconstruction was refused; it
+    /// has been purged. Callers mesh fresh.
     Corrupt,
     /// Verified reconstruction (boxed: a `Mesh` is large next to the
     /// other variants).
@@ -157,7 +158,8 @@ impl DiskCache {
         self.entry_dir(key).join(MANIFEST_NAME).is_file()
     }
 
-    /// Loads and digest-verifies the entry for `key`. Single-flight in
+    /// Loads the entry for `key` through [`read_manifest`] and
+    /// [`reconstruct`], which verifies it. Single-flight in
     /// the server guarantees no concurrent writer for the same key, so
     /// a bad entry here is real corruption (or a crash mid-write), not
     /// a race — it is purged so the next miss rewrites it.
@@ -166,23 +168,14 @@ impl DiskCache {
         if !dir.join(MANIFEST_NAME).is_file() {
             return DiskLoad::Miss;
         }
-        match try_load(&dir) {
-            Some(mesh) => DiskLoad::Hit(Box::new(mesh)),
-            None => {
+        match read_manifest(&dir).and_then(|manifest| reconstruct(&dir, &manifest)) {
+            Ok(mesh) => DiskLoad::Hit(Box::new(mesh)),
+            Err(_) => {
                 let _ = std::fs::remove_dir_all(&dir);
                 DiskLoad::Corrupt
             }
         }
     }
-}
-
-fn try_load(dir: &Path) -> Option<Mesh> {
-    let manifest = read_manifest(dir).ok()?;
-    let report = verify_shards(dir, &manifest).ok()?;
-    if !report.is_consistent() {
-        return None;
-    }
-    reconstruct(dir, &manifest).ok()
 }
 
 #[cfg(test)]

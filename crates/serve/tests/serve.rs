@@ -2,20 +2,37 @@
 //! economics (warm ≥ 10× cold), bounded admission, disk persistence,
 //! corruption handling, chaos determinism, and the TCP front end.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use adm_core::config::MeshConfig;
+use adm_core::shard::{read_manifest, MANIFEST_NAME};
 use adm_serve::{
     cache_key, catalog, chaos_run, replay, workload, ServeError, Server, ServerConfig, WireResponse,
 };
+use adm_trace::json::{obj, Value};
 use adm_trace::{TestClock, Tracer};
 
 fn tmp(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("adm-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// A manually pumped server whose disk cache lives under `dir`.
+fn disk_server(dir: &Path) -> Server {
+    Server::with_tracer(
+        ServerConfig {
+            workers: 0,
+            pool_threads: 0,
+            queue_cap: 8,
+            mem_cache_bytes: 64 << 20,
+            cache_dir: Some(dir.to_path_buf()),
+        },
+        Tracer::new(Arc::new(TestClock::new())),
+    )
+    .unwrap()
 }
 
 fn pump_server(tracer: Tracer) -> Server {
@@ -266,20 +283,7 @@ fn disk_cache_survives_restart_and_rejects_corruption() {
     let dir = tmp("disk");
     let config = MeshConfig::naca0012(22);
     let key = cache_key(&config).unwrap();
-
-    let mk = || {
-        Server::with_tracer(
-            ServerConfig {
-                workers: 0,
-                pool_threads: 0,
-                queue_cap: 8,
-                mem_cache_bytes: 64 << 20,
-                cache_dir: Some(dir.clone()),
-            },
-            Tracer::new(Arc::new(TestClock::new())),
-        )
-        .unwrap()
-    };
+    let mk = || disk_server(&dir);
 
     // First server meshes and persists (pipeline-side shard_out).
     let s1 = mk();
@@ -319,6 +323,65 @@ fn disk_cache_survives_restart_and_rejects_corruption() {
     assert_eq!(s3.tracer().counter("serve.hits_disk"), 0);
     assert_eq!(s3.tracer().counter("serve.mesh_jobs"), 1);
     assert_eq!(remeshed.digest, fresh.digest);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A disk entry whose manifest carries the `admshards-v1` tag, written by
+/// hand: it counts as `serve.cache_bad`, is purged, and is re-meshed to
+/// the same digest. It is never served.
+#[test]
+fn v1_cache_entry_is_purged_and_remeshed() {
+    let dir = tmp("v1");
+    let config = MeshConfig::naca0012(22);
+    let key = cache_key(&config).unwrap();
+    let s1 = disk_server(&dir);
+    let mut t = s1.submit_nowait(&config, 0).unwrap();
+    s1.pump_one();
+    let fresh = t.try_take().unwrap().unwrap();
+
+    // Rewrite the manifest under the v1 tag, each row naming its `file`
+    // as the v1 writer did. (v1 rows also named a per-shard sidecar; the
+    // reader refuses the tag before it reads a row.)
+    let entry = dir.join(&key);
+    let manifest = read_manifest(&entry).unwrap();
+    let rows = manifest.shards.iter().map(|sh| {
+        let hex: String = sh.path.iter().map(|b| format!("{b:02x}")).collect();
+        obj! {
+            "path": hex,
+            "file": sh.file_name(),
+            "mesh_sha256": sh.mesh_sha256.as_str(),
+            "vertices": sh.vertices,
+            "triangles": sh.triangles,
+        }
+    });
+    let v1 = obj! {
+        "format": "admshards-v1",
+        "shard_count": manifest.shards.len(),
+        "shards": Value::arr(rows),
+    };
+    std::fs::write(entry.join(MANIFEST_NAME), v1.to_string_pretty() + "\n").unwrap();
+
+    let s2 = disk_server(&dir);
+    let mut t = s2.submit_nowait(&config, 0).unwrap();
+    s2.pump_one();
+    let remeshed = t.try_take().unwrap().unwrap();
+    assert_eq!(s2.tracer().counter("serve.cache_bad"), 1);
+    assert_eq!(s2.tracer().counter("serve.hits_disk"), 0);
+    assert_eq!(s2.tracer().counter("serve.mesh_jobs"), 1);
+    assert_eq!(remeshed.digest, fresh.digest);
+    // The purged entry was re-written in the current layout.
+    assert_eq!(read_manifest(&entry).unwrap(), manifest);
+    let names = std::fs::read_dir(&entry).unwrap();
+    let names: Vec<String> = names
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        names
+            .iter()
+            .all(|n| n == MANIFEST_NAME || n.ends_with(".adm")),
+        "{names:?}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,9 @@
 //!
 //! Reads a manifest written by `admesh --out-shards DIR` (or any
 //! pipeline run with `MeshConfig::shard_out` set), proves the shard set
-//! is globally consistent — per-file digests plus the cross-shard
-//! interface-frontier agreement check — and, unless `--verify-only`,
+//! is globally consistent — every `.adm` file matches its digest and
+//! parses as a manifold mesh, and the shards agree bitwise on every
+//! stamped interface vertex they share — and, unless `--verify-only`,
 //! replays the canonical spliced merge to reconstruct the unified mesh,
 //! identical to the one the pipeline would have produced in process.
 //!
@@ -13,8 +14,8 @@
 //! shard-cat shards/ --verify-only           # consistency check alone
 //! ```
 //!
-//! Exits nonzero on any inconsistency, so it doubles as the shard
-//! directory's fsck.
+//! Exits 1 on any inconsistency, including a set whose union is not
+//! manifold, so it doubles as the shard directory's fsck.
 
 use adm2d::core::{read_manifest, reconstruct, verify_shards};
 use adm2d::delaunay::io::{write_ascii, write_ascii_canonical, write_binary};
@@ -99,8 +100,8 @@ fn run(args: &Args) -> Result<(), String> {
             manifest.shards.iter().map(|s| s.vertices).sum::<u64>()
         );
         eprintln!(
-            "frontier         : {} entries, {} shared stamped vertices",
-            report.frontier_entries, report.shared_stamped
+            "interface        : {} shared stamped vertices",
+            report.shared_stamped
         );
     }
     if !report.is_consistent() {

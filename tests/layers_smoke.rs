@@ -1,10 +1,14 @@
 //! One fast oracle per layer the tier-1 line would otherwise not see
 //! (it runs the root package only): the JSON module, the shard manifest
 //! on top of it, the disk cache and `shard-cat` failing closed on a
-//! hostile manifest, the Chrome export, and the simulator's replay.
+//! hostile manifest and on a set whose union is not manifold, the Chrome
+//! export, and the simulator's replay.
 
 use adm2d::core::shard::MAX_MANIFEST_BYTES;
-use adm2d::core::{read_manifest, write_shard_set, ShardManifest, MANIFEST_NAME};
+use adm2d::core::{
+    read_manifest, reconstruct, verify_shards, write_manifest, write_shard_set, ShardManifest,
+    MANIFEST_NAME,
+};
 use adm2d::delaunay::mesh::Mesh;
 use adm2d::geom::point::Point2;
 use adm2d::kernel::GlobalVertexId;
@@ -87,32 +91,50 @@ fn json_round_trips_and_caps_depth() {
 }
 
 /// The manifest of `shard.rs`'s two-square test set, byte for byte as
-/// the hand-formatted writer of PR 8 printed it.
+/// the `admshards-v2` writer prints it (the mesh digests are the ones the
+/// v1 writer recorded: the shard bytes did not change).
 const MANIFEST_GOLDEN: &str = r#"{
-  "format": "admshards-v1",
+  "format": "admshards-v2",
   "shard_count": 2,
   "shards": [
     {
       "path": "00",
-      "file": "shard-00.adm",
-      "frontier": "shard-00.frontier",
       "mesh_sha256": "47f0a074eb2223e2c4ba0349b11c78075d69b16d1ccadd564e87696c6d22cacb",
-      "frontier_sha256": "22d1364d0a0b321abff3c75417fa8dc7e50e64c7ad0a513d18247361fd498dd6",
       "vertices": 4,
       "triangles": 2
     },
     {
       "path": "01",
-      "file": "shard-01.adm",
-      "frontier": "shard-01.frontier",
       "mesh_sha256": "355b6057baf4ae2e24669bd6ad35e580396177030c343f98a1880781398d4e17",
-      "frontier_sha256": "7546dfbb807581e7dba6d2058469cab54e5b3b2698e5260643dd42c0ad88dc36",
       "vertices": 4,
       "triangles": 2
     }
   ]
 }
 "#;
+
+/// `manifest` under the `admshards-v1` tag, each row naming its `file`
+/// as the v1 writer did. (v1 rows also named a per-shard sidecar and its
+/// digest; the reader refuses the tag before it reads a row, so they are
+/// left out.)
+fn as_v1_manifest(manifest: &ShardManifest) -> String {
+    let rows = manifest.shards.iter().map(|sh| {
+        let hex: String = sh.path.iter().map(|b| format!("{b:02x}")).collect();
+        obj! {
+            "path": hex,
+            "file": sh.file_name(),
+            "mesh_sha256": sh.mesh_sha256.as_str(),
+            "vertices": sh.vertices,
+            "triangles": sh.triangles,
+        }
+    });
+    let doc = obj! {
+        "format": "admshards-v1",
+        "shard_count": manifest.shards.len(),
+        "shards": Value::arr(rows),
+    };
+    doc.to_string_pretty() + "\n"
+}
 
 #[test]
 fn manifest_text_is_pinned() {
@@ -173,36 +195,36 @@ fn hostile_manifest_fails_closed() {
 /// (so every digest still verifies): none may reach the reduction.
 #[test]
 fn doctored_manifests_fail_closed() {
-    type Doctor = fn(&mut ShardManifest);
-    let doctors: [(&str, Doctor); 6] = [
-        ("duplicate path", |m| m.shards[1].path = vec![0]),
-        ("empty list", |m| m.shards.clear()),
-        ("descending paths", |m| m.shards.reverse()),
-        ("file outside the directory", |m| {
-            m.shards[0].file = "../x.adm".into()
+    type Doctor = fn(ShardManifest) -> String;
+    let doctors: [(&str, Doctor); 5] = [
+        ("duplicate path", |mut m| {
+            m.shards[1].path = vec![0];
+            m.to_json()
         }),
-        ("swapped frontiers", |m| {
-            let (a, b) = m.shards.split_at_mut(1);
-            std::mem::swap(&mut a[0].frontier_file, &mut b[0].frontier_file);
+        ("empty list", |mut m| {
+            m.shards.clear();
+            m.to_json()
         }),
-        // Ascending and self-consistently named, but `reduction_plan`
-        // would recurse once per byte of the shared prefix.
-        ("paths deeper than any task tree", |m| {
+        ("descending paths", |mut m| {
+            m.shards.reverse();
+            m.to_json()
+        }),
+        // Ascending, but `reduction_plan` would recurse once per byte of
+        // the shared prefix.
+        ("paths deeper than any task tree", |mut m| {
             for (last, sh) in m.shards.iter_mut().enumerate() {
                 sh.path = [vec![0; 100_000], vec![last as u8]].concat();
-                let hex: String = sh.path.iter().map(|b| format!("{b:02x}")).collect();
-                sh.file = format!("shard-{hex}.adm");
-                sh.frontier_file = format!("shard-{hex}.frontier");
             }
+            m.to_json()
         }),
+        ("a v1 manifest is refused", |m| as_v1_manifest(&m)),
     ];
     let root = scratch_dir("doctored");
     let mut cache = DiskCache::new(&root).unwrap();
     let entry = cache.entry_dir("deadbeef");
     for (what, doctor) in doctors {
-        let mut manifest = write_two_squares(&entry, true);
-        doctor(&mut manifest);
-        std::fs::write(entry.join(MANIFEST_NAME), manifest.to_json()).unwrap();
+        let manifest = write_two_squares(&entry, true);
+        std::fs::write(entry.join(MANIFEST_NAME), doctor(manifest)).unwrap();
 
         let dir = entry.clone();
         let err = on_small_stack(move || read_manifest(&dir)).expect_err(what);
@@ -228,6 +250,48 @@ fn doctored_manifests_fail_closed() {
         assert!(matches!(loaded, DiskLoad::Corrupt), "{what}");
         assert!(!entry.exists(), "{what}: corrupt entry must be purged");
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A row that repeats a shard's bytes under a new, strictly ascending
+/// path. The manifest is well formed, every digest verifies and the
+/// shards agree on every stamped vertex, so `verify_shards` passes; but
+/// the union holds the repeated triangles twice. `reconstruct` refuses it
+/// as `InvalidData`, `shard-cat` exits 1 rather than panicking, and the
+/// disk cache calls the entry corrupt and purges it.
+#[test]
+fn duplicated_shard_row_is_refused_not_merged() {
+    let root = scratch_dir("duplicated");
+    let cache = DiskCache::new(&root).unwrap();
+    let entry = cache.entry_dir("deadbeef");
+    let mut manifest = write_two_squares(&entry, true);
+    let mut again = manifest.shards[1].clone();
+    again.path.push(0);
+    let from = entry.join(manifest.shards[1].file_name());
+    std::fs::copy(from, entry.join(again.file_name())).unwrap();
+    manifest.shards.push(again);
+    write_manifest(&entry, &manifest).unwrap();
+    assert_eq!(read_manifest(&entry).unwrap(), manifest);
+
+    let report = verify_shards(&entry, &manifest).unwrap();
+    assert!(report.is_consistent(), "{:?}", report.problems);
+    let err = reconstruct(&entry, &manifest).expect_err("a non-manifold union");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("non-manifold edge"), "{err}");
+
+    let refused = std::process::Command::new(env!("CARGO_BIN_EXE_shard-cat"))
+        .arg(&entry)
+        .output()
+        .expect("shard-cat runs");
+    assert_eq!(refused.status.code(), Some(1), "an exit, not a panic");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("error: ") && stderr.contains("non-manifold"),
+        "{stderr}"
+    );
+
+    assert!(matches!(cache.load("deadbeef"), DiskLoad::Corrupt));
+    assert!(!entry.exists(), "corrupt entry must be purged");
     let _ = std::fs::remove_dir_all(&root);
 }
 
