@@ -6,7 +6,7 @@
 /// can tell: slots and their liveness, corners, neighbours and
 /// constraint bits per live slot, the constrained-edge set, the vertex
 /// coordinates bit for bit, and per vertex the cached incident triangle
-/// and the order of its star (which reads the incident-corner lists).
+/// and the order of its star (which starts at that triangle).
 fn assert_same_state(got: &Mesh, want: &Mesh, label: &str) {
     assert_eq!(got.num_slots(), want.num_slots(), "slot count, {label}");
     assert_eq!(got.num_triangles(), want.num_triangles(), "{label}");

@@ -86,7 +86,8 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
     // opposite edge is properly crossed, or the segment passes through one
     // of the triangle's other vertices.
     let mut start: Option<(u32, u8)> = None; // (triangle, crossed-edge index)
-    for t in mesh.triangles_around_vertex(a) {
+    let mut split: Option<u32> = None;
+    'search: for t in mesh.star(a) {
         let i = mesh.vertex_index_in(t, a).expect("vertex in triangle");
         let (u, v) = mesh.edge_vertices(t, i); // edge opposite a, CCW
         let pu = mesh.vertex(u as usize);
@@ -105,9 +106,8 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
         // Vertex exactly on the segment between a and b: split.
         for (w, dw, pw) in [(u, du, pu), (v, dv, pv)] {
             if dw == 0.0 && between(pa, pb, pw) {
-                insert_constraint(mesh, a, w)?;
-                insert_constraint(mesh, w, b)?;
-                return Ok(());
+                split = Some(w);
+                break 'search;
             }
         }
         // The CCW edge (u, v) opposite `a` is crossed by a->b when u lies
@@ -128,6 +128,11 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
                 break;
             }
         }
+    }
+    if let Some(w) = split {
+        insert_constraint(mesh, a, w)?;
+        insert_constraint(mesh, w, b)?;
+        return Ok(());
     }
     let (mut tcur, mut ecross) = start.unwrap_or_else(|| {
         panic!("no exit triangle found for constraint ({a},{b}); mesh inconsistent")

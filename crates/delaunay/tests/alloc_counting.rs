@@ -4,7 +4,7 @@
 //! mesh's parallel arrays) and a `Mesh::reserve` covering the coming
 //! growth, a loop of interior point insertions must perform zero heap
 //! allocations: the cavity BFS, border fan, spoke matching, and the
-//! incident-corner index all run out of reused storage.
+//! vertex hints all run out of reused storage.
 //!
 //! This file holds exactly one test so no sibling test thread can allocate
 //! inside the measurement window.

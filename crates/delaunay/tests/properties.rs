@@ -100,8 +100,8 @@ proptest! {
         prop_assert_eq!(a.triangles().len(), b.triangles().len());
     }
 
-    /// Inserting random interior points keeps the mesh consistent and
-    /// constrained-Delaunay.
+    /// Inserting random interior points keeps the mesh consistent (vertex
+    /// hints included, after every insertion) and constrained-Delaunay.
     #[test]
     fn random_insertions(extra in prop::collection::vec((0.05f64..0.95, 0.05f64..0.95), 1..40)) {
         let base = vec![
@@ -117,9 +117,79 @@ proptest! {
             if let Some(v) = mesh.insert_point(Point2::new(x, y), hint) {
                 hint = mesh.triangle_of_vertex(v).unwrap();
             }
+            mesh.check_consistency();
         }
+        prop_assert!(mesh.is_constrained_delaunay());
+    }
+
+    /// Splitting random edges of a random cloud's triangulation at their
+    /// midpoints, hull edges and constrained edges included, keeps the
+    /// mesh consistent after every split.
+    #[test]
+    fn random_edge_splits(pts in points(8..40), picks in prop::collection::vec((0usize..1000, 0u8..3, any::<bool>()), 1..12)) {
+        let (mut mesh, _) = match constrained_delaunay(&pts, &[], false) {
+            Ok(v) => v,
+            Err(_) => return Ok(()),
+        };
+        for (k, i, constrain) in picks {
+            let live: Vec<u32> = mesh.live_triangles().collect();
+            if live.is_empty() {
+                return Ok(());
+            }
+            let t = live[k % live.len()];
+            let (a, b) = mesh.edge_vertices(t, i);
+            if constrain {
+                mesh.constrain_edge(a, b);
+            }
+            let mid = Point2::new(
+                0.5 * (mesh.vertex(a as usize).x + mesh.vertex(b as usize).x),
+                0.5 * (mesh.vertex(a as usize).y + mesh.vertex(b as usize).y),
+            );
+            mesh.split_edge(t, i, mid);
+            mesh.check_consistency();
+        }
+    }
+
+    /// A chord between two far hull points of a random cloud crosses a
+    /// corridor of several triangles; forcing it in keeps the mesh
+    /// consistent.
+    #[test]
+    fn constraint_across_a_corridor(pts in points(12..60)) {
+        let mut all = pts.clone();
+        all.extend([Point2::new(-200.0, 0.5), Point2::new(200.0, -0.5)]);
+        let (mut mesh, map) = match constrained_delaunay(&all, &[], false) {
+            Ok(v) => v,
+            Err(_) => return Ok(()),
+        };
+        let (a, b) = (map[pts.len()], map[pts.len() + 1]);
+        prop_assume!(mesh.find_edge(a, b).is_none());
+        insert_constraint(&mut mesh, a, b).unwrap();
         mesh.check_consistency();
         prop_assert!(mesh.is_constrained_delaunay());
+    }
+
+    /// Carving a square hole out of a square with random points around
+    /// and inside the hole keeps the mesh consistent: the vertices inside
+    /// lose every triangle, and with them their hints.
+    #[test]
+    fn carve_with_a_hole(
+        ring in prop::collection::vec((-0.95f64..0.95, -0.95f64..0.95), 0..40),
+        hole in 0.1f64..0.6,
+    ) {
+        let mut pts: Vec<Point2> = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+            .into_iter()
+            .chain([(-hole, -hole), (hole, -hole), (hole, hole), (-hole, hole)])
+            .map(|(x, y)| Point2::new(x, y))
+            .collect();
+        pts.extend(ring.iter().map(|&(x, y)| Point2::new(x, y)));
+        let segs = [(0u32, 1u32), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)];
+        let (mut mesh, map) = constrained_delaunay(&pts, &segs, false).unwrap();
+        carve(&mut mesh, &[Point2::new(0.0, 0.0)]);
+        mesh.check_consistency();
+        for (q, &v) in pts.iter().zip(&map) {
+            let in_hole = q.x.abs() < hole && q.y.abs() < hole;
+            prop_assert_eq!(mesh.triangle_of_vertex(v).is_none(), in_hole);
+        }
     }
 
     /// A random chord forced into a random triangulation survives as a

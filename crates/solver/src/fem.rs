@@ -261,7 +261,7 @@ mod tests {
         let fixed: std::collections::HashSet<u32> = bc.values.keys().copied().collect();
         'row: for (k, &v) in sys.free_to_vertex.iter().enumerate() {
             // Skip rows whose stencil touches the boundary.
-            for t in mesh.triangles_around_vertex(v) {
+            for t in mesh.star(v) {
                 for &w in &mesh.tri(t as usize) {
                     if fixed.contains(&w) {
                         continue 'row;
