@@ -15,6 +15,7 @@
 //!
 //! Ids may be 0- or 1-based; both are accepted and normalized to 0-based.
 
+use crate::io::LineEncoder;
 use adm_geom::point::Point2;
 use adm_geom::pslg::Pslg;
 use std::io::{self, BufRead, Write};
@@ -119,21 +120,23 @@ pub fn read_poly<R: BufRead>(r: &mut R) -> io::Result<PolyFile> {
     })
 }
 
-/// Writes a `.poly` stream (0-based ids, no attributes/markers).
+/// Writes a `.poly` stream (0-based ids, no attributes/markers), with
+/// coordinates printed as [`crate::io::write_ascii`] prints them.
 pub fn write_poly<W: Write>(poly: &PolyFile, w: &mut W) -> io::Result<()> {
-    writeln!(w, "{} 2 0 0", poly.points.len())?;
-    for (i, p) in poly.points.iter().enumerate() {
-        writeln!(w, "{i} {:.17} {:.17}", p.x, p.y)?;
+    let mut enc = LineEncoder::new(w);
+    enc.ints(&[poly.points.len() as u64, 2, 0, 0])?;
+    for (i, &p) in poly.points.iter().enumerate() {
+        enc.vertex(i as u64, p)?;
     }
-    writeln!(w, "{} 0", poly.segments.len())?;
-    for (i, (a, b)) in poly.segments.iter().enumerate() {
-        writeln!(w, "{i} {a} {b}")?;
+    enc.ints(&[poly.segments.len() as u64, 0])?;
+    for (i, &(a, b)) in poly.segments.iter().enumerate() {
+        enc.ints(&[i as u64, a.into(), b.into()])?;
     }
-    writeln!(w, "{}", poly.holes.len())?;
-    for (i, h) in poly.holes.iter().enumerate() {
-        writeln!(w, "{i} {:.17} {:.17}", h.x, h.y)?;
+    enc.ints(&[poly.holes.len() as u64])?;
+    for (i, &h) in poly.holes.iter().enumerate() {
+        enc.vertex(i as u64, h)?;
     }
-    Ok(())
+    enc.finish()
 }
 
 #[cfg(test)]
@@ -174,6 +177,27 @@ mod tests {
         write_poly(&poly, &mut buf).unwrap();
         let back = read_poly(&mut buf.as_slice()).unwrap();
         assert_eq!(back, poly);
+    }
+
+    #[test]
+    fn written_text_is_std_formatting() {
+        let mut poly = two_squares();
+        poly.points[5] = Point2::new(-0.1, 1.0 / 3.0);
+        let mut buf = Vec::new();
+        write_poly(&poly, &mut buf).unwrap();
+        let mut want = format!("{} 2 0 0\n", poly.points.len());
+        for (i, p) in poly.points.iter().enumerate() {
+            want += &format!("{i} {:.17} {:.17}\n", p.x, p.y);
+        }
+        want += &format!("{} 0\n", poly.segments.len());
+        for (i, (a, b)) in poly.segments.iter().enumerate() {
+            want += &format!("{i} {a} {b}\n");
+        }
+        want += &format!(
+            "{}\n0 0.50000000000000000 0.50000000000000000\n",
+            poly.holes.len()
+        );
+        assert_eq!(String::from_utf8(buf).unwrap(), want);
     }
 
     #[test]

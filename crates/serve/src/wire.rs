@@ -26,7 +26,7 @@
 //! answering cheaply, never by buffering unboundedly or hanging up
 //! silently. Clients retry with their own policy.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Protocol tag expected at the start of every command line.
 pub const PROTO: &str = "ADMSERVE/1";
@@ -175,8 +175,15 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<WireResponse> {
         if nbytes > MAX_RESPONSE_BYTES {
             return Err(bad("response exceeds client cap"));
         }
-        let mut bytes = vec![0u8; nbytes];
-        r.read_exact(&mut bytes)?;
+        // Reserve, don't zero-fill: the payload overwrites every byte.
+        let mut bytes = Vec::with_capacity(nbytes);
+        r.take(nbytes as u64).read_to_end(&mut bytes)?;
+        if bytes.len() < nbytes {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "response payload cut short",
+            ));
+        }
         Ok(WireResponse::Ok {
             key: toks[0].to_string(),
             digest: toks[1].to_string(),
@@ -245,6 +252,21 @@ mod tests {
             read_response(&mut r).unwrap(),
             WireResponse::Err("multi line".into())
         );
+    }
+
+    #[test]
+    fn truncated_ok_payload_is_unexpected_eof() {
+        let mut buf = Vec::new();
+        write_ok(&mut buf, "k", "d", b"0123456789").unwrap();
+        for cut in [buf.len() - 1, buf.len() - 10] {
+            let mut r = BufReader::new(&buf[..cut]);
+            let err = read_response(&mut r).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+        // A byte count past the client cap is refused before any read.
+        let line = format!("OK k d {}\n", MAX_RESPONSE_BYTES + 1);
+        let err = read_response(&mut BufReader::new(line.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
