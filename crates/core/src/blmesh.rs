@@ -20,24 +20,20 @@ use adm_kernel::{GlobalVertexId, MeshArena};
 /// The vertex array *is* `arena`'s canonical point list — triangle
 /// triples already index it, and every vertex is stamped with its arena
 /// id — so there is no coordinate-bit rebuild here: the border loops
-/// resolve to vertex ids through the arena. A triangle on a cut line is
-/// reported by both leaves that touch it; the first report wins.
-/// `hole_seeds` are points strictly inside each element.
+/// resolve to vertex ids through the arena. The leaves' lists are
+/// concatenated: no triangle is reported by two leaves. Two leaves
+/// diverge at one cut, where one keeps circumcentres with `coord < at`
+/// and the other those with `coord >= at`, and both test the same
+/// canonical circumcentre bits (`adm_partition::triangulate_all`
+/// asserts this). A duplicate would fail `Mesh::from_triangles`'
+/// manifold proof. `hole_seeds` are points strictly inside each element.
 pub(crate) fn assemble_bl_mesh(
     arena: &MeshArena,
     layers: &[BoundaryLayer],
     hole_seeds: &[Point2],
     leaf_tris: impl IntoIterator<Item = Vec<[u32; 3]>>,
 ) -> Mesh {
-    let mut all_tris: Vec<[u32; 3]> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for t in leaf_tris.into_iter().flatten() {
-        let mut key = t;
-        key.sort_unstable();
-        if seen.insert(key) {
-            all_tris.push(t);
-        }
-    }
+    let all_tris: Vec<[u32; 3]> = leaf_tris.into_iter().flatten().collect();
     let mut mesh = Mesh::from_triangles(arena.points().to_vec(), all_tris);
     let prefix: Vec<GlobalVertexId> = (0..arena.len() as u32).map(GlobalVertexId).collect();
     mesh.stamp_prefix(&prefix);
@@ -64,7 +60,7 @@ pub(crate) fn assemble_bl_mesh(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adm_airfoil::naca0012_domain;
+    use adm_airfoil::{naca0012_domain, Pslg};
     use adm_blayer::{build_boundary_layer, BlParams, Geometric};
     use adm_geom::polygon::contains_point;
     use adm_mpirt::Pool;
@@ -73,6 +69,18 @@ mod tests {
     /// Decomposes one layer's cloud into `subdomains` leaves, triangulates
     /// each on `pool` and assembles the result.
     fn bl_mesh(layer: BoundaryLayer, seeds: &[Point2], subdomains: usize, pool: &Pool) -> Mesh {
+        bl_mesh_with(layer, seeds, subdomains, pool, 1)
+    }
+
+    /// [`bl_mesh`], with the first leaf's triangle list handed to the
+    /// assembly `first_leaf_copies` times.
+    fn bl_mesh_with(
+        layer: BoundaryLayer,
+        seeds: &[Point2],
+        subdomains: usize,
+        pool: &Pool,
+        first_leaf_copies: usize,
+    ) -> Mesh {
         let cloud = layer.all_points().to_vec();
         let mut arena = MeshArena::with_capacity(cloud.len());
         let ids = arena.intern_all(&cloud);
@@ -86,12 +94,14 @@ mod tests {
             "got {} leaves",
             leaves.len()
         );
-        let tris = leaves.iter().map(|l| triangulate_leaf_pooled(l, pool));
-        assemble_bl_mesh(&arena, &[layer], seeds, tris)
+        let first = triangulate_leaf_pooled(&leaves[0], pool);
+        let copies = std::iter::repeat_n(first, first_leaf_copies);
+        let rest = leaves[1..].iter().map(|l| triangulate_leaf_pooled(l, pool));
+        assemble_bl_mesh(&arena, &[layer], seeds, copies.chain(rest))
     }
 
-    #[test]
-    fn naca0012_bl_mesh_is_carved_and_conforming() {
+    /// A NACA 0012 domain and its boundary layer.
+    fn naca0012_layer() -> (Pslg, BoundaryLayer) {
         let domain = naca0012_domain(50, 30.0);
         let growth = Geometric::new(5e-4, 1.3);
         let bl = build_boundary_layer(
@@ -102,6 +112,19 @@ mod tests {
                 ..Default::default()
             },
         );
+        (domain, bl)
+    }
+
+    #[test]
+    #[should_panic(expected = "non-manifold edge")]
+    fn a_triangle_reported_twice_fails_assembly() {
+        let (domain, bl) = naca0012_layer();
+        bl_mesh_with(bl, &domain.hole_seeds(), 16, &Pool::new(0), 2);
+    }
+
+    #[test]
+    fn naca0012_bl_mesh_is_carved_and_conforming() {
+        let (domain, bl) = naca0012_layer();
         let outer_border = bl.outer_border().to_vec();
         let mesh = &bl_mesh(bl, &domain.hole_seeds(), 16, &Pool::new(2));
         mesh.check_consistency();

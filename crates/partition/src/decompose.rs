@@ -230,8 +230,9 @@ fn on_side(cc: Point2, cut: &Cut) -> bool {
     }
 }
 
-/// Triangulates every leaf and merges the results (deduplicating the rare
-/// identical all-path triangles that satisfy both sides' filters).
+/// Triangulates every leaf and concatenates the results, asserting that
+/// no triangle is reported twice: two leaves diverge at one cut, and the
+/// circumcentre filter keeps a triangle on exactly one side of it.
 pub fn triangulate_all(leaves: &[Subdomain]) -> Vec<[u32; 3]> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
@@ -239,9 +240,8 @@ pub fn triangulate_all(leaves: &[Subdomain]) -> Vec<[u32; 3]> {
         for t in triangulate_leaf(leaf) {
             let mut key = t;
             key.sort_unstable();
-            if seen.insert(key) {
-                out.push(t);
-            }
+            assert!(seen.insert(key), "triangle {t:?} reported by two leaves");
+            out.push(t);
         }
     }
     out
@@ -514,9 +514,8 @@ mod tests {
             for t in triangulate_leaf_pooled(leaf, &pool) {
                 let mut key = t;
                 key.sort_unstable();
-                if seen.insert(key) {
-                    merged.push(t);
-                }
+                assert!(seen.insert(key), "triangle {t:?} reported by two leaves");
+                merged.push(t);
             }
         }
         assert_eq!(canon(&merged), canon(&direct_dt(&pts)));
