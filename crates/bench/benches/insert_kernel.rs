@@ -2,11 +2,9 @@
 //!
 //! Exercises the zero-allocation insertion hot path in isolation:
 //!
-//! * `steady_state_50k`  — raw Bowyer-Watson inserts into a pre-built,
-//!   pre-reserved square (no hull growth, no location cold start): the
-//!   purest measure of the cavity kernel.
-//! * `incremental_50k`   — full incremental triangulation including hull
-//!   growth and scratch warm-up.
+//! * `steady_state_50k`  — raw Bowyer-Watson inserts into a two-triangle,
+//!   pre-reserved square (no location cold start): the purest measure of
+//!   the cavity kernel.
 //! * `ruppert_naca0012`  — Ruppert refinement of a fixed NACA 0012
 //!   subdomain: split_edge + circumcenter inserts through the same kernel.
 //! * `ruppert_graded_region` — one far-field rectangle with a marched
@@ -20,9 +18,8 @@
 use adm_airfoil::Naca4;
 use adm_core::build_sizing;
 use adm_decouple::{march_path, SizingFn};
-use adm_delaunay::incremental::triangulate_incremental;
 use adm_delaunay::refine::{refine, RefineParams};
-use adm_delaunay::{carve, constrained_delaunay};
+use adm_delaunay::{carve, constrained_delaunay, Mesh};
 use adm_geom::point::Point2;
 use adm_geom::pslg::Pslg;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -49,24 +46,13 @@ fn bench_steady_state(c: &mut Criterion) {
     ];
     c.bench_function("insert_kernel/steady_state_50k", |b| {
         b.iter(|| {
-            let mut mesh = triangulate_incremental(&square).unwrap();
+            let mut mesh = Mesh::from_triangles(square.clone(), vec![[0, 1, 2], [0, 2, 3]]);
             mesh.reserve(N, 2 * N + 64);
             let mut hint = mesh.any_triangle().unwrap();
             for &p in &cloud {
                 let v = mesh.insert_point(p, hint).expect("interior");
                 hint = mesh.triangle_of_vertex(v).unwrap_or(hint);
             }
-            std::hint::black_box(mesh.num_triangles())
-        })
-    });
-}
-
-fn bench_incremental(c: &mut Criterion) {
-    const N: usize = 50_000;
-    let cloud = random_cloud(N, 7);
-    c.bench_function("insert_kernel/incremental_50k", |b| {
-        b.iter(|| {
-            let mesh = triangulate_incremental(&cloud).unwrap();
             std::hint::black_box(mesh.num_triangles())
         })
     });
@@ -139,6 +125,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_steady_state, bench_incremental, bench_ruppert_naca, bench_ruppert_graded_region
+    targets = bench_steady_state, bench_ruppert_naca, bench_ruppert_graded_region
 }
 criterion_main!(benches);

@@ -3,7 +3,6 @@
 //! selection by shortest bounding-box edge vs a fixed axis).
 
 use adm_delaunay::divconq::triangulate_dc;
-use adm_delaunay::incremental::triangulate_incremental;
 use adm_geom::point::Point2;
 use adm_partition::{triangulate_leaf, CutAxis, DecomposeParams, Subdomain};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -90,18 +89,14 @@ fn bench_cut_axis(c: &mut Criterion) {
     g.finish();
 }
 
-/// Engine comparison: divide-and-conquer (Triangle's default) vs
-/// incremental insertion (Triangle's `-i`). DC should win, as Shewchuk
-/// reports.
+/// The construction engine, divide-and-conquer (Triangle's default), on
+/// unsorted random input.
 fn bench_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("engines");
     for n in [2_000usize, 20_000] {
         let pts = random_points(n, 1.0);
         g.bench_function(format!("divide_conquer_{n}"), |b| {
             b.iter(|| std::hint::black_box(triangulate_dc(&pts, false).triangles().len()))
-        });
-        g.bench_function(format!("incremental_{n}"), |b| {
-            b.iter(|| std::hint::black_box(triangulate_incremental(&pts).unwrap().num_triangles()))
         });
     }
     g.finish();

@@ -21,7 +21,7 @@
 //! address space, while the parallel run's deliverable is the verified
 //! shard set. The shard write itself is charged, parallel over ranks.
 
-use adm_bench::{maybe_write_snapshot_trace, phase_rows, scaling_config, write_json, Series};
+use adm_bench::{maybe_write_snapshot_trace, scaling_config, write_json, Series};
 use adm_core::{generate, TaskKind};
 use adm_simnet::{simulate, InitialDist, LinkModel, Schedule, SimConfig, SimResult, Task};
 use adm_trace::json::{obj, Value};
@@ -260,7 +260,7 @@ fn main() {
         "speedup": &speedup,
         "efficiency": &efficiency,
         // Trace-derived per-phase breakdown of the measured sequential run.
-        "trace_phases": Value::arr(&phase_rows(&result.trace)),
+        "trace_phases": Value::arr(&result.trace.phase_totals()),
         "paper_reference": "Fig 11: speedup ~180 at 256 ranks; Fig 12: ~80% at 128, ~70% at 256",
     };
     let path = write_json(

@@ -7,7 +7,7 @@
 //! constrained refinement, the "plain Triangle" role) and [`generate`]
 //! (full decomposed pipeline on one rank).
 
-use adm_bench::{maybe_write_trace, phase_rows, sequential_efficiency_excl_merge, write_json};
+use adm_bench::{maybe_write_trace, sequential_efficiency_excl_merge, write_json};
 use adm_core::{generate, generate_undecomposed, MeshConfig, TaskKind};
 use adm_trace::json::{obj, Value};
 
@@ -83,7 +83,7 @@ fn main() {
     );
 
     // Trace-derived per-phase breakdown of the best pipeline run.
-    let trace_phases = phase_rows(&pipe.trace);
+    let trace_phases = pipe.trace.phase_totals();
     println!("phase breakdown (trace-derived):");
     for row in &trace_phases {
         println!("  {:<24} x{:<5} {:>9.3}s", row.name, row.count, row.total_s);

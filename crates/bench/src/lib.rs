@@ -8,8 +8,7 @@ pub mod report;
 pub mod workloads;
 
 pub use report::{
-    maybe_write_snapshot_trace, maybe_write_trace, phase_rows, write_json, write_snapshot_trace,
-    PhaseRow, Series,
+    maybe_write_snapshot_trace, maybe_write_trace, write_json, write_snapshot_trace, Series,
 };
 pub use workloads::scaling_config;
 

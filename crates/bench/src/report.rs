@@ -57,37 +57,6 @@ pub fn write_artifact(name: &str, contents: &[u8]) -> std::io::Result<std::path:
     Ok(path)
 }
 
-/// One row of the per-phase summary embedded in bench reports: spans
-/// aggregated by name, largest total first.
-#[derive(Debug, Clone)]
-pub struct PhaseRow {
-    /// Span name (e.g. `task.inviscid_refine`).
-    pub name: String,
-    /// Number of closed spans with this name.
-    pub count: u64,
-    /// Summed duration in seconds.
-    pub total_s: f64,
-}
-
-impl From<&PhaseRow> for Value {
-    fn from(r: &PhaseRow) -> Value {
-        obj! { "name": r.name.as_str(), "count": r.count, "total_s": r.total_s }
-    }
-}
-
-/// The trace-derived per-phase breakdown of a run.
-pub fn phase_rows(tracer: &Tracer) -> Vec<PhaseRow> {
-    tracer
-        .phase_totals()
-        .into_iter()
-        .map(|p| PhaseRow {
-            name: p.name,
-            count: p.count,
-            total_s: p.total_s,
-        })
-        .collect()
-}
-
 /// Parses `--trace-out <path>` (or `--trace-out=<path>`) from this
 /// process's arguments. Every bench binary honors it.
 pub fn trace_out_arg() -> Option<PathBuf> {

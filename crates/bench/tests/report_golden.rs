@@ -3,8 +3,9 @@
 //! that had it) before `adm_trace::json` replaced it: the committed
 //! `bench_results/*.json` and fresh reports must keep one shape.
 
-use adm_bench::{PhaseRow, Series};
+use adm_bench::Series;
 use adm_trace::json::{obj, Value};
+use adm_trace::PhaseTotal;
 
 const GOLDEN: &str = r#"{
   "label": "tab\there",
@@ -51,12 +52,12 @@ fn report_sample_renders_as_before() {
     speedup.push(1.0, 1.0);
     speedup.push(2.0, 1.9);
     let phases = [
-        PhaseRow {
+        PhaseTotal {
             name: "task.inviscid_refine".into(),
             count: 640,
             total_s: 1.25,
         },
-        PhaseRow {
+        PhaseTotal {
             name: "phase.merge".into(),
             count: 1,
             total_s: 0.1 + 0.2,

@@ -1,15 +1,15 @@
 //! Golden canonical-mesh digests for every kernel path.
 //!
 //! The raw-speed layout pass (SoA coordinates, fused triangle records,
-//! batched predicate filters, BRIO insertion) promises *same bytes,
-//! faster*. These digests were pinned on the pre-layout code; any change
-//! that shifts a single canonical byte on the incremental, CDT, Ruppert,
-//! or full-pipeline path fails here. If a failure is intentional (a real
+//! batched predicate filters) promises *same bytes, faster*. These
+//! digests were pinned on the pre-layout code; any change that shifts a
+//! single canonical byte on the divide-and-conquer, CDT, Ruppert, or
+//! full-pipeline path fails here. If a failure is intentional (a real
 //! algorithm change, not a speed pass), re-pin with the printed digest.
 
 use adm_core::{generate, generate_parallel, sha256_hex, MeshConfig};
 use adm_delaunay::cdt::{carve, constrained_delaunay, insert_constraint};
-use adm_delaunay::incremental::triangulate_incremental;
+use adm_delaunay::divconq::triangulate_dc;
 use adm_delaunay::io::write_ascii_canonical;
 use adm_delaunay::mesh::Mesh;
 use adm_delaunay::refine::{refine, RefineParams};
@@ -41,13 +41,14 @@ fn cloud(seed: u64, n: usize) -> Vec<Point2> {
 }
 
 #[test]
-fn incremental_random_cloud_digest() {
-    let pts = cloud(42, 800);
-    let mesh = triangulate_incremental(&pts).expect("non-degenerate cloud");
+fn dc_random_cloud_digest() {
+    let dc = triangulate_dc(&cloud(42, 800), false);
+    let tris = dc.triangles();
+    let mesh = Mesh::from_triangles(dc.points, tris);
     assert_eq!(
         mesh_sha(&mesh),
         "16c0d68fcc5393d6d44afaacf08cc7f4ef3b951f991ddb387fc8a5be45a9c9d6",
-        "incremental kernel output drifted"
+        "divide-and-conquer kernel output drifted"
     );
 }
 

@@ -7,8 +7,6 @@
 //!   vertical cuts and a pre-sorted input fast path (paper §III);
 //! * [`mesh`] — adjacency-carrying triangle mesh with exact point location
 //!   and Bowyer–Watson cavity insertion;
-//! * [`brio`] — Hilbert-sorted biased randomized insertion order feeding
-//!   the bulk-insertion path (`Mesh::insert_batch`);
 //! * [`cdt`] — constraint segment insertion and Triangle-style carving of
 //!   concavities/holes;
 //! * [`mod@refine`] — Ruppert refinement with the `sqrt(2)` quality bound and
@@ -21,10 +19,8 @@
 //! struct and a [`refine::AreaFn`] closure as the area bound.
 
 pub mod bitset;
-pub mod brio;
 pub mod cdt;
 pub mod divconq;
-pub mod incremental;
 pub mod io;
 pub mod mesh;
 pub mod poly;
@@ -34,7 +30,6 @@ pub mod refine;
 
 pub use cdt::{carve, constrained_delaunay, insert_constraint, CdtError};
 pub use divconq::{delaunay_rec, merge_hulls, prepare_input, triangulate_dc, DcTriangulation};
-pub use incremental::triangulate_incremental;
 pub use mesh::{Location, Mesh, NonManifoldEdge, NIL};
 pub use poly::{read_poly, write_poly, PolyFile};
 pub use quality::{circumcenter, mesh_quality, tri_quality, MeshQuality, TriQuality};

@@ -553,13 +553,6 @@ impl Mesh {
         (self.tris[t as usize].con >> i) & 1 != 0
     }
 
-    /// Sets the constraint bit of edge `i` of triangle `t` (bit only; the
-    /// caller guarantees the edge is in the constrained set).
-    #[inline]
-    pub(crate) fn set_con_bit(&mut self, t: u32, i: u8) {
-        self.tris[t as usize].con |= 1 << i;
-    }
-
     /// All constrained edges (canonical pairs).
     pub fn constrained_edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.constrained.iter().copied()
@@ -1651,6 +1644,15 @@ mod tests {
             let q = p(k as f64 * 0.5, k as f64 * 0.5); // on the diagonal
             m.insert_point(q, hint);
         }
+        // Then the whole integer lattice: every unit square's corners are
+        // cocircular, and the corners and diagonal points are duplicates.
+        for i in 0..=4 {
+            for j in 0..=4 {
+                let hint = m.any_triangle().unwrap();
+                m.insert_point(p(i as f64, j as f64), hint);
+            }
+        }
+        assert_eq!(m.num_vertices(), 4 + 7 + 25 - 4 - 3);
         m.check_consistency();
         assert!(m.is_constrained_delaunay());
     }

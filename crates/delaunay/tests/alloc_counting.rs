@@ -1,15 +1,16 @@
 //! Steady-state insertion must not touch the heap.
 //!
-//! After a warm-up pass (which sizes the epoch-stamped scratch and the
-//! mesh's parallel arrays) and a `Mesh::reserve` covering the coming
-//! growth, a loop of interior point insertions must perform zero heap
-//! allocations: the cavity BFS, border fan, spoke matching, and the
-//! vertex hints all run out of reused storage.
+//! After a warm-up mesh (a divide-and-conquer triangulation) and a
+//! `Mesh::reserve` covering the coming growth (which also sizes the
+//! epoch-stamped scratch), a loop of interior point insertions must
+//! perform zero heap allocations: the cavity BFS, border fan, spoke
+//! matching, and the vertex hints all run out of reused storage.
 //!
 //! This file holds exactly one test so no sibling test thread can allocate
 //! inside the measurement window.
 
-use adm_delaunay::incremental::triangulate_incremental;
+use adm_delaunay::divconq::triangulate_dc;
+use adm_delaunay::mesh::Mesh;
 use adm_geom::point::Point2;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +75,9 @@ fn steady_state_insertions_do_not_allocate() {
         Point2::new(0.0, 1.0),
     ];
     pts.extend(halton_points(WARMUP, 0));
-    let mut mesh = triangulate_incremental(&pts).unwrap();
+    let dc = triangulate_dc(&pts, false);
+    let tris = dc.triangles();
+    let mut mesh = Mesh::from_triangles(dc.points, tris);
 
     // Pre-generate the measured batch and pre-size every growable array:
     // each interior insert adds one vertex and a net two triangles, plus

@@ -17,7 +17,7 @@ fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point2>> {
 
 /// Grid-ish points maximize cocircular degeneracies.
 fn grid_points() -> impl Strategy<Value = Vec<Point2>> {
-    (2usize..8, 2usize..8, -5i32..5).prop_map(|(nx, ny, off)| {
+    (2usize..9, 2usize..9, -5i32..5).prop_map(|(nx, ny, off)| {
         let mut v = Vec::new();
         for i in 0..nx {
             for j in 0..ny {
@@ -29,6 +29,44 @@ fn grid_points() -> impl Strategy<Value = Vec<Point2>> {
         }
         v
     })
+}
+
+/// Exactly collinear points plus two off-line apexes: the merge steps of
+/// divide-and-conquer meet exact orient2d zeros along the strip.
+fn collinear_strip_with_apexes() -> Vec<Point2> {
+    let mut pts: Vec<Point2> = (0..20).map(|i| Point2::new(i as f64, 0.0)).collect();
+    pts.extend([Point2::new(9.5, 7.0), Point2::new(9.5, -4.0)]);
+    pts
+}
+
+/// A random cloud seasoned with degeneracies: some points repeated
+/// verbatim, some dropped onto one exactly horizontal line.
+fn seasoned_cloud() -> impl Strategy<Value = Vec<Point2>> {
+    let base = prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..300);
+    let dups = prop::collection::vec(0usize..4096, 0..10);
+    let collinear = prop::collection::vec(0.0f64..100.0, 0..12);
+    (base, dups, collinear).prop_map(|(base, dups, collinear)| {
+        let mut pts: Vec<Point2> = base.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+        for i in dups {
+            pts.push(pts[i % pts.len()]);
+        }
+        pts.extend(collinear.iter().map(|&x| Point2::new(x, 0.0)));
+        pts
+    })
+}
+
+/// Order-free form of a triangle set: each triangle as the sorted
+/// coordinate bits of its corners, the triangles sorted.
+fn canon(tris: impl Iterator<Item = [Point2; 3]>) -> Vec<[(u64, u64); 3]> {
+    let mut v: Vec<[(u64, u64); 3]> = tris
+        .map(|t| {
+            let mut c = t.map(|q| (q.x.to_bits(), q.y.to_bits()));
+            c.sort_unstable();
+            c
+        })
+        .collect();
+    v.sort_unstable();
+    v
 }
 
 fn assert_is_delaunay(points: &[Point2], tris: &[[u32; 3]]) {
@@ -52,9 +90,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every DC triangulation satisfies the empty-circumcircle property
-    /// and the Euler relation.
+    /// and the Euler relation, on random clouds and on a collinear strip.
     #[test]
-    fn dc_triangulation_is_delaunay(pts in points(3..60)) {
+    fn dc_triangulation_is_delaunay(pts in prop_oneof![points(3..60), Just(collinear_strip_with_apexes())]) {
         let dc = triangulate_dc(&pts, false);
         let tris = dc.triangles();
         assert_is_delaunay(&dc.points, &tris);
@@ -120,6 +158,41 @@ proptest! {
             mesh.check_consistency();
         }
         prop_assert!(mesh.is_constrained_delaunay());
+    }
+
+    /// The Ruppert insertion kernel builds the Delaunay triangulation:
+    /// `insert_point`, one point at a time into a two-triangle start quad,
+    /// gives bit for bit the triangle set divide-and-conquer builds from
+    /// quad and cloud at once. The cloud lies strictly inside the quad and
+    /// no four of the quad's corners are cocircular, so that triangulation
+    /// is unique. Duplicates resolve to their vertex; points on the
+    /// horizontal line land on edges and go through `split_edge`.
+    #[test]
+    fn insert_point_matches_divide_and_conquer(cloud in seasoned_cloud()) {
+        let quad = vec![
+            Point2::new(-1.0, -1.0),
+            Point2::new(104.0, -3.0),
+            Point2::new(101.0, 101.0),
+            Point2::new(-3.0, 104.0),
+        ];
+        // The diagonal 0-2 is the Delaunay one.
+        assert!(incircle(quad[0], quad[1], quad[2], quad[3]) < 0.0);
+        let mut mesh = Mesh::from_triangles(quad.clone(), vec![[0, 1, 2], [0, 2, 3]]);
+        let mut hint = mesh.any_triangle().unwrap();
+        for &q in &cloud {
+            let v = mesh.insert_point(q, hint).expect("cloud point inside the quad");
+            hint = mesh.triangle_of_vertex(v).unwrap();
+        }
+        mesh.check_consistency();
+        let mut all = quad;
+        all.extend_from_slice(&cloud);
+        let dc = triangulate_dc(&all, false);
+        let inserted = mesh
+            .live_triangles()
+            .map(|t| mesh.tri(t as usize).map(|i| mesh.vertex(i as usize)));
+        let built = dc.triangles().into_iter().map(|t| t.map(|i| dc.points[i as usize]));
+        prop_assert_eq!(mesh.num_vertices(), dc.points.len());
+        prop_assert_eq!(canon(inserted), canon(built));
     }
 
     /// Splitting random edges of a random cloud's triangulation at their

@@ -240,6 +240,13 @@ pub struct PhaseTotal {
     pub total_s: f64,
 }
 
+/// The `trace_phases` row of a bench report.
+impl From<&PhaseTotal> for json::Value {
+    fn from(p: &PhaseTotal) -> json::Value {
+        json::obj! { "name": p.name.as_str(), "count": p.count, "total_s": p.total_s }
+    }
+}
+
 #[derive(Default)]
 struct State {
     spans: Vec<Span>,
