@@ -247,9 +247,13 @@ mod tests {
             (0.5, -0.7),
             (1.0, 1.0),
         ];
-        let mut donor = Mesh::from_triangles(pts.map(|(x, y)| p(x, y)).to_vec(), Vec::new());
-        for v in 0..5 {
-            donor.constrain_edge(v, v + 1);
+        let mut donor = Mesh::from_triangles(
+            pts.map(|(x, y)| p(x, y)).to_vec(),
+            vec![[2, 3, 1], [2, 1, 0], [2, 0, 5], [4, 3, 2]],
+        );
+        // Its hull, which passes through every point.
+        for (a, b) in [(4, 3), (3, 1), (1, 0), (0, 5), (5, 2), (2, 4)] {
+            donor.constrain_edge(a, b);
         }
         assert_eq!(propagate_interface_splits(&mut bl, &donor, &[border]), 3);
         bl.check_consistency();

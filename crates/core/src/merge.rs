@@ -46,9 +46,8 @@ pub struct MeshMerger<'a> {
     parts: Vec<&'a Mesh>,
     /// The parts' local -> merged vertex maps, concatenated in part order
     /// (one entry per part vertex; [`UNRESOLVED`] for a vertex no live
-    /// triangle or constraint uses).
+    /// triangle uses).
     maps: Vec<u32>,
-    constrained: Vec<(u32, u32)>,
     /// Canonical coordinate bits -> merged vertex (the hashing path).
     index: HashMap<(u64, u64), u32>,
     /// Arena id -> merged vertex (the splicing path).
@@ -82,7 +81,6 @@ impl<'a> MeshMerger<'a> {
             vertices: Vec::with_capacity(vertices),
             parts: Vec::with_capacity(16),
             maps: Vec::with_capacity(vertices),
-            constrained: Vec::with_capacity(vertices / 2 + 16),
             index: HashMap::with_capacity(arena_len + vertices / 8 + 16),
             global_map: vec![UNRESOLVED; arena_len],
             meta_gid: Vec::with_capacity(vertices),
@@ -197,15 +195,13 @@ impl<'a> MeshMerger<'a> {
         self.parts.push(mesh);
         self.shared_mark.clear();
         self.shared_mark.resize(n, false);
-        // Pass 1: mark the shared-vertex frontier. Marking commutes, so
-        // the constraint set's hash-random iteration order cannot leak
-        // into the merged vertex order (two identical runs must produce
-        // bitwise-identical vertex arrays).
+        // Pass 1: mark the shared-vertex frontier, the constrained-edge
+        // endpoints. Every one is a corner of a live triangle.
         for (a, b) in mesh.constrained_edges() {
             self.shared_mark[a as usize] = true;
             self.shared_mark[b as usize] = true;
         }
-        // Pass 2: triangle corners, in deterministic live order.
+        // Pass 2: triangle corners, in live order.
         for t in mesh.live_triangles() {
             for v in mesh.tri(t as usize) {
                 if self.maps[base + v as usize] == UNRESOLVED {
@@ -216,19 +212,6 @@ impl<'a> MeshMerger<'a> {
                     };
                 }
             }
-        }
-        // Pass 3: constrained edges. Endpoints referenced by no live
-        // triangle (possible after carving) resolve here — order within
-        // this pass only affects the constraint list, whose consumer is
-        // itself a set.
-        for (a, b) in mesh.constrained_edges() {
-            for v in [a, b] {
-                if self.maps[base + v as usize] == UNRESOLVED {
-                    self.maps[base + v as usize] = self.resolve_shared(mesh, v);
-                }
-            }
-            self.constrained
-                .push((self.maps[base + a as usize], self.maps[base + b as usize]));
         }
     }
 
@@ -255,7 +238,6 @@ impl<'a> MeshMerger<'a> {
             vertices,
             parts,
             maps,
-            constrained,
             meta_gid,
             meta_shared,
             extra_gids,
@@ -293,11 +275,6 @@ impl<'a> MeshMerger<'a> {
             UNRESOLVED => UNRESOLVED,
             m => cmap[m as usize],
         }));
-        self.constrained.extend(
-            constrained
-                .into_iter()
-                .map(|(a, b)| (cmap[a as usize], cmap[b as usize])),
-        );
     }
 
     /// Every part with its slice of `maps`, in splice order.
@@ -311,20 +288,16 @@ impl<'a> MeshMerger<'a> {
     }
 
     /// Finalizes into a global [`Mesh`] with [`Mesh::splice`]: each part's
-    /// adjacency is kept, and only half-edges between vertices that two or
-    /// more parts reference are linked or checked. Private vertices are
-    /// never aliased, so no other edge can be shared, and the manifoldness
-    /// proof is as complete as a rebuild from the triangle soup. Returns
-    /// the first non-manifold edge if the union has one (an interface
-    /// mismatch).
+    /// adjacency and constraint bits are kept, and only half-edges between
+    /// vertices that two or more parts reference are linked or checked.
+    /// Private vertices are never aliased, so no other edge can be shared,
+    /// and the manifoldness proof is as complete as a rebuild from the
+    /// triangle soup. Returns the first non-manifold edge if the union has
+    /// one (an interface mismatch).
     pub fn try_finish(mut self) -> Result<Mesh, NonManifoldEdge> {
         let vertices = std::mem::take(&mut self.vertices);
         let parts: Vec<(&Mesh, &[u32])> = self.part_maps().collect();
-        let mut mesh = Mesh::splice(vertices, &parts)?;
-        for &(a, b) in &self.constrained {
-            mesh.constrain_edge(a, b);
-        }
-        Ok(mesh)
+        Mesh::splice(vertices, &parts)
     }
 
     /// [`MeshMerger::try_finish`] for unions known to be manifold.
@@ -442,7 +415,8 @@ mod tests {
 
     /// The finish before the splice, kept as the oracle: the parts' live
     /// triangles, mapped, as one soup through [`Mesh::from_triangles`],
-    /// then the constraint list.
+    /// then every part's constrained edges, mapped, constrained in the
+    /// union (an edge is constrained iff some part constrains it).
     fn soup_finish(merger: &MeshMerger) -> Mesh {
         let soup: Vec<[u32; 3]> = merger
             .part_maps()
@@ -452,8 +426,10 @@ mod tests {
             })
             .collect();
         let mut mesh = Mesh::from_triangles(merger.vertices.clone(), soup);
-        for &(a, b) in &merger.constrained {
-            mesh.constrain_edge(a, b);
+        for (part, map) in merger.part_maps() {
+            for (a, b) in part.constrained_edges() {
+                mesh.constrain_edge(map[a as usize], map[b as usize]);
+            }
         }
         mesh
     }
@@ -547,7 +523,7 @@ mod tests {
         let mut m = MeshMerger::new();
         m.add_mesh_spliced(&left);
         let merged = m.finish();
-        assert_eq!(merged.num_constrained(), 1);
+        assert_eq!(merged.constrained_edges().count(), 1);
     }
 
     /// Two triangulations of the same (border-constrained) square with
@@ -644,7 +620,10 @@ mod tests {
         let merged = m.finish();
         assert_eq!(merged.num_vertices(), mesh.num_vertices());
         assert_eq!(merged.num_triangles(), mesh.num_triangles());
-        assert_eq!(merged.num_constrained(), mesh.num_constrained());
+        assert_eq!(
+            merged.constrained_edges().count(),
+            mesh.constrained_edges().count()
+        );
         assert_eq!(
             check_conformity(&merged),
             check_conformity(&mesh),
@@ -701,6 +680,41 @@ mod tests {
         assert_eq!(merged.num_triangles(), 2);
         merged.check_consistency();
         assert_eq!(check_conformity(&merged).interior_edges, 1);
+    }
+
+    #[test]
+    fn an_interface_edge_one_part_constrains_is_constrained_on_both_sides() {
+        // The stamped pair of `spliced_merge_dedups_by_stamp`; only the
+        // left part constrains the shared edge.
+        let mut left =
+            Mesh::from_triangles(vec![p(0.0, 0.0), p(1.0, 0.0), p(0.5, 1.0)], vec![[0, 1, 2]]);
+        left.stamp_prefix(&[0, 1, 2].map(GlobalVertexId));
+        left.constrain_edge(0, 1);
+        let mut right = Mesh::from_triangles(
+            vec![p(0.0, 0.0), p(0.5, -1.0), p(1.0, 0.0)],
+            vec![[0, 1, 2]],
+        );
+        right.stamp_prefix(&[0, 3, 1].map(GlobalVertexId));
+        for flip in [false, true] {
+            let mut m = MeshMerger::with_capacity(4, 4);
+            let (first, second) = if flip {
+                (&right, &left)
+            } else {
+                (&left, &right)
+            };
+            m.add_mesh_spliced(first);
+            m.add_mesh_spliced(second);
+            let merged = finish_checked(m, &format!("flip={flip}"));
+            // Both sides carry the bit: the edge is interior, and
+            // `check_consistency` holds twins to equal bits.
+            merged.check_consistency();
+            let edges: Vec<(u32, u32)> = merged.constrained_edges().collect();
+            let ends = edges
+                .iter()
+                .map(|&(a, b)| [a, b].map(|v| merged.vertex(v as usize)));
+            assert_eq!(ends.collect::<Vec<_>>(), [[p(0.0, 0.0), p(1.0, 0.0)]]);
+            assert_eq!(check_conformity(&merged).interior_edges, 1);
+        }
     }
 
     #[test]
@@ -868,9 +882,8 @@ mod tests {
     fn a_part_aliasing_its_own_vertices_matches_the_soup_build() {
         // Two coincident constrained corners of one part collapse onto
         // one pinched (but manifold) merged vertex. The result equals the
-        // soup build, constraint bits included: the constrained-edge pass
-        // sees only one fan of a pinched vertex, so the part's own bits
-        // must not be carried over.
+        // soup build, constraint bits included, although the pinched
+        // vertex's star walks only one of its two fans.
         let mut part = Mesh::from_triangles(
             vec![
                 p(0.0, 0.0),

@@ -398,8 +398,7 @@ fn load_shards(dir: &Path, manifest: &ShardManifest) -> io::Result<(ConsistencyR
 
 /// The stamped constrained-edge endpoints of `mesh` as `(gid, canonical
 /// coordinate bits)`, sorted and deduplicated — the vertices another
-/// shard may share by stamp, in an order independent of the constraint
-/// set's hash order.
+/// shard may share by stamp, once each, in gid order.
 fn stamped_interface(mesh: &Mesh) -> Vec<(u32, (u64, u64))> {
     let mut claims: Vec<(u32, (u64, u64))> = mesh
         .constrained_edges()

@@ -6,11 +6,12 @@
 //! border (and inside holes such as the airfoil interior) — the same
 //! post-pass Shewchuk's Triangle performs for PSLG input.
 
+use crate::bitset::BitSet;
 use crate::divconq::triangulate_dc;
 use crate::mesh::{edge_key, Location, Mesh, NIL};
 use adm_geom::point::Point2;
 use adm_geom::predicates::{incircle_one, orient2d_batch, orient2d_one};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Errors from constrained triangulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,15 +209,15 @@ fn between(a: Point2, b: Point2, p: Point2) -> bool {
 /// Retriangulates the corridor of `crossed` triangles for constraint
 /// `(a, b)` with side chains `upper` (left) and `lower` (right).
 fn finish_corridor(mesh: &mut Mesh, a: u32, b: u32, crossed: &[u32], upper: &[u32], lower: &[u32]) {
-    // Record external border adjacency before killing anything.
-    let dead: HashSet<u32> = crossed.iter().copied().collect();
-    let mut border: HashMap<(u32, u32), u32> = HashMap::new();
+    // Record external border adjacency, with each edge's constraint bit,
+    // before killing anything.
+    let mut border: Vec<(u32, u32, u32, bool)> = Vec::with_capacity(crossed.len() + 2);
     for &t in crossed {
         for i in 0..3u8 {
             let n = mesh.tris[t as usize].n[i as usize];
-            if n == NIL || !dead.contains(&n) {
+            if n == NIL || !crossed.contains(&n) {
                 let (u, v) = mesh.edge_vertices(t, i);
-                border.insert((u, v), n);
+                border.push((u, v, n, mesh.is_constrained_tri(t, i)));
             }
         }
     }
@@ -226,8 +227,7 @@ fn finish_corridor(mesh: &mut Mesh, a: u32, b: u32, crossed: &[u32], upper: &[u3
     // is on its left; the chain order must run from b to a.
     let lower_rev: Vec<u32> = lower.iter().rev().copied().collect();
     retriangulate_chain(mesh, b, a, &lower_rev, &mut new_tris);
-    let crossed_vec: Vec<u32> = crossed.to_vec();
-    mesh.replace_cavity(&crossed_vec, &new_tris, &border);
+    mesh.replace_cavity(crossed, &new_tris, &border);
 }
 
 /// Anglada's pseudo-polygon triangulation: the polygon is bounded by the
@@ -255,18 +255,23 @@ fn retriangulate_chain(mesh: &Mesh, a: u32, b: u32, verts: &[u32], out: &mut Vec
 /// Carves the mesh to its constrained region: removes every triangle
 /// reachable from the outer boundary (or from a hole seed point) without
 /// crossing a constrained edge. This mirrors Triangle's `-p` behaviour of
-/// discarding concavity and hole triangles.
+/// discarding concavity and hole triangles. A constrained edge both of
+/// whose triangles are removed is no longer carried, so it stops being
+/// constrained.
 pub fn carve(mesh: &mut Mesh, holes: &[Point2]) {
-    let mut outside: HashSet<u32> = HashSet::new();
+    let mut outside = BitSet::with_len(mesh.num_slots(), false);
     let mut stack: Vec<u32> = Vec::new();
+    let mut mark = |t: u32, stack: &mut Vec<u32>| {
+        if !outside.get(t as usize) {
+            outside.set(t as usize, true);
+            stack.push(t);
+        }
+    };
     // Seeds: every triangle with an unconstrained boundary (NIL) edge.
     for t in mesh.live_triangles() {
         for i in 0..3u8 {
-            if mesh.tris[t as usize].n[i as usize] == NIL
-                && !mesh.is_constrained_tri(t, i)
-                && outside.insert(t)
-            {
-                stack.push(t);
+            if mesh.tris[t as usize].n[i as usize] == NIL && !mesh.is_constrained_tri(t, i) {
+                mark(t, &mut stack);
             }
         }
     }
@@ -276,26 +281,22 @@ pub fn carve(mesh: &mut Mesh, holes: &[Point2]) {
             if let Location::InTriangle(t) | Location::OnEdge(t, _) =
                 mesh.walk_from(start, h, false)
             {
-                if outside.insert(t) {
-                    stack.push(t);
-                }
+                mark(t, &mut stack);
             }
         }
     }
     while let Some(t) = stack.pop() {
         for i in 0..3u8 {
             let n = mesh.tris[t as usize].n[i as usize];
-            if n == NIL || outside.contains(&n) {
-                continue;
+            if n != NIL && !mesh.is_constrained_tri(t, i) {
+                mark(n, &mut stack);
             }
-            if mesh.is_constrained_tri(t, i) {
-                continue;
-            }
-            outside.insert(n);
-            stack.push(n);
         }
     }
-    mesh.remove_triangles(&outside);
+    let dead: Vec<u32> = (0..mesh.num_slots() as u32)
+        .filter(|&t| outside.get(t as usize))
+        .collect();
+    mesh.remove_triangles(&dead);
 }
 
 #[cfg(test)]
@@ -438,6 +439,43 @@ mod tests {
             })
             .sum();
         assert!((total_area - (36.0 - 4.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn carving_drops_a_segment_inside_a_hole() {
+        // Outer square, hole square, and a segment wholly inside the hole:
+        // the hole's flood passes round the segment's ends and removes
+        // both its triangles, so no triangle carries it any more.
+        let pts = vec![
+            p(0.0, 0.0),
+            p(6.0, 0.0),
+            p(6.0, 6.0),
+            p(0.0, 6.0),
+            p(2.0, 2.0),
+            p(4.0, 2.0),
+            p(4.0, 4.0),
+            p(2.0, 4.0),
+            p(2.5, 3.0),
+            p(3.5, 3.0),
+        ];
+        let mut segs: Vec<(u32, u32)> = (0..4).map(|k| (k, (k + 1) % 4)).collect();
+        segs.extend((0..4).map(|k| (4 + k, 4 + (k + 1) % 4)));
+        segs.push((8, 9));
+        let (mut mesh, map) = constrained_delaunay(&pts, &segs, false).unwrap();
+        assert_eq!(mesh.constrained_edges().count(), 9);
+        carve(&mut mesh, &[p(3.0, 2.5)]);
+        mesh.check_consistency();
+        let mut edges: Vec<(u32, u32)> = mesh.constrained_edges().collect();
+        edges.sort_unstable();
+        let mut want: Vec<(u32, u32)> = segs[..8]
+            .iter()
+            .map(|&(a, b)| edge_key(map[a as usize], map[b as usize]))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(edges, want, "only carried edges are constrained");
+        for (a, b) in edges {
+            assert!(mesh.is_constrained(a, b), "({a},{b}) has no triangle");
+        }
     }
 
     #[test]

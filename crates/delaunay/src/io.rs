@@ -370,10 +370,12 @@ const BINARY_MAGIC_V1: &[u8; 8] = b"ADM2DM01";
 const BINARY_MAGIC_V2: &[u8; 8] = b"ADM2DM02";
 /// Version-3 binary magic, the one [`write_binary`] emits: a constraint
 /// count and a flags byte after the v1 counts, the stamp table when the
-/// flags say so, and a sorted constrained-edge section after the
-/// triangles. v1/v2 dropped the constraint set, which made them unusable
-/// as shard formats — the spliced merge keys its shared vertices off
-/// constrained-edge endpoints.
+/// flags say so, and a constrained-edge section after the triangles: the
+/// constrained edges of the mesh as canonical pairs `(a, b)`, `a < b`, in
+/// ascending order. Every pair is an edge of the mesh; [`read_binary`]
+/// refuses one that is not. v1/v2 dropped the constraints, which made
+/// them unusable as shard formats — the spliced merge keys its shared
+/// vertices off constrained-edge endpoints.
 const BINARY_MAGIC_V3: &[u8; 8] = b"ADM2DM03";
 
 /// Stamp-table-present bit in the v3 flags byte.
@@ -385,10 +387,13 @@ const V3_FLAG_STAMPS: u8 = 1;
 pub fn write_binary<W: Write>(mesh: &Mesh, w: &mut W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
     let stamped = mesh.has_global_ids();
+    // The format lists the edges sorted, not in slot order.
+    let mut edges: Vec<(u32, u32)> = mesh.constrained_edges().collect();
+    edges.sort_unstable();
     w.write_all(BINARY_MAGIC_V3)?;
     w.write_all(&(mesh.num_vertices() as u64).to_le_bytes())?;
     w.write_all(&(mesh.num_triangles() as u64).to_le_bytes())?;
-    w.write_all(&(mesh.num_constrained() as u64).to_le_bytes())?;
+    w.write_all(&(edges.len() as u64).to_le_bytes())?;
     w.write_all(&[if stamped { V3_FLAG_STAMPS } else { 0 }])?;
     for i in 0..mesh.num_vertices() {
         let v = mesh.vertex(i);
@@ -408,10 +413,6 @@ pub fn write_binary<W: Write>(mesh: &Mesh, w: &mut W) -> io::Result<()> {
             w.write_all(&vi.to_le_bytes())?;
         }
     }
-    // Sorted so the encoding is a pure function of the constraint *set* —
-    // the in-memory HashSet iterates in per-process order.
-    let mut edges: Vec<(u32, u32)> = mesh.constrained_edges().collect();
-    edges.sort_unstable();
     for (a, b) in edges {
         w.write_all(&a.to_le_bytes())?;
         w.write_all(&b.to_le_bytes())?;
@@ -509,6 +510,12 @@ pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Mesh> {
                 "constrained edge references missing vertex",
             ));
         }
+        if mesh.locate_edge(a, b).is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("constrained edge ({a},{b}) is not an edge of the mesh"),
+            ));
+        }
         mesh.constrain_edge(a, b);
     }
     Ok(mesh)
@@ -546,9 +553,8 @@ pub fn write_svg<W: Write>(mesh: &Mesh, w: &mut W, width: f64) -> io::Result<()>
         )?;
     }
     writeln!(w, "</g>")?;
-    // Constrained edges highlighted, sorted so the document is
-    // byte-for-byte reproducible (the constraint set iterates in hash
-    // order).
+    // Constrained edges highlighted, in ascending pair order rather than
+    // slot order, as the document has always listed them.
     writeln!(w, "<g stroke=\"#c33\" stroke-width=\"0.9\" fill=\"none\">")?;
     let mut constrained: Vec<(u32, u32)> = mesh.constrained_edges().collect();
     constrained.sort_unstable();
@@ -844,7 +850,7 @@ mod tests {
             // A duplicate of vertex 0 that no triangle uses, and a few dead
             // slots whose vertices may go unused.
             mesh.insert_point(Point2::new(1e-9 * scale, 0.5), 0);
-            let dead: std::collections::HashSet<u32> =
+            let dead: Vec<u32> =
                 mesh.live_triangles().take(kills.min(mesh.num_triangles() - 1)).collect();
             mesh.remove_triangles(&dead);
             for canonical in [false, true] {
@@ -950,7 +956,10 @@ mod tests {
             e.sort_unstable();
             e
         };
-        assert!(mesh.num_constrained() > 0, "sample mesh is constrained");
+        assert!(
+            mesh.constrained_edges().count() > 0,
+            "sample mesh is constrained"
+        );
         assert_eq!(edges(&back), edges(&mesh));
         back.check_consistency();
     }
@@ -1092,9 +1101,12 @@ mod tests {
         assert_eq!(back.global_id(0), Some(GlobalVertexId(7)));
         assert_eq!(back.global_id(1), None);
         assert_eq!(back.global_id(3), Some(GlobalVertexId(42)));
-        assert_eq!(back.num_constrained(), mesh.num_constrained());
+        assert_eq!(
+            back.constrained_edges().count(),
+            mesh.constrained_edges().count()
+        );
         // Writing twice gives identical bytes: the edge section is
-        // sorted, not HashSet-ordered.
+        // sorted, not in slot order.
         let mut again = Vec::new();
         write_binary(&back, &mut again).unwrap();
         assert_eq!(buf, again);

@@ -15,7 +15,7 @@ use crate::bitset::BitSet;
 use adm_geom::point::Point2;
 use adm_geom::predicates::{incircle, incircle_batch, orient2d, orient2d_batch, orient2d_one};
 use adm_kernel::GlobalVertexId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Sentinel for "no neighbor" (mesh boundary).
 pub const NIL: u32 = u32::MAX;
@@ -84,8 +84,10 @@ pub(crate) struct InsertScratch {
     pub(crate) stack: Vec<u32>,
     /// Cavity triangles in BFS pop order (the kill order).
     pub(crate) cavity: Vec<u32>,
-    /// Border edges `(u, v, external)` as seen from inside the cavity.
-    pub(crate) border: Vec<(u32, u32, u32)>,
+    /// Border edges `(u, v, external, con)` as seen from inside the
+    /// cavity: `con` is the dead triangle's constraint bit for the edge,
+    /// which the new triangle on it inherits.
+    pub(crate) border: Vec<(u32, u32, u32, bool)>,
     /// Open fan spokes `(other_vertex, outgoing, tri, edge_idx)` awaiting
     /// their twin; a linear-probed substitute for the old spoke `HashMap`
     /// (each spoke matches exactly once, so order cannot matter).
@@ -155,10 +157,10 @@ pub(crate) struct TriRec {
     pub v: [u32; 3],
     /// `n[i]` = triangle across the edge opposite corner `i` (NIL = hull).
     pub n: [u32; 3],
-    /// Constraint bitmask: bit `i` set iff edge `i` is constrained.
-    /// Mirrors the `constrained` set for all live triangle edges so the
-    /// hot paths never hash; the set remains the source of truth for
-    /// edges that do not (yet) exist in the triangulation.
+    /// Constraint bitmask: bit `i` set iff edge `i` is constrained. The
+    /// only record of constrained edges: both triangles on an interior
+    /// edge carry the same bit, and an edge no live triangle carries is
+    /// not constrained.
     pub con: u8,
 }
 
@@ -224,8 +226,6 @@ pub struct Mesh {
     free: Vec<u32>,
     /// Some live triangle incident to each vertex (NIL when none is).
     vert_tri: Vec<u32>,
-    /// Constrained (fixed) edges as canonical vertex pairs.
-    constrained: HashSet<(u32, u32)>,
     /// Arena identity stamps per vertex (raw [`GlobalVertexId`] values,
     /// [`GlobalVertexId::NONE_RAW`] = unstamped). May be *shorter* than
     /// the vertex count: refinement Steiner points appended after stamping
@@ -300,8 +300,10 @@ impl Mesh {
     /// vertex no live triangle uses). The result is the state
     /// [`Mesh::try_from_triangles`] builds from the parts' live triangles,
     /// mapped, in part and slot order — same slots, vertex hints and
-    /// adjacency, and like it no constrained edges: the caller constrains
-    /// the union's edges afterwards, as after [`Mesh::from_triangles`].
+    /// adjacency. Each triangle keeps its part's constraint bits, and the
+    /// two sides of an edge linked across parts carry the bit when either
+    /// did: an edge of the union is constrained iff some part constrains
+    /// it.
     ///
     /// Each part is a conforming mesh, so its adjacency is copied, not
     /// re-derived. A vertex only one part references has all its
@@ -364,7 +366,7 @@ impl Mesh {
                 mesh.tris.push(TriRec {
                     v,
                     n: rec.n.map(|x| if x == NIL { NIL } else { rank[x as usize] }),
-                    con: 0,
+                    con: rec.con,
                 });
                 for i in 0..3 {
                     mesh.vert_tri[v[i] as usize] = t;
@@ -506,25 +508,14 @@ impl Mesh {
         (tri[(i as usize + 1) % 3], tri[(i as usize + 2) % 3])
     }
 
-    /// Marks edge `(a, b)` constrained. The edge need not exist yet; when
-    /// it does, the adjacent triangles' constraint bits are set too.
+    /// Marks edge `(a, b)` constrained: sets its bit in both triangles
+    /// that carry it.
+    ///
+    /// # Panics
+    /// Panics if `(a, b)` is not an edge of the mesh.
     pub fn constrain_edge(&mut self, a: u32, b: u32) {
-        self.constrained.insert(edge_key(a, b));
-        self.set_edge_bits(a, b, true);
-    }
-
-    /// Removes the constrained mark from `(a, b)`, clearing the adjacent
-    /// triangles' constraint bits when the edge exists.
-    pub fn unconstrain_edge(&mut self, a: u32, b: u32) {
-        self.constrained.remove(&edge_key(a, b));
-        self.set_edge_bits(a, b, false);
-    }
-
-    /// Sets (`on`) or clears the constraint bit of edge `(a, b)` in both
-    /// triangles that carry it, when it exists.
-    fn set_edge_bits(&mut self, a: u32, b: u32, on: bool) {
-        let Some((t, i)) = self.find_edge(a, b) else {
-            return;
+        let Some((t, i)) = self.locate_edge(a, b) else {
+            panic!("constrained edge ({a},{b}) is not an edge of the mesh");
         };
         let n = self.tris[t as usize].n[i as usize];
         let on_edge = |&j: &u8| {
@@ -532,18 +523,31 @@ impl Mesh {
             edge_key(x, y) == edge_key(a, b)
         };
         let twin = (n != NIL).then(|| (0..3u8).find(on_edge)).flatten();
-        for (s, k) in [(t, Some(i)), (n, twin)] {
-            if let Some(k) = k {
-                let con = &mut self.tris[s as usize].con;
-                *con = if on { *con | 1 << k } else { *con & !(1 << k) };
-            }
+        self.tris[t as usize].con |= 1 << i;
+        if let Some(j) = twin {
+            self.tris[n as usize].con |= 1 << j;
         }
     }
 
-    /// `true` when edge `(a, b)` is constrained.
-    #[inline]
-    pub fn is_constrained(&self, a: u32, b: u32) -> bool {
-        self.constrained.contains(&edge_key(a, b))
+    /// [`Mesh::find_edge`], falling back to a scan of every live triangle:
+    /// where two regions touch at a vertex, its star walks one fan.
+    pub(crate) fn locate_edge(&self, a: u32, b: u32) -> Option<(u32, u8)> {
+        self.find_edge(a, b).or_else(|| {
+            let mut edges = self
+                .live_triangles()
+                .flat_map(|t| (0..3u8).map(move |i| (t, i)));
+            edges.find(|&(t, i)| {
+                let (u, v) = self.edge_vertices(t, i);
+                edge_key(u, v) == edge_key(a, b)
+            })
+        })
+    }
+
+    /// `true` when `(a, b)` is an edge of the mesh and constrained.
+    #[cfg(test)]
+    pub(crate) fn is_constrained(&self, a: u32, b: u32) -> bool {
+        self.find_edge(a, b)
+            .is_some_and(|(t, i)| self.is_constrained_tri(t, i))
     }
 
     /// `true` when edge `i` of live triangle `t` is constrained (bitmask
@@ -553,14 +557,18 @@ impl Mesh {
         (self.tris[t as usize].con >> i) & 1 != 0
     }
 
-    /// All constrained edges (canonical pairs).
+    /// Every constrained edge once, as a canonical pair, in slot order:
+    /// an interior edge is reported by the lower of its two slots.
     pub fn constrained_edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.constrained.iter().copied()
-    }
-
-    /// Number of constrained edges.
-    pub fn num_constrained(&self) -> usize {
-        self.constrained.len()
+        // Most triangles carry no bit: test it before the liveness bit.
+        let carriers = (0..self.tris.len() as u32)
+            .filter(move |&t| self.tris[t as usize].con != 0 && self.alive.get(t as usize));
+        carriers.flat_map(move |t| {
+            let TriRec { v, n, con } = self.tris[t as usize];
+            (0..3)
+                .filter(move |&i| con >> i & 1 != 0 && n[i] > t)
+                .map(move |i| edge_key(v[(i + 1) % 3], v[(i + 2) % 3]))
+        })
     }
 
     /// Any live triangle, or `None` for an empty mesh.
@@ -786,7 +794,8 @@ impl Mesh {
     /// leaves it `NIL` when nothing carries `b -> a`. An
     /// already-linked half-edge is proven instead: its neighbour must be
     /// the one triangle carrying `b -> a`. Fails if another triangle
-    /// carries `a -> b`, or two carry `b -> a`.
+    /// carries `a -> b`, or two carry `b -> a`. Linked twins end with the
+    /// OR of their constraint bits.
     fn link_twin(&mut self, at: &Corners, t: u32, i: usize) -> Result<(), NonManifoldEdge> {
         let (a, b) = self.edge_vertices(t, i as u8);
         for &c in at.at(a) {
@@ -802,8 +811,15 @@ impl Mesh {
                 return Err(NonManifoldEdge { a, b });
             }
             if twin {
+                // Either side's bit constrains the edge; a part that linked
+                // the edge itself gave both sides the same bit.
+                let j = (k + 1) % 3;
+                let bits = [(t, i), (t2, j)].map(|(s, e)| self.tris[s as usize].con >> e & 1);
+                debug_assert!(linked == NIL || bits[0] == bits[1], "twin bits differ");
                 self.tris[t as usize].n[i] = t2;
-                self.tris[t2 as usize].n[(k + 1) % 3] = t;
+                self.tris[t2 as usize].n[j] = t;
+                self.tris[t as usize].con |= bits[1] << i;
+                self.tris[t2 as usize].con |= bits[0] << j;
             }
         }
         Ok(())
@@ -841,20 +857,6 @@ impl Mesh {
         self.free.push(t);
     }
 
-    /// Recomputes `t`'s constraint bitmask from the edge set. Used by the
-    /// cold corridor retriangulation, where the new triangles' edges may
-    /// pre-exist in the set.
-    fn refresh_con_bits(&mut self, t: u32) {
-        let mut bits = 0u8;
-        for i in 0..3u8 {
-            let (u, v) = self.edge_vertices(t, i);
-            if self.is_constrained(u, v) {
-                bits |= 1 << i;
-            }
-        }
-        self.tris[t as usize].con = bits;
-    }
-
     /// Inserts point `p` into the mesh with the Bowyer–Watson cavity
     /// algorithm, starting the location walk at `hint` (any live triangle).
     ///
@@ -882,9 +884,7 @@ impl Mesh {
     pub fn split_edge(&mut self, t: u32, i: u8, p: Point2) -> u32 {
         let (a, b) = self.edge_vertices(t, i);
         let was_constrained = self.is_constrained_tri(t, i);
-        if was_constrained {
-            self.unconstrain_edge(a, b);
-        }
+        // The split edge dies with both its triangles, and with it its bits.
         let v = self.insert_in_cavity(p, t, Some((t, i)));
         if was_constrained {
             self.constrain_edge(a, v);
@@ -1016,7 +1016,7 @@ impl Mesh {
                         s.set_stamp(t, evicted);
                         continue 'repair;
                     }
-                    s.border.push((u, v, n));
+                    s.border.push((u, v, n, self.is_constrained_tri(t, i)));
                 }
             }
             break;
@@ -1036,7 +1036,7 @@ impl Mesh {
         // when that edge lies on the mesh boundary) are skipped, leaving p
         // on the boundary.
         for bi in 0..s.border.len() {
-            let (u, v, n) = s.border[bi];
+            let (u, v, n, con) = s.border[bi];
             if let Some((sa, sb)) = skip_pair {
                 if (u == sa && v == sb) || (u == sb && v == sa) {
                     debug_assert_eq!(n, NIL, "split edge survived as interior border");
@@ -1054,9 +1054,10 @@ impl Mesh {
                 continue;
             }
             let t = self.alloc_triangle([pv, u, v]);
-            // Edge 0 (opposite p) is (u, v): pairs with external n, whose
-            // matched edge also carries the constraint bit to inherit.
+            // Edge 0 (opposite p) is (u, v): pairs with external n and
+            // inherits the dead triangle's constraint bit.
             self.tris[t as usize].n[0] = n;
+            self.tris[t as usize].con = con as u8;
             if n != NIL {
                 // Find n's edge matching (v, u).
                 let mut fixed = false;
@@ -1064,16 +1065,11 @@ impl Mesh {
                     let (x, y) = self.edge_vertices(n, j);
                     if (x == v && y == u) || (x == u && y == v) {
                         self.tris[n as usize].n[j as usize] = t;
-                        if self.is_constrained_tri(n, j) {
-                            self.tris[t as usize].con |= 1;
-                        }
                         fixed = true;
                         break;
                     }
                 }
                 debug_assert!(fixed, "external neighbor lost its border edge");
-            } else if self.is_constrained(u, v) {
-                self.tris[t as usize].con |= 1;
             }
             // Edge 1 (opposite u) is (v, p); edge 2 (opposite v) is (p, u).
             // Both touch the brand-new vertex, so neither can be
@@ -1089,18 +1085,18 @@ impl Mesh {
         pv
     }
 
-    /// Removes a set of triangles, patching surviving neighbors to NIL and
-    /// refreshing vertex-triangle hints.
-    pub fn remove_triangles(&mut self, dead: &HashSet<u32>) {
-        // Sorted order keeps the free list — and therefore all future slot
-        // reuse — deterministic regardless of hash seeding.
-        let mut dead_sorted: Vec<u32> = dead.iter().copied().collect();
-        dead_sorted.sort_unstable();
-        for &t in &dead_sorted {
+    /// Removes the triangles of `dead`, an ascending slot list, patching
+    /// surviving neighbors to NIL and refreshing vertex-triangle hints.
+    /// Slots are freed in list order, so the free list's reuse order is a
+    /// function of the set. A constrained edge of a removed triangle
+    /// survives on its surviving twin, if any.
+    pub fn remove_triangles(&mut self, dead: &[u32]) {
+        debug_assert!(dead.windows(2).all(|w| w[0] < w[1]), "slots must ascend");
+        for &t in dead {
             debug_assert!(self.alive.get(t as usize));
             for i in 0..3u8 {
                 let n = self.tris[t as usize].n[i as usize];
-                if n != NIL && !dead.contains(&n) {
+                if n != NIL && dead.binary_search(&n).is_err() {
                     for j in 0..3u8 {
                         if self.tris[n as usize].n[j as usize] == t {
                             self.tris[n as usize].n[j as usize] = NIL;
@@ -1130,13 +1126,15 @@ impl Mesh {
 
     /// Replaces the triangulation inside a cavity: kills `dead` triangles
     /// and installs `new_tris` (CCW triples), wiring internal adjacency and
-    /// reconnecting to the external border. `border` maps *directed* border
-    /// edges (as seen from inside the cavity) to the external triangle.
+    /// reconnecting to the external border. `border` lists the *directed*
+    /// border edges `(u, v, external, con)` as seen from inside the
+    /// cavity: the external triangle, and the dead triangle's constraint
+    /// bit, which the new triangle on the edge inherits.
     pub(crate) fn replace_cavity(
         &mut self,
         dead: &[u32],
         new_tris: &[[u32; 3]],
-        border: &HashMap<(u32, u32), u32>,
+        border: &[(u32, u32, u32, bool)],
     ) {
         for &t in dead {
             self.kill_triangle(t);
@@ -1144,14 +1142,16 @@ impl Mesh {
         let mut pending: HashMap<(u32, u32), (u32, u8)> = HashMap::new();
         for tri in new_tris {
             let t = self.alloc_triangle(*tri);
-            self.refresh_con_bits(t);
             for i in 0..3u8 {
                 let (u, v) = self.edge_vertices(t, i);
                 if let Some((t2, j)) = pending.remove(&(v, u)) {
                     self.tris[t as usize].n[i as usize] = t2;
                     self.tris[t2 as usize].n[j as usize] = t;
-                } else if let Some(&n) = border.get(&(u, v)) {
+                } else if let Some(&(_, _, n, con)) =
+                    border.iter().find(|&&(x, y, _, _)| (x, y) == (u, v))
+                {
                     self.tris[t as usize].n[i as usize] = n;
+                    self.tris[t as usize].con |= (con as u8) << i;
                     if n != NIL {
                         for j in 0..3u8 {
                             let (x, y) = self.edge_vertices(n, j);
@@ -1168,7 +1168,8 @@ impl Mesh {
         debug_assert!(pending.is_empty(), "unmatched cavity edges: {pending:?}");
     }
 
-    /// Verifies internal consistency: neighbor symmetry, CCW orientation,
+    /// Verifies internal consistency: neighbor symmetry, equal constraint
+    /// bits on both sides of every interior edge, CCW orientation,
     /// vertex-triangle hints. Panics with a description on failure. For
     /// tests and debug assertions.
     pub fn check_consistency(&self) {
@@ -1191,11 +1192,6 @@ impl Mesh {
             );
             for i in 0..3u8 {
                 let (u, v) = self.edge_vertices(t, i);
-                assert_eq!(
-                    self.is_constrained_tri(t, i),
-                    self.is_constrained(u, v),
-                    "constraint bit/set mismatch on edge ({u},{v}) of {t}"
-                );
                 let n = self.tris[t as usize].n[i as usize];
                 if n == NIL {
                     continue;
@@ -1204,11 +1200,17 @@ impl Mesh {
                     self.alive.get(n as usize),
                     "triangle {t} has dead neighbor {n}"
                 );
-                let found = (0..3u8).any(|j| {
-                    let (x, y) = self.edge_vertices(n, j);
-                    self.tris[n as usize].n[j as usize] == t && ((x, y) == (v, u))
-                });
-                assert!(found, "neighbor symmetry broken between {t} and {n}");
+                let j = (0..3u8)
+                    .find(|&j| {
+                        let (x, y) = self.edge_vertices(n, j);
+                        self.tris[n as usize].n[j as usize] == t && ((x, y) == (v, u))
+                    })
+                    .unwrap_or_else(|| panic!("neighbor symmetry broken between {t} and {n}"));
+                assert_eq!(
+                    self.is_constrained_tri(t, i),
+                    self.is_constrained_tri(n, j),
+                    "constraint bits differ across edge ({u},{v}) of {t} and {n}"
+                );
             }
         }
         // Vertex hints: every hint that is not NIL names a live triangle
@@ -1568,6 +1570,21 @@ mod tests {
         assert!(m.is_constrained(0, v));
         assert!(m.is_constrained(v, 2));
         m.check_consistency();
+    }
+
+    #[test]
+    #[should_panic(expected = "constraint bits differ")]
+    fn a_bit_on_one_side_of_an_edge_is_inconsistent() {
+        let mut m = square_mesh();
+        // Edge 1 of triangle 0 is the shared diagonal (2, 0).
+        m.tris[0].con |= 1 << 1;
+        m.check_consistency();
+    }
+
+    #[test]
+    #[should_panic(expected = "constrained edge (1,3) is not an edge of the mesh")]
+    fn constraining_a_missing_edge_panics() {
+        square_mesh().constrain_edge(1, 3);
     }
 
     #[test]

@@ -110,9 +110,8 @@ pub fn refine(mesh: &mut Mesh, sizing: Option<AreaFn<'_>>, params: &RefineParams
         boundary_fully_constrained(mesh),
         "mesh border must be constrained"
     );
-    // The constrained-edge set iterates in hash order, which varies
-    // between runs; sort so refinement (and therefore the whole pipeline)
-    // is deterministic.
+    // Ascending pair order, not slot order: the initial encroachment
+    // queue, and with it every refined mesh, is pinned to this order.
     let mut segs: Vec<(u32, u32)> = mesh.constrained_edges().collect();
     segs.sort_unstable();
     let mut r = Refiner {
@@ -630,10 +629,13 @@ mod tests {
         let segs = [(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
         let (mut mesh, _) = constrained_delaunay(&pts, &segs, false).unwrap();
         carve(&mut mesh, &[]);
-        let before = mesh.num_constrained();
+        let before = mesh.constrained_edges().count();
         let stats = refine(&mut mesh, None, &RefineParams::default());
         assert!(!stats.hit_cap);
-        assert!(mesh.num_constrained() > before, "no segment was split");
+        assert!(
+            mesh.constrained_edges().count() > before,
+            "no segment was split"
+        );
         mesh.check_consistency();
         assert!(mesh.is_constrained_delaunay());
     }

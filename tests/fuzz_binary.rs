@@ -9,9 +9,11 @@
 //! word copied over another — the last keeps triangle indices in range,
 //! so it reaches the manifoldness proof rather than the index check).
 //! For every mutant `read_binary` must return, not
-//! panic; a truncated encoding must never come back `Ok`; and a mesh it
-//! accepts must write back and read again with the same counts. The sweep
-//! runs on a 256 kB stack, like the JSON fuzz.
+//! panic; a truncated encoding must never come back `Ok`; a mesh it
+//! accepts must carry every constrained edge on a triangle, and write back
+//! and read again with the same counts. The sweep runs on a 256 kB stack,
+//! like the JSON fuzz. Fixed cases hold the reader to refusing a
+//! constrained pair that is not an edge of the mesh.
 
 use adm2d::delaunay::io::{read_binary, write_binary};
 use adm2d::delaunay::{carve, constrained_delaunay, Mesh};
@@ -117,6 +119,41 @@ fn corpora() -> Vec<(&'static str, Vec<u8>)> {
     out
 }
 
+/// `true` when some live triangle carries `(a, b)` with its constraint
+/// bit set — searched without `find_edge`, whose star walk sees one fan
+/// of a vertex where two regions touch.
+fn carried(mesh: &Mesh, a: u32, b: u32) -> bool {
+    mesh.live_triangles().any(|t| {
+        let v = mesh.tri(t as usize);
+        (0..3u8).any(|i| {
+            let (u, w) = (v[(i as usize + 1) % 3], v[(i as usize + 2) % 3]);
+            (u.min(w), u.max(w)) == (a.min(b), a.max(b)) && mesh.is_constrained_tri(t, i)
+        })
+    })
+}
+
+#[test]
+fn a_constrained_pair_that_is_not_an_edge_is_refused() {
+    let (_, v3) = corpora().pop().unwrap();
+    let mesh = read_binary(&mut v3.as_slice()).unwrap();
+    let n = mesh.num_vertices() as u32;
+    let k = mesh.constrained_edges().count();
+    assert!(k > 0, "the corpus is constrained");
+    let no_edge = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+        .find(|&(a, b)| mesh.find_edge(a, b).is_none())
+        .expect("two vertices with no edge between them");
+    for (a, b) in [(10, 10), no_edge] {
+        // Overwrite the first pair of the constrained-edge section.
+        let mut bytes = v3.clone();
+        let at = bytes.len() - 8 * k;
+        bytes[at..at + 4].copy_from_slice(&a.to_le_bytes());
+        bytes[at + 4..at + 8].copy_from_slice(&b.to_le_bytes());
+        let err = read_binary(&mut bytes.as_slice()).expect_err("a dangling pair reads");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "({a},{b})");
+    }
+}
+
 #[test]
 fn mutated_binary_meshes_are_rejected_or_read_never_a_panic() {
     let corpora = corpora();
@@ -132,13 +169,19 @@ fn mutated_binary_meshes_are_rejected_or_read_never_a_panic() {
                     let Ok(mesh) = read_binary(&mut bytes.as_slice()) else {
                         return false;
                     };
+                    for (a, b) in mesh.constrained_edges() {
+                        assert!(carried(&mesh, a, b), "({a},{b}) has no triangle");
+                    }
                     let mut again = Vec::new();
                     write_binary(&mesh, &mut again).unwrap();
                     let reread = read_binary(&mut again.as_slice())
                         .expect("an accepted mesh reads back after writing");
                     assert_eq!(reread.num_vertices(), mesh.num_vertices());
                     assert_eq!(reread.num_triangles(), mesh.num_triangles());
-                    assert_eq!(reread.num_constrained(), mesh.num_constrained());
+                    assert_eq!(
+                        reread.constrained_edges().count(),
+                        mesh.constrained_edges().count()
+                    );
                     true
                 }));
                 let Ok(read) = verdict else {
