@@ -51,6 +51,16 @@ fn bench_predicates(c: &mut Criterion) {
     g.bench_function("incircle_exact_fallback", |b| {
         b.iter(|| std::hint::black_box(incircle(ca, cb, cc2, cd)))
     });
+    // A float rectangle: exactly cocircular, but its coordinate
+    // differences round, so every filter fails and the call runs stage D
+    // (the integer square above stops at stage B).
+    let rect = [(0.1, 0.3), (0.7, 0.3), (0.7, 1.9), (0.1, 1.9)].map(|(x, y)| Point2::new(x, y));
+    g.bench_function("incircle_inexact_cocircular", |b| {
+        b.iter(|| {
+            let [ra, rb, rc, rd] = std::hint::black_box(rect);
+            std::hint::black_box(incircle(ra, rb, rc, rd))
+        })
+    });
     g.finish();
 }
 

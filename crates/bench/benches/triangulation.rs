@@ -2,9 +2,11 @@
 //! re-sorting, the paper's §III Triangle modification) and A3 (cut-axis
 //! selection by shortest bounding-box edge vs a fixed axis).
 
-use adm_delaunay::divconq::triangulate_dc;
+use adm_core::{build_prelude, MeshConfig};
+use adm_delaunay::divconq::{delaunay_rec, prepare_input, triangulate_dc};
+use adm_delaunay::quadedge::EdgePool;
 use adm_geom::point::Point2;
-use adm_partition::{triangulate_leaf, CutAxis, DecomposeParams, Subdomain};
+use adm_partition::{decompose, triangulate_leaf, CutAxis, DecomposeParams, Subdomain};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 
@@ -102,6 +104,37 @@ fn bench_engines(c: &mut Criterion) {
     g.finish();
 }
 
+/// The divide-and-conquer kernel alone (`delaunay_rec`, no input
+/// preparation or triangle filter) over the 64 boundary-layer leaves of
+/// the `bl_heavy` benchmark workload: the three-element case at 1,200
+/// points per side under a `1e-5`, `1.08` geometric layer. Its float
+/// rectangles and trapezoids are exactly cocircular, so about half of the
+/// `incircle` calls the stage-A filter cannot settle run stage D.
+fn bench_bl_heavy_leaves(c: &mut Criterion) {
+    let mut config = MeshConfig::three_element(1200);
+    config.growth = adm_blayer::Geometric::new(1e-5, 1.08).into();
+    let pre = build_prelude(&config);
+    let root = Subdomain::root_with_ids(&pre.cloud, &pre.cloud_ids);
+    let leaves = decompose(root, &DecomposeParams::for_subdomain_count(64)).leaves;
+    let inputs: Vec<Vec<Point2>> = leaves
+        .iter()
+        .map(|l| {
+            let pts: Vec<Point2> = l.x_sorted.iter().map(|v| v.pos).collect();
+            prepare_input(&pts, true).0
+        })
+        .collect();
+    let mut g = c.benchmark_group("triangulation");
+    g.bench_function("dc_bl_heavy_leaves", |b| {
+        b.iter(|| {
+            for pts in &inputs {
+                let mut pool = EdgePool::with_capacity(3 * pts.len() + 8);
+                std::hint::black_box(delaunay_rec(&mut pool, pts, 0, pts.len()));
+            }
+        })
+    });
+    g.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -112,6 +145,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_sorted_input, bench_cut_axis, bench_engines
+    targets = bench_sorted_input, bench_cut_axis, bench_engines, bench_bl_heavy_leaves
 }
 criterion_main!(benches);

@@ -31,7 +31,7 @@ use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 use adm_kernel::{GlobalVertexId, MeshArena};
 use adm_mpirt::{Executor, Pool, Task, WorkItem};
-use adm_partition::{triangulate_leaf_pooled, DecomposeParams, Subdomain};
+use adm_partition::{triangulate_leaf, DecomposeParams, Subdomain};
 use adm_trace::{Tracer, Track};
 use std::borrow::Cow;
 use std::path::Path;
@@ -172,7 +172,7 @@ pub fn generate_on(
     executor: Executor,
     pool: &Pool,
 ) -> PipelineResult {
-    let setup = |tracer: &Tracer| Ok(setup(config, prelude_for(config, prelude, tracer), pool));
+    let setup = |tracer: &Tracer| Ok(setup(config, prelude_for(config, prelude, tracer)));
     let assemble = |sh: &Shared, outs| Ok(assemble(&sh.pre, outs));
     let shard_out = config.shard_out.as_deref();
     pipeline_result(drive(executor, pool, shard_out, setup, step, assemble))
@@ -274,8 +274,6 @@ struct Shared<'a> {
     /// A region whose estimate exceeds this decouples further.
     threshold: f64,
     bl_params: DecomposeParams,
-    /// Forks leaf triangulations (and, in `drive`, the tree and the merge).
-    pool: &'a Pool,
 }
 
 /// The pipeline's sizing field for `config` around `outer_borders`. With
@@ -304,11 +302,7 @@ fn seed_tasks(bodies: Vec<TaskBody>) -> Vec<Task<TaskBody>> {
 /// Fixes the shared geometry and the seed tasks: the undecomposed
 /// boundary-layer root, the four quadrants and the near-body region, at
 /// paths `[0]`..`[5]`. Everything else is created by [`step`].
-fn setup<'a>(
-    config: &MeshConfig,
-    pre: Cow<'a, GeomPrelude>,
-    pool: &'a Pool,
-) -> (Shared<'a>, Vec<Task<TaskBody>>) {
+fn setup<'a>(config: &MeshConfig, pre: Cow<'a, GeomPrelude>) -> (Shared<'a>, Vec<Task<TaskBody>>) {
     let sizing = composed_sizing(config, &pre.outer_borders);
     let mut bbox = Aabb::empty();
     for &p in pre.outer_borders.iter().flatten() {
@@ -357,7 +351,6 @@ fn setup<'a>(
         sizing,
         threshold,
         bl_params: DecomposeParams::for_subdomain_count(config.bl_subdomains),
-        pool,
     };
     (shared, seeds)
 }
@@ -372,10 +365,13 @@ pub(crate) fn close_leaf(span: adm_trace::SpanGuard, points: usize, triangles: u
     ]);
 }
 
-/// Triangulates one boundary-layer leaf under its task span.
-fn triangulate_bl_leaf(leaf: &Subdomain, pool: &Pool, tracer: &Tracer, track: Track) -> TaskOut {
+/// Triangulates one boundary-layer leaf under its task span, on the
+/// calling thread: the leaves already fill the pool as tasks, and a
+/// second fork inside each leaf did not pay on `bl_heavy` at widths 2
+/// and 3 (EXPERIMENTS.md, "Exact incircle on the stack").
+fn triangulate_bl_leaf(leaf: &Subdomain, tracer: &Tracer, track: Track) -> TaskOut {
     let span = tracer.span(track, TaskKind::BlTriangulate.span_name());
-    let tris = triangulate_leaf_pooled(leaf, pool);
+    let tris = triangulate_leaf(leaf);
     close_leaf(span, leaf.len(), tris.len());
     TaskOut::BlTris(tris)
 }
@@ -386,7 +382,7 @@ fn triangulate_bl_leaf(leaf: &Subdomain, pool: &Pool, tracer: &Tracer, track: Tr
 fn step(sh: &Shared, body: TaskBody, tr: &Tracer, track: Track) -> (TaskOut, Vec<TaskBody>) {
     match body {
         TaskBody::Bl(leaf) if sh.bl_params.is_leaf(&leaf) => {
-            (triangulate_bl_leaf(&leaf, sh.pool, tr, track), Vec::new())
+            (triangulate_bl_leaf(&leaf, tr, track), Vec::new())
         }
         TaskBody::Bl(mut sub) => {
             let span = tr.span(track, TaskKind::Decompose.span_name());
@@ -583,7 +579,7 @@ pub fn generate_undecomposed(config: &MeshConfig) -> PipelineResult {
         Ok(((pre, sizing), seeds))
     };
     let step = |(pre, sizing): &Shared, body, tracer: &Tracer, track| match body {
-        TaskBody::Bl(leaf) => (triangulate_bl_leaf(&leaf, &pool, tracer, track), vec![]),
+        TaskBody::Bl(leaf) => (triangulate_bl_leaf(&leaf, tracer, track), vec![]),
         _ => {
             let f = &config.pslg.farfield;
             let (ll, ur) = (f.min, f.max);

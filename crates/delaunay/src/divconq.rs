@@ -301,13 +301,11 @@ impl DcTriangulation {
             return Vec::new();
         };
         let pool = &self.pool;
-        // `le` is the CCW hull edge out of the leftmost vertex; the outer
-        // face is on its right, so following rprev+sym... we walk the outer
-        // face via `onext` on the hull: the hull CCW traversal follows
-        // lnext on the *outer* face reversed. Simplest: repeatedly take
-        // rprev of the sym? Use: next hull edge ccw = onext of sym? We use
-        // the property that from a CCW hull edge e, the next CCW hull edge
-        // is `pool.rprev(...)`-free: it is `onext(sym(e))` == rprev(e).
+        // `start` is the counter-clockwise hull edge out of the leftmost
+        // vertex, so the outer face lies on its right. For such an edge
+        // `a -> b`, `rprev(e)` = `onext(sym(e))` turns counter-clockwise
+        // about `b` from `b -> a` across the outer face, and so is the
+        // next counter-clockwise hull edge `b -> c`.
         let mut out = Vec::new();
         let mut e = start;
         loop {

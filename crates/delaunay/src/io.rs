@@ -6,7 +6,7 @@
 //! solver accepts it).
 
 use crate::mesh::Mesh;
-use adm_geom::point::Point2;
+use adm_geom::point::{from_order_key, order_key, Point2};
 use adm_kernel::GlobalVertexId;
 use std::io::{self, BufRead, BufWriter, Read, Write};
 
@@ -97,22 +97,6 @@ pub fn write_ascii_canonical<W: Write>(mesh: &Mesh, w: &mut W) -> io::Result<()>
         enc.ints(&[k as u64, corner(64), corner(32), corner(0)])?;
     }
     enc.finish()
-}
-
-/// The `u64` whose unsigned order is `f64::total_cmp`'s: every bit of a
-/// negative value flipped, the sign bit of a non-negative one set.
-fn order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// Inverse of [`order_key`].
-fn from_order_key(k: u64) -> f64 {
-    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
 /// Bytes the line encoder gathers before handing them to the writer.
@@ -772,28 +756,6 @@ mod tests {
         assert!(put_fixed17(&mut out, below).is_some());
         for x in [two63, -two63, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(put_fixed17(&mut out, x), None, "{x} takes std's path");
-        }
-    }
-
-    #[test]
-    fn order_key_is_total_cmp_order() {
-        let vals = [
-            f64::NEG_INFINITY,
-            -1.5,
-            -f64::MIN_POSITIVE,
-            -f64::from_bits(1),
-            -0.0,
-            0.0,
-            f64::from_bits(1),
-            2.0,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        for a in vals {
-            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
-            for b in vals {
-                assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b), "{a} {b}");
-            }
         }
     }
 

@@ -92,6 +92,25 @@ impl Point2 {
     }
 }
 
+/// The `u64` whose unsigned order is `f64::total_cmp`'s: every bit of a
+/// negative value flipped, the sign bit of a non-negative one set. Sorting
+/// these keys sorts the values by `total_cmp`, without a comparator call.
+#[inline]
+pub fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`].
+#[inline]
+pub fn from_order_key(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
 impl Vec2 {
     /// Creates a vector from its components.
     #[inline]
@@ -285,6 +304,28 @@ impl Neg for Vec2 {
 mod tests {
     use super::*;
     use std::f64::consts::{FRAC_PI_2, PI};
+
+    #[test]
+    fn order_key_is_total_cmp_order() {
+        let vals = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in vals {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            for b in vals {
+                assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b), "{a} {b}");
+            }
+        }
+    }
 
     #[test]
     fn point_vector_arithmetic() {

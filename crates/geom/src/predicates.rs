@@ -4,18 +4,23 @@
 //! stands on. Both walk Shewchuk's adaptive ladder: a cheap floating-point
 //! filter (stage A), then progressively tighter semi-static stages (B, C)
 //! that reuse work from the previous rung, and only when every filter fails
-//! a fully exact evaluation with floating-point expansions from
-//! [`crate::expansion`]. The result is therefore always the sign of the
-//! exact real-arithmetic determinant, and near-degenerate — but not exactly
-//! degenerate — inputs are usually resolved without heap allocation.
+//! stage D, which folds the remaining tail products into stage B's exact
+//! expansion (floating-point expansions from [`crate::expansion`]). The
+//! result is therefore always the sign of the exact real-arithmetic
+//! determinant, and exactly `0.0` when that determinant is zero. Every
+//! stage, D included, runs on fixed stack arrays: no call allocates.
 //!
 //! Build with the `predicate-stats` feature to count how often each rung of
 //! the ladder settles the sign (see the `stats` module).
 
+use std::mem::MaybeUninit;
+
 use crate::expansion::{
-    estimate, fast_expansion_sum_zeroelim, scale_expansion, two_diff, two_diff_tail, two_product,
-    two_two_diff, Expansion,
+    estimate, fast_expansion_sum_zeroelim, scale_expansion, two_diff_tail, two_product,
+    two_two_diff, two_two_sum, written, UNINIT,
 };
+#[cfg(test)]
+use crate::expansion::{two_diff, Expansion};
 use crate::point::Point2;
 
 /// Machine epsilon for `f64` halved, as used in Shewchuk's bounds
@@ -254,22 +259,21 @@ fn orient2d_adapt(a: Point2, b: Point2, c: Point2, detsum: f64) -> f64 {
     let (s1, s0) = two_product(acxtail, bcy);
     let (t1, t0) = two_product(acytail, bcx);
     let u = two_two_diff(s1, s0, t1, t0);
-    let mut c1 = [0.0f64; 8];
-    let c1len = fast_expansion_sum_zeroelim(&b_exp, &u, &mut c1);
+    let mut c1 = [UNINIT; 8];
+    let c1 = fast_expansion_sum_zeroelim(&b_exp, &u, &mut c1);
 
     let (s1, s0) = two_product(acx, bcytail);
     let (t1, t0) = two_product(acy, bcxtail);
     let u = two_two_diff(s1, s0, t1, t0);
-    let mut c2 = [0.0f64; 12];
-    let c2len = fast_expansion_sum_zeroelim(&c1[..c1len], &u, &mut c2);
+    let mut c2 = [UNINIT; 12];
+    let c2 = fast_expansion_sum_zeroelim(c1, &u, &mut c2);
 
     let (s1, s0) = two_product(acxtail, bcytail);
     let (t1, t0) = two_product(acytail, bcxtail);
     let u = two_two_diff(s1, s0, t1, t0);
-    let mut d_exp = [0.0f64; 16];
-    let dlen = fast_expansion_sum_zeroelim(&c2[..c2len], &u, &mut d_exp);
-
-    d_exp[dlen - 1]
+    let mut d_exp = [UNINIT; 16];
+    let d_exp = fast_expansion_sum_zeroelim(c2, &u, &mut d_exp);
+    d_exp[d_exp.len() - 1]
 }
 
 /// Fully exact `orient2d` via expansion arithmetic — retained as the
@@ -340,10 +344,148 @@ pub fn incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> f64 {
     incircle_adapt(a, b, c, d, permanent)
 }
 
-/// Stages B-C of Shewchuk's adaptive `incircle`. Stage B evaluates the
-/// determinant of the rounded differences exactly on the stack; stage C
-/// adds a first-order tail correction. Genuinely degenerate input falls
-/// through to [`incircle_exact`].
+/// Components stage D's running sum can reach: Shewchuk's bound for
+/// `incircleadapt` (96 from stage B, 6 × 48 first-order and 3 × 256
+/// second-order tail terms).
+const FIN_LEN: usize = 1152;
+
+/// An expansion of at most four components with its zero components
+/// dropped: a zero is a no-op in every sum and product below, so the
+/// results are the same and only the work shrinks.
+#[derive(Clone, Copy)]
+struct Four {
+    c: [f64; 4],
+    len: usize,
+}
+
+impl Four {
+    fn new(e: [f64; 4]) -> Self {
+        let mut c = [0.0; 4];
+        let mut len = 0;
+        for x in e {
+            if x != 0.0 {
+                c[len] = x;
+                len += 1;
+            }
+        }
+        Four { c, len }
+    }
+
+    fn get(&self) -> &[f64] {
+        &self.c[..self.len]
+    }
+}
+
+/// The 2x2 minor `px*qy - qx*py` of two rounded differences, exactly.
+#[inline]
+fn minor(px: f64, py: f64, qx: f64, qy: f64) -> Four {
+    let (pq1, pq0) = two_product(px, qy);
+    let (qp1, qp0) = two_product(qx, py);
+    Four::new(two_two_diff(pq1, pq0, qp1, qp0))
+}
+
+/// `(x^2 + y^2) * m` exactly: one row of stage B's determinant.
+#[inline]
+fn lift_minor<'h>(m: &[f64], x: f64, y: f64, h: &'h mut [MaybeUninit<f64>; 32]) -> &'h [f64] {
+    let (mut mx, mut mxx) = ([UNINIT; 8], [UNINIT; 16]);
+    let (mut my, mut myy) = ([UNINIT; 8], [UNINIT; 16]);
+    let xx = scale_expansion(scale_expansion(m, x, &mut mx), x, &mut mxx);
+    let yy = scale_expansion(scale_expansion(m, y, &mut my), y, &mut myy);
+    fast_expansion_sum_zeroelim(xx, yy, h)
+}
+
+/// Stage D's running sum: Shewchuk's `finnow`/`finother` pair. Each
+/// addition merges the sum into the other buffer and swaps the two.
+struct Fin<'b> {
+    now: &'b mut [MaybeUninit<f64>; FIN_LEN],
+    other: &'b mut [MaybeUninit<f64>; FIN_LEN],
+    len: usize,
+}
+
+impl Fin<'_> {
+    fn value(&self) -> &[f64] {
+        written(&self.now[..], self.len)
+    }
+
+    fn add(&mut self, t: &[f64]) {
+        let sum =
+            fast_expansion_sum_zeroelim(written(&self.now[..], self.len), t, &mut self.other[..]);
+        self.len = sum.len();
+        std::mem::swap(&mut self.now, &mut self.other);
+    }
+
+    /// Adds the determinant's terms linear in the tail `t` of the rounded
+    /// difference `r`: `t * 2r * m` from its own row's lift (`m` is that
+    /// row's minor), and `t * l * s` for each other row whose minor `r`
+    /// enters, with `l` that row's exact lift and `s` the signed rounded
+    /// difference `r` is multiplied by there.
+    fn add_first_order(&mut self, t: f64, r: f64, m: &[f64], others: [(&[f64], f64); 2]) {
+        let (mut tm, mut own) = ([UNINIT; 8], [UNINIT; 16]);
+        let own = scale_expansion(scale_expansion(m, t, &mut tm), 2.0 * r, &mut own);
+        let [(l1, s1), (l2, s2)] = others;
+        let (mut t1, mut o1) = ([UNINIT; 8], [UNINIT; 16]);
+        let o1 = scale_expansion(scale_expansion(l1, t, &mut t1), s1, &mut o1);
+        let (mut t2, mut o2) = ([UNINIT; 8], [UNINIT; 16]);
+        let o2 = scale_expansion(scale_expansion(l2, t, &mut t2), s2, &mut o2);
+        let (mut s32, mut s48) = ([UNINIT; 32], [UNINIT; 48]);
+        let own_o1 = fast_expansion_sum_zeroelim(own, o1, &mut s32);
+        self.add(fast_expansion_sum_zeroelim(o2, own_o1, &mut s48));
+    }
+
+    /// Adds the remaining terms of the tail `t` of the rounded difference
+    /// `r` whose row has minor `m`: the lift's `2rt + t^2` against the
+    /// minor's tail terms `mt` (first order) and `mtt` (second order), and
+    /// `t^2 * m`. `cross` lists the other rows' products of `t` with a tail
+    /// in their minors, as `(lift, ±t, tail)`.
+    fn add_second_order(
+        &mut self,
+        t: f64,
+        r: f64,
+        m: &[f64],
+        mt: &[f64],
+        mtt: &[f64],
+        cross: &[(&[f64], f64, f64)],
+    ) {
+        let (mut tm, mut ttm) = ([UNINIT; 8], [UNINIT; 16]);
+        let ttm = scale_expansion(scale_expansion(m, t, &mut tm), t, &mut ttm);
+        let (mut tmt, mut rtmt) = ([UNINIT; 16], [UNINIT; 32]);
+        let tmt = scale_expansion(mt, t, &mut tmt);
+        let rtmt = scale_expansion(tmt, 2.0 * r, &mut rtmt);
+        self.add(fast_expansion_sum_zeroelim(ttm, rtmt, &mut [UNINIT; 48]));
+
+        for &(lift, s, tail) in cross {
+            if tail != 0.0 {
+                let (mut ls, mut lst) = ([UNINIT; 8], [UNINIT; 16]);
+                self.add(scale_expansion(
+                    scale_expansion(lift, s, &mut ls),
+                    tail,
+                    &mut lst,
+                ));
+            }
+        }
+
+        let mut ttmt = [UNINIT; 32];
+        let ttmt = scale_expansion(tmt, t, &mut ttmt);
+        let mut tmtt = [UNINIT; 8];
+        let tmtt = scale_expansion(mtt, t, &mut tmtt);
+        let (mut rtmtt, mut ttmtt) = ([UNINIT; 16], [UNINIT; 16]);
+        let rtmtt = scale_expansion(tmtt, 2.0 * r, &mut rtmtt);
+        let ttmtt = scale_expansion(tmtt, t, &mut ttmtt);
+        let mut s32 = [UNINIT; 32];
+        let tmtt_terms = fast_expansion_sum_zeroelim(rtmtt, ttmtt, &mut s32);
+        self.add(fast_expansion_sum_zeroelim(
+            ttmt,
+            tmtt_terms,
+            &mut [UNINIT; 64],
+        ));
+    }
+}
+
+/// Stages B-D of Shewchuk's adaptive `incircle` (his `incircleadapt`).
+/// Stage B evaluates the determinant of the rounded differences exactly;
+/// stage C adds a first-order tail correction; stage D adds every
+/// remaining tail product to stage B's expansion and returns its largest
+/// component, which carries the exact sign (exactly `0.0` for zero).
 #[cold]
 fn incircle_adapt(a: Point2, b: Point2, c: Point2, d: Point2, permanent: f64) -> f64 {
     let adx = a.x - d.x;
@@ -353,36 +495,26 @@ fn incircle_adapt(a: Point2, b: Point2, c: Point2, d: Point2, permanent: f64) ->
     let bdy = b.y - d.y;
     let cdy = c.y - d.y;
 
-    // Stage B: lift each rounded difference pair exactly.
-    // adet = (adx^2 + ady^2) * (bdx*cdy - cdx*bdy), exactly; likewise for
-    // the b and c rows by symmetric rotation.
-    let row = |px: f64, py: f64, qx: f64, qy: f64, rx: f64, ry: f64, out: &mut [f64; 32]| {
-        let (qr1, qr0) = two_product(qx, ry);
-        let (rq1, rq0) = two_product(rx, qy);
-        let cross = two_two_diff(qr1, qr0, rq1, rq0);
-        let mut px_cross = [0.0f64; 8];
-        let nx = scale_expansion(&cross, px, &mut px_cross);
-        let mut pxx_cross = [0.0f64; 16];
-        let nxx = scale_expansion(&px_cross[..nx], px, &mut pxx_cross);
-        let mut py_cross = [0.0f64; 8];
-        let ny = scale_expansion(&cross, py, &mut py_cross);
-        let mut pyy_cross = [0.0f64; 16];
-        let nyy = scale_expansion(&py_cross[..ny], py, &mut pyy_cross);
-        fast_expansion_sum_zeroelim(&pxx_cross[..nxx], &pyy_cross[..nyy], out)
+    // Stage B: adet = (adx^2 + ady^2) * (bdx*cdy - cdx*bdy), exactly;
+    // likewise for the b and c rows by symmetric rotation.
+    let bc = minor(bdx, bdy, cdx, cdy);
+    let ca = minor(cdx, cdy, adx, ady);
+    let ab = minor(adx, ady, bdx, bdy);
+    let (mut adet, mut bdet, mut cdet) = ([UNINIT; 32], [UNINIT; 32], [UNINIT; 32]);
+    let adet = lift_minor(bc.get(), adx, ady, &mut adet);
+    let bdet = lift_minor(ca.get(), bdx, bdy, &mut bdet);
+    let cdet = lift_minor(ab.get(), cdx, cdy, &mut cdet);
+    let mut abdet = [UNINIT; 64];
+    let abdet = fast_expansion_sum_zeroelim(adet, bdet, &mut abdet);
+    let (mut fin1, mut fin2) = ([UNINIT; FIN_LEN], [UNINIT; FIN_LEN]);
+    let len = fast_expansion_sum_zeroelim(abdet, cdet, &mut fin1).len();
+    let mut fin = Fin {
+        now: &mut fin1,
+        other: &mut fin2,
+        len,
     };
-    let mut adet = [0.0f64; 32];
-    let alen = row(adx, ady, bdx, bdy, cdx, cdy, &mut adet);
-    let mut bdet = [0.0f64; 32];
-    let blen = row(bdx, bdy, cdx, cdy, adx, ady, &mut bdet);
-    let mut cdet = [0.0f64; 32];
-    let clen = row(cdx, cdy, adx, ady, bdx, bdy, &mut cdet);
 
-    let mut abdet = [0.0f64; 64];
-    let ablen = fast_expansion_sum_zeroelim(&adet[..alen], &bdet[..blen], &mut abdet);
-    let mut fin = [0.0f64; 96];
-    let finlen = fast_expansion_sum_zeroelim(&abdet[..ablen], &cdet[..clen], &mut fin);
-
-    let mut det = estimate(&fin[..finlen]);
+    let mut det = estimate(fin.value());
     let errbound = ICC_ERR_BOUND_B * permanent;
     if det >= errbound || -det >= errbound {
         bump!(INCIRCLE_B);
@@ -422,21 +554,94 @@ fn incircle_adapt(a: Point2, b: Point2, c: Point2, d: Point2, permanent: f64) ->
         return det;
     }
 
+    // Stage D: the exact determinant is stage B's plus every product that
+    // involves a tail. Rows are indexed a, b, c = 0, 1, 2; row k's minor
+    // pairs rows n = k + 1 and p = k + 2 (mod 3), so the loops below visit
+    // Shewchuk's blocks in his order.
     bump!(INCIRCLE_EXACT);
-    incircle_exact(a, b, c, d)
+    let dx = [adx, bdx, cdx];
+    let dy = [ady, bdy, cdy];
+    let tx = [adxtail, bdxtail, cdxtail];
+    let ty = [adytail, bdytail, cdytail];
+    let m = [bc, ca, ab];
+    let lift: [Four; 3] = std::array::from_fn(|k| {
+        let (xx1, xx0) = two_product(dx[k], dx[k]);
+        let (yy1, yy0) = two_product(dy[k], dy[k]);
+        Four::new(two_two_sum(xx1, xx0, yy1, yy0))
+    });
+    for k in 0..3 {
+        let (n, p) = ((k + 1) % 3, (k + 2) % 3);
+        if tx[k] != 0.0 {
+            fin.add_first_order(
+                tx[k],
+                dx[k],
+                m[k].get(),
+                [(lift[p].get(), dy[n]), (lift[n].get(), -dy[p])],
+            );
+        }
+        if ty[k] != 0.0 {
+            fin.add_first_order(
+                ty[k],
+                dy[k],
+                m[k].get(),
+                [(lift[n].get(), dx[p]), (lift[p].get(), -dx[n])],
+            );
+        }
+    }
+    for k in 0..3 {
+        if tx[k] == 0.0 && ty[k] == 0.0 {
+            continue;
+        }
+        let (n, p) = ((k + 1) % 3, (k + 2) % 3);
+        // The tail terms of row k's minor dx[n]*dy[p] - dx[p]*dy[n]: `mt`
+        // is linear in the tails, `mtt` their product.
+        let mut mt = [UNINIT; 8];
+        let mtt;
+        let (mt, mtt): (&[f64], &[f64]) =
+            if tx[n] != 0.0 || ty[n] != 0.0 || tx[p] != 0.0 || ty[p] != 0.0 {
+                let (i1, i0) = two_product(tx[n], dy[p]);
+                let (j1, j0) = two_product(dx[n], ty[p]);
+                let u = Four::new(two_two_sum(i1, i0, j1, j0));
+                let (i1, i0) = two_product(tx[p], -dy[n]);
+                let (j1, j0) = two_product(dx[p], -ty[n]);
+                let v = Four::new(two_two_sum(i1, i0, j1, j0));
+                let (i1, i0) = two_product(tx[n], ty[p]);
+                let (j1, j0) = two_product(tx[p], ty[n]);
+                mtt = Four::new(two_two_diff(i1, i0, j1, j0));
+                (
+                    fast_expansion_sum_zeroelim(u.get(), v.get(), &mut mt),
+                    mtt.get(),
+                )
+            } else {
+                (&[0.0], &[0.0])
+            };
+        if tx[k] != 0.0 {
+            let cross = [
+                (lift[p].get(), tx[k], ty[n]),
+                (lift[n].get(), -tx[k], ty[p]),
+            ];
+            fin.add_second_order(tx[k], dx[k], m[k].get(), mt, mtt, &cross);
+        }
+        if ty[k] != 0.0 {
+            fin.add_second_order(ty[k], dy[k], m[k].get(), mt, mtt, &[]);
+        }
+    }
+    let v = fin.value();
+    // `+ 0.0` turns a zero sum's -0.0 into 0.0 and changes no other value.
+    v[v.len() - 1] + 0.0
 }
 
-/// Fully exact `incircle` via expansion arithmetic.
+/// Fully exact `incircle` via the heap [`Expansion`]: the reference stage
+/// D is held to in the tests.
 ///
 /// The differences `a - d` etc. are captured exactly with `two_diff` (each
 /// becomes a <=2-component expansion); all subsequent products and sums use
 /// exact expansion arithmetic, so the returned sign is exact.
+#[cfg(test)]
 fn incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> f64 {
     let exp_diff = |p: f64, q: f64| {
         let (hi, lo) = two_diff(p, q);
-        let mut e = Expansion::from_f64(lo);
-        e = e.add(&Expansion::from_f64(hi));
-        e
+        Expansion::from_f64(lo).add(&Expansion::from_f64(hi))
     };
     let adx = exp_diff(a.x, d.x);
     let ady = exp_diff(a.y, d.y);
@@ -832,6 +1037,221 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Stage-D quadruples met while the `bl_heavy` benchmark workload's 64
+    /// boundary-layer leaves are triangulated (every 797th of the 28,301
+    /// calls that reach stage D), as the bits of `a.x a.y b.x b.y c.x c.y
+    /// d.x d.y`. Each is an exactly cocircular isosceles trapezoid.
+    const BL_HEAVY_STAGE_D: &str = "\
+3feff15c983f2a34 bf5a784c2e836a95 3feff15c983f2a34 3f5a784c2e836a95 3fefef8967493626 3f5cf12ca3d72c0e 3fefef8967493626 bf5cf12ca3d72c0e
+3feff686cd6c4cad 3f2756dd511838f0 3feff686cd6c4cad bf2756dd511838f0 3feff68a0e33338c bf28bd7ec094131b 3feff68a0e33338c 3f28bd7ec094131b
+3fef8212aace62f8 3f62dc68cc5f97d6 3fef8212aace62f8 bf62dc68cc5f97d6 3fef8217bcc0b077 bf62fffdd0892899 3fef8217bcc0b077 3f62fffdd0892899
+3fef1d1346e08e99 3f7381eeee8fe0e3 3fef1d1346e08e99 bf7381eeee8fe0e3 3fef1d28d1e6ea10 bf73cebcf17cf19a 3fef1d28d1e6ea10 3f73cebcf17cf19a
+3fe539841b45e168 bfa4d37628df2442 3fe539928b9355e3 bfa4dd1d3038c151 3fe539841b45e168 3fa4d37628df2442 3fe539928b9355e3 3fa4dd1d3038c151
+3fe620f658dfb07c 3fa3fe6c5be0d923 3fe620f658dfb07c bfa3fe6c5be0d923 3fe62116ec012c18 bfa41340fa8aa6cc 3fe62116ec012c18 3fa41340fa8aa6cc
+3fe48b647b2720f5 3fa575d8b88f7d0b 3fe48b67b58f987a bfa5781575f0242c 3fe48b67b58f987a 3fa5781575f0242c 3fe48b647b2720f5 bfa575d8b88f7d0b
+3fe2f5099de6bf8f 3fa7a5c5249162b8 3fe2f5099de6bf8f bfa7a5c5249162b8 3fe2f50c8d2bc07a bfa7a8024965d845 3fe2f50c8d2bc07a 3fa7a8024965d845
+3fe3db7c268c3948 3fa66ac8530395b7 3fe3db7c268c3948 bfa66ac8530395b7 3fe3db7ecff48f24 bfa66cb38191512a 3fe3db7ecff48f24 3fa66cb38191512a
+3fe22be417929cb2 3fa89aa756592d01 3fe22be417929cb2 bfa89aa756592d01 3fe236835e3dd8a6 bfa88d7605c322dc 3fe236835e3dd8a6 3fa88d7605c322dc
+3fe0964cc5e92175 3faaa3c0bd72ff3b 3fe0964cc5e92175 bfaaa3c0bd72ff3b 3fe096526f45bb5e bfaaa8fa84aea5c8 3fe096526f45bb5e 3faaa8fa84aea5c8
+3fe176cbef291973 3fa9767deda91d93 3fe176cbef291973 bfa9767deda91d93 3fe176cd96fc1dfa bfa977e758c8c034 3fe176cd96fc1dfa 3fa977e758c8c034
+3fdf96d67a2e15c4 bfac505dfd430716 3fdf96d67a2e15c4 3fac505dfd430716 3fdf96acda448409 3fac3b7a515591bf 3fdf96acda448409 bfac3b7a515591bf
+3fdc52c5b4439d53 3facf3efbcb220fb 3fdc52c5b4439d53 bfacf3efbcb220fb 3fdc52ceb2d88887 bfacf9960ea7cb40 3fdc52ceb2d88887 3facf9960ea7cb40
+3fde01cc9bbbf827 3fae58cce42f4c77 3fde01cc9bbbf827 bfae58cce42f4c77 3fde02248f73de33 bfae89860d3a6c4c 3fde02248f73de33 3fae89860d3a6c4c
+3fdabf984fd01489 3fadc5c3b4608d28 3fdabfa6ad4b6718 bfadd03996a59633 3fdabfa6ad4b6718 3fadd03996a59633 3fdabf984fd01489 bfadc5c3b4608d28
+3fd7a32ecee206f0 3fae5cf9e59b295f 3fd7a32ecee206f0 bfae5cf9e59b295f 3fd7a332c541e5cb bfae617703ee4946 3fd7a332c541e5cb 3fae617703ee4946
+3fd958ee7841d597 3fade4c690205b7d 3fd958ee7841d597 bfade4c690205b7d 3fd958f2f1b3d06d bfade89f78ac834c 3fd958f2f1b3d06d 3fade89f78ac834c
+3fd61e51ac310165 bfb0b711fb1322bd 3fd61e770d51de7b bfb0d5cd584ec616 3fd61e51ac310165 3fb0b711fb1322bd 3fd61e770d51de7b 3fb0d5cd584ec616
+3fd2fc005b681070 3faf01b087cb2b0b 3fd2fc00a2f0e5da bfaefb1775261176 3fd2fc00a2f0e5da 3faefb1775261176 3fd2fc005b681070 bfaf01b087cb2b0b
+3fd4c4686855ca33 bfaea8a95452c98b 3fd4c468e514cd52 bfaeaa13b23fc4ce 3fd4c4686855ca33 3faea8a95452c98b 3fd4c468e514cd52 3faeaa13b23fc4ce
+3fd19e8db3d43a5e bfb02b979b40f9dd 3fd19e8db3d43a5e 3fb02b979b40f9dd 3fd19e8069747b1c 3fb03d86a8b7931c 3fd19e8069747b1c bfb03d86a8b7931c
+3fcd486e6928a38a 3fae291588baef43 3fcd486e6928a38a bfae291588baef43 3fcd48754505b807 bfae2641a387cd86 3fcd48754505b807 3fae2641a387cd86
+3fd0361f39231710 3fb063779392a6ae 3fd03640cfdc5b21 bfb04ce1586cdcad 3fd03640cfdc5b21 3fb04ce1586cdcad 3fd0361f39231710 bfb063779392a6ae
+3fcaa5a6009dcfde 3fae17c9e3e56edf 3fcaa5c89602d1c8 bfae0d551d1b85aa 3fcaa5c89602d1c8 3fae0d551d1b85aa 3fcaa5a6009dcfde bfae17c9e3e56edf
+3fc54039e572ff76 bfae7677650813f6 3fc541306cf101de bfae4971eb915c69 3fc54039e572ff76 3fae7677650813f6 3fc541306cf101de 3fae4971eb915c69
+3fc7da58cffdbcde 3facfd826981d9d0 3fc7da629a83b397 bfacfb44aeee6231 3fc7da629a83b397 3facfb44aeee6231 3fc7da58cffdbcde bfacfd826981d9d0
+3fc2a7ab9b527693 3fae98b512517241 3fc2a7ab9b527693 bfae98b512517241 3fc2a969a7f1e517 bfae56ae671ee726 3fc2a969a7f1e517 3fae56ae671ee726
+3fbbaa5b2adfb5c7 3fa8eea0a7af61dd 3fbbaa5b2adfb5c7 bfa8eea0a7af61dd 3fbbaadcc0f806c5 bfa8e81b953c0c92 3fbbaadcc0f806c5 3fa8e81b953c0c92
+3fc052c3510abf01 3faa29705f4bfb4f 3fc052de17b4ba14 bfaa262a3aeb0cf2 3fc052de17b4ba14 3faa262a3aeb0cf2 3fc052c3510abf01 bfaa29705f4bfb4f
+3fb7a8a40078bc6e 3fa7597b846a3c47 3fb7a8d7a25ed09e bfa75745cd08347e 3fb7a8d7a25ed09e 3fa75745cd08347e 3fb7a8a40078bc6e bfa7597b846a3c47
+3fafe9669a886598 3fa447e69848e293 3fafe9669a886598 bfa447e69848e293 3fafeb2b89abf2c8 bfa440ff84da99d6 3fafeb2b89abf2c8 3fa440ff84da99d6
+3fa09c64bf3736e1 bf9f01bc72a1abda 3fa09c64bf3736e1 3f9f01bc72a1abda 3fa098c458390fff 3f9f13b7ac6ac6ad 3fa098c458390fff bf9f13b7ac6ac6ad
+3fabb2a8f4ab5dbc bfa3982c264ab912 3fabb2a8f4ab5dbc 3fa3982c264ab912 3fabae1d4e6528fb 3fa3a82740e3a9cf 3fabae1d4e6528fb bfa3a82740e3a9cf
+3f9d57ea9b35348c 3f9c8d9ce59f4ca7 3f9d57ea9b35348c bf9c8d9ce59f4ca7 3f9d5959619e22e6 bf9c8a58cc5efe8c 3f9d5959619e22e6 3f9c8a58cc5efe8c
+3f4adb4c391ac835 bf74c3f0d4b3809f 3f4adb4c391ac835 3f74c3f0d4b3809f 3f4a854cd283e2ab 3f74c780cf6016a6 3f4a854cd283e2ab bf74c780cf6016a6";
+
+    fn bl_heavy_quadruples() -> Vec<[Point2; 4]> {
+        BL_HEAVY_STAGE_D
+            .lines()
+            .map(|line| {
+                let v: Vec<f64> = line
+                    .split_whitespace()
+                    .map(|h| f64::from_bits(u64::from_str_radix(h, 16).unwrap()))
+                    .collect();
+                std::array::from_fn(|k| Point2::new(v[2 * k], v[2 * k + 1]))
+            })
+            .collect()
+    }
+
+    /// Holds the ladder to the heap-expansion oracle on every cyclic
+    /// rotation of `q`: the same sign, and `0.0` exactly when the oracle's
+    /// determinant is zero.
+    fn assert_matches_oracle(q: [Point2; 4]) {
+        for r in 0..4 {
+            let [a, b, c, d] = std::array::from_fn(|k| q[(k + r) % 4]);
+            let got = incircle(a, b, c, d);
+            let want = incircle_exact(a, b, c, d);
+            assert_eq!(
+                got.partial_cmp(&0.0),
+                want.partial_cmp(&0.0),
+                "incircle({a:?}, {b:?}, {c:?}, {d:?}) = {got:e}, exactly {want:e}"
+            );
+        }
+    }
+
+    /// `x` moved by `ulps` units in the last place (toward larger
+    /// magnitude for positive `ulps`).
+    fn nudged(x: f64, ulps: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    #[test]
+    fn bl_heavy_stage_d_quadruples_are_exact_zeros() {
+        let quads = bl_heavy_quadruples();
+        assert!(quads.len() >= 32);
+        for q in quads {
+            assert_matches_oracle(q);
+            let [a, b, c, d] = q;
+            assert_eq!(incircle(a, b, c, d), 0.0, "{q:?}");
+            for k in 0..4 {
+                for ulps in [-1, 1] {
+                    let mut n = q;
+                    n[k] = Point2::new(nudged(n[k].x, ulps), n[k].y);
+                    assert_matches_oracle(n);
+                    n = q;
+                    n[k] = Point2::new(n[k].x, nudged(n[k].y, ulps));
+                    assert_matches_oracle(n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inexact_cocircular_rectangle_is_an_exact_zero() {
+        let rect = [
+            Point2::new(0.1, 0.3),
+            Point2::new(0.7, 0.3),
+            Point2::new(0.7, 1.9),
+            Point2::new(0.1, 1.9),
+        ];
+        // Its differences round: the ladder reaches stage D.
+        assert_ne!(two_diff_tail(0.3, 1.9, 0.3 - 1.9), 0.0);
+        assert_eq!(incircle(rect[0], rect[1], rect[2], rect[3]), 0.0);
+        assert_matches_oracle(rect);
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Doubles of either sign with exponents across 2^-40..2^40 and
+        /// random mantissas: no product in the determinant over- or
+        /// underflows.
+        fn double() -> impl Strategy<Value = f64> {
+            (any::<bool>(), -40i32..40, 0u64..1 << 52).prop_map(|(neg, e, m)| {
+                let v = f64::from_bits(((1023 + e) as u64) << 52 | m);
+                if neg {
+                    -v
+                } else {
+                    v
+                }
+            })
+        }
+
+        fn point() -> impl Strategy<Value = Point2> {
+            prop_oneof![
+                (double(), double()).prop_map(|(x, y)| Point2::new(x, y)),
+                (-100.0f64..100.0, -100.0f64..100.0).prop_map(|(x, y)| Point2::new(x, y)),
+            ]
+        }
+
+        /// A square on the integer lattice, rotated by its lattice offset
+        /// `(u, v)` about `(cx, cy)`: exactly cocircular, with exact
+        /// differences.
+        fn lattice_square() -> impl Strategy<Value = [Point2; 4]> {
+            let r = 1i64 << 20;
+            (-r..r, -r..r, -r..r, -r..r).prop_map(|(cx, cy, u, v)| {
+                let p = |x: i64, y: i64| Point2::new(x as f64, y as f64);
+                [
+                    p(cx + u, cy + v),
+                    p(cx - v, cy + u),
+                    p(cx - u, cy - v),
+                    p(cx + v, cy - u),
+                ]
+            })
+        }
+
+        /// Float rectangles, and isosceles trapezoids mirrored in an axis,
+        /// with non-dyadic coordinates: exact zeros whose differences
+        /// round, so they reach stage D.
+        fn inexact_cocircular() -> impl Strategy<Value = [Point2; 4]> {
+            let c = || -10.0f64..10.0;
+            prop_oneof![
+                (c(), c(), c(), c()).prop_map(|(x0, y0, x1, y1)| [
+                    Point2::new(x0, y0),
+                    Point2::new(x1, y0),
+                    Point2::new(x1, y1),
+                    Point2::new(x0, y1),
+                ]),
+                (c(), c(), c(), c()).prop_map(|(x0, y0, x1, y1)| [
+                    Point2::new(x0, -y0),
+                    Point2::new(x0, y0),
+                    Point2::new(x1, y1),
+                    Point2::new(x1, -y1),
+                ]),
+                (c(), c(), c(), c()).prop_map(|(x0, y0, x1, y1)| [
+                    Point2::new(-x0, y0),
+                    Point2::new(x0, y0),
+                    Point2::new(x1, y1),
+                    Point2::new(-x1, y1),
+                ]),
+            ]
+        }
+
+        /// Moves one coordinate of `q` by one ulp either way.
+        fn nudge(q: [Point2; 4], which: usize, up: bool) -> [Point2; 4] {
+            let mut n = q;
+            let k = which % 4;
+            let ulps = if up { 1 } else { -1 };
+            n[k] = if which < 4 {
+                Point2::new(nudged(n[k].x, ulps), n[k].y)
+            } else {
+                Point2::new(n[k].x, nudged(n[k].y, ulps))
+            };
+            n
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn random_doubles(a in point(), b in point(), c in point(), d in point()) {
+                assert_matches_oracle([a, b, c, d]);
+            }
+
+            #[test]
+            fn lattice_squares(q in lattice_square(), which in 0usize..8, up in any::<bool>()) {
+                assert_matches_oracle(q);
+                assert_matches_oracle(nudge(q, which, up));
+            }
+
+            #[test]
+            fn rectangles_and_trapezoids(q in inexact_cocircular(), which in 0usize..8, up in any::<bool>()) {
+                assert_matches_oracle(q);
+                assert_matches_oracle(nudge(q, which, up));
             }
         }
     }

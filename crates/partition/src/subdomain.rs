@@ -9,9 +9,10 @@
 //! locality — it is recomputed at each split because it depends on the
 //! median vertex.
 
+use adm_delaunay::bitset::BitSet;
 use adm_geom::aabb::Aabb;
 use adm_geom::hull::lower_hull_indices_sorted;
-use adm_geom::point::Point2;
+use adm_geom::point::{order_key, Point2};
 use adm_kernel::GlobalVertexId;
 
 /// A boundary-layer vertex inside a subdomain.
@@ -116,19 +117,21 @@ impl Subdomain {
         )
     }
 
-    fn build_root(mut x_sorted: Vec<Vertex>) -> Self {
-        // Stable sort + first-of-run dedup keeps the lowest-index (or
-        // first-interned) duplicate — the same winner an arena's
+    fn build_root(vertices: Vec<Vertex>) -> Self {
+        // Both orders sort `u64` keys whose unsigned order is
+        // `f64::total_cmp`'s, with the position as the last key, so the
+        // unstable sorts give exactly the orders of stable comparator
+        // sorts. One key buffer serves both sorts.
+        let keys = sort_keys(&vertices, |p| (order_key(p.x), order_key(p.y)), Vec::new());
+        let mut x_sorted: Vec<Vertex> =
+            keys.iter().map(|&(_, _, i)| vertices[i as usize]).collect();
+        drop(vertices);
+        // Keep the first of each run of equal positions: the lowest index
+        // (or first-interned) duplicate, the same winner an arena's
         // first-occurrence interning picks.
-        x_sorted.sort_by(|a, b| a.pos.lex_cmp(b.pos));
         x_sorted.dedup_by(|a, b| a.pos == b.pos);
-        let mut y_sorted = x_sorted.clone();
-        y_sorted.sort_by(|a, b| {
-            a.pos
-                .y
-                .total_cmp(&b.pos.y)
-                .then_with(|| a.pos.x.total_cmp(&b.pos.x))
-        });
+        let keys = sort_keys(&x_sorted, |p| (order_key(p.y), order_key(p.x)), keys);
+        let y_sorted = keys.iter().map(|&(_, _, i)| x_sorted[i as usize]).collect();
         Subdomain {
             x_sorted,
             y_sorted,
@@ -209,13 +212,11 @@ impl Subdomain {
         // group with `==`, under which -0.0 equals 0.0, but the hull checks
         // its order with `total_cmp`, which puts -0.0 first: `+ 0.0` turns
         // -0.0 into 0.0 (and changes no other value), so both agree.
-        let mut flat: Vec<Point2> = hull_order
-            .iter()
-            .map(|v| match axis {
-                CutAxis::Y => Point2::new(v.pos.y + 0.0, v.proj),
-                CutAxis::X => Point2::new(v.pos.x + 0.0, v.proj),
-            })
-            .collect();
+        let lifted = |v: &Vertex| match axis {
+            CutAxis::Y => Point2::new(v.pos.y + 0.0, v.proj),
+            CutAxis::X => Point2::new(v.pos.x + 0.0, v.proj),
+        };
+        let mut flat: Vec<Point2> = hull_order.iter().map(lifted).collect();
         let mut order: Vec<u32> = (0..n as u32).collect();
         let mut i = 0;
         while i < n {
@@ -225,8 +226,9 @@ impl Subdomain {
             }
             if j - i > 1 {
                 order[i..j].sort_by(|&a, &b| flat[a as usize].y.total_cmp(&flat[b as usize].y));
-                let snap: Vec<Point2> = order[i..j].iter().map(|&k| flat[k as usize]).collect();
-                flat[i..j].copy_from_slice(&snap);
+                for k in i..j {
+                    flat[k] = lifted(&hull_order[order[k] as usize]);
+                }
             }
             i = j;
         }
@@ -235,16 +237,16 @@ impl Subdomain {
             .iter()
             .map(|&k| hull_order[order[k] as usize].id)
             .collect();
-        let path_set: std::collections::HashSet<u32> = path.iter().copied().collect();
 
-        // Mark path vertices in both orders.
-        for v in primary.iter_mut() {
-            if path_set.contains(&v.id) {
-                v.boundary = true;
-            }
+        // Path membership is by id, so every vertex carrying a path id is
+        // marked in both orders (signed-zero twins can share an arena id).
+        let id_end = primary.iter().map(|v| v.id as usize + 1).max().unwrap_or(0);
+        let mut on_path = BitSet::with_len(id_end, false);
+        for &id in &path {
+            on_path.set(id as usize, true);
         }
-        for v in hull_order.iter_mut() {
-            if path_set.contains(&v.id) {
+        for v in primary.iter_mut().chain(hull_order.iter_mut()) {
+            if on_path.get(v.id as usize) {
                 v.boundary = true;
             }
         }
@@ -260,15 +262,16 @@ impl Subdomain {
             let mut low = Vec::with_capacity(src.len() / 2 + 8);
             let mut high = Vec::with_capacity(src.len() / 2 + 8);
             for v in src {
-                let on_path = path_set.contains(&v.id);
+                // Only a marked vertex can be on this path.
+                let both = v.boundary && on_path.get(v.id as usize);
                 if coord(v) < cut_at {
                     low.push(*v);
-                    if on_path {
+                    if both {
                         high.push(*v);
                     }
                 } else {
                     high.push(*v);
-                    if on_path {
+                    if both {
                         low.push(*v);
                     }
                 }
@@ -310,6 +313,27 @@ impl Subdomain {
     pub fn cost(&self) -> u64 {
         2 * self.len() as u64
     }
+}
+
+/// A root-order sort key: two `u64`s compared as a tuple, then the
+/// vertex's position.
+type SortKey = (u64, u64, u32);
+
+/// The keys of `v` under `key(pos)`, sorted, in `buf`'s storage. The
+/// position is the last key, so the unstable sort gives exactly the order
+/// a stable sort on `key` would.
+fn sort_keys(
+    v: &[Vertex],
+    key: impl Fn(Point2) -> (u64, u64),
+    mut buf: Vec<SortKey>,
+) -> Vec<SortKey> {
+    buf.clear();
+    buf.extend(v.iter().enumerate().map(|(i, w)| {
+        let (k1, k2) = key(w.pos);
+        (k1, k2, i as u32)
+    }));
+    buf.sort_unstable();
+    buf
 }
 
 /// One node of the binary merge-reduction schedule over a path-sorted
@@ -550,6 +574,256 @@ mod tests {
         let (lo, hi, path) = s.split(CutAxis::X);
         assert!(!path.is_empty());
         assert_eq!(lo.len() + hi.len(), s.len() + path.len());
+    }
+
+    /// `build_root` as it was before its keyed sorts: stable comparator
+    /// sorts, the oracle the keyed sorts are held to.
+    fn build_root_by_comparator(mut x_sorted: Vec<Vertex>) -> Subdomain {
+        x_sorted.sort_by(|a, b| a.pos.lex_cmp(b.pos));
+        x_sorted.dedup_by(|a, b| a.pos == b.pos);
+        let mut y_sorted = x_sorted.clone();
+        y_sorted.sort_by(|a, b| {
+            a.pos
+                .y
+                .total_cmp(&b.pos.y)
+                .then_with(|| a.pos.x.total_cmp(&b.pos.x))
+        });
+        Subdomain {
+            x_sorted,
+            y_sorted,
+            cuts: Vec::new(),
+            level: 0,
+        }
+    }
+
+    /// `split` as it was before its id bitset: path membership through a
+    /// SipHash set, and a copy of every equal-coordinate run. The oracle
+    /// the hash-free split is held to.
+    fn split_siphash(s: &mut Subdomain, axis: CutAxis) -> (Subdomain, Subdomain, Vec<u32>) {
+        let n = s.len();
+        let (primary, hull_order): (&mut Vec<Vertex>, &mut Vec<Vertex>) = match axis {
+            CutAxis::Y => (&mut s.x_sorted, &mut s.y_sorted),
+            CutAxis::X => (&mut s.y_sorted, &mut s.x_sorted),
+        };
+        let median = primary[n / 2].pos;
+        let cut_at = match axis {
+            CutAxis::Y => median.x,
+            CutAxis::X => median.y,
+        };
+        for v in hull_order.iter_mut() {
+            v.proj = (v.pos - median).norm_sq();
+        }
+        for v in primary.iter_mut() {
+            v.proj = (v.pos - median).norm_sq();
+        }
+        let mut flat: Vec<Point2> = hull_order
+            .iter()
+            .map(|v| match axis {
+                CutAxis::Y => Point2::new(v.pos.y + 0.0, v.proj),
+                CutAxis::X => Point2::new(v.pos.x + 0.0, v.proj),
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut i = 0;
+        while i < n {
+            let mut j = i + 1;
+            while j < n && flat[j].x == flat[i].x {
+                j += 1;
+            }
+            if j - i > 1 {
+                order[i..j].sort_by(|&a, &b| flat[a as usize].y.total_cmp(&flat[b as usize].y));
+                let snap: Vec<Point2> = order[i..j].iter().map(|&k| flat[k as usize]).collect();
+                flat[i..j].copy_from_slice(&snap);
+            }
+            i = j;
+        }
+        let hull_idx = lower_hull_indices_sorted(&flat);
+        let path: Vec<u32> = hull_idx
+            .iter()
+            .map(|&k| hull_order[order[k] as usize].id)
+            .collect();
+        let path_set: std::collections::HashSet<u32> = path.iter().copied().collect();
+        for v in primary.iter_mut() {
+            if path_set.contains(&v.id) {
+                v.boundary = true;
+            }
+        }
+        for v in hull_order.iter_mut() {
+            if path_set.contains(&v.id) {
+                v.boundary = true;
+            }
+        }
+        let coord = |v: &Vertex| match axis {
+            CutAxis::Y => v.pos.x,
+            CutAxis::X => v.pos.y,
+        };
+        let distribute = |src: &[Vertex]| -> (Vec<Vertex>, Vec<Vertex>) {
+            let (mut low, mut high) = (Vec::new(), Vec::new());
+            for v in src {
+                let on_path = path_set.contains(&v.id);
+                if coord(v) < cut_at {
+                    low.push(*v);
+                    if on_path {
+                        high.push(*v);
+                    }
+                } else {
+                    high.push(*v);
+                    if on_path {
+                        low.push(*v);
+                    }
+                }
+            }
+            (low, high)
+        };
+        let (lx, hx) = distribute(&s.x_sorted);
+        let (ly, hy) = distribute(&s.y_sorted);
+        let child = |x_sorted, y_sorted, side| {
+            let mut cuts = s.cuts.clone();
+            cuts.push(Cut {
+                axis,
+                at: cut_at,
+                side,
+            });
+            Subdomain {
+                x_sorted,
+                y_sorted,
+                cuts,
+                level: s.level + 1,
+            }
+        };
+        (child(lx, ly, Side::Low), child(hx, hy, Side::High), path)
+    }
+
+    /// Every field of every vertex, bit for bit, in order.
+    fn vertex_bits(vs: &[Vertex]) -> Vec<(u64, u64, u64, u32, bool)> {
+        vs.iter()
+            .map(|v| {
+                let (x, y, proj) = (v.pos.x.to_bits(), v.pos.y.to_bits(), v.proj.to_bits());
+                (x, y, proj, v.id, v.boundary)
+            })
+            .collect()
+    }
+
+    fn assert_same_subdomain(got: &Subdomain, want: &Subdomain) {
+        assert_eq!(vertex_bits(&got.x_sorted), vertex_bits(&want.x_sorted));
+        assert_eq!(vertex_bits(&got.y_sorted), vertex_bits(&want.y_sorted));
+        assert_eq!(got.level, want.level);
+        let cut_bits = |s: &Subdomain| -> Vec<_> {
+            s.cuts
+                .iter()
+                .map(|c| (c.axis, c.at.to_bits(), c.side))
+                .collect()
+        };
+        assert_eq!(cut_bits(got), cut_bits(want));
+    }
+
+    /// Holds the keyed root orders to the comparator sorts, then walks the
+    /// whole decomposition under `params`, holding every split (both
+    /// children, the path and the parent's marks) to the SipHash split.
+    /// Returns the number of splits compared.
+    fn assert_matches_oracles(vertices: Vec<Vertex>, params: &crate::DecomposeParams) -> usize {
+        let root = Subdomain::build_root(vertices.clone());
+        assert_same_subdomain(&root, &build_root_by_comparator(vertices));
+        let mut splits = 0;
+        let mut stack = vec![root];
+        while let Some(mut s) = stack.pop() {
+            if params.is_leaf(&s) {
+                continue;
+            }
+            let axis = s.choose_cut_axis();
+            let mut oracle = s.clone();
+            let (lo, hi, path) = s.split(axis);
+            let (want_lo, want_hi, want_path) = split_siphash(&mut oracle, axis);
+            assert_eq!(path, want_path);
+            assert_same_subdomain(&s, &oracle);
+            assert_same_subdomain(&lo, &want_lo);
+            assert_same_subdomain(&hi, &want_hi);
+            splits += 1;
+            stack.push(lo);
+            stack.push(hi);
+        }
+        splits
+    }
+
+    fn positional(points: &[Point2]) -> Vec<Vertex> {
+        (0..).zip(points).map(|(i, &p)| Vertex::new(p, i)).collect()
+    }
+
+    /// Splits down to single-digit leaves.
+    const DEEP: crate::DecomposeParams = crate::DecomposeParams {
+        min_vertices: 4,
+        max_level: 12,
+    };
+
+    #[test]
+    fn keyed_orders_and_hash_free_splits_match_the_oracles() {
+        // The signed-zero twins below, a grid, and a grid repeated with
+        // distinct ids for the duplicates, in scrambled order and with
+        // -0.0 for every zero.
+        let twins = [
+            p(-1.0, 2.0),
+            p(0.0, 1.0),
+            p(-0.0, 1.0),
+            p(0.0, 2.0),
+            p(0.0, 3.0),
+            p(1.0, 2.0),
+            p(0.5, 0.0),
+        ];
+        assert!(assert_matches_oracles(positional(&twins), &DEEP) > 0);
+        assert!(assert_matches_oracles(positional(&grid(10, 4)), &DEEP) > 0);
+        let mut dups = grid(8, 8);
+        dups.extend(grid(8, 8).iter().rev().map(|q| p(-q.x, -q.y)));
+        dups.extend(grid(8, 8).iter().step_by(3));
+        assert!(assert_matches_oracles(positional(&dups), &DEEP) > 0);
+        // Arena ids: the -0.0 twin shares its +0.0 twin's id.
+        let ids: Vec<u32> = twins
+            .iter()
+            .map(|q| if *q == p(0.0, 1.0) { 1 } else { 9 })
+            .collect();
+        let twin_ids: Vec<Vertex> = twins
+            .iter()
+            .zip(ids)
+            .map(|(&q, i)| Vertex::new(q, i))
+            .collect();
+        assert_matches_oracles(twin_ids, &DEEP);
+    }
+
+    /// The boundary-layer cloud of the `bl_heavy` benchmark workload (the
+    /// three-element case at 1,200 points per side under a `1e-5`, `1.08`
+    /// geometric layer), with its arena ids.
+    fn bl_heavy_cloud() -> Vec<Vertex> {
+        use adm_blayer::{build_multielement_layers, BlParams, Geometric, GrowthSpec};
+        let pslg = adm_airfoil::three_element_highlift(&adm_airfoil::HighLiftParams {
+            n_per_side: 1200,
+            farfield_chords: 30.0,
+        });
+        let surfaces: Vec<Vec<Point2>> = pslg.loops.iter().map(|l| l.points.clone()).collect();
+        let params = BlParams {
+            height: 0.05 * pslg.reference_chord(),
+            ..Default::default()
+        };
+        let growth = GrowthSpec::from(Geometric::new(1e-5, 1.08));
+        let layers = build_multielement_layers(&surfaces, &growth, &params);
+        let cloud: Vec<Point2> = layers
+            .iter()
+            .flat_map(|l| l.all_points())
+            .copied()
+            .collect();
+        let ids = adm_kernel::MeshArena::with_capacity(cloud.len()).intern_all(&cloud);
+        cloud
+            .iter()
+            .zip(ids)
+            .map(|(&q, id)| Vertex::new(q, id.raw()))
+            .collect()
+    }
+
+    #[test]
+    fn bl_heavy_root_and_every_split_match_the_oracles() {
+        let cloud = bl_heavy_cloud();
+        assert!(cloud.len() > 100_000, "{} points", cloud.len());
+        let splits =
+            assert_matches_oracles(cloud, &crate::DecomposeParams::for_subdomain_count(64));
+        assert_eq!(splits, 63);
     }
 
     #[test]
