@@ -35,22 +35,17 @@ REQUIRED_X_FIELDS = ("ph", "name", "pid", "tid", "ts", "dur")
 # Counters published by the adm-geom predicate-stats registry. Any
 # counter in the `geom.` namespace must come from this set — a stray
 # name means a publish()/validator mismatch — and carry a non-negative
-# integer value. The `.batch` / `.batch_fallback` pairs count lanes that
-# went through the vectorized stage-A filter and how many of those the
-# error bound could not certify (which re-enter the scalar ladder).
+# integer value. Each counts the calls one rung of the adaptive ladder
+# settled.
 KNOWN_GEOM_COUNTERS = {
     "geom.orient2d.stage_a",
     "geom.orient2d.stage_b",
     "geom.orient2d.stage_c",
     "geom.orient2d.exact",
-    "geom.orient2d.batch",
-    "geom.orient2d.batch_fallback",
     "geom.incircle.stage_a",
     "geom.incircle.stage_b",
     "geom.incircle.stage_c",
     "geom.incircle.exact",
-    "geom.incircle.batch",
-    "geom.incircle.batch_fallback",
 }
 
 
@@ -65,16 +60,6 @@ def check_geom_counters(counters):
             )
         if not isinstance(value, int) or value < 0:
             fail(f"counter {name!r} has non-count value {value!r}")
-    # Fallback lanes re-enter the scalar ladder, so each batch_fallback
-    # counter can never exceed its batch lane counter.
-    for pred in ("orient2d", "incircle"):
-        lanes = counters.get(f"geom.{pred}.batch")
-        fallbacks = counters.get(f"geom.{pred}.batch_fallback")
-        if lanes is not None and fallbacks is not None and fallbacks > lanes:
-            fail(
-                f"geom.{pred}.batch_fallback ({fallbacks}) exceeds "
-                f"geom.{pred}.batch ({lanes})"
-            )
 
 
 # Counters published by the adm-serve job server. Mirrors the geom set:

@@ -2,12 +2,8 @@
 //!
 //! Runs the full single-rank pipeline (the fig-11 NACA 0012 domain at a
 //! small sizing) with the `predicate-stats` counters enabled and reports,
-//! per predicate, how the calls split across the batched stage-A filter
-//! and the scalar ladder rungs. The headline numbers are the **batch
-//! absorption** (fraction of all predicate evaluations that went through
-//! the vectorizable batched filter) and the **batch fallback rate**
-//! (fraction of batched lanes the stage-A error bound could not certify,
-//! which therefore re-entered the scalar ladder).
+//! per predicate, how many calls each rung of the adaptive ladder settled
+//! (stage A, B, C or the exact stage D) and each rung's share of the calls.
 //!
 //! Build with `cargo run --release -p adm-bench --features predicate-stats
 //! --bin predicate_stats`; without the feature it explains and exits 0 so
@@ -39,45 +35,34 @@ fn run() {
     stats::reset();
     let out = generate(&config);
     let (orient, incircle) = stats::snapshot();
-    let (ob, ib) = stats::batch_snapshot();
 
-    // Every scalar call lands on exactly one ladder rung; batch fallbacks
-    // re-enter the scalar ladder, so subtract them to count the calls that
-    // bypassed the batched filter entirely.
-    let scalar_total: u64 = orient.iter().sum::<u64>() + incircle.iter().sum::<u64>();
-    let batch_lanes = ob[0] + ib[0];
-    let batch_fallbacks = ob[1] + ib[1];
-    let direct_scalar = scalar_total - batch_fallbacks;
-    let absorption = batch_lanes as f64 / (batch_lanes + direct_scalar) as f64;
-    let fallback_rate = batch_fallbacks as f64 / batch_lanes.max(1) as f64;
+    // Every call lands on exactly one rung, so a rung's share is its count
+    // over the predicate's call total.
+    let shares = |rungs: [u64; 4]| {
+        let calls = rungs.iter().sum::<u64>().max(1) as f64;
+        rungs.map(|r| r as f64 / calls)
+    };
+    let (orient_share, incircle_share) = (shares(orient), shares(incircle));
 
     println!(
         "pipeline: {} triangles in {:.3}s",
         out.stats.total_triangles, out.stats.total_s
     );
-    println!("orient2d  ladder [A,B,C,exact]: {orient:?}");
-    println!("incircle  ladder [A,B,C,exact]: {incircle:?}");
-    println!("orient2d  batch lanes {} (fallback {})", ob[0], ob[1]);
-    println!("incircle  batch lanes {} (fallback {})", ib[0], ib[1]);
-    println!(
-        "batch absorption {:.1}%  fallback rate {:.3}%",
-        100.0 * absorption,
-        100.0 * fallback_rate
-    );
+    for (name, rungs, share) in [
+        ("orient2d", orient, orient_share),
+        ("incircle", incircle, incircle_share),
+    ] {
+        let pct = share.map(|f| format!("{:.4}%", 100.0 * f));
+        println!("{name}  ladder [A,B,C,exact]: {rungs:?}  share {pct:?}");
+    }
 
     let report = obj! {
-        // Scalar ladder rungs `[stage_a, stage_b, stage_c, exact]`.
+        // Calls settled per rung, `[stage_a, stage_b, stage_c, exact]`.
         "orient2d_ladder": Value::arr(orient),
         "incircle_ladder": Value::arr(incircle),
-        // Batched lanes and how many fell back to the scalar ladder.
-        "orient2d_batch": ob[0],
-        "orient2d_batch_fallback": ob[1],
-        "incircle_batch": ib[0],
-        "incircle_batch_fallback": ib[1],
-        // batch_lanes / (batch_lanes + direct scalar calls).
-        "batch_absorption": absorption,
-        // batch_fallbacks / batch_lanes.
-        "batch_fallback_rate": fallback_rate,
+        // Each rung's fraction of the predicate's calls.
+        "orient2d_share": Value::arr(orient_share),
+        "incircle_share": Value::arr(incircle_share),
         "workload": "naca0012(96) sizing 0.5, 8/8 subdomains, single rank",
     };
     let path = write_json("predicate_stats", &report).expect("write report");

@@ -63,13 +63,12 @@ mod tests {
     use adm_airfoil::{naca0012_domain, Pslg};
     use adm_blayer::{build_boundary_layer, BlParams, Geometric};
     use adm_geom::polygon::contains_point;
-    use adm_mpirt::Pool;
-    use adm_partition::{decompose, triangulate_leaf_pooled, DecomposeParams, Subdomain};
+    use adm_partition::{decompose, triangulate_leaf, DecomposeParams, Subdomain};
 
     /// Decomposes one layer's cloud into `subdomains` leaves, triangulates
-    /// each on `pool` and assembles the result.
-    fn bl_mesh(layer: BoundaryLayer, seeds: &[Point2], subdomains: usize, pool: &Pool) -> Mesh {
-        bl_mesh_with(layer, seeds, subdomains, pool, 1)
+    /// each and assembles the result.
+    fn bl_mesh(layer: BoundaryLayer, seeds: &[Point2], subdomains: usize) -> Mesh {
+        bl_mesh_with(layer, seeds, subdomains, 1)
     }
 
     /// [`bl_mesh`], with the first leaf's triangle list handed to the
@@ -78,7 +77,6 @@ mod tests {
         layer: BoundaryLayer,
         seeds: &[Point2],
         subdomains: usize,
-        pool: &Pool,
         first_leaf_copies: usize,
     ) -> Mesh {
         let cloud = layer.all_points().to_vec();
@@ -94,9 +92,9 @@ mod tests {
             "got {} leaves",
             leaves.len()
         );
-        let first = triangulate_leaf_pooled(&leaves[0], pool);
+        let first = triangulate_leaf(&leaves[0]);
         let copies = std::iter::repeat_n(first, first_leaf_copies);
-        let rest = leaves[1..].iter().map(|l| triangulate_leaf_pooled(l, pool));
+        let rest = leaves[1..].iter().map(triangulate_leaf);
         assemble_bl_mesh(&arena, &[layer], seeds, copies.chain(rest))
     }
 
@@ -119,14 +117,14 @@ mod tests {
     #[should_panic(expected = "non-manifold edge")]
     fn a_triangle_reported_twice_fails_assembly() {
         let (domain, bl) = naca0012_layer();
-        bl_mesh_with(bl, &domain.hole_seeds(), 16, &Pool::new(0), 2);
+        bl_mesh_with(bl, &domain.hole_seeds(), 16, 2);
     }
 
     #[test]
     fn naca0012_bl_mesh_is_carved_and_conforming() {
         let (domain, bl) = naca0012_layer();
         let outer_border = bl.outer_border().to_vec();
-        let mesh = &bl_mesh(bl, &domain.hole_seeds(), 16, &Pool::new(2));
+        let mesh = &bl_mesh(bl, &domain.hole_seeds(), 16);
         mesh.check_consistency();
         assert!(mesh.num_triangles() > 1000);
         // No triangle centroid inside the airfoil.
@@ -166,7 +164,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mesh = &bl_mesh(bl, &domain.hole_seeds(), 8, &Pool::new(0));
+        let mesh = &bl_mesh(bl, &domain.hole_seeds(), 8);
         let mut max_aspect = 0.0f64;
         for t in mesh.live_triangles() {
             let tri = mesh.tri(t as usize);

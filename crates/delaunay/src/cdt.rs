@@ -10,7 +10,7 @@ use crate::bitset::BitSet;
 use crate::divconq::triangulate_dc;
 use crate::mesh::{edge_key, Location, Mesh, NIL};
 use adm_geom::point::Point2;
-use adm_geom::predicates::{incircle_one, orient2d_batch, orient2d_one};
+use adm_geom::predicates::{incircle, orient2d};
 use std::collections::HashMap;
 
 /// Errors from constrained triangulation.
@@ -93,17 +93,7 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
         let (u, v) = mesh.edge_vertices(t, i); // edge opposite a, CCW
         let pu = mesh.vertex(u as usize);
         let pv = mesh.vertex(v as usize);
-        let mut duv = [0.0f64; 2];
-        orient2d_batch(
-            &[pa.x; 2],
-            &[pa.y; 2],
-            &[pb.x; 2],
-            &[pb.y; 2],
-            &[pu.x, pv.x],
-            &[pu.y, pv.y],
-            &mut duv,
-        );
-        let [du, dv] = duv;
+        let (du, dv) = (orient2d(pa, pb, pu), orient2d(pa, pb, pv));
         // Vertex exactly on the segment between a and b: split.
         for (w, dw, pw) in [(u, du, pu), (v, dv, pv)] {
             if dw == 0.0 && between(pa, pb, pw) {
@@ -113,21 +103,9 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
         }
         // The CCW edge (u, v) opposite `a` is crossed by a->b when u lies
         // strictly right and v strictly left of the directed segment.
-        if du < 0.0 && dv > 0.0 {
-            let mut dab = [0.0f64; 2];
-            orient2d_batch(
-                &[pu.x; 2],
-                &[pu.y; 2],
-                &[pv.x; 2],
-                &[pv.y; 2],
-                &[pa.x, pb.x],
-                &[pa.y, pb.y],
-                &mut dab,
-            );
-            if dab[0] * dab[1] < 0.0 {
-                start = Some((t, i));
-                break;
-            }
+        if du < 0.0 && dv > 0.0 && orient2d(pu, pv, pa) * orient2d(pu, pv, pb) < 0.0 {
+            start = Some((t, i));
+            break;
         }
     }
     if let Some(w) = split {
@@ -156,7 +134,7 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
         assert_ne!(n, NIL, "constraint walk left the mesh");
         let (u, v) = mesh.edge_vertices(tcur, ecross);
         // Classify the crossed edge's endpoints relative to a->b.
-        let du = orient2d_one(pa, pb, mesh.vertex(u as usize));
+        let du = orient2d(pa, pb, mesh.vertex(u as usize));
         let (right, left) = if du < 0.0 { (u, v) } else { (v, u) };
         // Apex of n across (u, v).
         let ntri = mesh.tris[n as usize].v;
@@ -170,7 +148,7 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
             break;
         }
         let pw = mesh.vertex(w as usize);
-        let dw = orient2d_one(pa, pb, pw);
+        let dw = orient2d(pa, pb, pw);
         if dw == 0.0 {
             // The segment passes through vertex w: retriangulate the
             // corridor for (a, w), then continue with (w, b).
@@ -242,7 +220,7 @@ fn retriangulate_chain(mesh: &Mesh, a: u32, b: u32, verts: &[u32], out: &mut Vec
     let mut ci = 0usize;
     for i in 1..verts.len() {
         let pc = mesh.vertex(verts[ci] as usize);
-        if incircle_one(pa, pb, pc, mesh.vertex(verts[i] as usize)) > 0.0 {
+        if incircle(pa, pb, pc, mesh.vertex(verts[i] as usize)) > 0.0 {
             ci = i;
         }
     }

@@ -16,7 +16,7 @@
 
 use crate::quadedge::EdgePool;
 use adm_geom::point::Point2;
-use adm_geom::predicates::{incircle_one, orient2d_one};
+use adm_geom::predicates::{incircle, orient2d};
 
 /// Result of a divide-and-conquer triangulation: the edge pool plus the
 /// point set it refers to (deduplicated, sorted).
@@ -54,10 +54,10 @@ pub fn triangulate_dc(input: &[Point2], assume_sorted: bool) -> DcTriangulation 
     }
 }
 
-/// The triangulator's input prologue, shared with out-of-crate drivers:
-/// sorts (unless `assume_sorted`) and removes exact duplicates, keeping
-/// first-occurrence provenance. Returns `(points, input_index)` exactly
-/// as they appear in [`DcTriangulation`].
+/// The triangulator's input prologue (public for the same benchmark as
+/// [`delaunay_rec`]): sorts (unless `assume_sorted`) and removes exact
+/// duplicates, keeping first-occurrence provenance. Returns
+/// `(points, input_index)` exactly as they appear in [`DcTriangulation`].
 pub fn prepare_input(input: &[Point2], assume_sorted: bool) -> (Vec<Point2>, Vec<u32>) {
     // Index sort so we can report provenance of deduplicated points.
     let mut order: Vec<u32> = (0..input.len() as u32).collect();
@@ -87,11 +87,8 @@ pub fn prepare_input(input: &[Point2], assume_sorted: bool) -> (Vec<Point2>, Vec
 /// `(le, re)`: `le` is the CCW hull edge out of the leftmost vertex, `re`
 /// the CW hull edge out of the rightmost vertex.
 ///
-/// Public so an out-of-crate driver can run the same recursion over
-/// *forked* ranges (each half in its own pool, grafted and joined with
-/// [`merge_hulls`]) at the top vertical cuts: forking at the identical
-/// `lo + n/2` split points guarantees the identical merge DAG, and —
-/// with exact predicates — the identical triangle set.
+/// Public so the `dc_bl_heavy_leaves` benchmark can time the recursion
+/// alone, on a pool and sorted points it prepared outside the timed loop.
 pub fn delaunay_rec(pool: &mut EdgePool, pts: &[Point2], lo: usize, hi: usize) -> (u32, u32) {
     let n = hi - lo;
     debug_assert!(n >= 2);
@@ -104,7 +101,7 @@ pub fn delaunay_rec(pool: &mut EdgePool, pts: &[Point2], lo: usize, hi: usize) -
         let a = pool.make_edge(i0, i1);
         let b = pool.make_edge(i1, i2);
         pool.splice(pool.sym(a), b);
-        let ct = orient2d_one(pts[lo], pts[lo + 1], pts[lo + 2]);
+        let ct = orient2d(pts[lo], pts[lo + 1], pts[lo + 2]);
         if ct > 0.0 {
             pool.connect(b, a);
             return (a, pool.sym(b));
@@ -128,10 +125,13 @@ pub fn delaunay_rec(pool: &mut EdgePool, pts: &[Point2], lo: usize, hi: usize) -
 /// triangulated halves living in the same pool. `(ldo, ldi)` are the
 /// left half's hull edges (CCW out of its leftmost vertex, CW out of
 /// its rightmost), `(rdi, rdo)` the right half's; returns the combined
-/// `(le, re)`. This is the join point of the forked divide-and-conquer
-/// driver: after [`EdgePool::graft`], rebased right-half edges merge
-/// here exactly as if both halves had been built sequentially.
-pub fn merge_hulls(
+/// `(le, re)`.
+///
+/// Never inlined: folded into the recursive [`delaunay_rec`], its
+/// register and stack needs would burden every call down to the 2- and
+/// 3-point leaves.
+#[inline(never)]
+fn merge_hulls(
     pool: &mut EdgePool,
     pts: &[Point2],
     ldo: u32,
@@ -174,7 +174,7 @@ pub fn merge_hulls(
         let bo_i = pool.org(basel);
         let bd = pts[bd_i as usize];
         let bo = pts[bo_i as usize];
-        let rightward = |p: Point2| orient2d_one(p, bd, bo) > 0.0;
+        let rightward = |p: Point2| orient2d(p, bd, bo) > 0.0;
         // The incircle tests below short-circuit on *vertex-index* equality:
         // a circle test with a repeated point has a determinant of exactly
         // zero (two identical matrix rows), which the stage-A filter can
@@ -188,8 +188,7 @@ pub fn merge_hulls(
             loop {
                 let apex = pool.dest(pool.onext(lcand));
                 if apex == bo_i
-                    || incircle_one(bd, bo, pts[pool.dest(lcand) as usize], pts[apex as usize])
-                        <= 0.0
+                    || incircle(bd, bo, pts[pool.dest(lcand) as usize], pts[apex as usize]) <= 0.0
                 {
                     break;
                 }
@@ -204,8 +203,7 @@ pub fn merge_hulls(
             loop {
                 let apex = pool.dest(pool.oprev(rcand));
                 if apex == bd_i
-                    || incircle_one(bd, bo, pts[pool.dest(rcand) as usize], pts[apex as usize])
-                        <= 0.0
+                    || incircle(bd, bo, pts[pool.dest(rcand) as usize], pts[apex as usize]) <= 0.0
                 {
                     break;
                 }
@@ -224,7 +222,7 @@ pub fn merge_hulls(
         if !lvalid
             || (rvalid
                 && pool.dest(lcand) != pool.dest(rcand)
-                && incircle_one(
+                && incircle(
                     pts[pool.dest(lcand) as usize],
                     pts[pool.org(lcand) as usize],
                     pts[pool.org(rcand) as usize],
@@ -243,7 +241,7 @@ pub fn merge_hulls(
 /// `x` lies strictly left of directed edge `e` (org -> dest).
 #[inline]
 fn left_of(pts: &[Point2], x: u32, pool: &EdgePool, e: u32) -> bool {
-    orient2d_one(
+    orient2d(
         pts[x as usize],
         pts[pool.org(e) as usize],
         pts[pool.dest(e) as usize],
@@ -253,7 +251,7 @@ fn left_of(pts: &[Point2], x: u32, pool: &EdgePool, e: u32) -> bool {
 /// `x` lies strictly right of directed edge `e`.
 #[inline]
 fn right_of(pts: &[Point2], x: u32, pool: &EdgePool, e: u32) -> bool {
-    orient2d_one(
+    orient2d(
         pts[x as usize],
         pts[pool.dest(e) as usize],
         pts[pool.org(e) as usize],
@@ -281,7 +279,7 @@ impl DcTriangulation {
                 visited.set(e1 as usize, true);
                 visited.set(e2 as usize, true);
                 let (a, b, c) = (pool.org(e0), pool.org(e1), pool.org(e2));
-                if orient2d_one(
+                if orient2d(
                     self.points[a as usize],
                     self.points[b as usize],
                     self.points[c as usize],

@@ -13,7 +13,7 @@
 
 use crate::bitset::BitSet;
 use adm_geom::point::Point2;
-use adm_geom::predicates::{incircle, incircle_batch, orient2d, orient2d_batch, orient2d_one};
+use adm_geom::predicates::{incircle, orient2d};
 use adm_kernel::GlobalVertexId;
 use std::collections::HashMap;
 
@@ -206,8 +206,8 @@ impl Corners {
 
 /// A triangle mesh with neighbor adjacency and constrained-edge bookkeeping.
 ///
-/// Coordinates are stored as separate x/y arrays (SoA): the batched
-/// predicate filters read contiguous coordinate lanes. All per-triangle
+/// Coordinates are stored as separate x/y arrays (SoA): coordinate-only
+/// scans (canonical I/O, quality sweeps) stream them. All per-triangle
 /// state is fused in one `TriRec` record per slot; liveness is one bit
 /// per slot in a packed [`BitSet`]. Like Triangle, the mesh keeps only
 /// adjacency plus one vertex→triangle hint, which no mutation leaves stale
@@ -651,16 +651,12 @@ impl Mesh {
                 self.vertex(tri[1] as usize),
                 self.vertex(tri[2] as usize),
             );
-            // All three edge orientations through one batched stage-A pass
-            // (lane k is the edge opposite vertex k).
-            let ex = [b.x, c.x, a.x];
-            let ey = [b.y, c.y, a.y];
-            let fx = [c.x, a.x, b.x];
-            let fy = [c.y, a.y, b.y];
-            let tx = [target.x; 3];
-            let ty = [target.y; 3];
-            let mut d = [0.0f64; 3];
-            orient2d_batch(&ex, &ey, &fx, &fy, &tx, &ty, &mut d);
+            // `d[k]` is the orientation of the edge opposite vertex k.
+            let d = [
+                orient2d(b, c, target),
+                orient2d(c, a, target),
+                orient2d(a, b, target),
+            ];
             if let Some(loc) = self.locate_in(cur, target, d) {
                 return loc;
             }
@@ -923,16 +919,6 @@ impl Mesh {
         }
         while let Some(t) = s.stack.pop() {
             s.cavity.push(t);
-            // Gather the untested neighbors of `t`, then judge them with one
-            // batched stage-A incircle pass. Lane values are bit-identical to
-            // per-neighbor scalar calls, and stamping/pushing stays in edge
-            // order, so the BFS — and the kill order downstream — is
-            // unchanged.
-            let mut lanes = 0usize;
-            let mut cand = [NIL; 3];
-            let (mut ax, mut ay) = ([0.0f64; 3], [0.0f64; 3]);
-            let (mut bx, mut by) = ([0.0f64; 3], [0.0f64; 3]);
-            let (mut cx, mut cy) = ([0.0f64; 3], [0.0f64; 3]);
             for i in 0..3u8 {
                 let n = self.tris[t as usize].n[i as usize];
                 if n == NIL || s.stamp(n) == active {
@@ -948,35 +934,9 @@ impl Mesh {
                     self.vertex(tri[1] as usize),
                     self.vertex(tri[2] as usize),
                 );
-                cand[lanes] = n;
-                ax[lanes] = a.x;
-                ay[lanes] = a.y;
-                bx[lanes] = b.x;
-                by[lanes] = b.y;
-                cx[lanes] = c.x;
-                cy[lanes] = c.y;
-                lanes += 1;
-            }
-            if lanes == 0 {
-                continue;
-            }
-            let (px, py) = ([p.x; 3], [p.y; 3]);
-            let mut det = [0.0f64; 3];
-            incircle_batch(
-                &ax[..lanes],
-                &ay[..lanes],
-                &bx[..lanes],
-                &by[..lanes],
-                &cx[..lanes],
-                &cy[..lanes],
-                &px[..lanes],
-                &py[..lanes],
-                &mut det[..lanes],
-            );
-            for k in 0..lanes {
-                if det[k] > 0.0 {
-                    s.set_stamp(cand[k], active);
-                    s.stack.push(cand[k]);
+                if incircle(a, b, c, p) > 0.0 {
+                    s.set_stamp(n, active);
+                    s.stack.push(n);
                 }
             }
         }
@@ -1009,8 +969,7 @@ impl Mesh {
                             .map(|(sa, sb)| (u == sa && v == sb) || (u == sb && v == sa))
                             .unwrap_or(false);
                         !skip
-                            && orient2d_one(p, self.vertex(u as usize), self.vertex(v as usize))
-                                <= 0.0
+                            && orient2d(p, self.vertex(u as usize), self.vertex(v as usize)) <= 0.0
                     };
                     if degenerate && n != NIL && t != seed && t != seed2 {
                         s.set_stamp(t, evicted);
@@ -1043,7 +1002,7 @@ impl Mesh {
                     continue;
                 }
             }
-            if orient2d_one(p, self.vertex(u as usize), self.vertex(v as usize)) <= 0.0 {
+            if orient2d(p, self.vertex(u as usize), self.vertex(v as usize)) <= 0.0 {
                 debug_assert!(
                     n == NIL,
                     "degenerate fan edge with internal neighbor {n}: p={p:?} u={:?} v={:?} orient={}",

@@ -179,29 +179,6 @@ impl EdgePool {
         self.free.push(base);
     }
 
-    /// Grafts `other`'s edges into this pool and returns the slot offset
-    /// to add to every edge id minted by `other`. Both pools must index
-    /// the same point set (`org` values are untouched). Ring pointers
-    /// and the free list are rebased; the two subdivisions stay
-    /// topologically disjoint until the caller splices them, which is
-    /// exactly what the forked divide-and-conquer hull merge needs.
-    pub fn graft(&mut self, other: EdgePool) -> u32 {
-        let off = self.recs.len() as u32;
-        // Slots allocate in pairs, so the offset preserves `sym(e) == e ^ 1`.
-        debug_assert_eq!(off & 1, 0);
-        self.recs.extend(other.recs.into_iter().map(|r| EdgeRec {
-            org: r.org,
-            onext: r.onext + off,
-            oprev: r.oprev + off,
-        }));
-        self.alive.reserve(other.alive.len());
-        for i in 0..other.alive.len() {
-            self.alive.push(other.alive.get(i));
-        }
-        self.free.extend(other.free.into_iter().map(|e| e + off));
-        off
-    }
-
     /// Iterates over all live *directed* edges.
     pub fn live_directed_edges(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.recs.len() as u32).filter(move |&e| self.alive.get(e as usize))
@@ -277,32 +254,6 @@ mod tests {
         let d = p.make_edge(5, 6);
         assert_eq!(d & !1, c & !1);
         assert!(p.is_alive(d));
-    }
-
-    #[test]
-    fn graft_rebases_rings_and_free_list() {
-        let mut left = EdgePool::default();
-        let a = left.make_edge(0, 1);
-        let mut right = EdgePool::default();
-        let b = right.make_edge(2, 3);
-        let c = right.make_edge(3, 4);
-        right.splice(right.sym(b), c);
-        let dead = right.make_edge(9, 9);
-        right.delete_edge(dead);
-
-        let off = left.graft(right);
-        let (b, c) = (b + off, c + off);
-        assert_eq!(left.org(b), 2);
-        assert_eq!(left.dest(b), 3);
-        // The spliced ring survived rebasing.
-        assert_eq!(left.onext(left.sym(b)), c);
-        assert_eq!(left.lnext(b), c);
-        // Left pool untouched.
-        assert_eq!(left.onext(a), a);
-        // Rebased free slot is reused by the next allocation.
-        let d = left.make_edge(5, 6);
-        assert_eq!(d & !1, dead + off);
-        assert_eq!(left.live_count(), 2 * 4);
     }
 
     #[test]

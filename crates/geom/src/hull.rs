@@ -7,7 +7,7 @@
 //! linear time with one pass and a stack.
 
 use crate::point::Point2;
-use crate::predicates::orient2d_one;
+use crate::predicates::orient2d;
 
 /// Indices (into `points`) of the lower convex hull of a set that is
 /// **already sorted** lexicographically by `(x, y)`.
@@ -37,7 +37,7 @@ pub fn lower_hull_indices_sorted(points: &[Point2]) -> Vec<usize> {
         while hull.len() >= 2 {
             let a = points[hull[hull.len() - 2]];
             let b = points[hull[hull.len() - 1]];
-            if orient2d_one(a, b, points[i]) <= 0.0 {
+            if orient2d(a, b, points[i]) <= 0.0 {
                 hull.pop();
             } else {
                 break;

@@ -28,9 +28,7 @@ pub use adt::{extent_key, Adt, Point4};
 pub use hull::lower_hull_indices_sorted;
 pub use metric::{Metric2, MetricField};
 pub use point::{Point2, Vec2};
-pub use predicates::{
-    incircle, incircle_batch, incircle_one, orient2d, orient2d_batch, orient2d_one,
-};
+pub use predicates::{incircle, orient2d};
 pub use pslg::{Pslg, PslgError, RepairReport, ValidPslg};
 pub use pslg_gen::{generate_pslg, GeneratedPslg};
 pub use segment::{SegIntersection, Segment};

@@ -64,15 +64,6 @@ pub mod stats {
     pub static INCIRCLE_C: AtomicU64 = AtomicU64::new(0);
     pub static INCIRCLE_EXACT: AtomicU64 = AtomicU64::new(0);
 
-    /// Lanes evaluated through [`crate::predicates::orient2d_batch`] /
-    /// [`crate::predicates::incircle_batch`], and how many of those lanes
-    /// the vectorizable stage-A filter could *not* certify (each fallback
-    /// also bumps the scalar ladder counters above as usual).
-    pub static ORIENT_BATCH: AtomicU64 = AtomicU64::new(0);
-    pub static ORIENT_BATCH_FALLBACK: AtomicU64 = AtomicU64::new(0);
-    pub static INCIRCLE_BATCH: AtomicU64 = AtomicU64::new(0);
-    pub static INCIRCLE_BATCH_FALLBACK: AtomicU64 = AtomicU64::new(0);
-
     /// Snapshot of the counters as
     /// `(orient [A, B, C, exact], incircle [A, B, C, exact])`.
     pub fn snapshot() -> ([u64; 4], [u64; 4]) {
@@ -92,21 +83,6 @@ pub mod stats {
         )
     }
 
-    /// Snapshot of the batch counters as
-    /// `(orient [lanes, fallbacks], incircle [lanes, fallbacks])`.
-    pub fn batch_snapshot() -> ([u64; 2], [u64; 2]) {
-        (
-            [
-                ORIENT_BATCH.load(Ordering::Relaxed),
-                ORIENT_BATCH_FALLBACK.load(Ordering::Relaxed),
-            ],
-            [
-                INCIRCLE_BATCH.load(Ordering::Relaxed),
-                INCIRCLE_BATCH_FALLBACK.load(Ordering::Relaxed),
-            ],
-        )
-    }
-
     /// Zeroes every counter.
     pub fn reset() {
         for c in [
@@ -118,10 +94,6 @@ pub mod stats {
             &INCIRCLE_B,
             &INCIRCLE_C,
             &INCIRCLE_EXACT,
-            &ORIENT_BATCH,
-            &ORIENT_BATCH_FALLBACK,
-            &INCIRCLE_BATCH,
-            &INCIRCLE_BATCH_FALLBACK,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -133,7 +105,6 @@ pub mod stats {
     /// is the reporting surface shared with every other subsystem.
     pub fn publish(tracer: &adm_trace::Tracer) {
         let (orient, incircle) = snapshot();
-        let (orient_batch, incircle_batch) = batch_snapshot();
         for (name, v) in [
             ("geom.orient2d.stage_a", orient[0]),
             ("geom.orient2d.stage_b", orient[1]),
@@ -143,10 +114,6 @@ pub mod stats {
             ("geom.incircle.stage_b", incircle[1]),
             ("geom.incircle.stage_c", incircle[2]),
             ("geom.incircle.exact", incircle[3]),
-            ("geom.orient2d.batch", orient_batch[0]),
-            ("geom.orient2d.batch_fallback", orient_batch[1]),
-            ("geom.incircle.batch", incircle_batch[0]),
-            ("geom.incircle.batch_fallback", incircle_batch[1]),
         ] {
             tracer.set_count(name, v);
         }
@@ -165,21 +132,6 @@ macro_rules! bump {
     ($counter:ident) => {};
 }
 
-#[cfg(feature = "predicate-stats")]
-macro_rules! bump_n {
-    ($counter:ident, $n:expr) => {
-        crate::predicates::stats::$counter
-            .fetch_add($n as u64, std::sync::atomic::Ordering::Relaxed)
-    };
-}
-
-#[cfg(not(feature = "predicate-stats"))]
-macro_rules! bump_n {
-    ($counter:ident, $n:expr) => {
-        let _ = $n;
-    };
-}
-
 /// Returns a positive value if `a, b, c` are in counter-clockwise order,
 /// negative if clockwise, and exactly `0.0` if collinear.
 ///
@@ -190,30 +142,19 @@ pub fn orient2d(a: Point2, b: Point2, c: Point2) -> f64 {
     let detleft = (a.x - c.x) * (b.y - c.y);
     let detright = (a.y - c.y) * (b.x - c.x);
     let det = detleft - detright;
-
-    let detsum = if detleft > 0.0 {
-        if detright <= 0.0 {
-            bump!(ORIENT_A);
-            return det;
-        }
-        detleft + detright
-    } else if detleft < 0.0 {
-        if detright >= 0.0 {
-            bump!(ORIENT_A);
-            return det;
-        }
-        -detleft - detright
-    } else {
-        bump!(ORIENT_A);
-        return det;
-    };
-
-    let errbound = CCW_ERR_BOUND_A * detsum;
-    if det >= errbound || -det >= errbound {
-        bump!(ORIENT_A);
-        return det;
+    // Mixed signs or a zero product certify for free; when the two
+    // products have strictly the same sign, `|detleft| + |detright|` is
+    // Shewchuk's `detsum` and the sign is certified iff `|det|` reaches
+    // the bound. Signs are compared, never multiplied: `detleft *
+    // detright` can underflow to zero in the subnormal range and falsely
+    // certify.
+    let same_sign = ((detleft > 0.0) & (detright > 0.0)) | ((detleft < 0.0) & (detright < 0.0));
+    let detsum = detleft.abs() + detright.abs();
+    if same_sign && det.abs() < CCW_ERR_BOUND_A * detsum {
+        return orient2d_adapt(a, b, c, detsum);
     }
-    orient2d_adapt(a, b, c, detsum)
+    bump!(ORIENT_A);
+    det
 }
 
 /// Stages B-D of Shewchuk's adaptive `orient2d`, entered when the stage-A
@@ -336,12 +277,11 @@ pub fn incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> f64 {
     let permanent = (bdxcdy.abs() + cdxbdy.abs()) * alift
         + (cdxady.abs() + adxcdy.abs()) * blift
         + (adxbdy.abs() + bdxady.abs()) * clift;
-    let errbound = ICC_ERR_BOUND_A * permanent;
-    if det > errbound || -det > errbound {
-        bump!(INCIRCLE_A);
-        return det;
+    if det.abs() <= ICC_ERR_BOUND_A * permanent {
+        return incircle_adapt(a, b, c, d, permanent);
     }
-    incircle_adapt(a, b, c, d, permanent)
+    bump!(INCIRCLE_A);
+    det
 }
 
 /// Components stage D's running sum can reach: Shewchuk's bound for
@@ -672,227 +612,6 @@ fn incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> f64 {
     }
 }
 
-/// Batched `orient2d` over coordinate lanes: `out[k] = orient2d(a_k, b_k, c_k)`
-/// with `a_k = (ax[k], ay[k])` and so on. Returns the number of lanes the
-/// stage-A filter could not certify (those fell back to the scalar ladder).
-///
-/// The first pass is straight-line branch-free arithmetic over all lanes —
-/// the compiler auto-vectorizes it — recording an uncertified-lane mask. A
-/// second pass replays only the masked lanes through [`orient2d`], so every
-/// lane of `out` is **bit-identical** to the per-lane scalar call. Inputs
-/// must be finite (no NaN/inf), which every mesh coordinate satisfies.
-///
-/// All seven slices must share one length; lane counts beyond 64 are
-/// processed in 64-lane chunks. Inline so fixed-small-lane callers (the
-/// point-location walk batches 3 edges at a time) compile to straight-line
-/// code with the chunk machinery stripped.
-#[inline]
-pub fn orient2d_batch(
-    ax: &[f64],
-    ay: &[f64],
-    bx: &[f64],
-    by: &[f64],
-    cx: &[f64],
-    cy: &[f64],
-    out: &mut [f64],
-) -> usize {
-    let n = out.len();
-    assert!(
-        ax.len() == n
-            && ay.len() == n
-            && bx.len() == n
-            && by.len() == n
-            && cx.len() == n
-            && cy.len() == n,
-        "orient2d_batch: slice length mismatch"
-    );
-    let mut fallbacks = 0usize;
-    let mut k0 = 0usize;
-    while k0 < n {
-        let m = (n - k0).min(64);
-        let mut mask = 0u64;
-        for j in 0..m {
-            let k = k0 + j;
-            let detleft = (ax[k] - cx[k]) * (by[k] - cy[k]);
-            let detright = (ay[k] - cy[k]) * (bx[k] - cx[k]);
-            let det = detleft - detright;
-            // Matches the scalar stage-A exactly: when the two products have
-            // strictly the same sign, |detleft + detright| equals
-            // |detleft| + |detright|, and the sign is certified iff
-            // |det| >= errbound (mixed signs or a zero certify for free).
-            // Signs are compared directly — a product of the two could
-            // underflow to zero and falsely certify subnormal-range lanes.
-            let detsum = detleft.abs() + detright.abs();
-            let same_sign =
-                ((detleft > 0.0) & (detright > 0.0)) | ((detleft < 0.0) & (detright < 0.0));
-            let uncertified = same_sign & (det.abs() < CCW_ERR_BOUND_A * detsum);
-            mask |= (uncertified as u64) << j;
-            out[k] = det;
-        }
-        let mut mm = mask;
-        while mm != 0 {
-            let j = mm.trailing_zeros() as usize;
-            mm &= mm - 1;
-            let k = k0 + j;
-            out[k] = orient2d(
-                Point2::new(ax[k], ay[k]),
-                Point2::new(bx[k], by[k]),
-                Point2::new(cx[k], cy[k]),
-            );
-            fallbacks += 1;
-        }
-        k0 += m;
-    }
-    bump_n!(ORIENT_BATCH, n);
-    bump_n!(ORIENT_BATCH_FALLBACK, fallbacks);
-    fallbacks
-}
-
-/// Batched `incircle` over coordinate lanes:
-/// `out[k] = incircle(a_k, b_k, c_k, d_k)`. Returns the number of lanes the
-/// stage-A filter could not certify. Same contract as [`orient2d_batch`]:
-/// pass 1 is branch-free and auto-vectorizable, pass 2 replays uncertified
-/// lanes through the scalar adaptive ladder, and every lane of `out` is
-/// bit-identical to the per-lane [`incircle`] call on finite inputs.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn incircle_batch(
-    ax: &[f64],
-    ay: &[f64],
-    bx: &[f64],
-    by: &[f64],
-    cx: &[f64],
-    cy: &[f64],
-    dx: &[f64],
-    dy: &[f64],
-    out: &mut [f64],
-) -> usize {
-    let n = out.len();
-    assert!(
-        ax.len() == n
-            && ay.len() == n
-            && bx.len() == n
-            && by.len() == n
-            && cx.len() == n
-            && cy.len() == n
-            && dx.len() == n
-            && dy.len() == n,
-        "incircle_batch: slice length mismatch"
-    );
-    let mut fallbacks = 0usize;
-    let mut k0 = 0usize;
-    while k0 < n {
-        let m = (n - k0).min(64);
-        let mut mask = 0u64;
-        for j in 0..m {
-            let k = k0 + j;
-            let adx = ax[k] - dx[k];
-            let bdx = bx[k] - dx[k];
-            let cdx = cx[k] - dx[k];
-            let ady = ay[k] - dy[k];
-            let bdy = by[k] - dy[k];
-            let cdy = cy[k] - dy[k];
-
-            let bdxcdy = bdx * cdy;
-            let cdxbdy = cdx * bdy;
-            let alift = adx * adx + ady * ady;
-
-            let cdxady = cdx * ady;
-            let adxcdy = adx * cdy;
-            let blift = bdx * bdx + bdy * bdy;
-
-            let adxbdy = adx * bdy;
-            let bdxady = bdx * ady;
-            let clift = cdx * cdx + cdy * cdy;
-
-            let det =
-                alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady);
-            let permanent = (bdxcdy.abs() + cdxbdy.abs()) * alift
-                + (cdxady.abs() + adxcdy.abs()) * blift
-                + (adxbdy.abs() + bdxady.abs()) * clift;
-            // Scalar stage A certifies on det > errbound || -det > errbound;
-            // the complement (uncertified) is |det| <= errbound.
-            let uncertified = det.abs() <= ICC_ERR_BOUND_A * permanent;
-            mask |= (uncertified as u64) << j;
-            out[k] = det;
-        }
-        let mut mm = mask;
-        while mm != 0 {
-            let j = mm.trailing_zeros() as usize;
-            mm &= mm - 1;
-            let k = k0 + j;
-            out[k] = incircle(
-                Point2::new(ax[k], ay[k]),
-                Point2::new(bx[k], by[k]),
-                Point2::new(cx[k], cy[k]),
-                Point2::new(dx[k], dy[k]),
-            );
-            fallbacks += 1;
-        }
-        k0 += m;
-    }
-    bump_n!(INCIRCLE_BATCH, n);
-    bump_n!(INCIRCLE_BATCH_FALLBACK, fallbacks);
-    fallbacks
-}
-
-/// One-lane form of [`orient2d_batch`]: the same value as [`orient2d`]
-/// bit-for-bit, evaluated through the batched stage-A filter semantics
-/// (and counted as a batched lane under `predicate-stats`). The filter is
-/// restated inline rather than routed through the slice API so single-test
-/// call sites — the insert fan and cavity-repair checks fire once per
-/// spoke — compile to straight-line code with no chunk machinery.
-#[inline]
-pub fn orient2d_one(a: Point2, b: Point2, c: Point2) -> f64 {
-    let detleft = (a.x - c.x) * (b.y - c.y);
-    let detright = (a.y - c.y) * (b.x - c.x);
-    let det = detleft - detright;
-    // Same certification test as the batch pass; see `orient2d_batch` for
-    // the sign-comparison rationale (subnormal products must not falsely
-    // certify).
-    let same_sign = ((detleft > 0.0) & (detright > 0.0)) | ((detleft < 0.0) & (detright < 0.0));
-    bump_n!(ORIENT_BATCH, 1);
-    if same_sign && det.abs() < CCW_ERR_BOUND_A * (detleft.abs() + detright.abs()) {
-        bump_n!(ORIENT_BATCH_FALLBACK, 1);
-        return orient2d(a, b, c);
-    }
-    det
-}
-
-/// One-lane form of [`incircle_batch`]; same contract as [`orient2d_one`].
-#[inline]
-pub fn incircle_one(a: Point2, b: Point2, c: Point2, d: Point2) -> f64 {
-    let adx = a.x - d.x;
-    let bdx = b.x - d.x;
-    let cdx = c.x - d.x;
-    let ady = a.y - d.y;
-    let bdy = b.y - d.y;
-    let cdy = c.y - d.y;
-
-    let bdxcdy = bdx * cdy;
-    let cdxbdy = cdx * bdy;
-    let alift = adx * adx + ady * ady;
-
-    let cdxady = cdx * ady;
-    let adxcdy = adx * cdy;
-    let blift = bdx * bdx + bdy * bdy;
-
-    let adxbdy = adx * bdy;
-    let bdxady = bdx * ady;
-    let clift = cdx * cdx + cdy * cdy;
-
-    let det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady);
-    let permanent = (bdxcdy.abs() + cdxbdy.abs()) * alift
-        + (cdxady.abs() + adxcdy.abs()) * blift
-        + (adxbdy.abs() + bdxady.abs()) * clift;
-    bump_n!(INCIRCLE_BATCH, 1);
-    if det.abs() <= ICC_ERR_BOUND_A * permanent {
-        bump_n!(INCIRCLE_BATCH_FALLBACK, 1);
-        return incircle(a, b, c, d);
-    }
-    det
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1112,6 +831,17 @@ mod tests {
         }
     }
 
+    /// Holds `orient2d` to the heap-expansion oracle: the same sign, and
+    /// `0.0` exactly when the oracle's determinant is zero.
+    fn assert_orient_matches_oracle([a, b, c]: [Point2; 3]) {
+        let (got, want) = (orient2d(a, b, c), orient2d_exact(a, b, c));
+        assert_eq!(
+            got.partial_cmp(&0.0),
+            want.partial_cmp(&0.0),
+            "orient2d({a:?}, {b:?}, {c:?}) = {got:e}, exactly {want:e}"
+        );
+    }
+
     /// `x` moved by `ulps` units in the last place (toward larger
     /// magnitude for positive `ulps`).
     fn nudged(x: f64, ulps: i64) -> f64 {
@@ -1221,6 +951,56 @@ mod tests {
             ]
         }
 
+        /// Perturbations from exactly degenerate down to sub-ulp: zero
+        /// keeps the configuration degenerate, the tiny magnitudes land
+        /// inside stage A's uncertainty band.
+        fn eps() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                Just(0.0),
+                -1e-9f64..1e-9,
+                -1e-14f64..1e-14,
+                -1e-18f64..1e-18,
+            ]
+        }
+
+        /// A triple collinear up to `e`: `c = a + t (b - a)` plus a normal
+        /// offset of size `e`.
+        fn near_collinear() -> impl Strategy<Value = [Point2; 3]> {
+            let c = || -50.0f64..50.0;
+            (c(), c(), c(), c(), -2.0f64..3.0, eps()).prop_map(|(ax, ay, bx, by, t, e)| {
+                let (dx, dy) = (bx - ax, by - ay);
+                [
+                    Point2::new(ax, ay),
+                    Point2::new(bx, by),
+                    Point2::new(ax + t * dx - e * dy, ay + t * dy + e * dx),
+                ]
+            })
+        }
+
+        /// Three counter-clockwise points on a circle and a fourth on it
+        /// up to a relative radius error `e`.
+        fn near_cocircular() -> impl Strategy<Value = [Point2; 4]> {
+            let circle = (-20.0f64..20.0, -20.0f64..20.0, 0.1f64..30.0);
+            let turns = (0.0f64..1.0, 0.3f64..1.0, 0.1f64..0.9);
+            (circle, turns, eps()).prop_map(|((cx, cy, r), (t0, f1, f2), e)| {
+                let at = |turn: f64, rr: f64| {
+                    let (s, c) = (std::f64::consts::TAU * turn).sin_cos();
+                    Point2::new(cx + rr * c, cy + rr * s)
+                };
+                [
+                    at(t0, r),
+                    at(t0 + 0.4 * f1, r),
+                    at(t0 + 0.4 + 0.5 * f2, r),
+                    at(t0 + 0.93, r * (1.0 + e)),
+                ]
+            })
+        }
+
+        /// `2^-280`: it takes `near_collinear`'s coordinates to where
+        /// `detleft` and `detright` are normal but their product
+        /// underflows to zero, so stage A must compare their signs.
+        const TINY: f64 = f64::from_bits((1023 - 280) << 52);
+
         /// Moves one coordinate of `q` by one ulp either way.
         fn nudge(q: [Point2; 4], which: usize, up: bool) -> [Point2; 4] {
             let mut n = q;
@@ -1246,6 +1026,34 @@ mod tests {
             fn lattice_squares(q in lattice_square(), which in 0usize..8, up in any::<bool>()) {
                 assert_matches_oracle(q);
                 assert_matches_oracle(nudge(q, which, up));
+            }
+
+            #[test]
+            fn near_collinear_triples(t in near_collinear()) {
+                assert_orient_matches_oracle(t);
+            }
+
+            #[test]
+            fn subnormal_product_triples(t in near_collinear()) {
+                let [a, b, c] = t.map(|p| Point2::new(p.x * TINY, p.y * TINY));
+                let detleft = (a.x - c.x) * (b.y - c.y);
+                let detright = (a.y - c.y) * (b.x - c.x);
+                prop_assert_eq!(detleft * detright, 0.0);
+                assert_orient_matches_oracle([a, b, c]);
+            }
+
+            #[test]
+            fn near_cocircular_quadruples(q in near_cocircular()) {
+                assert_matches_oracle(q);
+            }
+
+            #[test]
+            fn repeated_points_are_exact_zeros(x in -50.0f64..50.0, y in -50.0f64..50.0) {
+                let (p, q) = (Point2::new(x, y), Point2::new(x + 1.0, y - 2.0));
+                for [a, b, c] in [[p, p, q], [p, q, p], [q, p, p]] {
+                    prop_assert_eq!(orient2d(a, b, c), 0.0);
+                    prop_assert_eq!(incircle(a, b, c, q), 0.0);
+                }
             }
 
             #[test]

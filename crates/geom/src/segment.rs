@@ -6,7 +6,7 @@
 //! boundary-layer point insertion, where an ulp of error is harmless.
 
 use crate::point::Point2;
-use crate::predicates::{orient2d, orient2d_batch};
+use crate::predicates::orient2d;
 
 /// A directed line segment from `a` to `b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,20 +108,15 @@ impl Segment {
 
     /// The four orientation signs every intersection query starts from
     /// (`self` endpoints against `other`, then `other` endpoints against
-    /// `self`), evaluated through one 4-lane batched stage-A pass.
+    /// `self`).
     #[inline]
     fn cross_signs(&self, other: &Segment) -> [f64; 4] {
-        let mut d = [0.0f64; 4];
-        orient2d_batch(
-            &[other.a.x, other.a.x, self.a.x, self.a.x],
-            &[other.a.y, other.a.y, self.a.y, self.a.y],
-            &[other.b.x, other.b.x, self.b.x, self.b.x],
-            &[other.b.y, other.b.y, self.b.y, self.b.y],
-            &[self.a.x, self.b.x, other.a.x, other.b.x],
-            &[self.a.y, self.b.y, other.a.y, other.b.y],
-            &mut d,
-        );
-        d
+        [
+            orient2d(other.a, other.b, self.a),
+            orient2d(other.a, other.b, self.b),
+            orient2d(self.a, self.b, other.a),
+            orient2d(self.a, self.b, other.b),
+        ]
     }
 
     /// Bounding-range containment assuming `p` is already known collinear.

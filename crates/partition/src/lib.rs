@@ -12,7 +12,7 @@ pub mod decompose;
 pub mod subdomain;
 
 pub use decompose::{
-    decompose, triangulate_all, triangulate_dc_pooled, triangulate_leaf, triangulate_leaf_pooled,
-    DecomposeParams, Decomposition,
+    decompose, triangulate_all, triangulate_leaf, triangulate_leaf_pooled, DecomposeParams,
+    Decomposition,
 };
 pub use subdomain::{reduction_plan, Cut, CutAxis, ReductionNode, Side, Subdomain, Vertex};
