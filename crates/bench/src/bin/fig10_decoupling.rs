@@ -1,15 +1,18 @@
 //! Figures 9 & 10: the decoupled inviscid region.
 //!
 //! Builds the four initial quadrants (Fig 9), decouples them by estimated
-//! triangle count, refines every subdomain independently, and reports the
-//! per-subdomain triangle balance that the paper's Figure 10 illustrates
-//! ("each subdomain has roughly the same number of triangles"). Renders
-//! the decoupled borders as an SVG.
+//! triangle count with the pipeline's own policy (`decouple_threshold`
+//! targeting 64 subdomains, then `decouple_by_threshold`), refines every
+//! subdomain independently, and reports the per-subdomain triangle
+//! balance that the paper's Figure 10 illustrates ("each subdomain has
+//! roughly the same number of triangles"). Renders the decoupled borders
+//! as an SVG.
 
 use adm_bench::maybe_write_trace;
 use adm_bench::write_json;
+use adm_core::inviscid::decouple_threshold;
 use adm_core::refine_region;
-use adm_decouple::{decouple_to_count, initial_quadrants, GradedSizing};
+use adm_decouple::{decouple_by_threshold, initial_quadrants, GradedSizing};
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 use adm_trace::json::obj;
@@ -23,7 +26,8 @@ fn main() {
     let sizing = GradedSizing::new(&body_samples, 0.04, 0.12, 8.0, 32);
 
     let init = initial_quadrants(&body, &far, &sizing);
-    let leaves = decouple_to_count(init.quadrants.to_vec(), 64, &sizing);
+    let threshold = decouple_threshold(&init.quadrants, 64, &sizing);
+    let leaves = decouple_by_threshold(init.quadrants.to_vec(), threshold, &sizing);
     eprintln!("[fig10] {} decoupled subdomains", leaves.len());
 
     let tracer = Tracer::wall();

@@ -517,7 +517,7 @@ pub(crate) fn drive<S: Sync, B: WorkItem, O: Send + 'static, T, E: From<std::io:
     // steal traffic into the next request's trace.
     let steals_before = pool.steals();
 
-    let span = tracer.span(Track::ROOT, "phase.setup");
+    let span = tracer.span(Track::ROOT, TaskKind::Serial.span_name());
     let (shared, seeds) = setup(tracer)?;
     span.close();
 

@@ -30,7 +30,9 @@ pub enum TaskKind {
     /// Final merge / global mesh assembly — output-side work the paper
     /// excludes from its timings (the production mesh stays distributed).
     Merge,
-    /// Any other serial stage.
+    /// The driver's serial setup phase (sizing, seed tasks), less the
+    /// task spans nested in it — the boundary-layer build — which count
+    /// under their own kinds.
     Serial,
 }
 
@@ -45,7 +47,7 @@ impl TaskKind {
             TaskKind::BlBuild => "phase.bl_build",
             TaskKind::Decompose => "phase.decompose",
             TaskKind::Merge => "phase.merge",
-            TaskKind::Serial => "phase.serial",
+            TaskKind::Serial => "phase.setup",
         }
     }
 
@@ -58,7 +60,7 @@ impl TaskKind {
             "phase.bl_build" => TaskKind::BlBuild,
             "phase.decompose" => TaskKind::Decompose,
             "phase.merge" => TaskKind::Merge,
-            "phase.serial" => TaskKind::Serial,
+            "phase.setup" => TaskKind::Serial,
             _ => return None,
         })
     }
@@ -88,7 +90,9 @@ pub struct TaskLog {
 impl TaskLog {
     /// Rebuilds a record list from a finished trace: every closed span
     /// whose name maps to a [`TaskKind`] becomes one record, in span-open
-    /// order, with `bytes`/`triangles` recovered from span args.
+    /// order, with `bytes`/`triangles` recovered from span args. A
+    /// [`TaskKind::Serial`] record's cost excludes the task spans directly
+    /// nested in it on its lane, so no time is counted twice.
     pub fn from_trace(tracer: &Tracer) -> Self {
         let snap = tracer.snapshot();
         let mut log = TaskLog::default();
@@ -100,9 +104,22 @@ impl TaskLog {
                         .find(|(k, _)| *k == key)
                         .map_or(0, |(_, v)| *v)
                 };
+                let mut cost = span.duration();
+                if kind == TaskKind::Serial {
+                    for inner in snap.spans.iter().filter(|s| {
+                        s.closed()
+                            && s.track == span.track
+                            && s.depth == span.depth + 1
+                            && s.start_ns >= span.start_ns
+                            && s.end_ns <= span.end_ns
+                            && TaskKind::from_span_name(&s.name).is_some()
+                    }) {
+                        cost = cost.saturating_sub(inner.duration());
+                    }
+                }
                 log.records.push(TaskRecord {
                     kind,
-                    cost_s: span.duration().as_secs_f64(),
+                    cost_s: cost.as_secs_f64(),
                     bytes: arg("bytes"),
                     triangles: arg("triangles"),
                 });

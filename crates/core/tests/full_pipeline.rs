@@ -2,7 +2,7 @@
 
 use adm_core::{
     generate, generate_on, generate_parallel, generate_undecomposed, mesh_digest_hex, Executor,
-    MeshConfig, PipelineStats, SizingFn,
+    MeshConfig, PipelineStats, SizingFn, TaskKind,
 };
 use adm_delaunay::quality::mesh_quality;
 use adm_mpirt::Pool;
@@ -34,6 +34,31 @@ fn naca0012_pipeline_end_to_end() {
     assert!(q.triangles == out.stats.total_triangles);
     let tasks = out.log.parallel_tasks();
     assert!(tasks.len() >= 9, "only {} parallel tasks", tasks.len());
+}
+
+/// The modeled serial term is the driver's setup phase without the
+/// boundary-layer build nested in it: positive, and never counting the
+/// build's time twice.
+#[test]
+fn serial_term_is_the_setup_phase_without_the_bl_build() {
+    let out = generate(&small_naca_config());
+    let serial = out.log.total_s(TaskKind::Serial);
+    let bl = out.log.total_s(TaskKind::BlBuild);
+    let setup: f64 = out
+        .trace
+        .snapshot()
+        .spans
+        .iter()
+        .filter(|s| s.name == "phase.setup")
+        .map(|s| s.duration().as_secs_f64())
+        .sum();
+    assert!(serial > 0.0, "no serial time recorded");
+    assert!(bl > 0.0, "no boundary-layer build recorded");
+    // 1 ns of slack for the seconds conversion's rounding.
+    assert!(
+        serial + bl <= setup + 1e-9,
+        "serial {serial} + bl {bl} > setup {setup}"
+    );
 }
 
 #[test]

@@ -14,5 +14,5 @@ pub mod sizing;
 
 pub use march::{chain_respects_bounds, march_path};
 pub use quadrant::{initial_quadrants, InitialDecoupling};
-pub use region::{decouple_by_threshold, decouple_to_count, splittable, Region};
+pub use region::{decouple_by_threshold, splittable, Region};
 pub use sizing::{k_value, GradedSizing, SizingFn, UniformH, EQUILATERAL};

@@ -161,12 +161,12 @@ pub fn splittable(region: &Region) -> bool {
     (0..4).all(|k| region.side_len(k) >= 3)
 }
 
-/// Threshold-based recursive decoupling: a region splits while its
-/// estimated triangle count exceeds `max_estimate`. Unlike
-/// [`decouple_to_count`], the decision is *per region* and therefore
-/// independent of execution order — the property that lets the
-/// distributed driver decouple on any rank and still produce the exact
-/// leaf set of the sequential run.
+/// Recursive decoupling (the paper decouples "based on the estimated
+/// number of triangles for the subdomain"): a region splits while its
+/// estimated triangle count exceeds `max_estimate`. The decision is *per
+/// region* and therefore independent of execution order — the property
+/// that lets the distributed driver decouple on any rank and still
+/// produce the exact leaf set of the sequential run.
 pub fn decouple_by_threshold(
     initial: Vec<Region>,
     max_estimate: f64,
@@ -182,45 +182,6 @@ pub fn decouple_by_threshold(
         }
     }
     leaves
-}
-
-/// Recursively decouples `initial` regions until there are at least
-/// `target` leaves, always splitting the leaf with the largest estimated
-/// triangle count (the paper decouples "based on the estimated number of
-/// triangles for the subdomain").
-pub fn decouple_to_count(
-    initial: Vec<Region>,
-    target: usize,
-    sizing: &dyn SizingFn,
-) -> Vec<Region> {
-    let mut leaves: Vec<(f64, Region)> = initial
-        .into_iter()
-        .map(|r| (r.estimated_triangles(sizing), r))
-        .collect();
-    while leaves.len() < target {
-        // Largest estimate first.
-        let (idx, _) = leaves
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-            .expect("non-empty");
-        let (_, region) = leaves.swap_remove(idx);
-        // A region too small to split (no interior border points) is put
-        // back and splitting stops to avoid livelock.
-        let splittable = (0..4).all(|k| region.side_range(k).len() >= 3);
-        if !splittable {
-            leaves.push((0.0, region));
-            if leaves.iter().all(|(e, _)| *e == 0.0) {
-                break;
-            }
-            continue;
-        }
-        for child in region.plus_split(sizing) {
-            let e = child.estimated_triangles(sizing);
-            leaves.push((e, child));
-        }
-    }
-    leaves.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -333,15 +294,20 @@ mod tests {
     }
 
     #[test]
-    fn decouple_to_count_reaches_target() {
+    fn decouple_by_threshold_bounds_every_leaf() {
         let s = UniformH(0.2);
         let r = rect_region(p(0.0, 0.0), p(8.0, 8.0), &s);
-        let leaves = decouple_to_count(vec![r], 16, &s);
+        let max_estimate = r.estimated_triangles(&s) / 16.0;
+        let leaves = decouple_by_threshold(vec![r], max_estimate, &s);
         assert!(leaves.len() >= 16);
         let total: f64 = leaves.iter().map(|l| signed_area(&l.border)).sum();
         assert!((total - 64.0).abs() < 1e-9);
-        // Balanced estimates: max/mean bounded.
+        // Every leaf is under the threshold or too small to split, and
+        // the estimates are balanced: max/mean bounded.
         let ests: Vec<f64> = leaves.iter().map(|l| l.estimated_triangles(&s)).collect();
+        for (l, &e) in leaves.iter().zip(&ests) {
+            assert!(e <= max_estimate || !splittable(l), "leaf estimate {e}");
+        }
         let max = ests.iter().cloned().fold(0.0, f64::max);
         let mean = ests.iter().sum::<f64>() / ests.len() as f64;
         assert!(max / mean < 4.0, "imbalance {max}/{mean}");

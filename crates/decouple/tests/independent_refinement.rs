@@ -4,13 +4,20 @@
 //! subdomains is conforming and constrained-Delaunay without any
 //! inter-process communication.
 
-use adm_decouple::{decouple_to_count, initial_quadrants, GradedSizing, Region, SizingFn};
+use adm_decouple::{decouple_by_threshold, initial_quadrants, GradedSizing, Region, SizingFn};
 use adm_delaunay::quality::mesh_quality;
 use adm_delaunay::{carve, constrained_delaunay, refine, Mesh, RefineParams, RefineStats};
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
 use adm_geom::polygon::signed_area;
 use adm_geom::pslg::Pslg;
+
+/// Decouples `initial` with every leaf's estimate at most a `1/parts`
+/// share of the total.
+fn decouple_into(initial: &[Region], parts: usize, sizing: &dyn SizingFn) -> Vec<Region> {
+    let total: f64 = initial.iter().map(|r| r.estimated_triangles(sizing)).sum();
+    decouple_by_threshold(initial.to_vec(), total / parts as f64, sizing)
+}
 
 fn refine_region(region: &Region, sizing: &dyn SizingFn) -> (Mesh, RefineStats) {
     let mut pslg = Pslg::default();
@@ -39,7 +46,7 @@ fn independent_refinement_never_splits_shared_borders() {
         8,
     );
     let init = initial_quadrants(&body, &far, &sizing);
-    let leaves = decouple_to_count(init.quadrants.to_vec(), 12, &sizing);
+    let leaves = decouple_into(&init.quadrants, 12, &sizing);
     assert!(leaves.len() >= 12);
 
     let mut boundary_points: Vec<std::collections::HashSet<(u64, u64)>> = Vec::new();
@@ -101,7 +108,7 @@ fn conforming_interfaces_after_independent_refinement() {
     let far = Aabb::new(Point2::new(-8.0, -8.0), Point2::new(8.0, 8.0));
     let sizing = GradedSizing::new(&[Point2::new(0.0, 0.0)], 0.2, 0.3, 30.0, 4);
     let init = initial_quadrants(&body, &far, &sizing);
-    let leaves = decouple_to_count(init.quadrants.to_vec(), 8, &sizing);
+    let leaves = decouple_into(&init.quadrants, 8, &sizing);
 
     // Collect each leaf's border point set.
     let sets: Vec<std::collections::HashSet<(u64, u64)>> = leaves

@@ -1,8 +1,8 @@
 //! Property-based tests for the decoupling machinery.
 
 use adm_decouple::{
-    chain_respects_bounds, decouple_to_count, initial_quadrants, k_value, march_path, GradedSizing,
-    SizingFn, UniformH,
+    chain_respects_bounds, decouple_by_threshold, initial_quadrants, k_value, march_path,
+    GradedSizing, SizingFn, UniformH,
 };
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
@@ -70,7 +70,8 @@ proptest! {
         let sizing = GradedSizing::new(&[Point2::new(0.0, 0.0)], h0, 0.2, 50.0, 4);
         let d = initial_quadrants(&b, &f, &sizing);
         let before: f64 = d.quadrants.iter().map(|q| signed_area(&q.border)).sum();
-        let leaves = decouple_to_count(d.quadrants.to_vec(), target, &sizing);
+        let total: f64 = d.quadrants.iter().map(|q| q.estimated_triangles(&sizing)).sum();
+        let leaves = decouple_by_threshold(d.quadrants.to_vec(), total / target as f64, &sizing);
         prop_assert!(leaves.len() >= target.min(4));
         let after: f64 = leaves.iter().map(|l| signed_area(&l.border)).sum();
         prop_assert!((after - before).abs() < 1e-6 * before);

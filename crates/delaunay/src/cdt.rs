@@ -11,7 +11,6 @@ use crate::divconq::triangulate_dc;
 use crate::mesh::{edge_key, Location, Mesh, NIL};
 use adm_geom::point::Point2;
 use adm_geom::predicates::{incircle, orient2d};
-use std::collections::HashMap;
 
 /// Errors from constrained triangulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,24 +33,9 @@ pub fn constrained_delaunay(
 ) -> Result<(Mesh, Vec<u32>), CdtError> {
     let dc = triangulate_dc(points, assume_sorted);
     let tris = dc.triangles();
-    // input index -> mesh vertex index. Mesh points are dedup'd, so each
-    // coordinate pair appears exactly once; one hash pass maps every input
-    // duplicate to it. Keys normalize -0.0 to 0.0 so the lookup agrees
-    // with f64 `==` (NaN never matches either way).
-    let coord_key = |p: Point2| -> (u64, u64) {
-        let norm = |v: f64| if v == 0.0 { 0.0f64 } else { v }.to_bits();
-        (norm(p.x), norm(p.y))
-    };
-    let mesh_of: HashMap<(u64, u64), u32> = dc
-        .points
-        .iter()
-        .enumerate()
-        .map(|(mesh_idx, &p)| (coord_key(p), mesh_idx as u32))
-        .collect();
-    let input_to_mesh: Vec<u32> = points
-        .iter()
-        .map(|&p| mesh_of.get(&coord_key(p)).copied().unwrap_or(u32::MAX))
-        .collect();
+    // Input index -> mesh vertex index: the triangulator's prologue
+    // already decided which deduplicated point each input became.
+    let input_to_mesh = dc.point_of_input;
     let mut mesh = Mesh::from_triangles(dc.points, tris);
     for &(a, b) in segments {
         let (ma, mb) = (input_to_mesh[a as usize], input_to_mesh[b as usize]);
@@ -102,8 +86,12 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
             }
         }
         // The CCW edge (u, v) opposite `a` is crossed by a->b when u lies
-        // strictly right and v strictly left of the directed segment.
-        if du < 0.0 && dv > 0.0 && orient2d(pu, pv, pa) * orient2d(pu, pv, pb) < 0.0 {
+        // strictly right and v strictly left of the directed segment, and
+        // a and b lie strictly on opposite sides of (u, v). Compare the
+        // signs, never their product: for tiny coordinates the product of
+        // two normal predicate values can underflow to 0.
+        let (sa, sb) = (orient2d(pu, pv, pa), orient2d(pu, pv, pb));
+        if du < 0.0 && dv > 0.0 && ((sa < 0.0 && sb > 0.0) || (sa > 0.0 && sb < 0.0)) {
             start = Some((t, i));
             break;
         }
@@ -306,6 +294,24 @@ mod tests {
         assert!(mesh.find_edge(map[1], map[3]).is_none());
         mesh.check_consistency();
         assert!(mesh.is_constrained_delaunay());
+    }
+
+    #[test]
+    fn tiny_coordinates_force_the_other_diagonal() {
+        // Each orient2d on this quad is about 2^-997 (a normal double),
+        // but the product of two of them underflows to 0: the exit
+        // triangle must be found by comparing signs.
+        let s = 2f64.powi(-500);
+        let pts = vec![p(0.0, 0.0), p(5.0 * s, -s), p(10.0 * s, 0.0), p(5.0 * s, s)];
+        let (mut mesh, map) = constrained_delaunay(&pts, &[], false).unwrap();
+        let (a, b) = if mesh.find_edge(map[1], map[3]).is_some() {
+            (map[0], map[2])
+        } else {
+            (map[1], map[3])
+        };
+        insert_constraint(&mut mesh, a, b).unwrap();
+        assert!(mesh.is_constrained(a, b));
+        mesh.check_consistency();
     }
 
     #[test]

@@ -29,36 +29,34 @@ pub struct DcTriangulation {
     /// For each triangulated point, the index of the point in the caller's
     /// input slice it came from (first occurrence for duplicates).
     pub input_index: Vec<u32>,
-    /// A counter-clockwise convex-hull edge (entry point for hull walks);
-    /// `None` when fewer than 2 distinct points exist.
-    pub hull_edge: Option<u32>,
+    /// For each input point, the index of the triangulated point it became
+    /// (exact duplicates share one).
+    pub point_of_input: Vec<u32>,
 }
 
 /// Triangulates `input`. Set `assume_sorted` when the caller guarantees
 /// lexicographic `(x, y)` order — the sort is skipped (duplicates are still
 /// removed). Exact duplicates are merged.
 pub fn triangulate_dc(input: &[Point2], assume_sorted: bool) -> DcTriangulation {
-    let (points, input_index) = prepare_input(input, assume_sorted);
+    let (points, input_index, point_of_input) = prepare_input(input, assume_sorted);
     let mut pool = EdgePool::with_capacity(3 * points.len() + 8);
-    let hull_edge = if points.len() >= 2 {
-        let (le, _re) = delaunay_rec(&mut pool, &points, 0, points.len());
-        Some(le)
-    } else {
-        None
-    };
+    if points.len() >= 2 {
+        delaunay_rec(&mut pool, &points, 0, points.len());
+    }
     DcTriangulation {
         pool,
         points,
         input_index,
-        hull_edge,
+        point_of_input,
     }
 }
 
 /// The triangulator's input prologue (public for the same benchmark as
 /// [`delaunay_rec`]): sorts (unless `assume_sorted`) and removes exact
 /// duplicates, keeping first-occurrence provenance. Returns
-/// `(points, input_index)` exactly as they appear in [`DcTriangulation`].
-pub fn prepare_input(input: &[Point2], assume_sorted: bool) -> (Vec<Point2>, Vec<u32>) {
+/// `(points, input_index, point_of_input)` exactly as they appear in
+/// [`DcTriangulation`].
+pub fn prepare_input(input: &[Point2], assume_sorted: bool) -> (Vec<Point2>, Vec<u32>, Vec<u32>) {
     // Index sort so we can report provenance of deduplicated points.
     let mut order: Vec<u32> = (0..input.len() as u32).collect();
     if !assume_sorted {
@@ -73,14 +71,16 @@ pub fn prepare_input(input: &[Point2], assume_sorted: bool) -> (Vec<Point2>, Vec
     }
     let mut points = Vec::with_capacity(input.len());
     let mut input_index = Vec::with_capacity(input.len());
+    let mut point_of_input = vec![0u32; input.len()];
     for &i in &order {
         let p = input[i as usize];
         if points.last() != Some(&p) {
             points.push(p);
             input_index.push(i);
         }
+        point_of_input[i as usize] = points.len() as u32 - 1;
     }
-    (points, input_index)
+    (points, input_index, point_of_input)
 }
 
 /// Recursive kernel over `points[lo..hi]` (sorted, distinct). Returns
@@ -291,30 +291,6 @@ impl DcTriangulation {
         }
         tris
     }
-
-    /// Vertex indices of the convex hull in CCW order (walks the outer
-    /// face). Empty when fewer than 2 distinct points exist.
-    pub fn hull(&self) -> Vec<u32> {
-        let Some(start) = self.hull_edge else {
-            return Vec::new();
-        };
-        let pool = &self.pool;
-        // `start` is the counter-clockwise hull edge out of the leftmost
-        // vertex, so the outer face lies on its right. For such an edge
-        // `a -> b`, `rprev(e)` = `onext(sym(e))` turns counter-clockwise
-        // about `b` from `b -> a` across the outer face, and so is the
-        // next counter-clockwise hull edge `b -> c`.
-        let mut out = Vec::new();
-        let mut e = start;
-        loop {
-            out.push(pool.org(e));
-            e = pool.rprev(e);
-            if e == start || out.len() > pool.slots() {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -352,6 +328,22 @@ mod tests {
     /// degeneracies reduce the count).
     fn euler_triangle_count(n: usize, h: usize) -> usize {
         2 * n - 2 - h
+    }
+
+    /// The directed edges (CCW within their triangle) that no other
+    /// triangle shares: the outer boundary of the triangulation.
+    fn boundary_edges(tris: &[[u32; 3]]) -> Vec<(u32, u32)> {
+        let edges: std::collections::HashSet<(u32, u32)> = tris
+            .iter()
+            .flat_map(|t| (0..3).map(move |i| (t[i], t[(i + 1) % 3])))
+            .collect();
+        let mut out: Vec<(u32, u32)> = edges
+            .iter()
+            .copied()
+            .filter(|&(a, b)| !edges.contains(&(b, a)))
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     #[test]
@@ -427,7 +419,7 @@ mod tests {
         let t = triangulate_dc(&pts, false);
         let tris = t.triangles();
         assert_delaunay(&t.points, &tris);
-        let h = t.hull().len();
+        let h = boundary_edges(&tris).len();
         assert_eq!(h, 20);
         assert_eq!(tris.len(), euler_triangle_count(36, 20));
     }
@@ -443,7 +435,7 @@ mod tests {
             let t = triangulate_dc(&pts, false);
             let tris = t.triangles();
             assert_delaunay(&t.points, &tris);
-            let h = t.hull().len();
+            let h = boundary_edges(&tris).len();
             assert_eq!(
                 tris.len(),
                 euler_triangle_count(t.points.len(), h),
@@ -494,14 +486,14 @@ mod tests {
             .map(|_| Point2::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect();
         let t = triangulate_dc(&pts, false);
-        let hull = t.hull();
+        let hull = boundary_edges(&t.triangles());
         assert!(hull.len() >= 3);
-        let n = hull.len();
-        for i in 0..n {
-            let a = t.points[hull[i] as usize];
-            let b = t.points[hull[(i + 1) % n] as usize];
-            let c = t.points[hull[(i + 2) % n] as usize];
-            assert!(orient2d(a, b, c) >= 0.0, "hull reflex at {i}");
+        // Every point lies left of or on every boundary edge.
+        for &(a, b) in &hull {
+            let (pa, pb) = (t.points[a as usize], t.points[b as usize]);
+            for &q in &t.points {
+                assert!(orient2d(pa, pb, q) >= 0.0, "hull reflex at ({a}, {b})");
+            }
         }
     }
 

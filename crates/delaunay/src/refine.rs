@@ -21,12 +21,13 @@ use crate::quality::circumcenter;
 use adm_geom::point::Point2;
 use std::collections::VecDeque;
 
+/// Circumradius-to-shortest-edge bound: `sqrt(2)` gives Ruppert's
+/// guaranteed-termination quality (min angle ≈ 20.7°).
+const MAX_RATIO: f64 = std::f64::consts::SQRT_2;
+
 /// Refinement controls.
 #[derive(Clone)]
 pub struct RefineParams {
-    /// Circumradius-to-shortest-edge bound; `sqrt(2)` gives Ruppert's
-    /// guaranteed-termination quality (min angle ≈ 20.7°).
-    pub max_ratio: f64,
     /// Uniform area bound applied everywhere (in addition to the sizing
     /// function), or `None`.
     pub max_area: Option<f64>,
@@ -37,7 +38,6 @@ pub struct RefineParams {
 impl Default for RefineParams {
     fn default() -> Self {
         RefineParams {
-            max_ratio: std::f64::consts::SQRT_2,
             max_area: None,
             max_insertions: 10_000_000,
         }
@@ -404,7 +404,7 @@ fn is_bad(
     } else {
         f64::INFINITY
     };
-    ratio > params.max_ratio
+    ratio > MAX_RATIO
 }
 
 /// Subsegment encroachment test: a constrained edge is encroached when the

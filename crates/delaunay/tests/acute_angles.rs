@@ -35,7 +35,6 @@ fn acute_wedges_terminate_without_nano_segments() {
             &RefineParams {
                 max_area: Some(0.05),
                 max_insertions: 200_000,
-                ..Default::default()
             },
         );
         assert!(!stats.hit_cap, "angle {angle}: refinement blew up");
@@ -85,7 +84,6 @@ fn star_of_acute_spokes() {
         &RefineParams {
             max_area: Some(0.2),
             max_insertions: 300_000,
-            ..Default::default()
         },
     );
     assert!(!stats.hit_cap);

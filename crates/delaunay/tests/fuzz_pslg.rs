@@ -5,6 +5,9 @@
 //!
 //! * validation verdict matches the generator's tag (planted crossings
 //!   are rejected with the typed error, everything else is admitted);
+//! * the CDT's input-to-vertex map sends every input point to the mesh
+//!   vertex with its coordinates (`-0.0` folded), the coordinate lookup
+//!   the triangulator's own map replaced;
 //! * the constrained Delaunay triangulation recovers **every** input
 //!   segment as a chain of constrained mesh edges;
 //! * carve + Ruppert refinement terminate under an explicit insertion
@@ -23,7 +26,7 @@ use adm_delaunay::io::write_ascii_canonical;
 use adm_delaunay::mesh::Mesh;
 use adm_delaunay::poly::{write_poly, PolyFile};
 use adm_delaunay::refine::{boundary_fully_constrained, refine, RefineParams};
-use adm_geom::point::Point2;
+use adm_geom::point::{canonical_bits, Point2};
 use adm_geom::predicates::orient2d;
 use adm_geom::pslg::{Pslg, PslgError};
 use adm_geom::pslg_gen::generate_pslg;
@@ -108,6 +111,24 @@ fn mesh_case(seed: u64, pslg: &Pslg, valid: &Pslg) -> Vec<u8> {
             Err(e) => fail(seed, pslg, &format!("CDT failed on validated input: {e:?}")),
         };
 
+    // The map equals a lookup of each input point's coordinates among the
+    // mesh vertices (which are pairwise distinct).
+    let vertex_of: HashMap<(u64, u64), u32> = (0..mesh.num_vertices())
+        .map(|v| (canonical_bits(mesh.vertex(v)), v as u32))
+        .collect();
+    if vertex_of.len() != mesh.num_vertices() {
+        fail(seed, pslg, "two mesh vertices share coordinates");
+    }
+    for (i, &p) in valid.points.iter().enumerate() {
+        if vertex_of.get(&canonical_bits(p)) != Some(&input_to_mesh[i]) {
+            fail(
+                seed,
+                pslg,
+                &format!("input point {i} mapped off its vertex"),
+            );
+        }
+    }
+
     // Every validated constraint must be recovered as constrained edges.
     let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
     for (a, b) in mesh.constrained_edges() {
@@ -133,7 +154,6 @@ fn mesh_case(seed: u64, pslg: &Pslg, valid: &Pslg) -> Vec<u8> {
     let params = RefineParams {
         max_area: Some(0.5),
         max_insertions: 200_000,
-        ..Default::default()
     };
     let stats = refine(&mut mesh, None, &params);
     if stats.hit_cap {

@@ -96,9 +96,15 @@ proptest! {
         let dc = triangulate_dc(&pts, false);
         let tris = dc.triangles();
         assert_is_delaunay(&dc.points, &tris);
-        // Euler: T = 2n - 2 - h for non-degenerate inputs.
-        let h = dc.hull().len();
-        if h >= 3 {
+        // Euler: T = 2n - 2 - h, with h the boundary edges (hull
+        // vertices, collinear ones included), for non-collinear inputs.
+        let (first, last) = (dc.points[0], dc.points[dc.points.len() - 1]);
+        if dc.points.iter().any(|&q| orient2d(first, last, q) != 0.0) {
+            let edges: std::collections::HashSet<(u32, u32)> = tris
+                .iter()
+                .flat_map(|t| (0..3).map(move |i| (t[i], t[(i + 1) % 3])))
+                .collect();
+            let h = edges.iter().filter(|&&(a, b)| !edges.contains(&(b, a))).count();
             prop_assert_eq!(tris.len(), 2 * dc.points.len() - 2 - h);
         } else {
             prop_assert!(tris.is_empty());
@@ -314,7 +320,6 @@ proptest! {
             &RefineParams {
                 max_area: Some(max_area),
                 max_insertions: 200_000,
-                ..Default::default()
             },
         );
         prop_assert!(!stats.hit_cap);

@@ -18,7 +18,7 @@
 //! field can be content-addressed by downstream hashing.
 
 use crate::aabb::Aabb;
-use crate::point::Point2;
+use crate::point::{canonical_f64, Point2};
 use std::cmp::Ordering;
 
 /// A 2×2 symmetric positive-definite tensor `[[a, b], [b, d]]`.
@@ -168,13 +168,6 @@ fn blend_logs(items: impl IntoIterator<Item = (f64, (f64, f64, f64))>) -> Metric
     }
     assert!(wsum > 0.0, "a metric blend needs a positive weight sum");
     Metric2::exp_sym(a / wsum, b / wsum, d / wsum)
-}
-
-/// Normalizes an f64 for canonical encoding: -0.0 becomes +0.0 (the
-/// same rule the kernel's arena uses for coordinate identity).
-fn canonical_f64_bits(v: f64) -> u64 {
-    let v = if v == 0.0 { 0.0 } else { v };
-    v.to_bits()
 }
 
 /// Header of the canonical [`MetricField`] encoding (versioned so a
@@ -573,7 +566,7 @@ impl MetricField {
         out.extend_from_slice(&(self.pts.len() as u64).to_le_bytes());
         for (p, m) in self.pts.iter().zip(&self.metrics) {
             for v in [p.x, p.y, m.a, m.b, m.d] {
-                out.extend_from_slice(&canonical_f64_bits(v).to_le_bytes());
+                out.extend_from_slice(&canonical_f64(v).to_bits().to_le_bytes());
             }
         }
         out

@@ -92,6 +92,34 @@ impl Point2 {
     }
 }
 
+/// `v` with `-0.0` folded to `+0.0`, the rule behind [`canonical_bits`].
+#[inline]
+pub(crate) fn canonical_f64(v: f64) -> f64 {
+    v + 0.0
+}
+
+/// Coordinate bits with `-0.0` folded to `+0.0`; every other value is
+/// unchanged except that a signalling NaN comes back quiet. IEEE-754
+/// compares `-0.0 == 0.0` but the two differ in bit pattern, so keying a
+/// dedup table on raw `to_bits` would split points on a `y = 0` chord
+/// line into two identities when mirrored subdomains emit opposite signs.
+///
+/// This is the one coordinate-identity rule of the workspace: the mesh
+/// kernel's interning, PSLG duplicate merging and
+/// `MetricField::canonical_bytes` all use it. Folding by `v + 0.0` and by
+/// a `v == 0.0` test differ only on signalling NaNs; PSLG validation and
+/// `MetricField::new` reject non-finite values before anything is keyed.
+#[inline]
+pub fn canonical_bits(p: Point2) -> (u64, u64) {
+    (canonical_f64(p.x).to_bits(), canonical_f64(p.y).to_bits())
+}
+
+/// `p` with `-0.0` coordinates normalized to `+0.0`.
+#[inline]
+pub fn canonical_point(p: Point2) -> Point2 {
+    Point2::new(canonical_f64(p.x), canonical_f64(p.y))
+}
+
 /// The `u64` whose unsigned order is `f64::total_cmp`'s: every bit of a
 /// negative value flipped, the sign bit of a non-negative one set. Sorting
 /// these keys sorts the values by `total_cmp`, without a comparator call.

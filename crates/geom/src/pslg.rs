@@ -16,7 +16,7 @@
 //! enforces.
 
 use crate::aabb::Aabb;
-use crate::point::Point2;
+use crate::point::{canonical_bits, Point2};
 use crate::segment::Segment;
 use std::collections::HashMap;
 use std::fmt;
@@ -104,14 +104,6 @@ pub struct ValidPslg {
     pub pslg: Pslg,
     /// What repair did.
     pub report: RepairReport,
-}
-
-/// Coordinate key with `-0.0` normalized to `0.0`, so duplicate detection
-/// agrees with f64 `==` (matching the mesh kernel's canonical interning).
-#[inline]
-fn coord_key(p: Point2) -> (u64, u64) {
-    let norm = |v: f64| if v == 0.0 { 0.0f64 } else { v }.to_bits();
-    (norm(p.x), norm(p.y))
 }
 
 /// The lexicographically first pair `(i, j)`, `i < j`, of `segments` that
@@ -253,7 +245,7 @@ impl Pslg {
         let mut points: Vec<Point2> = Vec::with_capacity(self.points.len());
         for &p in &self.points {
             let next = points.len() as u32;
-            let id = *canon.entry(coord_key(p)).or_insert(next);
+            let id = *canon.entry(canonical_bits(p)).or_insert(next);
             if id == next {
                 points.push(p);
             } else {

@@ -9,7 +9,7 @@
 //! through decompose → mesh → merge makes interface deduplication an
 //! array lookup instead of a coordinate-bit hash.
 
-use adm_geom::point::Point2;
+use adm_geom::point::{canonical_bits, canonical_point, Point2};
 use std::collections::HashMap;
 
 /// A stable identity for a vertex shared across pipeline layers.
@@ -34,24 +34,6 @@ impl GlobalVertexId {
     pub fn raw(self) -> u32 {
         self.0
     }
-}
-
-/// Coordinate bits with `-0.0` normalized to `+0.0`.
-///
-/// IEEE-754 compares `-0.0 == 0.0` but the two differ in bit pattern, so
-/// keying a dedup table on raw `to_bits` splits points on a `y = 0` chord
-/// line into two identities when mirrored subdomains emit opposite signs.
-/// Adding `0.0` maps `-0.0` to `+0.0` and leaves every other value
-/// (including NaNs' payloads irrelevant here) untouched.
-#[inline]
-pub fn canonical_bits(p: Point2) -> (u64, u64) {
-    ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits())
-}
-
-/// `p` with `-0.0` coordinates normalized to `+0.0`.
-#[inline]
-pub fn canonical_point(p: Point2) -> Point2 {
-    Point2::new(p.x + 0.0, p.y + 0.0)
 }
 
 /// Append-only store of canonical vertex coordinates with exact-coordinate

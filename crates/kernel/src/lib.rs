@@ -24,4 +24,5 @@
 
 pub mod arena;
 
-pub use arena::{canonical_bits, canonical_point, GlobalVertexId, MeshArena};
+pub use adm_geom::point::{canonical_bits, canonical_point};
+pub use arena::{GlobalVertexId, MeshArena};

@@ -24,7 +24,7 @@ pub mod transport;
 pub mod window;
 
 pub use comm::{comms_for, run, run_with, Comm, Src};
-pub use loadbalance::{run_balanced, BalancerConfig, Protocol, RankStats, WorkItem, WorkQueue};
+pub use loadbalance::{run_balanced, BalancerConfig, RankStats, WorkItem, WorkQueue};
 pub use pool::Pool;
 pub use simfault::{FaultPlan, SimTransport, StallPlan};
 pub use tasktree::{Executor, Task};

@@ -11,10 +11,10 @@
 //!
 //! ## Fault tolerance
 //!
-//! The default [`Protocol::Hardened`] wire protocol survives the full
-//! fault model of [`crate::simfault::SimTransport`] — delayed, reordered,
-//! duplicated, and (fair-lossy) dropped messages, stalled communicators,
-//! stale RMA estimates — without losing or double-processing work:
+//! The wire protocol survives the full fault model of
+//! [`crate::simfault::SimTransport`] — delayed, reordered, duplicated, and
+//! (fair-lossy) dropped messages, stalled communicators, stale RMA
+//! estimates — without losing or double-processing work:
 //!
 //! - every request carries a **`req_id`**; donors remember their answer
 //!   per id, so a retried or duplicated request elicits the *same* reply
@@ -29,11 +29,6 @@
 //!   a different victim; all timeouts are measured on the transport clock
 //!   ([`crate::comm::Comm::now`]), so the same logic runs under virtual
 //!   time.
-//!
-//! [`Protocol::Naive`] preserves the original fire-and-forget protocol
-//! (no ids, no acks, no retries). It is kept for the regression tests
-//! that demonstrate seeds under which the naive balancer loses work or
-//! processes it twice, while the hardened one completes bit-identically.
 //!
 //! Idle threads never busy-sleep: both loops park in
 //! [`crate::comm::Comm::pause`], which wakes early on incoming traffic or
@@ -150,18 +145,14 @@ impl<W: WorkItem> WorkQueue<W> {
     }
 }
 
-/// Which wire protocol the communicators speak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Protocol {
-    /// Idempotent requests, acknowledged deduplicated transfers, bounded
-    /// retry with backoff. Survives the simulated fault model.
-    #[default]
-    Hardened,
-    /// The original fire-and-forget protocol (kept for regression tests
-    /// demonstrating fault sensitivity). Loses work on drops and may
-    /// double-process on duplication.
-    Naive,
-}
+/// Base timeout before a work request is retried (doubles per retry).
+const REQUEST_TIMEOUT: Duration = Duration::from_millis(5);
+/// Retries before an unanswered request is abandoned (a later pass may
+/// target a different victim).
+const MAX_REQUEST_RETRIES: u32 = 8;
+/// Base timeout before an unacknowledged donation is resent (doubles per
+/// resend, capped; resends continue until acknowledged).
+const RESEND_TIMEOUT: Duration = Duration::from_millis(5);
 
 /// Balancer tuning.
 #[derive(Debug, Clone, Copy)]
@@ -170,16 +161,6 @@ pub struct BalancerConfig {
     pub threshold: u64,
     /// Communicator polling interval.
     pub poll: Duration,
-    /// Wire protocol (see [`Protocol`]).
-    pub protocol: Protocol,
-    /// Base timeout before a work request is retried (doubles per retry).
-    pub request_timeout: Duration,
-    /// Retries before an unanswered request is abandoned (a later pass may
-    /// target a different victim).
-    pub max_request_retries: u32,
-    /// Base timeout before an unacknowledged donation is resent (doubles
-    /// per resend, capped; resends continue until acknowledged).
-    pub resend_timeout: Duration,
 }
 
 impl Default for BalancerConfig {
@@ -187,10 +168,6 @@ impl Default for BalancerConfig {
         BalancerConfig {
             threshold: 64,
             poll: Duration::from_micros(200),
-            protocol: Protocol::Hardened,
-            request_timeout: Duration::from_millis(5),
-            max_request_retries: 8,
-            resend_timeout: Duration::from_millis(5),
         }
     }
 }
@@ -220,11 +197,10 @@ pub struct RankStats {
 
 /// Communicator-to-communicator protocol. All variants travel as
 /// *cloneable* payloads, opting in to drop/duplication fault injection —
-/// the hardened protocol is what makes that safe.
+/// request ids, transfer ids and acks are what make that safe.
 #[derive(Clone)]
 enum Msg<W> {
-    /// Please send me work. `req_id` makes donor answers idempotent
-    /// (naive mode sends 0 and ignores it).
+    /// Please send me work. `req_id` makes donor answers idempotent.
     Request { req_id: u64 },
     /// Here is a work item (the answer to `req_id`). `transfer_id` keys
     /// receiver-side dedup and the donor's retransmission table.
@@ -285,7 +261,7 @@ fn backoff(base: Duration, attempts: u32) -> Duration {
     base * (1u32 << attempts.min(6))
 }
 
-/// The communicator-thread body (both protocols).
+/// The communicator-thread body.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn communicator_loop<W: WorkItem>(
     comm: &Comm,
@@ -299,7 +275,6 @@ fn communicator_loop<W: WorkItem>(
 ) {
     let rank = comm.rank();
     let size = comm.size();
-    let hardened = cfg.protocol == Protocol::Hardened;
     // Registry mirror of the RankStats counters, plus the queue-depth and
     // steal-round-trip histograms. All timestamps come from the transport
     // clock, so under simulation these are deterministic per seed.
@@ -312,9 +287,9 @@ fn communicator_loop<W: WorkItem>(
     let mut outstanding: Option<PendingRequest> = None;
     let mut next_req_seq: u64 = 0;
     let mut next_tid_seq: u64 = 0;
-    // Donor-side state (hardened): answer cache for idempotent requests
-    // and the retransmission table of unacknowledged donations. Bounded by
-    // the number of requests a run generates.
+    // Donor-side state: answer cache for idempotent requests and the
+    // retransmission table of unacknowledged donations. Bounded by the
+    // number of requests a run generates.
     let mut answered: BTreeMap<u64, Answer> = BTreeMap::new();
     let mut in_flight: BTreeMap<u64, InFlight<W>> = BTreeMap::new();
     // Requester-side dedup of received transfers.
@@ -335,47 +310,33 @@ fn communicator_loop<W: WorkItem>(
         };
         match item {
             Some(item) => {
-                if hardened {
-                    let transfer_id = ((rank as u64) << 40) | *next_tid_seq;
-                    *next_tid_seq += 1;
-                    comm.send_cloneable(
-                        src,
-                        LB_TAG,
-                        Msg::Work {
-                            transfer_id,
-                            req_id,
-                            item: item.clone(),
-                        },
-                    );
-                    in_flight.insert(
+                let transfer_id = ((rank as u64) << 40) | *next_tid_seq;
+                *next_tid_seq += 1;
+                comm.send_cloneable(
+                    src,
+                    LB_TAG,
+                    Msg::Work {
                         transfer_id,
-                        InFlight {
-                            dest: src,
-                            req_id,
-                            item,
-                            last_sent: comm.now(),
-                            attempts: 1,
-                        },
-                    );
-                    answered.insert(req_id, Answer::Work(transfer_id));
-                } else {
-                    comm.send_cloneable(
-                        src,
-                        LB_TAG,
-                        Msg::Work {
-                            transfer_id: 0,
-                            req_id: 0,
-                            item,
-                        },
-                    );
-                }
+                        req_id,
+                        item: item.clone(),
+                    },
+                );
+                in_flight.insert(
+                    transfer_id,
+                    InFlight {
+                        dest: src,
+                        req_id,
+                        item,
+                        last_sent: comm.now(),
+                        attempts: 1,
+                    },
+                );
+                answered.insert(req_id, Answer::Work(transfer_id));
                 stats.lock().unwrap().items_donated += 1;
                 bump("lb.items_donated");
             }
             None => {
-                if hardened {
-                    answered.insert(req_id, Answer::Deny);
-                }
+                answered.insert(req_id, Answer::Deny);
                 comm.send_cloneable(src, LB_TAG, Msg::<W>::Deny { req_id });
                 stats.lock().unwrap().denies += 1;
                 bump("lb.denies");
@@ -393,51 +354,39 @@ fn communicator_loop<W: WorkItem>(
         // Serve or consume protocol messages.
         while let Some((src, msg)) = comm.try_recv::<Msg<W>>(Src::Any, LB_TAG) {
             match msg {
-                Msg::Request { req_id } => {
-                    if hardened {
-                        match answered.get(&req_id) {
-                            Some(Answer::Work(tid)) => {
-                                // Duplicate/retried request we already
-                                // answered with work: resend that same
-                                // donation (idempotent), or deny if it was
-                                // since acknowledged (the requester has it).
-                                let tid = *tid;
-                                if let Some(f) = in_flight.get_mut(&tid) {
-                                    comm.send_cloneable(
-                                        src,
-                                        LB_TAG,
-                                        Msg::Work {
-                                            transfer_id: tid,
-                                            req_id,
-                                            item: f.item.clone(),
-                                        },
-                                    );
-                                    f.last_sent = comm.now();
-                                    f.attempts += 1;
-                                    stats.lock().unwrap().work_resends += 1;
-                                    bump("lb.work_resends");
-                                } else {
-                                    comm.send_cloneable(src, LB_TAG, Msg::<W>::Deny { req_id });
-                                }
-                                stats.lock().unwrap().dup_requests_served += 1;
-                                bump("lb.dup_requests_served");
-                            }
-                            Some(Answer::Deny) => {
-                                comm.send_cloneable(src, LB_TAG, Msg::<W>::Deny { req_id });
-                                stats.lock().unwrap().dup_requests_served += 1;
-                                bump("lb.dup_requests_served");
-                            }
-                            None => {
-                                donate(
-                                    src,
+                Msg::Request { req_id } => match answered.get(&req_id) {
+                    Some(Answer::Work(tid)) => {
+                        // Duplicate/retried request we already answered
+                        // with work: resend that same donation
+                        // (idempotent), or deny if it was since
+                        // acknowledged (the requester has it).
+                        let tid = *tid;
+                        if let Some(f) = in_flight.get_mut(&tid) {
+                            comm.send_cloneable(
+                                src,
+                                LB_TAG,
+                                Msg::Work {
+                                    transfer_id: tid,
                                     req_id,
-                                    &mut in_flight,
-                                    &mut answered,
-                                    &mut next_tid_seq,
-                                );
-                            }
+                                    item: f.item.clone(),
+                                },
+                            );
+                            f.last_sent = comm.now();
+                            f.attempts += 1;
+                            stats.lock().unwrap().work_resends += 1;
+                            bump("lb.work_resends");
+                        } else {
+                            comm.send_cloneable(src, LB_TAG, Msg::<W>::Deny { req_id });
                         }
-                    } else {
+                        stats.lock().unwrap().dup_requests_served += 1;
+                        bump("lb.dup_requests_served");
+                    }
+                    Some(Answer::Deny) => {
+                        comm.send_cloneable(src, LB_TAG, Msg::<W>::Deny { req_id });
+                        stats.lock().unwrap().dup_requests_served += 1;
+                        bump("lb.dup_requests_served");
+                    }
+                    None => {
                         donate(
                             src,
                             req_id,
@@ -446,49 +395,37 @@ fn communicator_loop<W: WorkItem>(
                             &mut next_tid_seq,
                         );
                     }
-                }
+                },
                 Msg::Work {
                     transfer_id,
                     req_id,
                     item,
                 } => {
-                    if hardened {
-                        // Always (re-)acknowledge: the donor stops
-                        // resending only once an ack gets through.
-                        comm.send_cloneable(src, LB_TAG, Msg::<W>::Ack { transfer_id });
-                        if seen_transfers.contains(&transfer_id) {
-                            stats.lock().unwrap().dup_transfers_discarded += 1;
-                            bump("lb.dup_transfers_discarded");
-                        } else {
-                            seen_transfers.insert(transfer_id);
-                            queue.push_transferred(item);
-                            comm.wake(); // the mesher may be parked empty
-                            stats.lock().unwrap().items_received += 1;
-                            bump("lb.items_received");
-                        }
-                        if let Some(p) = outstanding.as_ref().filter(|p| p.req_id == req_id) {
-                            // Steal round trip: first request transmission
-                            // to first matching work delivery.
-                            if let Some(t) = trace {
-                                let rtt = comm.now().saturating_sub(p.first_sent);
-                                t.observe("lb.steal_rtt_ns", rtt.as_nanos() as u64);
-                            }
-                            outstanding = None;
-                        }
+                    // Always (re-)acknowledge: the donor stops resending
+                    // only once an ack gets through.
+                    comm.send_cloneable(src, LB_TAG, Msg::<W>::Ack { transfer_id });
+                    if seen_transfers.contains(&transfer_id) {
+                        stats.lock().unwrap().dup_transfers_discarded += 1;
+                        bump("lb.dup_transfers_discarded");
                     } else {
+                        seen_transfers.insert(transfer_id);
                         queue.push_transferred(item);
-                        comm.wake();
-                        outstanding = None;
+                        comm.wake(); // the mesher may be parked empty
                         stats.lock().unwrap().items_received += 1;
                         bump("lb.items_received");
                     }
+                    if let Some(p) = outstanding.as_ref().filter(|p| p.req_id == req_id) {
+                        // Steal round trip: first request transmission to
+                        // first matching work delivery.
+                        if let Some(t) = trace {
+                            let rtt = comm.now().saturating_sub(p.first_sent);
+                            t.observe("lb.steal_rtt_ns", rtt.as_nanos() as u64);
+                        }
+                        outstanding = None;
+                    }
                 }
                 Msg::Deny { req_id } => {
-                    if hardened {
-                        if outstanding.as_ref().is_some_and(|p| p.req_id == req_id) {
-                            outstanding = None;
-                        }
-                    } else {
+                    if outstanding.as_ref().is_some_and(|p| p.req_id == req_id) {
                         outstanding = None;
                     }
                 }
@@ -509,52 +446,46 @@ fn communicator_loop<W: WorkItem>(
 
         let now = comm.now();
 
-        // Retry a timed-out request (hardened only).
-        if hardened {
-            let mut give_up = false;
-            if let Some(p) = &mut outstanding {
-                if now.saturating_sub(p.sent_at) > backoff(cfg.request_timeout, p.attempts - 1) {
-                    if p.attempts > cfg.max_request_retries {
-                        give_up = true;
-                    } else {
-                        comm.send_cloneable(
-                            p.victim,
-                            LB_TAG,
-                            Msg::<W>::Request { req_id: p.req_id },
-                        );
-                        p.sent_at = now;
-                        p.attempts += 1;
-                        stats.lock().unwrap().request_retries += 1;
-                        bump("lb.request_retries");
-                    }
+        // Retry a timed-out request.
+        let mut give_up = false;
+        if let Some(p) = &mut outstanding {
+            if now.saturating_sub(p.sent_at) > backoff(REQUEST_TIMEOUT, p.attempts - 1) {
+                if p.attempts > MAX_REQUEST_RETRIES {
+                    give_up = true;
+                } else {
+                    comm.send_cloneable(p.victim, LB_TAG, Msg::<W>::Request { req_id: p.req_id });
+                    p.sent_at = now;
+                    p.attempts += 1;
+                    stats.lock().unwrap().request_retries += 1;
+                    bump("lb.request_retries");
                 }
             }
-            if give_up {
-                // Abandon this victim; the next pass below may pick a
-                // different one. If the old request still produces work it
-                // will be accepted (and deduplicated) regardless.
-                outstanding = None;
-            }
+        }
+        if give_up {
+            // Abandon this victim; the next pass below may pick a different
+            // one. If the old request still produces work it will be
+            // accepted (and deduplicated) regardless.
+            outstanding = None;
+        }
 
-            // Resend unacknowledged donations with capped backoff. These
-            // retry forever: the fair-lossy link guarantees delivery, and
-            // giving up would lose the item.
-            for (tid, f) in in_flight.iter_mut() {
-                if now.saturating_sub(f.last_sent) > backoff(cfg.resend_timeout, f.attempts - 1) {
-                    comm.send_cloneable(
-                        f.dest,
-                        LB_TAG,
-                        Msg::Work {
-                            transfer_id: *tid,
-                            req_id: f.req_id,
-                            item: f.item.clone(),
-                        },
-                    );
-                    f.last_sent = now;
-                    f.attempts += 1;
-                    stats.lock().unwrap().work_resends += 1;
-                    bump("lb.work_resends");
-                }
+        // Resend unacknowledged donations with capped backoff. These retry
+        // forever: the fair-lossy link guarantees delivery, and giving up
+        // would lose the item.
+        for (tid, f) in in_flight.iter_mut() {
+            if now.saturating_sub(f.last_sent) > backoff(RESEND_TIMEOUT, f.attempts - 1) {
+                comm.send_cloneable(
+                    f.dest,
+                    LB_TAG,
+                    Msg::Work {
+                        transfer_id: *tid,
+                        req_id: f.req_id,
+                        item: f.item.clone(),
+                    },
+                );
+                f.last_sent = now;
+                f.attempts += 1;
+                stats.lock().unwrap().work_resends += 1;
+                bump("lb.work_resends");
             }
         }
 
@@ -770,7 +701,6 @@ mod tests {
                 BalancerConfig {
                     threshold: 100,
                     poll: Duration::from_micros(100),
-                    ..BalancerConfig::default()
                 },
                 None,
                 |job, _q| {

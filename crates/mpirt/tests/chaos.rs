@@ -2,17 +2,15 @@
 //! fault transport.
 //!
 //! Every run here executes on [`SimTransport`] — virtual time, one seeded
-//! RNG stream for scheduling and faults — so each (seed, ranks, protocol)
-//! triple is a reproducible adversarial schedule. A failure prints the
-//! triple; replaying it is `FaultPlan::chaos(seed)` with the same rank
-//! count.
+//! RNG stream for scheduling and faults — so each (seed, ranks) pair is a
+//! reproducible adversarial schedule. A failure prints the pair;
+//! replaying it is `FaultPlan::chaos(seed)` with the same rank count.
 
 use adm_mpirt::{
-    run_balanced, run_with, BalancerConfig, Comm, FaultPlan, Protocol, RankStats, SimTransport,
-    Src, Transport, TransportClock, WorkItem, WorkQueue,
+    run_balanced, run_with, BalancerConfig, Comm, FaultPlan, RankStats, SimTransport, Src,
+    Transport, TransportClock, WorkItem, WorkQueue,
 };
 use adm_trace::Tracer;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -40,12 +38,10 @@ fn expected_task_ids(id: u64, n: u64, out: &mut Vec<u64>) {
     }
 }
 
-fn sim_config(protocol: Protocol) -> BalancerConfig {
+fn sim_config() -> BalancerConfig {
     BalancerConfig {
         threshold: 8,
         poll: Duration::from_micros(200),
-        protocol,
-        ..BalancerConfig::default()
     }
 }
 
@@ -55,11 +51,7 @@ type RankOutcome = (Vec<u64>, RankStats);
 /// Runs the recursive workload on a fault-injected fabric and returns
 /// per-rank outcomes, the schedule fingerprint, and the trace
 /// fingerprint (spans + counters recorded under virtual time).
-fn run_case(
-    ranks: usize,
-    plan: FaultPlan,
-    protocol: Protocol,
-) -> (Vec<RankOutcome>, (u64, u64), (u64, u64)) {
+fn run_case(ranks: usize, plan: FaultPlan) -> (Vec<RankOutcome>, (u64, u64), (u64, u64)) {
     let sim = SimTransport::new(ranks, plan);
     let transport: Arc<dyn Transport> = Arc::new(sim.clone());
     let tracer = Tracer::new(Arc::new(TransportClock::new(transport.clone())));
@@ -81,7 +73,7 @@ fn run_case(
             &comm,
             queue,
             window.clone(),
-            sim_config(protocol),
+            sim_config(),
             Some(tracer_ref.clone()),
             |t: Split, q| {
                 // Model compute proportional to task size in virtual
@@ -121,29 +113,45 @@ fn assert_exactly_once(results: &[RankOutcome], ctx: &str) {
     assert_eq!(donated, received, "transfer conservation violated [{ctx}]");
 }
 
+/// Besides exactly-once processing on every schedule, the sweep checks
+/// that the fault model is strong enough to hurt a balancer without
+/// transfer ids: some run must discard a transfer that the fabric itself
+/// duplicated. Every extra copy a donor sends is counted
+/// in `work_resends`, so a run that discards more duplicates than its
+/// donors resent received a fabric duplicate, which a receiver without
+/// dedup would have processed twice.
 #[test]
 fn hardened_survives_64_chaos_seeds_across_rank_counts() {
     let mut agg = RankStats::default();
+    let mut runs_with_fabric_dup = 0;
     for &ranks in &[1usize, 2, 4, 8] {
         for seed in 0..64u64 {
-            let ctx = format!("seed {seed}, ranks {ranks}, Hardened");
-            let (results, _, trace_fp) =
-                run_case(ranks, FaultPlan::chaos(seed), Protocol::Hardened);
+            let ctx = format!("seed {seed}, ranks {ranks}");
+            let (results, _, trace_fp) = run_case(ranks, FaultPlan::chaos(seed));
             assert_exactly_once(&results, &ctx);
             // Golden-fingerprint spot check: every 8th schedule is
             // replayed and must reproduce the exact same trace —
             // virtual-time tracing is part of the deterministic state.
             if seed % 8 == 0 {
-                let (_, _, replay_fp) = run_case(ranks, FaultPlan::chaos(seed), Protocol::Hardened);
+                let (_, _, replay_fp) = run_case(ranks, FaultPlan::chaos(seed));
                 assert_eq!(trace_fp, replay_fp, "trace fingerprint drifted [{ctx}]");
             }
+            let mut run = RankStats::default();
             for (_, s) in &results {
-                agg.requests_sent += s.requests_sent;
-                agg.request_retries += s.request_retries;
-                agg.work_resends += s.work_resends;
-                agg.dup_transfers_discarded += s.dup_transfers_discarded;
-                agg.dup_requests_served += s.dup_requests_served;
+                run.requests_sent += s.requests_sent;
+                run.request_retries += s.request_retries;
+                run.work_resends += s.work_resends;
+                run.dup_transfers_discarded += s.dup_transfers_discarded;
+                run.dup_requests_served += s.dup_requests_served;
             }
+            if run.dup_transfers_discarded > run.work_resends {
+                runs_with_fabric_dup += 1;
+            }
+            agg.requests_sent += run.requests_sent;
+            agg.request_retries += run.request_retries;
+            agg.work_resends += run.work_resends;
+            agg.dup_transfers_discarded += run.dup_transfers_discarded;
+            agg.dup_requests_served += run.dup_requests_served;
         }
     }
     // The sweep must actually have exercised the hardening machinery:
@@ -156,14 +164,18 @@ fn hardened_survives_64_chaos_seeds_across_rank_counts() {
         agg.dup_transfers_discarded > 0,
         "receiver dedup never engaged"
     );
+    assert!(
+        runs_with_fabric_dup > 0,
+        "no run discarded a fabric-duplicated transfer: the fault model cannot double-process work"
+    );
 }
 
 #[test]
 fn same_seed_replays_identical_schedule_and_results() {
     for &ranks in &[2usize, 4] {
         let seed = 7;
-        let (r1, f1, t1) = run_case(ranks, FaultPlan::chaos(seed), Protocol::Hardened);
-        let (r2, f2, t2) = run_case(ranks, FaultPlan::chaos(seed), Protocol::Hardened);
+        let (r1, f1, t1) = run_case(ranks, FaultPlan::chaos(seed));
+        let (r2, f2, t2) = run_case(ranks, FaultPlan::chaos(seed));
         assert_eq!(f1, f2, "fingerprint differs on replay (ranks {ranks})");
         assert_eq!(
             t1, t2,
@@ -174,47 +186,9 @@ fn same_seed_replays_identical_schedule_and_results() {
         let stats = |r: &[RankOutcome]| r.iter().map(|(_, s)| *s).collect::<Vec<_>>();
         assert_eq!(stats(&r1), stats(&r2), "stats differ on replay");
         // A different seed must explore a different schedule.
-        let (_, f3, _) = run_case(ranks, FaultPlan::chaos(seed + 1), Protocol::Hardened);
+        let (_, f3, _) = run_case(ranks, FaultPlan::chaos(seed + 1));
         assert_ne!(f1, f3, "distinct seeds produced identical traces");
     }
-}
-
-/// The pre-hardening protocol demonstrably fails under some chaos seed
-/// (lost work deadlocks the run, or duplicated transfers double-process),
-/// and the hardened protocol survives that exact schedule. This is the
-/// regression anchoring the whole exercise: the fault model is strong
-/// enough to kill the naive balancer.
-#[test]
-fn naive_protocol_fails_where_hardened_succeeds() {
-    // Scan for a fault-sensitive seed. Failures surface as a panic (the
-    // simulator poisons deadlocked/livelocked runs) or as a bad result
-    // set. Panic output is silenced during the scan — failing is what
-    // these runs are *for*.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut sensitive = None;
-    for seed in 0..64u64 {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let (results, _, _) = run_case(4, FaultPlan::chaos(seed), Protocol::Naive);
-            let mut ids: Vec<u64> = results.iter().flat_map(|(v, _)| v.clone()).collect();
-            ids.sort_unstable();
-            let mut expected = Vec::new();
-            expected_task_ids(0, ROOT, &mut expected);
-            expected.sort_unstable();
-            ids == expected
-        }));
-        if !matches!(outcome, Ok(true)) {
-            sensitive = Some(seed);
-            break;
-        }
-    }
-    std::panic::set_hook(prev_hook);
-    let seed = sensitive
-        .expect("no chaos seed in 0..64 perturbed the naive protocol — fault model too weak");
-    // The hardened protocol completes exactly-once under the same plan.
-    let ctx = format!("sensitive seed {seed}, ranks 4, Hardened");
-    let (results, _, _) = run_case(4, FaultPlan::chaos(seed), Protocol::Hardened);
-    assert_exactly_once(&results, &ctx);
 }
 
 #[test]
@@ -228,7 +202,7 @@ fn forced_drops_trigger_retry_and_resend_paths() {
         seed: 11,
         ..FaultPlan::default()
     };
-    let (results, _, _) = run_case(2, plan, Protocol::Hardened);
+    let (results, _, _) = run_case(2, plan);
     assert_exactly_once(&results, "forced-drop plan, ranks 2");
     let retries: usize = results.iter().map(|(_, s)| s.request_retries).sum();
     let resends: usize = results.iter().map(|(_, s)| s.work_resends).sum();
@@ -250,7 +224,7 @@ fn stalled_rank_does_not_wedge_the_run() {
         seed: 3,
         ..FaultPlan::default()
     };
-    let (results, _, _) = run_case(4, plan, Protocol::Hardened);
+    let (results, _, _) = run_case(4, plan);
     assert_exactly_once(&results, "stall plan, ranks 4");
 }
 
@@ -353,7 +327,7 @@ mod properties {
             let ctx = format!(
                 "seed {seed}, drop {drop_p:.3}, dup {dup_p:.3}, heavy {heavy_delay_p:.3}"
             );
-            let (results, _, _) = run_case(3, plan, Protocol::Hardened);
+            let (results, _, _) = run_case(3, plan);
             assert_exactly_once(&results, &ctx);
         }
 

@@ -82,7 +82,6 @@ fn randomized_dynamic_workload_processes_exactly_once() {
             BalancerConfig {
                 threshold: 30,
                 poll: Duration::from_micros(100),
-                ..BalancerConfig::default()
             },
             None,
             move |job, q| {
@@ -251,7 +250,6 @@ mod dynamic_mode {
                 BalancerConfig {
                     threshold: 8,
                     poll: Duration::from_micros(100),
-                    ..BalancerConfig::default()
                 },
                 None,
                 |task: Split, q| {
