@@ -8,7 +8,7 @@
 
 use adm_airfoil::naca0012_domain;
 use adm_bench::{maybe_write_trace, write_json};
-use adm_blayer::{build_boundary_layer, BlParams, Geometric};
+use adm_blayer::{build_boundary_layer, BlParams, Geometric, GrowthSpec};
 use adm_delaunay::divconq::triangulate_dc;
 use adm_partition::{decompose, triangulate_leaf, DecomposeParams, Subdomain};
 use adm_trace::json::obj;
@@ -19,7 +19,7 @@ fn main() {
     let tracer = Tracer::wall();
     let root = tracer.span(Track::ROOT, "fig08_decomposition");
     let domain = naca0012_domain(140, 30.0);
-    let growth = Geometric::new(1.5e-4, 1.2);
+    let growth = GrowthSpec::from(Geometric::new(1.5e-4, 1.2));
     let bl = build_boundary_layer(
         &domain.loops[0].points,
         &growth,

@@ -12,7 +12,7 @@ use adm_airfoil::{three_element_highlift, HighLiftParams};
 use adm_bench::{maybe_write_trace, write_json};
 use adm_blayer::{
     build_multielement_layers, layers_disjoint, no_proper_intersections, BlParams, Geometric,
-    RaySource,
+    GrowthSpec, RaySource,
 };
 use adm_geom::point::Point2;
 use adm_trace::json::obj;
@@ -87,7 +87,7 @@ fn main() {
         farfield_chords: 30.0,
     });
     let surfaces: Vec<Vec<Point2>> = pslg.loops.iter().map(|l| l.points.clone()).collect();
-    let growth = Geometric::new(2e-4, 1.25);
+    let growth = GrowthSpec::from(Geometric::new(2e-4, 1.25));
     let params = BlParams {
         height: 0.04,
         ..Default::default()

@@ -6,7 +6,7 @@
 //! the tangential spacing to the neighboring rays — providing the smooth
 //! transition into the unstructured inviscid region (Figure 5).
 
-use crate::growth::GrowthFn;
+use crate::growth::GrowthSpec;
 use crate::rays::Ray;
 use adm_geom::point::Point2;
 
@@ -62,7 +62,7 @@ impl LayerPoints {
 
 /// Inserts points along every ray. Rays must be in surface order (the
 /// isotropy test uses the neighbors at each height).
-pub fn insert_points<G: GrowthFn>(rays: &[Ray], growth: &G, params: &InsertParams) -> LayerPoints {
+pub fn insert_points(rays: &[Ray], growth: &GrowthSpec, params: &InsertParams) -> LayerPoints {
     let n = rays.len();
     let mut out = LayerPoints {
         points: Vec::with_capacity(4 * n),
@@ -219,7 +219,7 @@ mod tests {
     fn points_follow_growth_function() {
         let c = circle(64, 1.0);
         let rays = emit_rays(&c, 0.5, &CornerThresholds::default());
-        let g = Geometric::new(0.01, 1.3);
+        let g: GrowthSpec = Geometric::new(0.01, 1.3).into();
         let lp = insert_points(&rays, &g, &InsertParams::default());
         assert_eq!(lp.num_rays(), rays.len());
         let pts = lp.ray_points(0);
@@ -242,7 +242,7 @@ mod tests {
         // reaches spacing.
         let c = circle(16, 1.0);
         let rays = emit_rays(&c, f64::INFINITY, &CornerThresholds::default());
-        let g = Geometric::new(0.01, 1.4);
+        let g: GrowthSpec = Geometric::new(0.01, 1.4).into();
         let lp = insert_points(&rays, &g, &InsertParams::default());
         let stats = layer_stats(&lp);
         assert!(stats.max_layers < 50, "unbounded growth: {stats:?}");
@@ -258,7 +258,7 @@ mod tests {
         let c = circle(64, 1.0);
         let mut rays = emit_rays(&c, 0.5, &CornerThresholds::default());
         rays[0].max_height = 0.05;
-        let g = Geometric::new(0.01, 1.2);
+        let g: GrowthSpec = Geometric::new(0.01, 1.2).into();
         let lp = insert_points(&rays, &g, &InsertParams::default());
         assert!(lp.ray_points(0).len() < lp.ray_points(5).len());
         // No point exceeds the clamp.
@@ -274,7 +274,7 @@ mod tests {
         // geometry.
         let c = circle(128, 1.0);
         let rays = emit_rays(&c, 0.4, &CornerThresholds::default());
-        let g = Geometric::new(0.002, 1.25);
+        let g: GrowthSpec = Geometric::new(0.002, 1.25).into();
         let lp = insert_points(&rays, &g, &InsertParams::default());
         for i in 0..lp.num_rays() {
             let a = lp.ray_points(i).len() as i64;
@@ -287,7 +287,7 @@ mod tests {
     fn stats_are_consistent() {
         let c = circle(32, 1.0);
         let rays = emit_rays(&c, 0.3, &CornerThresholds::default());
-        let g = Geometric::new(0.01, 1.3);
+        let g: GrowthSpec = Geometric::new(0.01, 1.3).into();
         let lp = insert_points(&rays, &g, &InsertParams::default());
         let stats = layer_stats(&lp);
         assert_eq!(stats.points, lp.points.len());

@@ -15,6 +15,7 @@ use crate::rays::Ray;
 use adm_geom::aabb::Aabb;
 use adm_geom::adt::Adt;
 use adm_geom::point::Point2;
+use adm_geom::pslg::first_crossing;
 use adm_geom::segment::{SegIntersection, Segment};
 
 /// Fraction of the distance to an intersection point that a clamped ray
@@ -112,19 +113,13 @@ fn resolve_pass(rays: &mut [Ray]) -> usize {
     clamps
 }
 
-/// `true` when no two rays properly intersect (brute force; for tests).
+/// `true` when no two rays properly intersect. Rays sharing an origin
+/// (fans) pass without an exemption: they meet at a common endpoint,
+/// where `orient2d` is exactly 0. One [`first_crossing`] sweep over the
+/// ray segments.
 pub fn no_proper_intersections(rays: &[Ray]) -> bool {
-    for i in 0..rays.len() {
-        for j in (i + 1)..rays.len() {
-            if rays[i].origin == rays[j].origin {
-                continue;
-            }
-            if rays[i].segment().properly_intersects(&rays[j].segment()) {
-                return false;
-            }
-        }
-    }
-    true
+    let segs: Vec<Segment> = rays.iter().map(Ray::segment).collect();
+    first_crossing(&segs, |i, j| segs[i].properly_intersects(&segs[j])).is_none()
 }
 
 /// The outer border of an element's boundary layer as segments: the

@@ -14,7 +14,7 @@ pub mod normals;
 pub mod rays;
 pub mod region;
 
-pub use growth::{Capped, Geometric, GrowthFn, GrowthSpec, Polynomial};
+pub use growth::{Geometric, GrowthSpec};
 pub use insert::{insert_points, layer_stats, InsertParams, LayerPoints, LayerStats};
 pub use intersect::{
     no_proper_intersections, outer_border_segments, resolve_against_element,

@@ -6,7 +6,7 @@
 //! triangulation (§II.D) and the outer border that becomes the inviscid
 //! region's inner boundary (§II.E).
 
-use crate::growth::GrowthFn;
+use crate::growth::GrowthSpec;
 use crate::insert::{insert_points, layer_stats, InsertParams, LayerPoints, LayerStats};
 use crate::intersect::{resolve_against_element, resolve_self_intersections};
 use crate::normals::CornerThresholds;
@@ -135,9 +135,9 @@ const SMOOTH_L_ANG: f64 = 1.5;
 
 /// Inserts points, smooths the realized tip heights into a Lipschitz
 /// profile, and re-inserts — the Figure 5 smooth transition.
-fn insert_with_smooth_fans<G: GrowthFn>(
+fn insert_with_smooth_fans(
     rays: &mut [Ray],
-    growth: &G,
+    growth: &GrowthSpec,
     params: &BlParams,
 ) -> crate::insert::LayerPoints {
     let first = insert_points(rays, growth, &params.insert);
@@ -146,9 +146,9 @@ fn insert_with_smooth_fans<G: GrowthFn>(
 }
 
 /// Generates the boundary layer for a single isolated element.
-pub fn build_boundary_layer<G: GrowthFn>(
+pub fn build_boundary_layer(
     surface: &[Point2],
-    growth: &G,
+    growth: &GrowthSpec,
     params: &BlParams,
 ) -> BoundaryLayer {
     let mut rays = emit_rays(surface, params.height, &params.corners);
@@ -160,9 +160,9 @@ pub fn build_boundary_layer<G: GrowthFn>(
 /// Generates boundary layers for a multi-element configuration, resolving
 /// both self- and multi-element intersections (§II.B's hierarchical
 /// pipeline) before inserting points.
-pub fn build_multielement_layers<G: GrowthFn>(
+pub fn build_multielement_layers(
     surfaces: &[Vec<Point2>],
-    growth: &G,
+    growth: &GrowthSpec,
     params: &BlParams,
 ) -> Vec<BoundaryLayer> {
     // Emit + self-resolve per element.
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn single_element_layer_basics() {
         let surf = circle(64, 1.0, 0.0, 0.0);
-        let g = Geometric::new(0.005, 1.25);
+        let g: GrowthSpec = Geometric::new(0.005, 1.25).into();
         let bl = build_boundary_layer(&surf, &g, &BlParams::default());
         let stats = bl.stats();
         assert!(stats.points > 100);
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn outer_border_is_simple_and_encloses_surface() {
         let surf = circle(96, 1.0, 0.0, 0.0);
-        let g = Geometric::new(0.005, 1.25);
+        let g: GrowthSpec = Geometric::new(0.005, 1.25).into();
         let bl = build_boundary_layer(&surf, &g, &BlParams::default());
         let border = bl.outer_border();
         assert!(border.len() >= 32);
@@ -272,7 +272,7 @@ mod tests {
         // would overlap.
         let s1 = circle(48, 1.0, 0.0, 0.0);
         let s2 = circle(48, 1.0, 2.5, 0.0);
-        let g = Geometric::new(0.01, 1.3);
+        let g: GrowthSpec = Geometric::new(0.01, 1.3).into();
         let params = BlParams {
             height: 0.4,
             ..Default::default()
@@ -296,7 +296,7 @@ mod tests {
         // as isolated builds (no spurious multi-element clamping).
         let s1 = circle(32, 1.0, 0.0, 0.0);
         let s2 = circle(32, 1.0, 50.0, 0.0);
-        let g = Geometric::new(0.01, 1.3);
+        let g: GrowthSpec = Geometric::new(0.01, 1.3).into();
         let params = BlParams {
             height: 0.3,
             ..Default::default()
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn all_points_counts_add_up() {
         let surf = circle(40, 1.0, 0.0, 0.0);
-        let g = Geometric::new(0.01, 1.3);
+        let g: GrowthSpec = Geometric::new(0.01, 1.3).into();
         let bl = build_boundary_layer(&surf, &g, &BlParams::default());
         assert_eq!(
             bl.all_points().len(),

@@ -4,7 +4,7 @@
 use adm_airfoil::{naca0012_domain, three_element_highlift, HighLiftParams};
 use adm_blayer::{
     build_boundary_layer, build_multielement_layers, layers_disjoint, no_proper_intersections,
-    BlParams, Geometric, RaySource,
+    BlParams, Geometric, GrowthSpec, RaySource,
 };
 use adm_geom::polygon::contains_point;
 
@@ -12,7 +12,7 @@ use adm_geom::polygon::contains_point;
 fn naca0012_boundary_layer() {
     let domain = naca0012_domain(60, 30.0);
     let surf = &domain.loops[0].points;
-    let growth = Geometric::new(2e-4, 1.25);
+    let growth = GrowthSpec::from(Geometric::new(2e-4, 1.25));
     let params = BlParams {
         height: 0.05,
         ..Default::default()
@@ -57,7 +57,7 @@ fn three_element_layers_resolve_all_intersections() {
     let pslg = three_element_highlift(&HighLiftParams::default());
     let surfaces: Vec<Vec<adm_geom::Point2>> =
         pslg.loops.iter().map(|l| l.points.clone()).collect();
-    let growth = Geometric::new(2e-4, 1.3);
+    let growth = GrowthSpec::from(Geometric::new(2e-4, 1.3));
     let params = BlParams {
         height: 0.04,
         ..Default::default()
@@ -117,7 +117,7 @@ fn blunt_trailing_edge_gets_rays_on_both_corners() {
     // corners must fan.
     let pslg = three_element_highlift(&HighLiftParams::default());
     let flap = &pslg.loops[2].points;
-    let growth = Geometric::new(2e-4, 1.3);
+    let growth = GrowthSpec::from(Geometric::new(2e-4, 1.3));
     let bl = build_boundary_layer(
         flap,
         &growth,

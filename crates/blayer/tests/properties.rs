@@ -2,8 +2,7 @@
 
 use adm_blayer::{
     build_boundary_layer, emit_rays, loop_normals, no_proper_intersections,
-    resolve_self_intersections, BlParams, Capped, CornerThresholds, Geometric, GrowthFn,
-    Polynomial,
+    resolve_self_intersections, BlParams, CornerThresholds, Geometric, GrowthSpec,
 };
 use adm_geom::point::Point2;
 use adm_geom::polygon::{contains_point, is_ccw, is_simple};
@@ -31,10 +30,10 @@ proptest! {
     /// per-layer thickness.
     #[test]
     fn growth_monotone(h0 in 1e-5f64..1e-2, ratio in 1.01f64..1.6, exp in 1.0f64..3.0) {
-        let laws: Vec<Box<dyn GrowthFn>> = vec![
-            Box::new(Geometric::new(h0, ratio)),
-            Box::new(Polynomial::new(h0, exp)),
-            Box::new(Capped { base: Geometric::new(h0, ratio), max_thickness: 10.0 * h0 }),
+        let laws = [
+            GrowthSpec::from(Geometric::new(h0, ratio)),
+            GrowthSpec::Polynomial { first_height: h0, exponent: exp },
+            GrowthSpec::CappedGeometric { first_height: h0, ratio, max_thickness: 10.0 * h0 },
         ];
         for law in &laws {
             let mut acc = 0.0;
@@ -85,7 +84,7 @@ proptest! {
     #[test]
     fn layer_points_outside_solid(poly in star_polygon(), ratio in 1.1f64..1.4) {
         prop_assume!(is_ccw(&poly) && is_simple(&poly));
-        let growth = Geometric::new(0.01, ratio);
+        let growth = GrowthSpec::from(Geometric::new(0.01, ratio));
         let bl = build_boundary_layer(&poly, &growth, &BlParams {
             height: 0.3,
             ..Default::default()
@@ -106,4 +105,94 @@ fn on_boundary(poly: &[Point2], p: Point2) -> bool {
     (0..n).any(|i| {
         adm_geom::segment::Segment::new(poly[i], poly[(i + 1) % n]).distance_to_point(p) < 1e-12
     })
+}
+
+/// Every variant's `height` and `layer_thickness`, k = 0..200, equal the
+/// closed forms below bit for bit: the expressions, in the order the laws
+/// have always evaluated them.
+#[test]
+fn growth_heights_match_the_closed_forms_bit_for_bit() {
+    let geo_height = |h0: f64, r: f64, k: usize| -> f64 {
+        if k == 0 {
+            0.0
+        } else if (r - 1.0).abs() < 1e-14 {
+            h0 * k as f64
+        } else {
+            h0 * (r.powi(k as i32) - 1.0) / (r - 1.0)
+        }
+    };
+    let geo_thick = |h0: f64, r: f64, k: usize| -> f64 {
+        if k == 0 {
+            0.0
+        } else {
+            h0 * r.powi(k as i32 - 1)
+        }
+    };
+    let capped_height = |h0: f64, r: f64, cap: f64, k: usize| -> f64 {
+        let mut h = 0.0;
+        for i in 1..=k {
+            h += geo_thick(h0, r, i).min(cap);
+        }
+        h
+    };
+    let poly_height = |h0: f64, p: f64, k: usize| h0 * (k as f64).powf(p);
+    let same = |got: f64, want: f64, what: &str| {
+        assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
+    };
+    for (h0, r) in [
+        (2e-4, 1.25),
+        (1e-5, 1.08),
+        (0.5, 1.0),
+        (1e-3, 0.9),
+        (3e-2, 1.6),
+    ] {
+        let cap = 20.0 * h0;
+        let geometric = GrowthSpec::from(Geometric::new(h0, r));
+        let capped = GrowthSpec::CappedGeometric {
+            first_height: h0,
+            ratio: r,
+            max_thickness: cap,
+        };
+        for k in 0..=200 {
+            let at = format!("h0 {h0} r {r} k {k}");
+            same(geometric.height(k), geo_height(h0, r, k), &at);
+            same(geometric.layer_thickness(k), geo_thick(h0, r, k), &at);
+            same(capped.height(k), capped_height(h0, r, cap, k), &at);
+            let thick = if k == 0 {
+                0.0
+            } else {
+                geo_thick(h0, r, k).min(cap)
+            };
+            same(capped.layer_thickness(k), thick, &at);
+        }
+    }
+    for (h0, p) in [(1e-3, 1.0), (1e-3, 1.5), (2e-4, 2.0), (0.1, 2.7)] {
+        let law = GrowthSpec::Polynomial {
+            first_height: h0,
+            exponent: p,
+        };
+        for k in 0..=200 {
+            let at = format!("h0 {h0} p {p} k {k}");
+            same(law.height(k), poly_height(h0, p, k), &at);
+            let thick = if k == 0 {
+                0.0
+            } else {
+                poly_height(h0, p, k) - poly_height(h0, p, k - 1)
+            };
+            same(law.layer_thickness(k), thick, &at);
+        }
+    }
+}
+
+/// A law built without [`Geometric::new`] (a request's `growth` line) is
+/// still refused when used, with the constructor's message.
+#[test]
+#[should_panic(expected = "first height must be positive")]
+fn invalid_growth_law_panics_on_use() {
+    let law = GrowthSpec::CappedGeometric {
+        first_height: 0.0,
+        ratio: 1.2,
+        max_thickness: 1.0,
+    };
+    law.height(0);
 }

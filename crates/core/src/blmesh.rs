@@ -61,7 +61,7 @@ pub(crate) fn assemble_bl_mesh(
 mod tests {
     use super::*;
     use adm_airfoil::{naca0012_domain, Pslg};
-    use adm_blayer::{build_boundary_layer, BlParams, Geometric};
+    use adm_blayer::{build_boundary_layer, BlParams, Geometric, GrowthSpec};
     use adm_geom::polygon::contains_point;
     use adm_partition::{decompose, triangulate_leaf, DecomposeParams, Subdomain};
 
@@ -101,7 +101,7 @@ mod tests {
     /// A NACA 0012 domain and its boundary layer.
     fn naca0012_layer() -> (Pslg, BoundaryLayer) {
         let domain = naca0012_domain(50, 30.0);
-        let growth = Geometric::new(5e-4, 1.3);
+        let growth = GrowthSpec::from(Geometric::new(5e-4, 1.3));
         let bl = build_boundary_layer(
             &domain.loops[0].points,
             &growth,
@@ -155,7 +155,7 @@ mod tests {
         // The whole point of the exercise: near-wall triangles must be
         // strongly anisotropic.
         let domain = naca0012_domain(60, 30.0);
-        let growth = Geometric::new(1e-4, 1.25);
+        let growth = GrowthSpec::from(Geometric::new(1e-4, 1.25));
         let bl = build_boundary_layer(
             &domain.loops[0].points,
             &growth,

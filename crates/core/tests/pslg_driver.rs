@@ -1,13 +1,15 @@
 //! The general-PSLG front door on the shared driver: the caller's pool
-//! reaches the merge, a run over budget publishes nothing, and the run is
-//! traced like the airfoil paths.
+//! reaches the merge, a run over budget publishes nothing, the run is
+//! traced like the airfoil paths, and an input too small for the
+//! predicates is a typed error.
 
 use adm_core::{
-    mesh_digest_hex, mesh_pslg_on, Executor, PslgMeshError, PslgMeshResult, TaskKind, UniformH,
-    MANIFEST_NAME,
+    mesh_digest_hex, mesh_pslg, mesh_pslg_on, Executor, PslgMeshError, PslgMeshResult, TaskKind,
+    UniformH, MANIFEST_NAME,
 };
 use adm_delaunay::poly::read_poly;
 use adm_delaunay::refine::RefineParams;
+use adm_geom::point::Point2;
 use adm_geom::pslg::Pslg;
 use adm_mpirt::Pool;
 use adm_trace::Track;
@@ -141,4 +143,21 @@ fn run_is_traced_like_the_airfoil_paths() {
         out.refine_stats.segment_splits as u64
     );
     assert!(out.trace.counter("refine.circumcenters") > 0);
+}
+
+#[test]
+fn underflowing_coordinates_are_a_typed_cdt_error() {
+    // The plate scaled by 2^-300 (points and target size alike): the
+    // predicates' degree-4 terms fall below the subnormal range, so the
+    // constraint insertion finds no exit triangle. That is an error the
+    // caller can handle, not a panic.
+    let scale = 2f64.powi(-300);
+    let mut pslg = plate();
+    for p in pslg.points.iter_mut().chain(&mut pslg.holes) {
+        *p = Point2::new(p.x * scale, p.y * scale);
+    }
+    match mesh_pslg(&pslg, &UniformH(0.2 * scale), &RefineParams::default()) {
+        Err(PslgMeshError::Cdt(_)) => {}
+        other => panic!("expected a CDT error, got {:?}", other.map(|_| ())),
+    }
 }

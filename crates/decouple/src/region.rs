@@ -11,6 +11,7 @@ use crate::march::march_path;
 use crate::sizing::SizingFn;
 use adm_geom::aabb::Aabb;
 use adm_geom::point::Point2;
+use std::ops::Range;
 
 /// A decoupled subdomain: a CCW discretized border with the four
 /// rectangle corners tracked by index. Vertices are stored in
@@ -44,20 +45,18 @@ impl Region {
 
     /// Number of border points on side `k` (inclusive of both corners).
     pub fn side_len(&self, k: usize) -> usize {
-        self.side_range(k).len()
+        self.side_interior(k).len() + 2
     }
 
-    /// The border indices of side `k` (inclusive of both corner
-    /// endpoints); side 3 wraps around to index 0.
-    fn side_range(&self, k: usize) -> Vec<usize> {
-        let start = self.corner_idx[k];
-        if k < 3 {
-            (start..=self.corner_idx[k + 1]).collect()
+    /// The border indices strictly between side `k`'s two corners; side 3
+    /// runs to the end of `border` (its far corner is index 0).
+    fn side_interior(&self, k: usize) -> Range<usize> {
+        let end = if k < 3 {
+            self.corner_idx[k + 1]
         } else {
-            let mut v: Vec<usize> = (start..self.border.len()).collect();
-            v.push(0);
-            v
-        }
+            self.border.len()
+        };
+        self.corner_idx[k] + 1..end
     }
 
     /// Estimated number of triangles a refinement to `sizing` will create
@@ -94,17 +93,15 @@ impl Region {
         // side midpoint, excluding the side's corner endpoints.
         let mut conn: [usize; 4] = [0; 4];
         for (k, slot) in conn.iter_mut().enumerate() {
-            let idxs = self.side_range(k);
+            let interior = self.side_interior(k);
             assert!(
-                idxs.len() >= 3,
+                !interior.is_empty(),
                 "side {k} has no interior border point to connect to"
             );
-            let a = self.border[idxs[0]];
-            let c = self.border[*idxs.last().unwrap()];
+            let a = self.border[self.corner_idx[k]];
+            let c = self.border[self.corner_idx[(k + 1) % 4]];
             let mid = a.midpoint(c);
-            let best = idxs[1..idxs.len() - 1]
-                .iter()
-                .copied()
+            let best = interior
                 .min_by(|&i, &j| {
                     self.border[i]
                         .distance_sq(mid)

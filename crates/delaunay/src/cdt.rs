@@ -21,6 +21,13 @@ pub enum CdtError {
     CrossesConstraint((u32, u32), (u32, u32)),
     /// The two constraint endpoints coincide.
     DegenerateSegment(u32),
+    /// No triangle at the first endpoint has an edge the segment leaves
+    /// through: the predicates saw no exit (say, because the segment's
+    /// coordinates are so small that its orientation terms underflow).
+    NoExitTriangle((u32, u32)),
+    /// The corridor walk along the segment reached the mesh boundary
+    /// before the second endpoint.
+    WalkLeftMesh((u32, u32)),
 }
 
 /// Builds a constrained Delaunay triangulation of `points` with the given
@@ -101,9 +108,9 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
         insert_constraint(mesh, w, b)?;
         return Ok(());
     }
-    let (mut tcur, mut ecross) = start.unwrap_or_else(|| {
-        panic!("no exit triangle found for constraint ({a},{b}); mesh inconsistent")
-    });
+    let Some((mut tcur, mut ecross)) = start else {
+        return Err(CdtError::NoExitTriangle((a, b)));
+    };
 
     // Walk the corridor collecting crossed triangles and side chains.
     let mut crossed: Vec<u32> = vec![tcur];
@@ -119,7 +126,9 @@ pub fn insert_constraint(mesh: &mut Mesh, a: u32, b: u32) -> Result<(), CdtError
     }
     loop {
         let n = mesh.tris[tcur as usize].n[ecross as usize];
-        assert_ne!(n, NIL, "constraint walk left the mesh");
+        if n == NIL {
+            return Err(CdtError::WalkLeftMesh((a, b)));
+        }
         let (u, v) = mesh.edge_vertices(tcur, ecross);
         // Classify the crossed edge's endpoints relative to a->b.
         let du = orient2d(pa, pb, mesh.vertex(u as usize));

@@ -5,6 +5,7 @@
 //! about them.
 
 use crate::point::Point2;
+use crate::pslg::first_crossing;
 use crate::segment::Segment;
 
 /// Twice the signed area of the polygon (positive for counter-clockwise
@@ -90,29 +91,27 @@ pub fn centroid(poly: &[Point2]) -> Point2 {
     Point2::new(cx / (3.0 * a2), cy / (3.0 * a2))
 }
 
-/// `true` when the closed polyline has no self-intersections (edges may
-/// share endpoints only with their neighbours). `O(n^2)` — meant for
-/// validation in tests, not hot paths.
+/// `true` when the closed polyline has no self-intersections: edges may
+/// share endpoints only with their neighbours, and neighbours may not
+/// cross. One [`first_crossing`] sweep, so an airfoil loop costs
+/// `O(n log n)` rather than all `n^2 / 2` edge pairs.
 pub fn is_simple(poly: &[Point2]) -> bool {
     let n = poly.len();
     if n < 3 {
         return false;
     }
-    for i in 0..n {
-        let si = Segment::new(poly[i], poly[(i + 1) % n]);
-        for j in (i + 1)..n {
-            let sj = Segment::new(poly[j], poly[(j + 1) % n]);
-            let adjacent = j == i + 1 || (i == 0 && j == n - 1);
-            if adjacent {
-                if si.properly_intersects(&sj) {
-                    return false;
-                }
-            } else if si.intersects(&sj) {
-                return false;
-            }
+    let edges: Vec<Segment> = (0..n)
+        .map(|i| Segment::new(poly[i], poly[(i + 1) % n]))
+        .collect();
+    first_crossing(&edges, |i, j| {
+        let adjacent = j == i + 1 || (i == 0 && j == n - 1);
+        if adjacent {
+            edges[i].properly_intersects(&edges[j])
+        } else {
+            edges[i].intersects(&edges[j])
         }
-    }
-    true
+    })
+    .is_none()
 }
 
 #[cfg(test)]

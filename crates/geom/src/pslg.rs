@@ -106,28 +106,27 @@ pub struct ValidPslg {
     pub report: RepairReport,
 }
 
-/// The lexicographically first pair `(i, j)`, `i < j`, of `segments` that
-/// cross at a point interior to both (exact
-/// [`Segment::properly_intersects`]: touching and collinear overlap pass —
-/// the CDT splits constraints at vertices on them), or `None`.
+/// The lexicographically first pair `(i, j)`, `i < j`, of `segs` for
+/// which `conflict(i, j)` holds, or `None`: the one segment-pair search of
+/// the workspace, behind [`Pslg::validate`],
+/// [`crate::polygon::is_simple`] and the boundary layer's ray check.
 ///
 /// A sort-and-sweep: segments are ordered by the low `x` of their bounding
 /// box, the active window holds those whose `x`-extent still reaches the
-/// sweep line, and only pairs whose boxes also overlap in `y` reach the
-/// predicate — a proper crossing point lies in both boxes. The sweep runs
-/// to the end and keeps the smallest crossing pair, so the answer is the
-/// one an all-pairs loop in index order would stop at. Long segments that
-/// all overlap in `x` stay in the window together, which is the quadratic
+/// sweep line, and only pairs whose closed boxes also overlap in `y` reach
+/// `conflict` — so `conflict` must hold only for segments that share a
+/// point (touching, crossing or overlapping segments all lie in both
+/// boxes), and the coordinates must be finite. The sweep runs to the end
+/// and keeps the smallest conflicting pair, so the answer is the one an
+/// all-pairs loop in index order would stop at. Long segments that all
+/// overlap in `x` stay in the window together, which is the quadratic
 /// worst case [`Pslg::validate`] documents.
-fn first_crossing(points: &[Point2], segments: &[(u32, u32)]) -> Option<(usize, usize)> {
-    let seg = |k: usize| {
-        let (a, b) = segments[k];
-        Segment::new(points[a as usize], points[b as usize])
-    };
-    let boxes: Vec<Aabb> = (0..segments.len())
-        .map(|k| Aabb::of_segment(&seg(k)))
-        .collect();
-    let mut order: Vec<usize> = (0..segments.len()).collect();
+pub fn first_crossing(
+    segs: &[Segment],
+    mut conflict: impl FnMut(usize, usize) -> bool,
+) -> Option<(usize, usize)> {
+    let boxes: Vec<Aabb> = segs.iter().map(Aabb::of_segment).collect();
+    let mut order: Vec<usize> = (0..segs.len()).collect();
     order.sort_unstable_by(|&i, &j| boxes[i].min.x.total_cmp(&boxes[j].min.x).then(i.cmp(&j)));
     let mut active: Vec<usize> = Vec::new();
     let mut first: Option<(usize, usize)> = None;
@@ -138,7 +137,7 @@ fn first_crossing(points: &[Point2], segments: &[(u32, u32)]) -> Option<(usize, 
                 continue;
             }
             let pair = (s.min(t), s.max(t));
-            if first.is_none_or(|f| pair < f) && seg(pair.0).properly_intersects(&seg(pair.1)) {
+            if first.is_none_or(|f| pair < f) && conflict(pair.0, pair.1) {
                 first = Some(pair);
             }
         }
@@ -200,7 +199,12 @@ impl Pslg {
     /// chords spanning the domain).
     pub fn validate(&self) -> Result<ValidPslg, PslgError> {
         let (pslg, report) = self.repair()?;
-        if let Some((i, j)) = first_crossing(&pslg.points, &pslg.segments) {
+        let segs: Vec<Segment> = pslg
+            .segments
+            .iter()
+            .map(|&(a, b)| Segment::new(pslg.points[a as usize], pslg.points[b as usize]))
+            .collect();
+        if let Some((i, j)) = first_crossing(&segs, |i, j| segs[i].properly_intersects(&segs[j])) {
             return Err(PslgError::SegmentsCross {
                 a: pslg.segments[i],
                 b: pslg.segments[j],
@@ -437,11 +441,12 @@ mod tests {
     fn sweep_agrees_with_all_pairs(pslg: &Pslg) -> Option<(usize, usize)> {
         let (repaired, _) = pslg.repair().expect("the corpus repairs");
         let (pts, segs) = (&repaired.points, &repaired.segments);
-        let got = first_crossing(pts, segs);
+        let seg = |(a, b): (u32, u32)| Segment::new(pts[a as usize], pts[b as usize]);
+        let lines: Vec<Segment> = segs.iter().map(|&s| seg(s)).collect();
+        let got = first_crossing(&lines, |i, j| lines[i].properly_intersects(&lines[j]));
         assert_eq!(got, first_crossing_all_pairs(pts, segs));
         if let Some((i, j)) = got {
             assert!(i < j);
-            let seg = |(a, b): (u32, u32)| Segment::new(pts[a as usize], pts[b as usize]);
             assert!(seg(segs[i]).properly_intersects(&seg(segs[j])));
             let (a, b) = (segs[i], segs[j]);
             assert_eq!(pslg.validate(), Err(PslgError::SegmentsCross { a, b }));

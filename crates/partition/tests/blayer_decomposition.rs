@@ -2,7 +2,7 @@
 //! subdomains whose union is the exact global Delaunay triangulation.
 
 use adm_airfoil::naca0012_domain;
-use adm_blayer::{build_boundary_layer, BlParams, Geometric};
+use adm_blayer::{build_boundary_layer, BlParams, Geometric, GrowthSpec};
 use adm_delaunay::divconq::triangulate_dc;
 use adm_geom::point::Point2;
 use adm_partition::{decompose, triangulate_all, DecomposeParams, Subdomain};
@@ -23,7 +23,7 @@ fn canon(tris: &[[u32; 3]]) -> Vec<[u32; 3]> {
 #[test]
 fn boundary_layer_cloud_decomposes_into_128_subdomains() {
     let domain = naca0012_domain(80, 30.0);
-    let growth = Geometric::new(5e-4, 1.25);
+    let growth = GrowthSpec::from(Geometric::new(5e-4, 1.25));
     let bl = build_boundary_layer(
         &domain.loops[0].points,
         &growth,
@@ -66,7 +66,7 @@ fn subdomain_costs_are_balanced() {
     // The coarse partitioner should yield sub-domains whose cost estimates
     // are within a reasonable factor of each other for load balancing.
     let domain = naca0012_domain(60, 30.0);
-    let growth = Geometric::new(1e-3, 1.3);
+    let growth = GrowthSpec::from(Geometric::new(1e-3, 1.3));
     let bl = build_boundary_layer(
         &domain.loops[0].points,
         &growth,
